@@ -2,48 +2,7 @@
 upwind model, a linear Galerkin reduced model, and a shifted nonlinear Galerkin
 reduced model, driven by an adjoint-based descent loop."""
 
-from .basis import ModeBasis, eigenfunction_stationary_basis, mode_count_by_tolerance, pod_basis
-from .control import (
-    ControlShapes,
-    adjoint_control,
-    apply_control,
-    build_fourier_shapes,
-    operator_norm_B,
-)
-from .discretization import SpaceTimeGrid, central_derivative, inner_product, upwind_operator
-from .fom import CostBreakdown, DivergenceError, cost, gradient_fom, solve_adjoint, solve_state
-from .models import FomModel, PodModel, QuadraticModel, SpodModel
-from .optimizer import (
-    ControlledModel,
-    ModeRule,
-    OptimizerConfig,
-    OptimizerReport,
-    barzilai_borwein_step,
-    optimize,
-    refinement_policy,
-    two_way_backtracking,
-)
-from .rom_pod import PodRomOperators, assemble_pod_rom, gradient_pod, lift_pod, solve_pod_adjoint, solve_pod_state
-from .rom_spod import (
-    SingularMassError,
-    SmallnessCertificate,
-    SpodAdjointTrajectory,
-    SpodReducedTrajectory,
-    SpodRomOperators,
-    assemble_spod_rom,
-    certify_smallness,
-    gradient_spod,
-    lift_spod,
-    lookup_B,
-    solve_spod_adjoint,
-    solve_spod_state,
-)
-from .transform import (
-    shift_adjoint,
-    shift_derivative_field,
-    shift_field,
-    transform_snapshots,
-    uncontrolled_shift_path,
-)
+from .control import build_fourier_shapes
+from .discretization import SpaceTimeGrid
 
 __version__ = "0.1.0"

@@ -19,14 +19,9 @@ RANK_FLOOR = 1e-12
 
 @dataclass(frozen=True)
 class ModeBasis:
-    """Weighted-orthonormal spatial modes.
-
-    `frame` records whether the columns are meant to be used as-is
-    ("stationary") or composed with a time-dependent shift ("shifted").
-    """
+    """Weighted-orthonormal spatial modes."""
 
     modes: np.ndarray  # (n, r), H-orthonormal columns
-    frame: str = "stationary"
 
     @property
     def r(self) -> int:
@@ -42,12 +37,7 @@ def weighted_svd(Q: np.ndarray, grid: SpaceTimeGrid) -> tuple[np.ndarray, np.nda
     return U / w, sigma
 
 
-def truncate_to_basis(
-    modes: np.ndarray,
-    sigma: np.ndarray,
-    r: int,
-    frame: str = "stationary",
-) -> ModeBasis:
+def truncate_to_basis(modes: np.ndarray, sigma: np.ndarray, r: int) -> ModeBasis:
     """Keep the first r singular directions, capped at the numerical rank
     (a deficiency is flagged with a warning)."""
     if r < 1:
@@ -62,23 +52,7 @@ def truncate_to_basis(
             RuntimeWarning,
             stacklevel=2,
         )
-    return ModeBasis(modes=modes[:, :r_eff], frame=frame)
-
-
-def pod_basis(
-    Q: np.ndarray,
-    r: int,
-    grid: SpaceTimeGrid,
-    frame: str = "stationary",
-) -> tuple[ModeBasis, np.ndarray]:
-    """First r left singular vectors of the weighted snapshot matrix, plus the
-    full singular spectrum.
-
-    If r exceeds the numerical rank, the available modes are returned and a
-    warning flags the deficiency.
-    """
-    modes, sigma = weighted_svd(Q, grid)
-    return truncate_to_basis(modes, sigma, r, frame), sigma
+    return ModeBasis(modes=modes[:, :r_eff])
 
 
 def mode_count_by_tolerance(sigma: np.ndarray, tol: float) -> int:
@@ -112,7 +86,7 @@ def eigenfunction_stationary_basis(
             RuntimeWarning,
             stacklevel=2,
         )
-    return ModeBasis(modes=modes[:, :keep], frame="stationary")
+    return ModeBasis(modes=modes[:, :keep])
 
 
 def save_spectrum_csv(path: str | Path, sigma: np.ndarray) -> None:
@@ -121,10 +95,3 @@ def save_spectrum_csv(path: str | Path, sigma: np.ndarray) -> None:
         writer.writerow(["sigma"])
         for val in np.asarray(sigma, dtype=float):
             writer.writerow([FMT % val])
-
-
-def load_spectrum_csv(path: str | Path) -> np.ndarray:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        next(reader)
-        return np.asarray([float(row[0]) for row in reader if row])

@@ -6,6 +6,7 @@ import argparse
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import replace
 from pathlib import Path
 
@@ -36,13 +37,15 @@ def _worker_count(n_jobs: int) -> int:
     cap = os.environ.get("ROMCTL_THREADS")
     workers = min(n_jobs, os.cpu_count() or 1)
     if cap:
-        workers = max(1, min(workers, int(cap)))
+        try:
+            workers = max(1, min(workers, int(cap)))
+        except ValueError:
+            raise ConfigError(f"ROMCTL_THREADS must be an integer, got {cap!r}") from None
     return workers
 
 
-def _sweep_job(payload) -> tuple[int, int]:
-    cfg, r = payload
-    return r, run_scenario(replace(cfg, modes=r, mode_tol=None, out=str(Path(cfg.out) / f"modes_{r:04d}")), quiet=True)
+def _sweep_job(cfg: ScenarioConfig) -> tuple[int, int]:
+    return cfg.modes, run_scenario(cfg, quiet=True)
 
 
 def cmd_run(args) -> int:
@@ -51,24 +54,25 @@ def cmd_run(args) -> int:
 
 def cmd_sweep(args) -> int:
     cfg = _load(args)
-    mode_counts = [int(v) for v in args.modes.split(",") if v.strip()]
+    try:
+        mode_counts = [int(v) for v in args.modes.split(",") if v.strip()]
+    except ValueError as exc:
+        raise ConfigError(f"--modes takes comma-separated integers: {exc}") from None
     if not mode_counts:
-        print("sweep needs at least one mode count", file=sys.stderr)
-        return 2
-    jobs = [(cfg, r) for r in mode_counts]
-    status = 0
+        raise ConfigError("sweep needs at least one mode count")
+    # every job's config is checked before the first one starts
+    jobs = [
+        replace(cfg, modes=r, mode_tol=None, out=str(Path(cfg.out) / f"modes_{r:04d}"))
+        for r in mode_counts
+    ]
     workers = _worker_count(len(jobs))
-    if workers == 1:
-        results = map(_sweep_job, jobs)
-    else:
-        pool = ProcessPoolExecutor(max_workers=workers)
-        results = pool.map(_sweep_job, jobs)
-    for r, code in results:
-        if not args.quiet:
-            print(f"modes={r}: exit {code}")
-        status = max(status, code)
-    if workers > 1:
-        pool.shutdown()
+    status = 0
+    # one worker runs the jobs in this process
+    with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
+        for r, code in (pool.map if pool else map)(_sweep_job, jobs):
+            if not args.quiet:
+                print(f"modes={r}: exit {code}")
+            status = max(status, code)
     return status
 
 
@@ -78,9 +82,9 @@ def cmd_rank_study(args) -> int:
 
 def cmd_gradient_check(args) -> int:
     cfg = _load(args)
-    model, grid, shapes, _, _ = build_model(cfg)
+    model = build_model(cfg)
     rng = np.random.default_rng(cfg.seed)
-    u = smooth_random_signal(rng, shapes.m, grid.n_t, 0.05)
+    u = smooth_random_signal(rng, model.problem.shapes.m, model.problem.grid.n_t, 0.05)
     errors = fd_gradient_check(model, u, seed=cfg.seed)
     worst = max(errors)
     if not args.quiet:

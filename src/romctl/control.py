@@ -77,15 +77,3 @@ def save_control_csv(path: str | Path, u: np.ndarray) -> None:
         writer.writerow([f"u_{k + 1}" for k in range(u.shape[0])])
         for j in range(u.shape[1]):
             writer.writerow([FMT % val for val in u[:, j]])
-
-
-def load_control_csv(path: str | Path) -> np.ndarray:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        rows = [[float(v) for v in row] for row in reader if row]
-    m = len(header)
-    data = np.asarray(rows, dtype=float)
-    if data.size and data.shape[1] != m:
-        raise ValueError(f"control CSV rows have {data.shape[1]} fields, header has {m}")
-    return data.T.reshape(m, -1)

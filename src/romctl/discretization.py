@@ -73,10 +73,6 @@ def inner_product(a: np.ndarray, b: np.ndarray, grid: SpaceTimeGrid) -> float:
     return grid.dx * float(np.dot(a, b))
 
 
-def field_norm(a: np.ndarray, grid: SpaceTimeGrid) -> float:
-    return float(np.sqrt(max(inner_product(a, a, grid), 0.0)))
-
-
 def upwind_operator(grid: SpaceTimeGrid) -> sp.csr_matrix:
     """First-order upwind discretization of -v d/dx with periodic wrap.
 
@@ -96,16 +92,6 @@ def upwind_operator(grid: SpaceTimeGrid) -> sp.csr_matrix:
         mat = sp.diags([-c * np.ones(n), c * np.ones(n - 1)], [0, 1], format="lil")
         mat[n - 1, 0] = c
     return sp.csr_matrix(mat)
-
-
-def adjoint_upwind_operator(grid: SpaceTimeGrid) -> sp.csr_matrix:
-    """Upwind discretization of the adjoint transport operator v d/dx.
-
-    The stable stencil for the backward-in-time sweep is the mirror image of
-    the forward one; on the uniform periodic grid it coincides with the
-    transpose of `upwind_operator`.
-    """
-    return sp.csr_matrix(upwind_operator(grid).T)
 
 
 def central_derivative(field: np.ndarray, grid: SpaceTimeGrid, order: int = 1) -> np.ndarray:

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -10,16 +11,18 @@ import numpy as np
 
 from . import fom
 from .basis import save_spectrum_csv, weighted_svd
-from .control import FMT, ControlShapes, build_fourier_shapes, save_control_csv
+from .control import FMT, build_fourier_shapes, save_control_csv
 from .discretization import SpaceTimeGrid
-from .models import FomModel, PodModel, SpodModel
+from .models import ControlProblem, FomModel, PodModel, ProblemModel, SpodModel
 from .optimizer import (
     PHASES,
+    STREAM_COLUMNS,
     ControlledModel,
     ModeRule,
     OptimizerConfig,
     OptimizerReport,
     optimize,
+    record_row,
 )
 from .transform import shift_field, transform_snapshots, uncontrolled_shift_path
 
@@ -118,6 +121,28 @@ class ScenarioConfig:
     seed: int = 0
     out: str = "out"
 
+    def __post_init__(self) -> None:
+        """Reject bad settings before any output is written; every replace()
+        of a config runs these checks again."""
+        if self.model not in ("fom", "pod", "spod"):
+            raise ConfigError(f"model must be fom, pod, or spod, got {self.model!r}")
+        if self.modes is not None and self.mode_tol is not None:
+            raise ConfigError("set at most one of modes and mode_tol")
+        if self.model == "fom" and (self.modes is not None or self.mode_tol is not None):
+            raise ConfigError("modes and mode_tol choose a reduced basis; model = fom has none")
+        if self.xi < 0:
+            raise ConfigError(f"xi must be nonnegative, got {self.xi}")
+        if self.n_samples < 2:
+            raise ConfigError(f"n_samples must be at least 2, got {self.n_samples}")
+        if self.rank_study_every < 1:
+            raise ConfigError(f"rank_study_every must be positive, got {self.rank_study_every}")
+        try:
+            self.grid()
+            self.target_spec()
+            self.optimizer_config()
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
+
     def grid(self) -> SpaceTimeGrid:
         return SpaceTimeGrid(l=self.l, n=self.n, T=self.T, n_t=self.n_t, v=self.v)
 
@@ -154,15 +179,32 @@ class ScenarioConfig:
         )
 
 
+def _finite(s: str) -> float:
+    val = float(s)
+    if not math.isfinite(val):
+        raise ValueError(f"{s!r} is not a finite number")
+    return val
+
+
+def _finites(s: str) -> tuple[float, ...]:
+    return tuple(_finite(v) for v in s.split(",") if v.strip())
+
+
+def _bool(s: str) -> bool:
+    words = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
+    if s.lower() not in words:
+        raise ValueError(f"expected true or false, got {s!r}")
+    return words[s.lower()]
+
+
 _PARSERS = {
-    "l": float, "n": int, "T": float, "n_t": int, "v": float, "xi": int,
-    "mu": float, "beta": float, "omega0": float, "n_iter": int,
-    "n_samples": int, "refine_every": int, "bb_switch_threshold": float,
-    "model": str, "modes": int, "mode_tol": float, "problem": str,
-    "tilt_factor": float, "eigenfunction_basis": lambda s: s.lower() in ("1", "true", "yes"),
+    "l": _finite, "n": int, "T": _finite, "n_t": int, "v": _finite, "xi": int,
+    "mu": _finite, "beta": _finite, "omega0": _finite, "n_iter": int,
+    "n_samples": int, "refine_every": int, "bb_switch_threshold": _finite,
+    "model": str, "modes": int, "mode_tol": _finite, "problem": str,
+    "tilt_factor": _finite, "eigenfunction_basis": _bool,
     "rank_study_every": int, "seed": int, "out": str,
-    "kinks": lambda s: tuple(float(v) for v in s.split(",") if v.strip()),
-    "kink_velocities": lambda s: tuple(float(v) for v in s.split(",") if v.strip()),
+    "kinks": _finites, "kink_velocities": _finites,
 }
 
 
@@ -188,57 +230,39 @@ def parse_config(path: str | Path) -> ScenarioConfig:
         except Exception as exc:
             raise ConfigError(f"{path}:{lineno}: bad value for {key!r}: {exc}") from exc
     try:
-        cfg = ScenarioConfig(**overrides)
-        cfg.target_spec()
-        cfg.grid()
+        return ScenarioConfig(**overrides)
     except ConfigError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
-    except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
-    if cfg.model not in ("fom", "pod", "spod"):
-        raise ConfigError(f"{path}: model must be fom, pod, or spod, got {cfg.model!r}")
-    return cfg
 
 
-def build_model(cfg: ScenarioConfig) -> tuple[ControlledModel, SpaceTimeGrid, ControlShapes, np.ndarray, np.ndarray]:
+def build_model(cfg: ScenarioConfig) -> ProblemModel:
     grid = cfg.grid()
     shapes = build_fourier_shapes(grid, cfg.xi)
     y0 = gaussian_initial_condition(grid)
-    target = build_target(grid, y0, cfg.target_spec())
-    rule = cfg.mode_rule()
+    problem = ControlProblem(grid, shapes, y0, build_target(grid, y0, cfg.target_spec()), cfg.mu)
     if cfg.model == "fom":
-        model: ControlledModel = FomModel(grid, shapes, y0, target, cfg.mu)
-    elif cfg.model == "pod":
-        model = PodModel(grid, shapes, y0, target, cfg.mu, rule)
-    else:
-        model = SpodModel(
-            grid, shapes, y0, target, cfg.mu, rule,
-            n_samples=cfg.n_samples, eigenfunction_basis=cfg.eigenfunction_basis,
-        )
-    return model, grid, shapes, y0, target
+        return FomModel(problem)
+    if cfg.model == "pod":
+        return PodModel(problem, cfg.mode_rule())
+    return SpodModel(problem, cfg.mode_rule(), cfg.n_samples, cfg.eigenfunction_basis)
+
+
+# each history file is a column subset of the iteration records
+_HISTORY_CSVS = (
+    ("cost_history.csv", ("iteration", "J", "tracking", "regularization")),
+    ("gradient_history.csv", ("iteration", "grad_norm", "rel_grad_norm", "omega")),
+    ("modes_per_iteration.csv", ("iteration", "modes", "refined")),
+    ("timings.csv", ("iteration", *PHASES, "wall")),
+)
 
 
 def _write_history_csvs(outdir: Path, report: OptimizerReport) -> None:
-    with open(outdir / "cost_history.csv", "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["iteration", "J", "tracking", "regularization"])
-        for r in report.records:
-            w.writerow([r.iteration, FMT % r.total, FMT % r.tracking, FMT % r.regularization])
-    with open(outdir / "gradient_history.csv", "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["iteration", "grad_norm", "rel_grad_norm", "omega"])
-        for r in report.records:
-            w.writerow([r.iteration, FMT % r.grad_norm, FMT % r.rel_grad_norm, FMT % r.omega])
-    with open(outdir / "modes_per_iteration.csv", "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["iteration", "modes", "refined"])
-        for r in report.records:
-            w.writerow([r.iteration, r.modes, int(r.refined)])
-    with open(outdir / "timings.csv", "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["iteration", *PHASES, "wall"])
-        for r in report.records:
-            w.writerow([r.iteration] + [FMT % r.timings[p] for p in PHASES] + [FMT % r.wall])
+    table = [dict(zip(STREAM_COLUMNS, record_row(r))) for r in report.records]
+    for name, columns in _HISTORY_CSVS:
+        with open(outdir / name, "w", newline="") as fh:
+            w = csv.writer(fh)
+            w.writerow(columns)
+            w.writerows([row[c] for c in columns] for row in table)
 
 
 _PLOT_SCRIPT = """\
@@ -265,8 +289,9 @@ def run_scenario(cfg: ScenarioConfig, quiet: bool = False) -> int:
     status (0 on converged or max_iter, 3 on divergence)."""
     outdir = Path(cfg.out)
     outdir.mkdir(parents=True, exist_ok=True)
-    model, grid, shapes, y0, target = build_model(cfg)
-    u0 = np.zeros((shapes.m, grid.n_t))
+    model = build_model(cfg)
+    grid = model.problem.grid
+    u0 = np.zeros((model.problem.shapes.m, grid.n_t))
 
     spectra: list[tuple[int, np.ndarray]] = []
 
@@ -286,10 +311,7 @@ def run_scenario(cfg: ScenarioConfig, quiet: bool = False) -> int:
         save_spectrum_csv(outdir / f"singular_values_iter{i:05d}.csv", sigma)
     save_control_csv(outdir / "final_control.csv", u)
     if report.status != "diverged":
-        final_state = model.lift(u) if hasattr(model, "lift") else fom.solve_state(
-            grid, shapes, u, y0
-        )
-        fom.save_snapshots_bin(outdir / "final_state.bin", final_state)
+        fom.save_snapshots_bin(outdir / "final_state.bin", model.lift(u))
     (outdir / "plots.gp").write_text(_PLOT_SCRIPT)
 
     meta = {
@@ -317,7 +339,8 @@ def run_rank_study(cfg: ScenarioConfig, quiet: bool = False) -> int:
     cfg = replace(cfg, model="spod", eigenfunction_basis=True)
     outdir = Path(cfg.out)
     outdir.mkdir(parents=True, exist_ok=True)
-    model, grid, shapes, y0, target = build_model(cfg)
+    model = build_model(cfg)
+    grid, shapes, y0 = model.problem.grid, model.problem.shapes, model.problem.y0
     path = uncontrolled_shift_path(grid)
     m = shapes.m
     rows: list[tuple[int, float, float]] = []

@@ -1,7 +1,6 @@
 """Full-order model: forward state solve, backward adjoint solve, cost, gradient."""
 from __future__ import annotations
 
-import csv
 import math
 import struct
 from dataclasses import dataclass
@@ -9,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .control import FMT, ControlShapes
+from .control import ControlShapes
 from .discretization import (
     SpaceTimeGrid,
     check_field,
@@ -140,20 +139,6 @@ def gradient_fom(
     adjoint = _check_snapshots(adjoint, grid, "adjoint")
     u = _check_signal(u, shapes.m, grid.n_t)
     return mu * u + grid.dx * (shapes.shapes.T @ adjoint)
-
-
-def save_snapshots_csv(path: str | Path, Q: np.ndarray) -> None:
-    Q = np.asarray(Q, dtype=float)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        for row in Q:
-            writer.writerow([FMT % val for val in row])
-
-
-def load_snapshots_csv(path: str | Path) -> np.ndarray:
-    with open(path, newline="") as fh:
-        rows = [[float(v) for v in row] for row in csv.reader(fh) if row]
-    return np.asarray(rows, dtype=float)
 
 
 def save_snapshots_bin(path: str | Path, Q: np.ndarray) -> None:

@@ -1,6 +1,8 @@
 """Model adapters binding the solvers to the descent driver's interface."""
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from . import fom, rom_pod, rom_spod
@@ -12,236 +14,195 @@ from .optimizer import ControlledModel, ModeRule
 from .transform import transform_snapshots, uncontrolled_shift_path
 
 
-class FomModel(ControlledModel):
-    """Full-order model: no reduction, refine_basis is a no-op."""
+@dataclass(frozen=True)
+class ControlProblem:
+    """The control problem all three models solve: steer the state from y0
+    onto the target snapshots through the control shapes, with regularization
+    weight mu, on one space-time grid."""
 
-    def __init__(
-        self,
-        grid: SpaceTimeGrid,
-        shapes: ControlShapes,
-        y0: np.ndarray,
-        target: np.ndarray,
-        mu: float,
-    ):
-        self.grid = grid
-        self.shapes = shapes
-        self.y0 = np.asarray(y0, dtype=float)
-        self.target = np.asarray(target, dtype=float)
-        self.mu = mu
-        self.clock = None
+    grid: SpaceTimeGrid
+    shapes: ControlShapes
+    y0: np.ndarray
+    target: np.ndarray
+    mu: float
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "y0", np.asarray(self.y0, dtype=float))
+        object.__setattr__(self, "target", np.asarray(self.target, dtype=float))
+
+
+class ProblemModel(ControlledModel):
+    """A model of one ControlProblem. Its time signals pair with weight dt; the
+    reduced subclasses keep the operators refine_basis builds in `ops`."""
+
+    def __init__(self, problem: ControlProblem):
+        self.problem = problem
 
     @property
     def signal_weight(self) -> float:
-        return self.grid.dt
+        return self.problem.grid.dt
+
+    def _require_basis(self) -> None:
+        if self.ops is None:
+            raise RuntimeError("reduced model has no basis yet; call refine_basis first")
+
+
+class FomModel(ProblemModel):
+    """Full-order model: no reduction, refine_basis is a no-op."""
 
     def describe(self) -> str:
         return "fom"
 
     def refine_basis(self, u: np.ndarray) -> int:
-        return self.grid.n
+        return self.problem.grid.n
 
     def evaluate(self, u: np.ndarray) -> tuple[CostBreakdown, np.ndarray]:
+        p = self.problem
         with self.phase("state"):
-            Y = fom.solve_state(self.grid, self.shapes, u, self.y0)
+            Y = fom.solve_state(p.grid, p.shapes, u, p.y0)
         with self.phase("cost"):
-            J = fom.cost(self.grid, Y, self.target, u, self.mu)
+            J = fom.cost(p.grid, Y, p.target, u, p.mu)
         with self.phase("adjoint"):
-            lam = fom.solve_adjoint(self.grid, Y, self.target)
+            lam = fom.solve_adjoint(p.grid, Y, p.target)
         with self.phase("gradient"):
-            g = fom.gradient_fom(self.grid, self.shapes, lam, u, self.mu)
+            g = fom.gradient_fom(p.grid, p.shapes, lam, u, p.mu)
         return J, g
 
     def cost_only(self, u: np.ndarray) -> CostBreakdown:
-        Y = fom.solve_state(self.grid, self.shapes, u, self.y0)
-        return fom.cost(self.grid, Y, self.target, u, self.mu)
+        p = self.problem
+        Y = fom.solve_state(p.grid, p.shapes, u, p.y0)
+        return fom.cost(p.grid, Y, p.target, u, p.mu)
+
+    def lift(self, u: np.ndarray) -> np.ndarray:
+        p = self.problem
+        return fom.solve_state(p.grid, p.shapes, u, p.y0)
 
 
-class PodModel(ControlledModel):
+class PodModel(ProblemModel):
     """Linear reduced model refreshed from full-order snapshots at the current
     control. The tracking cost adds the constant out-of-span target energy so
     the reported values are comparable with the full model's."""
 
-    def __init__(
-        self,
-        grid: SpaceTimeGrid,
-        shapes: ControlShapes,
-        y0: np.ndarray,
-        target: np.ndarray,
-        mu: float,
-        mode_rule: ModeRule,
-    ):
-        self.grid = grid
-        self.shapes = shapes
-        self.y0 = np.asarray(y0, dtype=float)
-        self.target = np.asarray(target, dtype=float)
-        self.mu = mu
+    def __init__(self, problem: ControlProblem, mode_rule: ModeRule):
+        super().__init__(problem)
         self.mode_rule = mode_rule
-        self._A = upwind_operator(grid)
-        self.clock = None
+        self._A = upwind_operator(problem.grid)
         self.basis: ModeBasis | None = None
         self.ops: rom_pod.PodRomOperators | None = None
         self._yd_reduced: np.ndarray | None = None
         self._yd_residual_energy = 0.0
         self.last_spectrum: np.ndarray | None = None
 
-    @property
-    def signal_weight(self) -> float:
-        return self.grid.dt
-
     def describe(self) -> str:
         return "pod"
 
     def refine_basis(self, u: np.ndarray) -> int:
-        Q = fom.solve_state(self.grid, self.shapes, u, self.y0)
-        modes, sigma = weighted_svd(Q, self.grid)
+        p = self.problem
+        Q = fom.solve_state(p.grid, p.shapes, u, p.y0)
+        modes, sigma = weighted_svd(Q, p.grid)
         self.basis = truncate_to_basis(modes, sigma, self.mode_rule.select(sigma))
         self.last_spectrum = sigma
-        self.ops = rom_pod.assemble_pod_rom(self.basis, self._A, self.shapes, self.y0, self.grid)
-        self._yd_reduced = rom_pod.project_snapshots(self.basis, self.target, self.grid)
-        resid = self.target - rom_pod.lift_pod(self.basis, self._yd_reduced)
-        self._yd_residual_energy = 0.5 * self.grid.dt * self.grid.dx * float(np.sum(resid * resid))
+        self.ops = rom_pod.assemble_pod_rom(self.basis, self._A, p.shapes, p.y0, p.grid)
+        self._yd_reduced = rom_pod.project_snapshots(self.basis, p.target, p.grid)
+        resid = p.target - rom_pod.lift_pod(self.basis, self._yd_reduced)
+        self._yd_residual_energy = 0.5 * p.grid.dt * p.grid.dx * float(np.sum(resid * resid))
         return self.basis.r
-
-    def _require_basis(self):
-        if self.ops is None:
-            raise RuntimeError("reduced model has no basis yet; call refine_basis first")
 
     def _cost_from_alpha(self, alpha: np.ndarray, u: np.ndarray) -> CostBreakdown:
         # orthonormal modes make the lifted tracking term split into the
         # reduced misfit plus the constant out-of-span energy of the target
+        dt = self.problem.grid.dt
         diff = alpha - self._yd_reduced
-        tracking = 0.5 * self.grid.dt * float(np.sum(diff * diff)) + self._yd_residual_energy
-        reg = 0.5 * self.mu * self.grid.dt * float(np.sum(np.asarray(u) ** 2))
+        tracking = 0.5 * dt * float(np.sum(diff * diff)) + self._yd_residual_energy
+        reg = 0.5 * self.problem.mu * dt * float(np.sum(np.asarray(u) ** 2))
         return CostBreakdown(tracking=tracking, regularization=reg)
 
     def evaluate(self, u: np.ndarray) -> tuple[CostBreakdown, np.ndarray]:
         self._require_basis()
+        grid = self.problem.grid
         with self.phase("state"):
-            alpha = rom_pod.solve_pod_state(self.ops, u, self.grid)
+            alpha = rom_pod.solve_pod_state(self.ops, u, grid)
         with self.phase("cost"):
             J = self._cost_from_alpha(alpha, u)
         with self.phase("adjoint"):
-            lam = rom_pod.solve_pod_adjoint(self.ops, alpha, self._yd_reduced, self.grid)
+            lam = rom_pod.solve_pod_adjoint(self.ops, alpha, self._yd_reduced, grid)
         with self.phase("gradient"):
-            g = rom_pod.gradient_pod(self.ops, lam, u, self.mu)
+            g = rom_pod.gradient_pod(self.ops, lam, u, self.problem.mu)
         return J, g
 
     def cost_only(self, u: np.ndarray) -> CostBreakdown:
         self._require_basis()
-        alpha = rom_pod.solve_pod_state(self.ops, u, self.grid)
+        alpha = rom_pod.solve_pod_state(self.ops, u, self.problem.grid)
         return self._cost_from_alpha(alpha, u)
 
     def lift(self, u: np.ndarray) -> np.ndarray:
         self._require_basis()
-        return rom_pod.lift_pod(self.basis, rom_pod.solve_pod_state(self.ops, u, self.grid))
+        return rom_pod.lift_pod(self.basis, rom_pod.solve_pod_state(self.ops, u, self.problem.grid))
 
 
-class SpodModel(ControlledModel):
+class SpodModel(ProblemModel):
     """Shifted reduced model. The basis is extracted from snapshots shifted
     back along the frozen uncontrolled wave path; with `eigenfunction_basis`
     the invariant-subspace basis is built once and kept for the whole run."""
 
     def __init__(
         self,
-        grid: SpaceTimeGrid,
-        shapes: ControlShapes,
-        y0: np.ndarray,
-        target: np.ndarray,
-        mu: float,
+        problem: ControlProblem,
         mode_rule: ModeRule,
         n_samples: int = 800,
         eigenfunction_basis: bool = False,
     ):
-        self.grid = grid
-        self.shapes = shapes
-        self.y0 = np.asarray(y0, dtype=float)
-        self.target = np.asarray(target, dtype=float)
-        self.mu = mu
+        super().__init__(problem)
         self.mode_rule = mode_rule
         self.n_samples = n_samples
         self.eigenfunction_basis = eigenfunction_basis
-        self._path = uncontrolled_shift_path(grid)
-        self.clock = None
+        self._path = uncontrolled_shift_path(problem.grid)
         self.basis: ModeBasis | None = None
         self.ops: rom_spod.SpodRomOperators | None = None
         self.last_spectrum: np.ndarray | None = None
-
-    @property
-    def signal_weight(self) -> float:
-        return self.grid.dt
 
     def describe(self) -> str:
         return "spod"
 
     def refine_basis(self, u: np.ndarray) -> int:
+        p = self.problem
         if self.eigenfunction_basis:
             if self.ops is None:
-                self.basis = eigenfunction_stationary_basis(self.grid, self.shapes, self.y0)
+                self.basis = eigenfunction_stationary_basis(p.grid, p.shapes, p.y0)
                 self.ops = rom_spod.assemble_spod_rom(
-                    self.basis, self.shapes, self.y0, self.grid, self.n_samples
+                    self.basis, p.shapes, p.y0, p.grid, self.n_samples
                 )
             return self.basis.r
-        Q = fom.solve_state(self.grid, self.shapes, u, self.y0)
-        Qs = transform_snapshots(Q, self._path, self.grid)
-        modes, sigma = weighted_svd(Qs, self.grid)
+        Q = fom.solve_state(p.grid, p.shapes, u, p.y0)
+        Qs = transform_snapshots(Q, self._path, p.grid)
+        modes, sigma = weighted_svd(Qs, p.grid)
         self.basis = truncate_to_basis(modes, sigma, self.mode_rule.select(sigma))
         self.last_spectrum = sigma
-        self.ops = rom_spod.assemble_spod_rom(
-            self.basis, self.shapes, self.y0, self.grid, self.n_samples
-        )
+        self.ops = rom_spod.assemble_spod_rom(self.basis, p.shapes, p.y0, p.grid, self.n_samples)
         return self.basis.r
-
-    def _require_basis(self):
-        if self.ops is None:
-            raise RuntimeError("reduced model has no basis yet; call refine_basis first")
 
     def evaluate(self, u: np.ndarray) -> tuple[CostBreakdown, np.ndarray]:
         self._require_basis()
+        p = self.problem
         with self.phase("state"):
-            traj = rom_spod.solve_spod_state(self.ops, u, self.grid)
+            traj = rom_spod.solve_spod_state(self.ops, u, p.grid)
         with self.phase("cost"):
-            lifted = rom_spod.lift_spod(self.basis, traj, self.grid)
-            J = fom.cost(self.grid, lifted, self.target, u, self.mu)
+            lifted = rom_spod.lift_spod(self.basis, traj, p.grid)
+            J = fom.cost(p.grid, lifted, p.target, u, p.mu)
         with self.phase("adjoint"):
-            adj = rom_spod.solve_spod_adjoint(
-                self.ops, traj, u, self.target, self.basis, self.grid
-            )
+            adj = rom_spod.solve_spod_adjoint(self.ops, traj, u, p.target, self.basis, p.grid)
         with self.phase("gradient"):
-            g = rom_spod.gradient_spod(self.ops, traj, adj, u, self.mu)
+            g = rom_spod.gradient_spod(self.ops, traj, adj, u, p.mu)
         return J, g
 
     def cost_only(self, u: np.ndarray) -> CostBreakdown:
         self._require_basis()
-        traj = rom_spod.solve_spod_state(self.ops, u, self.grid)
-        lifted = rom_spod.lift_spod(self.basis, traj, self.grid)
-        return fom.cost(self.grid, lifted, self.target, u, self.mu)
+        p = self.problem
+        traj = rom_spod.solve_spod_state(self.ops, u, p.grid)
+        lifted = rom_spod.lift_spod(self.basis, traj, p.grid)
+        return fom.cost(p.grid, lifted, p.target, u, p.mu)
 
     def lift(self, u: np.ndarray) -> np.ndarray:
         self._require_basis()
-        return rom_spod.lift_spod(
-            self.basis, rom_spod.solve_spod_state(self.ops, u, self.grid), self.grid
-        )
-
-
-class QuadraticModel(ControlledModel):
-    """Closed-form test model J(u) = 1/2 sum_k h_k (u_k - u*_k)^2."""
-
-    def __init__(self, u_star: np.ndarray, hessian_diag: np.ndarray):
-        self.u_star = np.asarray(u_star, dtype=float)
-        self.h = np.asarray(hessian_diag, dtype=float)
-        self.clock = None
-
-    def describe(self) -> str:
-        return "quadratic"
-
-    def refine_basis(self, u: np.ndarray) -> int:
-        return self.u_star.size
-
-    def evaluate(self, u: np.ndarray) -> tuple[CostBreakdown, np.ndarray]:
-        d = np.asarray(u, dtype=float) - self.u_star
-        val = 0.5 * float(np.sum(self.h * d * d))
-        return CostBreakdown(tracking=val, regularization=0.0), self.h * d
-
-    def cost_only(self, u: np.ndarray) -> CostBreakdown:
-        d = np.asarray(u, dtype=float) - self.u_star
-        return CostBreakdown(tracking=0.5 * float(np.sum(self.h * d * d)), regularization=0.0)
+        grid = self.problem.grid
+        return rom_spod.lift_spod(self.basis, rom_spod.solve_spod_state(self.ops, u, grid), grid)

@@ -6,7 +6,7 @@ import csv
 import math
 import time
 from abc import ABC, abstractmethod
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, IO
@@ -42,20 +42,6 @@ class PhaseClock:
         return out
 
 
-class NoopClock:
-    """Clock stand-in that records nothing."""
-
-    @contextmanager
-    def phase(self, name: str):
-        yield
-
-    def drain(self) -> dict[str, float]:
-        return {p: 0.0 for p in PHASES}
-
-
-NOOP_CLOCK = NoopClock()
-
-
 @dataclass(frozen=True)
 class ModeRule:
     """Mode-count selection: either a fixed count or a spectrum tolerance."""
@@ -66,6 +52,10 @@ class ModeRule:
     def __post_init__(self) -> None:
         if (self.count is None) == (self.tol is None):
             raise ValueError("set exactly one of count and tol")
+        if self.count is not None and self.count < 1:
+            raise ValueError(f"mode count must be positive, got {self.count}")
+        if self.tol is not None and not 0.0 < self.tol < 1.0:
+            raise ValueError(f"mode tolerance must lie in (0, 1), got {self.tol}")
 
     @classmethod
     def fixed(cls, r: int) -> "ModeRule":
@@ -111,7 +101,7 @@ class ControlledModel(ABC):
 
     def phase(self, name: str):
         """Timing context for one pipeline phase; no-op when unclocked."""
-        return (self.clock or NOOP_CLOCK).phase(name)
+        return nullcontext() if self.clock is None else self.clock.phase(name)
 
     @abstractmethod
     def evaluate(self, u: np.ndarray) -> tuple[CostBreakdown, np.ndarray]:
@@ -126,9 +116,10 @@ class ControlledModel(ABC):
     def describe(self) -> str:
         ...
 
+    @abstractmethod
     def cost_only(self, u: np.ndarray) -> CostBreakdown:
-        """Cost without the adjoint work; override where that is cheaper."""
-        return self.evaluate(u)[0]
+        """Cost without the adjoint work, as the line search needs it. It
+        records no phase, so line-search work counts as update time."""
 
     @property
     def signal_weight(self) -> float:
@@ -175,8 +166,9 @@ STREAM_COLUMNS = (
 )
 
 
-def _stream_row(writer, rec: IterationRecord) -> None:
-    writer.writerow(
+def record_row(rec: IterationRecord) -> list:
+    """The record as CSV fields, in STREAM_COLUMNS order."""
+    return (
         [rec.iteration, FMT % rec.total, FMT % rec.tracking, FMT % rec.regularization,
          FMT % rec.grad_norm, FMT % rec.rel_grad_norm, FMT % rec.omega, rec.modes,
          int(rec.refined)]
@@ -317,14 +309,7 @@ def optimize(
                                 cache[w] = math.inf
                         return cache[w]
 
-                    # line-search work counts as update time only
-                    model.clock = None
-                    try:
-                        omega, success = two_way_backtracking(
-                            trial, g, omega, cost.total, weight
-                        )
-                    finally:
-                        model.clock = clock
+                    omega, success = two_way_backtracking(trial, g, omega, cost.total, weight)
                 prev_u, prev_g = u, g
                 u = u - omega * g
             last_ok = success
@@ -345,7 +330,7 @@ def optimize(
             )
             report.records.append(rec)
             if writer is not None:
-                _stream_row(writer, rec)
+                writer.writerow(record_row(rec))
                 if i % flush_every == 0:
                     fh.flush()
             if callback is not None:

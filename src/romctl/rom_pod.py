@@ -41,8 +41,6 @@ def assemble_pod_rom(
     The same discrete upwind matrix as the full model is used, which keeps the
     reduced model consistent with the full one when the basis is complete.
     """
-    if basis.frame != "stationary":
-        raise ValueError(f"linear reduced model needs a stationary basis, got frame={basis.frame!r}")
     y0 = check_field(y0, grid, "y0")
     Phi = basis.modes
     PhiW = grid.dx * Phi.T  # weighted analysis operator

@@ -114,8 +114,6 @@ def assemble_spod_rom(
     pairings on an equispaced table over [0, l)."""
     if n_samples < 2:
         raise ValueError(f"need at least 2 shift samples for interpolation, got {n_samples}")
-    if basis.frame != "stationary":
-        raise ValueError(f"reduced model needs stationary-frame modes, got frame={basis.frame!r}")
     y0 = check_field(y0, grid, "y0")
     Phi = basis.modes
     r = basis.r

@@ -1,9 +1,9 @@
-"""Periodic shift operator, its derivative action, and snapshot transformation."""
+"""Periodic shift operator and snapshot transformation."""
 from __future__ import annotations
 
 import numpy as np
 
-from .discretization import SpaceTimeGrid, central_derivative, check_field
+from .discretization import SpaceTimeGrid, check_field
 from .fom import _check_snapshots
 
 # shifts this close to a whole number of cells are treated as grid-aligned,
@@ -35,16 +35,6 @@ def shift_field(field: np.ndarray, z: float, grid: SpaceTimeGrid) -> np.ndarray:
     lo = np.roll(field, k, axis=0)
     hi = np.roll(field, (k + 1) % grid.n, axis=0)
     return (1.0 - frac) * lo + frac * hi
-
-
-def shift_adjoint(field: np.ndarray, z: float, grid: SpaceTimeGrid) -> np.ndarray:
-    """Adjoint (= inverse) of the shift: translation by -z."""
-    return shift_field(field, -z, grid)
-
-
-def shift_derivative_field(mode: np.ndarray, z: float, grid: SpaceTimeGrid) -> np.ndarray:
-    """d/dz of the shifted mode: minus the shifted spatial derivative."""
-    return -shift_field(central_derivative(mode, grid, 1), z, grid)
 
 
 def uncontrolled_shift_path(grid: SpaceTimeGrid) -> np.ndarray:

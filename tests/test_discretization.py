@@ -5,11 +5,12 @@ from hypothesis import strategies as st
 
 from romctl.discretization import (
     SpaceTimeGrid,
-    adjoint_upwind_operator,
     central_derivative,
     inner_product,
     upwind_operator,
 )
+
+from romctl.fom import solve_adjoint
 
 from conftest import coarse_grid
 
@@ -101,10 +102,16 @@ def test_upwind_zero_velocity_is_zero_matrix():
     assert upwind_operator(g).nnz == 0
 
 
-def test_adjoint_operator_is_transpose(grid):
-    A = upwind_operator(grid).toarray()
-    As = adjoint_upwind_operator(grid).toarray()
-    np.testing.assert_allclose(As, A.T, atol=0)
+def test_adjoint_operator_is_transpose(grid, rng):
+    # one backward step of the adjoint sweep applies I + dt A^T, the
+    # transpose of the forward upwind step
+    y = rng.standard_normal(grid.n)
+    state = np.zeros((grid.n, grid.n_t))
+    state[:, -1] = y
+    lam = solve_adjoint(grid, state, np.zeros_like(state))
+    At_y = upwind_operator(grid).T @ y
+    np.testing.assert_allclose(lam[:, -2], grid.dt * y, rtol=0, atol=0)
+    np.testing.assert_allclose(lam[:, -3], grid.dt * y + grid.dt**2 * At_y, rtol=1e-13, atol=1e-15)
 
 
 def test_central_derivative_constant(grid):

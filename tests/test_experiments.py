@@ -198,10 +198,41 @@ def test_cli_sweep(tmp_path, monkeypatch):
     assert (tmp_path / "sweep" / "modes_0005" / "cost_history.csv").exists()
 
 
+@pytest.mark.parametrize("modes, threads", [("0,3", "1"), ("2,x", "1"), ("3,5", "x")])
+def test_cli_sweep_bad_input_exit_code(tmp_path, monkeypatch, modes, threads):
+    # checked before any job starts, so no job writes output
+    monkeypatch.setenv("ROMCTL_THREADS", threads)
+    cfg_path = tmp_path / "c.cfg"
+    cfg_path.write_text(tiny_config_text(model="pod", n_iter=6))
+    code = cli_main(["sweep", str(cfg_path), "--modes", modes,
+                     "--out", str(tmp_path / "sweep"), "--quiet"])
+    assert code == 2
+    assert not (tmp_path / "sweep").exists()
+
+
+# each is rejected while the config is parsed: exit 2, and no output written
+BAD_CONFIGS = (
+    "nope = 1",
+    "model = pod\nmodes = 0",
+    "model = pod\nmode_tol = 2",
+    "model = spod\nn_samples = 1",
+    "refine_every = 0",
+    "xi = -1",
+    "eigenfunction_basis = ture",
+    "mu = nan",
+    "omega0 = inf",
+    "model = pod\nmodes = 4\nmode_tol = 1e-3",
+    "model = fom\nmodes = 4",
+)
+
+
 def test_cli_config_error_exit_code(tmp_path):
-    cfg_path = tmp_path / "bad.cfg"
-    cfg_path.write_text("nope = 1\n")
-    assert cli_main(["run", str(cfg_path), "--quiet"]) == 2
+    for k, text in enumerate(BAD_CONFIGS):
+        cfg_path = tmp_path / f"bad{k}.cfg"
+        cfg_path.write_text(tiny_config_text() + text + "\n")
+        out = tmp_path / f"out{k}"
+        assert cli_main(["run", str(cfg_path), "--out", str(out), "--quiet"]) == 2, text
+        assert not out.exists(), text
 
 
 def test_run_scenario_divergence_exit_code(tmp_path, recwarn):

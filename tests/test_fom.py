@@ -9,13 +9,11 @@ from romctl.fom import (
     cost,
     gradient_fom,
     load_snapshots_bin,
-    load_snapshots_csv,
     save_snapshots_bin,
-    save_snapshots_csv,
     solve_adjoint,
     solve_state,
 )
-from romctl.models import FomModel
+from romctl.models import ControlProblem, FomModel
 
 from conftest import coarse_grid, smooth_signal
 
@@ -93,16 +91,10 @@ def test_gradient_trivial_cases(grid, shapes, rng):
 
 
 def test_gradient_matches_finite_differences(grid, shapes, y0, target, rng):
-    model = FomModel(grid, shapes, y0, target, 1e-3)
+    model = FomModel(ControlProblem(grid, shapes, y0, target, 1e-3))
     u = smooth_signal(rng, shapes.m, grid.n_t, 0.1)
     errs = fd_gradient_check(model, u, n_directions=5, seed=3)
     assert max(errs) < 1e-5
-
-
-def test_snapshot_csv_round_trip(tmp_path, rng):
-    Q = rng.standard_normal((7, 5))
-    save_snapshots_csv(tmp_path / "q.csv", Q)
-    np.testing.assert_array_equal(load_snapshots_csv(tmp_path / "q.csv"), Q)
 
 
 def test_snapshot_binary_round_trip(tmp_path, rng):

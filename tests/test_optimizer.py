@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from romctl.fom import CostBreakdown, DivergenceError
-from romctl.models import QuadraticModel
 from romctl.optimizer import (
     ControlledModel,
     ModeRule,
@@ -15,6 +14,8 @@ from romctl.optimizer import (
     refinement_policy,
     two_way_backtracking,
 )
+
+from conftest import QuadraticModel
 
 
 def quad_cfg(**kw):
@@ -140,7 +141,6 @@ class _SleepyModel(ControlledModel):
 
     def __init__(self, pause=0.002):
         self.pause = pause
-        self.clock = None
 
     def describe(self):
         return "sleepy"
@@ -171,7 +171,6 @@ def test_phase_timings_cover_iteration_wall_time():
 
 class _ExplodingModel(ControlledModel):
     def __init__(self):
-        self.clock = None
         self.calls = 0
 
     def describe(self):

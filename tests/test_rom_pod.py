@@ -3,10 +3,10 @@ import pytest
 
 from romctl import build_fourier_shapes
 from romctl.basis import ModeBasis
-from romctl.discretization import field_norm, upwind_operator
+from romctl.discretization import upwind_operator
 from romctl.experiments import fd_gradient_check, gaussian_initial_condition
 from romctl.fom import cost, solve_state
-from romctl.models import PodModel
+from romctl.models import ControlProblem, PodModel
 from romctl.optimizer import ModeRule
 from romctl.rom_pod import (
     assemble_pod_rom,
@@ -17,7 +17,7 @@ from romctl.rom_pod import (
     solve_pod_state,
 )
 
-from conftest import coarse_grid, smooth_signal
+from conftest import coarse_grid, field_norm, smooth_signal
 
 
 def fourier_basis(grid, xi):
@@ -92,7 +92,7 @@ def test_gradient_trivial_cases(grid, shapes, y0, rng):
 
 
 def test_reduced_gradient_matches_fd(grid, shapes, y0, target, rng):
-    model = PodModel(grid, shapes, y0, target, 1e-3, ModeRule.fixed(12))
+    model = PodModel(ControlProblem(grid, shapes, y0, target, 1e-3), ModeRule.fixed(12))
     u = smooth_signal(rng, shapes.m, grid.n_t, 0.1)
     errs = fd_gradient_check(model, u, n_directions=5, seed=9)
     assert max(errs) < 1e-6
@@ -115,19 +115,13 @@ def test_lift_project_identity_on_span(grid, rng):
 def test_reduced_cost_matches_lifted_cost(grid, shapes, y0, target, rng):
     # reduced misfit plus the constant out-of-span energy equals the full
     # tracking value of the lifted trajectory
-    model = PodModel(grid, shapes, y0, target, 1e-3, ModeRule.fixed(10))
+    model = PodModel(ControlProblem(grid, shapes, y0, target, 1e-3), ModeRule.fixed(10))
     model.refine_basis(np.zeros((shapes.m, grid.n_t)))
     u = smooth_signal(rng, shapes.m, grid.n_t, 0.2)
     reduced = model.cost_only(u)
     lifted = model.lift(u)
     full = cost(grid, lifted, target, u, 1e-3)
     assert reduced.total == pytest.approx(full.total, rel=1e-10)
-
-
-def test_assemble_rejects_non_stationary_frame(grid, shapes, y0):
-    basis = ModeBasis(modes=fourier_basis(grid, 1).modes, frame="shifted")
-    with pytest.raises(ValueError):
-        assemble_pod_rom(basis, upwind_operator(grid), shapes, y0, grid)
 
 
 def test_projected_upwind_is_skew_plus_grid_level_dissipation(grid, shapes, y0):

@@ -13,7 +13,7 @@ from romctl.experiments import (
     single_tilt_target,
 )
 from romctl.fom import solve_state
-from romctl.models import SpodModel
+from romctl.models import ControlProblem, SpodModel
 from romctl.optimizer import ModeRule
 from romctl.rom_spod import (
     SingularMassError,
@@ -45,7 +45,7 @@ def normalized_trig_basis(grid, cols):
 
 @pytest.fixture
 def eig_model(grid, shapes, y0, target):
-    model = SpodModel(grid, shapes, y0, target, 1e-3, ModeRule.fixed(4),
+    model = SpodModel(ControlProblem(grid, shapes, y0, target, 1e-3), ModeRule.fixed(4),
                       n_samples=400, eigenfunction_basis=True)
     model.refine_basis(np.zeros((shapes.m, grid.n_t)))
     return model
@@ -149,7 +149,7 @@ def test_zero_control_shift_law_and_norm(eig_model, grid, shapes):
 def test_state_self_convergence_first_order(grid, shapes, y0, target, rng):
     # fixed basis, same smooth control function, halved step: trajectory
     # differences shrink by about the step ratio
-    model = SpodModel(grid, shapes, y0, target, 1e-3, ModeRule.fixed(4),
+    model = SpodModel(ControlProblem(grid, shapes, y0, target, 1e-3), ModeRule.fixed(4),
                       n_samples=400, eigenfunction_basis=True)
     model.refine_basis(np.zeros((shapes.m, grid.n_t)))
     diffs = []
@@ -201,14 +201,16 @@ def test_gradient_trivial_cases(eig_model, grid, shapes, rng):
 
 def test_gradient_matches_fd_and_decays(grid, shapes, y0, target):
     # adjoint/FD agreement improves about first order when the step is halved
-    base = SpodModel(grid, shapes, y0, target, 1e-3, ModeRule.fixed(5), n_samples=400)
+    base = SpodModel(ControlProblem(grid, shapes, y0, target, 1e-3), ModeRule.fixed(5),
+                     n_samples=400)
     rng = np.random.default_rng(2)
     base.refine_basis(smooth_signal(rng, shapes.m, grid.n_t, 0.02))
     errs = []
     for mult in (1, 2):
         g = SpaceTimeGrid(l=grid.l, n=grid.n, T=grid.T, n_t=grid.n_t * mult, v=grid.v)
         tgt = build_target(g, gaussian_initial_condition(g), single_tilt_target(0.0, g.v))
-        model = SpodModel(g, shapes, y0, tgt, 1e-3, ModeRule.fixed(5), n_samples=400)
+        model = SpodModel(ControlProblem(g, shapes, y0, tgt, 1e-3), ModeRule.fixed(5),
+                          n_samples=400)
         model.basis, model.ops = base.basis, base.ops
         u = smooth_signal(np.random.default_rng(8), shapes.m, g.n_t, 0.02)
         dir_errs = fd_gradient_check(model, u, n_directions=6, seed=21)
@@ -231,7 +233,7 @@ def test_uncontrolled_lift_reproduces_fom_at_unit_cfl():
     sh = build_fourier_shapes(g, 1)
     y0 = gaussian_initial_condition(g)
     target = build_target(g, y0, single_tilt_target(0.0, g.v))
-    model = SpodModel(g, sh, y0, target, 1e-3, ModeRule.fixed(4),
+    model = SpodModel(ControlProblem(g, sh, y0, target, 1e-3), ModeRule.fixed(4),
                       n_samples=400, eigenfunction_basis=True)
     model.refine_basis(np.zeros((sh.m, g.n_t)))
     u = np.zeros((sh.m, g.n_t))
