@@ -85,6 +85,7 @@ def cmd_gradient_check(args) -> int:
     model = build_model(cfg)
     rng = np.random.default_rng(cfg.seed)
     u = smooth_random_signal(rng, model.problem.shapes.m, model.problem.grid.n_t, 0.05)
+    model.refine_basis(u)
     errors = fd_gradient_check(model, u, seed=cfg.seed)
     worst = max(errors)
     if not args.quiet:

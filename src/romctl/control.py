@@ -37,16 +37,16 @@ def build_fourier_shapes(grid: SpaceTimeGrid, xi: int) -> ControlShapes:
     return ControlShapes(shapes=np.column_stack(cols), xi=xi)
 
 
-def apply_control(shapes: ControlShapes, u_at_t: np.ndarray) -> np.ndarray:
-    """Nodal field sum_k b_k u_k for one time slice."""
-    u_at_t = np.asarray(u_at_t, dtype=float)
-    if u_at_t.shape[0] != shapes.m:
-        raise ValueError(f"control has {u_at_t.shape[0]} components, shapes have m={shapes.m}")
-    return shapes.shapes @ u_at_t
+def apply_control(shapes: ControlShapes, u: np.ndarray) -> np.ndarray:
+    """Nodal fields sum_k b_k u_k of one (m,) time slice or of an (m, n_t) signal."""
+    u = np.asarray(u, dtype=float)
+    if u.shape[0] != shapes.m:
+        raise ValueError(f"control has {u.shape[0]} components, shapes have m={shapes.m}")
+    return shapes.shapes @ u
 
 
 def adjoint_control(shapes: ControlShapes, field: np.ndarray, grid: SpaceTimeGrid) -> np.ndarray:
-    """Component k is the L2 pairing of b_k with the field."""
+    """Component k is the L2 pairing of b_k with the field (or with each column)."""
     field = check_field(field, grid)
     return grid.dx * (shapes.shapes.T @ field)
 

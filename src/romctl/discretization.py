@@ -66,11 +66,11 @@ def check_field(field: np.ndarray, grid: SpaceTimeGrid, name: str = "field") -> 
     return field
 
 
-def inner_product(a: np.ndarray, b: np.ndarray, grid: SpaceTimeGrid) -> float:
-    """Rectangle-rule L2 inner product on the periodic grid: dx * sum(a*b)."""
-    a = check_field(a, grid, "a")
-    b = check_field(b, grid, "b")
-    return grid.dx * float(np.dot(a, b))
+def check_shape(a: np.ndarray, shape: tuple[int, ...], name: str) -> np.ndarray:
+    a = np.asarray(a, dtype=float)
+    if a.shape != shape:
+        raise ValueError(f"{name} has shape {a.shape}, expected {shape}")
+    return a
 
 
 def upwind_operator(grid: SpaceTimeGrid) -> sp.csr_matrix:

@@ -130,6 +130,14 @@ class ScenarioConfig:
             raise ConfigError("set at most one of modes and mode_tol")
         if self.model == "fom" and (self.modes is not None or self.mode_tol is not None):
             raise ConfigError("modes and mode_tol choose a reduced basis; model = fom has none")
+        if self.eigenfunction_basis and self.model != "spod":
+            raise ConfigError(f"model = {self.model} ignores eigenfunction_basis, an sPOD-G basis")
+        if self.eigenfunction_basis and (self.modes is not None or self.mode_tol is not None):
+            raise ConfigError("eigenfunction_basis fixes the basis; it ignores modes and mode_tol")
+        if self.problem != "custom" and (self.kinks or self.kink_velocities):
+            raise ConfigError("kinks and kink_velocities are read only by problem = custom")
+        if self.problem == "custom" and self.tilt_factor != 0.0:
+            raise ConfigError("problem = custom ignores tilt_factor; set kink_velocities")
         if self.xi < 0:
             raise ConfigError(f"xi must be nonnegative, got {self.xi}")
         if self.n_samples < 2:
@@ -172,7 +180,6 @@ class ScenarioConfig:
             beta=self.beta,
             omega0=self.omega0,
             n_iter=self.n_iter,
-            n_samples=self.n_samples,
             mode_rule=self.mode_rule(),
             refine_every=self.refine_every,
             bb_switch_threshold=self.bb_switch_threshold,
@@ -382,10 +389,10 @@ def fd_gradient_check(
     seed: int = 0,
 ) -> list[float]:
     """Relative errors between the adjoint directional derivative and central
-    finite differences of the model cost, over random smooth directions."""
+    finite differences of the model cost, over random smooth directions. A
+    reduced model is checked on the basis it holds."""
     rng = np.random.default_rng(seed)
     weight = model.signal_weight
-    model.refine_basis(u)
     _, g = model.evaluate(u)
     m, n_t = u.shape
     errors = []

@@ -1,17 +1,18 @@
 """Full-order model: forward state solve, backward adjoint solve, cost, gradient."""
 from __future__ import annotations
 
-import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
-from .control import ControlShapes
+from .control import ControlShapes, adjoint_control, apply_control
 from .discretization import (
     SpaceTimeGrid,
     check_field,
+    check_shape,
     warn_if_cfl_violated,
 )
 
@@ -24,6 +25,26 @@ class DivergenceError(RuntimeError):
         super().__init__(f"{what} solve diverged at step {step} (non-finite values)")
 
 
+def euler_sweep(step: Callable[[np.ndarray, int], np.ndarray], first: np.ndarray, n_t: int,
+                backward: bool, what: str) -> np.ndarray:
+    """Explicit-Euler march of the FOM and POD-G solves: `first` fills column 0
+    (column n_t - 1 when `backward`) and each next column in sweep order is
+    step(column j, j). Fortran order keeps every column a step reads contiguous.
+    Finiteness is checked once, by column sums (one non-finite entry poisons its
+    column's sum); the first non-finite column in sweep order is the step named."""
+    out = np.empty((len(first), n_t), order="F")
+    d, start = (-1, n_t - 1) if backward else (1, 0)
+    out[:, start] = first
+    for j in range(start, start + d * (n_t - 1), d):
+        out[:, j + d] = step(out[:, j], j)
+    sums = out.sum(axis=0)
+    sums[start] = 0.0  # the given condition is not a step
+    bad = np.flatnonzero(~np.isfinite(sums))
+    if bad.size:
+        raise DivergenceError(int(bad[-1] if backward else bad[0]), what)
+    return out
+
+
 @dataclass(frozen=True)
 class CostBreakdown:
     tracking: float
@@ -32,20 +53,6 @@ class CostBreakdown:
     @property
     def total(self) -> float:
         return self.tracking + self.regularization
-
-
-def _check_snapshots(Q: np.ndarray, grid: SpaceTimeGrid, name: str) -> np.ndarray:
-    Q = np.asarray(Q, dtype=float)
-    if Q.shape != (grid.n, grid.n_t):
-        raise ValueError(f"{name} has shape {Q.shape}, expected ({grid.n}, {grid.n_t})")
-    return Q
-
-
-def _check_signal(u: np.ndarray, m: int, n_t: int) -> np.ndarray:
-    u = np.asarray(u, dtype=float)
-    if u.shape != (m, n_t):
-        raise ValueError(f"control signal has shape {u.shape}, expected ({m}, {n_t})")
-    return u
 
 
 def _transport_step(y: np.ndarray, grid: SpaceTimeGrid, reversed_direction: bool) -> np.ndarray:
@@ -69,20 +76,14 @@ def solve_state(
     """Explicit Euler with upwind transport; column j of the result is y(t_j),
     column 0 is the initial condition."""
     y0 = check_field(y0, grid, "y0")
-    u = _check_signal(u, shapes.m, grid.n_t)
+    u = check_shape(u, (shapes.m, grid.n_t), "control signal")
     warn_if_cfl_violated(grid)
-    dt = grid.dt
-    forcing = shapes.shapes @ u  # all control fields in one matrix product
-    Y = np.empty((grid.n, grid.n_t))
-    Y[:, 0] = y0
-    y = y0.copy()
-    for j in range(grid.n_t - 1):
-        y = y + _transport_step(y, grid, reversed_direction=False) + dt * forcing[:, j]
-        # a single non-finite entry poisons the sum
-        if not math.isfinite(float(np.sum(y))):
-            raise DivergenceError(j + 1, "state")
-        Y[:, j + 1] = y
-    return Y
+    source = apply_control(shapes, u)  # all control fields in one matrix product
+    source *= grid.dt
+    return euler_sweep(
+        lambda y, j: y + _transport_step(y, grid, reversed_direction=False) + source[:, j],
+        y0, grid.n_t, False, "state",
+    )
 
 
 def solve_adjoint(
@@ -97,18 +98,14 @@ def solve_adjoint(
     adjoint of solve_state under the cost of fom.cost, so dt * gradient_fom is
     the exact gradient of that discrete cost.
     """
-    state = _check_snapshots(state, grid, "state")
-    target = _check_snapshots(target, grid, "target")
-    dt = grid.dt
-    source = dt * (state - target)
-    lam = np.zeros_like(state)
-    cur = lam[:, -1]
-    for j in range(grid.n_t - 1, 0, -1):
-        cur = cur + _transport_step(cur, grid, reversed_direction=True) + source[:, j]
-        if not math.isfinite(float(np.sum(cur))):
-            raise DivergenceError(j - 1, "adjoint")
-        lam[:, j - 1] = cur
-    return lam
+    state = check_shape(state, (grid.n, grid.n_t), "state")
+    target = check_shape(target, (grid.n, grid.n_t), "target")
+    source = state - target
+    source *= grid.dt
+    return euler_sweep(
+        lambda lam, j: lam + _transport_step(lam, grid, reversed_direction=True) + source[:, j],
+        np.zeros(grid.n), grid.n_t, True, "adjoint",
+    )
 
 
 def cost(
@@ -120,8 +117,8 @@ def cost(
 ) -> CostBreakdown:
     """Quadratic tracking cost with rectangle quadrature in time and the
     dx-weighted norm in space."""
-    state = _check_snapshots(state, grid, "state")
-    target = _check_snapshots(target, grid, "target")
+    state = check_shape(state, (grid.n, grid.n_t), "state")
+    target = check_shape(target, (grid.n, grid.n_t), "target")
     diff = state - target
     tracking = 0.5 * grid.dt * grid.dx * float(np.sum(diff * diff))
     regularization = 0.5 * mu * grid.dt * float(np.sum(np.asarray(u) ** 2))
@@ -136,9 +133,9 @@ def gradient_fom(
     mu: float,
 ) -> np.ndarray:
     """Column j is mu u(t_j) + B* lambda(t_j)."""
-    adjoint = _check_snapshots(adjoint, grid, "adjoint")
-    u = _check_signal(u, shapes.m, grid.n_t)
-    return mu * u + grid.dx * (shapes.shapes.T @ adjoint)
+    adjoint = check_shape(adjoint, (grid.n, grid.n_t), "adjoint")
+    u = check_shape(u, (shapes.m, grid.n_t), "control signal")
+    return mu * u + adjoint_control(shapes, adjoint, grid)
 
 
 def save_snapshots_bin(path: str | Path, Q: np.ndarray) -> None:

@@ -77,7 +77,6 @@ class OptimizerConfig:
     beta: float = 1e-5
     omega0: float = 1.0
     n_iter: int = 20000
-    n_samples: int = 800
     mode_rule: ModeRule = field(default_factory=lambda: ModeRule.fixed(10))
     refine_every: int = 5
     bb_switch_threshold: float = 5e-3

@@ -9,8 +9,8 @@ import scipy.sparse as sp
 
 from .basis import ModeBasis
 from .control import ControlShapes
-from .discretization import SpaceTimeGrid, check_field
-from .fom import DivergenceError
+from .discretization import SpaceTimeGrid, check_field, check_shape
+from .fom import euler_sweep
 
 
 @dataclass(frozen=True)
@@ -53,20 +53,13 @@ def assemble_pod_rom(
 
 def solve_pod_state(ops: PodRomOperators, u: np.ndarray, grid: SpaceTimeGrid) -> np.ndarray:
     """Explicit Euler for the reduced dynamics; column j is alpha(t_j)."""
-    u = np.asarray(u, dtype=float)
-    if u.shape != (ops.m, grid.n_t):
-        raise ValueError(f"control has shape {u.shape}, expected ({ops.m}, {grid.n_t})")
+    u = check_shape(u, (ops.m, grid.n_t), "control")
     dt = grid.dt
     forcing = ops.B_l @ u
-    alpha = np.empty((ops.r, grid.n_t))
-    alpha[:, 0] = ops.alpha0
-    a = ops.alpha0.copy()
-    for j in range(grid.n_t - 1):
-        a = a + dt * (ops.A_l @ a + forcing[:, j])
-        if not np.all(np.isfinite(a)):
-            raise DivergenceError(j + 1, "reduced state")
-        alpha[:, j + 1] = a
-    return alpha
+    return euler_sweep(
+        lambda a, j: a + dt * (ops.A_l @ a + forcing[:, j]),
+        ops.alpha0, grid.n_t, False, "reduced state",
+    )
 
 
 def solve_pod_adjoint(
@@ -77,22 +70,14 @@ def solve_pod_adjoint(
 ) -> np.ndarray:
     """Backward explicit Euler from a zero terminal condition with right-hand
     side A_l^T lambda + alpha - yd_reduced."""
-    alpha = np.asarray(alpha, dtype=float)
-    yd_reduced = np.asarray(yd_reduced, dtype=float)
-    if alpha.shape != (ops.r, grid.n_t):
-        raise ValueError(f"reduced state has shape {alpha.shape}, expected ({ops.r}, {grid.n_t})")
-    if yd_reduced.shape != alpha.shape:
-        raise ValueError(f"reduced target has shape {yd_reduced.shape}, expected {alpha.shape}")
+    alpha = check_shape(alpha, (ops.r, grid.n_t), "reduced state")
+    yd_reduced = check_shape(yd_reduced, alpha.shape, "reduced target")
     dt = grid.dt
     AT = ops.A_l.T
-    lam = np.zeros_like(alpha)
-    cur = lam[:, -1]
-    for j in range(grid.n_t - 1, 0, -1):
-        cur = cur + dt * (AT @ cur + alpha[:, j] - yd_reduced[:, j])
-        if not np.all(np.isfinite(cur)):
-            raise DivergenceError(j - 1, "reduced adjoint")
-        lam[:, j - 1] = cur
-    return lam
+    return euler_sweep(
+        lambda lam, j: lam + dt * (AT @ lam + alpha[:, j] - yd_reduced[:, j]),
+        np.zeros(ops.r), grid.n_t, True, "reduced adjoint",
+    )
 
 
 def gradient_pod(ops: PodRomOperators, lam: np.ndarray, u: np.ndarray, mu: float) -> np.ndarray:

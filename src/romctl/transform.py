@@ -3,8 +3,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .discretization import SpaceTimeGrid, check_field
-from .fom import _check_snapshots
+from .discretization import SpaceTimeGrid, check_field, check_shape
 
 # shifts this close to a whole number of cells are treated as grid-aligned,
 # so that aligned shifts are exact index rotations (bit-exact isometry)
@@ -44,10 +43,8 @@ def uncontrolled_shift_path(grid: SpaceTimeGrid) -> np.ndarray:
 
 def transform_snapshots(Q: np.ndarray, path: np.ndarray, grid: SpaceTimeGrid) -> np.ndarray:
     """Shift every column back to the co-moving frame: column j by -z_j."""
-    Q = _check_snapshots(Q, grid, "Q")
-    path = np.asarray(path, dtype=float)
-    if path.shape != (grid.n_t,):
-        raise ValueError(f"shift path has shape {path.shape}, expected ({grid.n_t},)")
+    Q = check_shape(Q, (grid.n, grid.n_t), "Q")
+    path = check_shape(path, (grid.n_t,), "shift path")
     out = np.empty_like(Q)
     for j in range(grid.n_t):
         out[:, j] = shift_field(Q[:, j], -path[j], grid)

@@ -3,7 +3,7 @@ import pytest
 
 from romctl import SpaceTimeGrid, build_fourier_shapes
 from romctl.basis import truncate_to_basis, weighted_svd
-from romctl.discretization import inner_product
+from romctl.discretization import check_field
 from romctl.experiments import (
     build_target,
     gaussian_initial_condition,
@@ -18,6 +18,13 @@ def coarse_grid(n=101, n_t=60, cfl=0.9, l=100.0, v=0.55):
     """Small test grid; T is chosen so the stability number comes out at cfl."""
     dx = l / n
     return SpaceTimeGrid(l=l, n=n, T=n_t * cfl * dx / v, n_t=n_t, v=v)
+
+
+def inner_product(a, b, grid):
+    """Rectangle-rule L2 inner product on the periodic grid: dx * sum(a*b)."""
+    a = check_field(a, grid, "a")
+    b = check_field(b, grid, "b")
+    return grid.dx * float(np.dot(a, b))
 
 
 def field_norm(a, grid):

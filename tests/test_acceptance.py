@@ -14,10 +14,10 @@ import pytest
 from romctl import SpaceTimeGrid, build_fourier_shapes
 from romctl.basis import eigenfunction_stationary_basis, mode_count_by_tolerance, weighted_svd
 from romctl.control import adjoint_control, apply_control, operator_norm_B
-from romctl.discretization import inner_product
 from romctl.experiments import (
     ScenarioConfig,
     build_target,
+    fd_gradient_check,
     gaussian_initial_condition,
     run_scenario,
     single_tilt_target,
@@ -28,7 +28,7 @@ from romctl.optimizer import ModeRule, OptimizerConfig, optimize
 from romctl.rom_spod import assemble_spod_rom, certify_smallness, solve_spod_adjoint, solve_spod_state
 from romctl.transform import shift_field, transform_snapshots, uncontrolled_shift_path
 
-from conftest import QuadraticModel, smooth_signal
+from conftest import QuadraticModel, inner_product, smooth_signal
 
 L, V = 100.0, 0.55
 
@@ -47,21 +47,6 @@ def fom_setup(grid, xi, tilt=single_tilt_target):
     y0 = gaussian_initial_condition(grid)
     target = build_target(grid, y0, tilt(0.0, V))
     return shapes, y0, target
-
-
-def directional_errors(model, u, weight, n_directions=10, eps=1e-5, seed=17):
-    rng = np.random.default_rng(seed)
-    _, g = model.evaluate(u)
-    m, n_t = u.shape
-    errs = []
-    for _ in range(n_directions):
-        du = smooth_signal(rng, m, n_t)
-        jp = model.cost_only(u + eps * du).total
-        jm = model.cost_only(u - eps * du).total
-        fd = (jp - jm) / (2.0 * eps)
-        ad = weight * float(np.sum(g * du))
-        errs.append(abs(ad - fd) / abs(fd))
-    return errs
 
 
 def test_criterion_01_exact_transport():
@@ -107,11 +92,11 @@ def test_criterion_02_fom_gradient_check():
         model = FomModel(ControlProblem(grid, shapes, y0, target, 1e-3))
         u = smooth_signal(np.random.default_rng(3), shapes.m, grid.n_t, 0.1)
         _, g = model.evaluate(u)
-        # the first direction directional_errors draws
+        # the first direction fd_gradient_check draws
         du = smooth_signal(np.random.default_rng(17), shapes.m, grid.n_t)
         deriv[n_t] = grid.dt * float(np.sum(g * du))
         if n_t < 4 * n_t0:
-            worst[n_t] = max(directional_errors(model, u, grid.dt))
+            worst[n_t] = max(fd_gradient_check(model, u, seed=17))
     elapsed = time.perf_counter() - t0
     factor = (deriv[n_t0] - deriv[2 * n_t0]) / (deriv[2 * n_t0] - deriv[4 * n_t0])
     fd_ok = all(err < 1e-8 for err in worst.values())
@@ -150,7 +135,7 @@ def test_criterion_03_spod_gradient_check():
                           n_samples=800)
         model.basis, model.ops = base.basis, base.ops  # same reduced system, finer steps
         u = smooth_signal(np.random.default_rng(2), shapes.m, grid.n_t, 0.02)
-        errs = directional_errors(model, u, grid.dt)
+        errs = fd_gradient_check(model, u, seed=17)
         agg[n_t] = float(np.sqrt(np.mean(np.square(errs))))
     elapsed = time.perf_counter() - t0
     factor = agg[n_t0] / agg[2 * n_t0]
@@ -205,7 +190,7 @@ def test_criterion_05_cost_agreement():
     for xi in (2, 5):
         shapes = build_fourier_shapes(grid, xi)
         cfg = OptimizerConfig(mu=1e-3, beta=1e-5, omega0=1.0, n_iter=20000,
-                              mode_rule=ModeRule.fixed(2 * xi + 2), n_samples=800)
+                              mode_rule=ModeRule.fixed(2 * xi + 2))
         u0 = np.zeros((shapes.m, grid.n_t))
         problem = ControlProblem(grid, shapes, y0, target, cfg.mu)
         _, rep_f = optimize(FomModel(problem), u0, cfg)

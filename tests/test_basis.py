@@ -10,9 +10,7 @@ from romctl.basis import (
     save_spectrum_csv,
     weighted_svd,
 )
-from romctl.discretization import inner_product
-
-from conftest import coarse_grid, field_norm, pod_basis
+from conftest import coarse_grid, field_norm, inner_product, pod_basis
 
 
 def test_rank_one_snapshots(grid, y0):

@@ -11,9 +11,7 @@ from romctl.control import (
     operator_norm_B,
     save_control_csv,
 )
-from romctl.discretization import inner_product
-
-from conftest import coarse_grid
+from conftest import coarse_grid, inner_product
 
 
 def test_fourier_shape_count(grid):

@@ -6,13 +6,12 @@ from hypothesis import strategies as st
 from romctl.discretization import (
     SpaceTimeGrid,
     central_derivative,
-    inner_product,
     upwind_operator,
 )
 
 from romctl.fom import solve_adjoint
 
-from conftest import coarse_grid
+from conftest import coarse_grid, inner_product
 
 
 def test_grid_derived_quantities():

@@ -223,6 +223,13 @@ BAD_CONFIGS = (
     "omega0 = inf",
     "model = pod\nmodes = 4\nmode_tol = 1e-3",
     "model = fom\nmodes = 4",
+    "model = pod\neigenfunction_basis = true",
+    "model = fom\neigenfunction_basis = true",
+    "model = spod\neigenfunction_basis = true\nmodes = 4",
+    "model = spod\neigenfunction_basis = true\nmode_tol = 1e-3",
+    "kinks = 0.5\nkink_velocities = 0.5",
+    "problem = double_tilt\nkink_velocities = 0.5",
+    "problem = custom\ntilt_factor = 0.5",
 )
 
 

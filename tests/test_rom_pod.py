@@ -94,6 +94,7 @@ def test_gradient_trivial_cases(grid, shapes, y0, rng):
 def test_reduced_gradient_matches_fd(grid, shapes, y0, target, rng):
     model = PodModel(ControlProblem(grid, shapes, y0, target, 1e-3), ModeRule.fixed(12))
     u = smooth_signal(rng, shapes.m, grid.n_t, 0.1)
+    model.refine_basis(u)
     errs = fd_gradient_check(model, u, n_directions=5, seed=9)
     assert max(errs) < 1e-6
 

@@ -200,19 +200,16 @@ def test_gradient_trivial_cases(eig_model, grid, shapes, rng):
 
 
 def test_gradient_matches_fd_and_decays(grid, shapes, y0, target):
-    # adjoint/FD agreement improves about first order when the step is halved
-    base = SpodModel(ControlProblem(grid, shapes, y0, target, 1e-3), ModeRule.fixed(5),
-                     n_samples=400)
-    rng = np.random.default_rng(2)
-    base.refine_basis(smooth_signal(rng, shapes.m, grid.n_t, 0.02))
+    # adjoint/FD agreement improves about first order when the step is halved;
+    # the basis is re-extracted from the snapshots at each step size
     errs = []
     for mult in (1, 2):
         g = SpaceTimeGrid(l=grid.l, n=grid.n, T=grid.T, n_t=grid.n_t * mult, v=grid.v)
         tgt = build_target(g, gaussian_initial_condition(g), single_tilt_target(0.0, g.v))
         model = SpodModel(ControlProblem(g, shapes, y0, tgt, 1e-3), ModeRule.fixed(5),
                           n_samples=400)
-        model.basis, model.ops = base.basis, base.ops
         u = smooth_signal(np.random.default_rng(8), shapes.m, g.n_t, 0.02)
+        model.refine_basis(u)
         dir_errs = fd_gradient_check(model, u, n_directions=6, seed=21)
         errs.append(float(np.median(dir_errs)))
     assert errs[0] < 1e-3

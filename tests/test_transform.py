@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from romctl import SpaceTimeGrid, build_fourier_shapes
 from romctl.basis import weighted_svd
-from romctl.discretization import central_derivative, inner_product
+from romctl.discretization import central_derivative
 from romctl.experiments import gaussian_initial_condition
 from romctl.fom import solve_state
 from romctl.transform import (
@@ -14,7 +14,7 @@ from romctl.transform import (
     uncontrolled_shift_path,
 )
 
-from conftest import coarse_grid, field_norm, smooth_signal
+from conftest import coarse_grid, field_norm, inner_product, smooth_signal
 
 
 def shift_derivative_field(mode, z, grid):
