@@ -11,13 +11,13 @@ COARSE = "n = 101\nn_t = 80\nT = 116.5\nxi = 1\n"
 
 
 def main() -> int:
-    tmp = Path(tempfile.mkdtemp(prefix="romctl-gc-"))
     worst = 0
-    for model, extra in (("fom", ""), ("pod", "modes = 12\n"), ("spod", "modes = 5\n")):
-        cfg = tmp / f"{model}.cfg"
-        cfg.write_text(COARSE + f"model = {model}\n" + extra)
-        print(f"--- {model} ---")
-        worst = max(worst, cli(["gradient-check", str(cfg)]))
+    with tempfile.TemporaryDirectory(prefix="romctl-gc-") as tmp:
+        for model, extra in (("fom", ""), ("pod", "modes = 12\n"), ("spod", "modes = 5\n")):
+            cfg = Path(tmp) / f"{model}.cfg"
+            cfg.write_text(COARSE + f"model = {model}\n" + extra)
+            print(f"--- {model} ---")
+            worst = max(worst, cli(["gradient-check", str(cfg)]))
     return worst
 
 

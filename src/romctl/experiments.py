@@ -343,6 +343,10 @@ def run_rank_study(cfg: ScenarioConfig, quiet: bool = False) -> int:
     """Optimize with the invariant-subspace basis while recording the relative
     singular values sigma_{m+1}/sigma_1 and sigma_{m+2}/sigma_1 of the
     co-moving snapshot matrix every few iterations."""
+    if cfg.modes is not None or cfg.mode_tol is not None:
+        raise ConfigError(
+            "rank-study uses the invariant-subspace basis; it ignores modes and mode_tol"
+        )
     cfg = replace(cfg, model="spod", eigenfunction_basis=True)
     outdir = Path(cfg.out)
     outdir.mkdir(parents=True, exist_ok=True)

@@ -27,7 +27,7 @@ class DivergenceError(RuntimeError):
 
 def euler_sweep(step: Callable[[np.ndarray, int], np.ndarray], first: np.ndarray, n_t: int,
                 backward: bool, what: str) -> np.ndarray:
-    """Explicit-Euler march of the FOM and POD-G solves: `first` fills column 0
+    """Explicit-Euler march of the FOM, POD-G and sPOD-G solves: `first` fills column 0
     (column n_t - 1 when `backward`) and each next column in sweep order is
     step(column j, j). Fortran order keeps every column a step reads contiguous.
     Finiteness is checked once, by column sums (one non-finite entry poisons its

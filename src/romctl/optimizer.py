@@ -9,14 +9,13 @@ from abc import ABC, abstractmethod
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, IO
+from typing import Callable
 
 import numpy as np
 
 from .basis import mode_count_by_tolerance
 from .control import FMT
 from .fom import CostBreakdown, DivergenceError
-from .rom_spod import SingularMassError
 
 PHASES = ("basis", "state", "cost", "adjoint", "gradient", "update")
 
@@ -239,12 +238,13 @@ def optimize(
     model: ControlledModel,
     u0: np.ndarray,
     config: OptimizerConfig,
-    stream: str | Path | IO[str] | None = None,
+    stream: str | Path | None = None,
     callback: Callable[[int, np.ndarray], None] | None = None,
-    flush_every: int = 50,
 ) -> tuple[np.ndarray, OptimizerReport]:
     """Descend from u0 until the relative gradient norm drops below beta or the
-    iteration budget runs out. Returns the final control and the full report."""
+    iteration budget runs out. Returns the final control and the full report;
+    with `stream`, the records also go to that CSV file, flushed every 50
+    iterations."""
     clock = PhaseClock()
     model.clock = clock
     weight = model.signal_weight
@@ -259,18 +259,10 @@ def optimize(
     prev_g: np.ndarray | None = None
     g1_norm: float | None = None
 
-    own_stream = None
-    writer = None
-    if stream is not None:
-        if isinstance(stream, (str, Path)):
-            own_stream = open(stream, "w", newline="")
-            fh = own_stream
-        else:
-            fh = stream
-        writer = csv.writer(fh)
-        writer.writerow(STREAM_COLUMNS)
-
-    try:
+    with (nullcontext() if stream is None else open(stream, "w", newline="")) as fh:
+        writer = None if fh is None else csv.writer(fh)
+        if writer is not None:
+            writer.writerow(STREAM_COLUMNS)
         for i in range(1, config.n_iter + 1):
             t_iter = time.perf_counter()
             refined = False
@@ -282,7 +274,7 @@ def optimize(
                 last_ok = True
             try:
                 cost, g = model.evaluate(u)
-            except (DivergenceError, SingularMassError):
+            except DivergenceError:
                 report.status = "diverged"
                 break
 
@@ -298,15 +290,12 @@ def optimize(
                     omega = barzilai_borwein_step(u - prev_u, g - prev_g, omega, weight)
                     success = True
                 else:
-                    cache: dict[float, float] = {}
-
+                    # the search tries each step size at most once
                     def trial(w: float) -> float:
-                        if w not in cache:
-                            try:
-                                cache[w] = model.cost_only(u - w * g).total
-                            except (DivergenceError, SingularMassError):
-                                cache[w] = math.inf
-                        return cache[w]
+                        try:
+                            return model.cost_only(u - w * g).total
+                        except DivergenceError:
+                            return math.inf
 
                     omega, success = two_way_backtracking(trial, g, omega, cost.total, weight)
                 prev_u, prev_g = u, g
@@ -330,7 +319,7 @@ def optimize(
             report.records.append(rec)
             if writer is not None:
                 writer.writerow(record_row(rec))
-                if i % flush_every == 0:
+                if i % 50 == 0:
                     fh.flush()
             if callback is not None:
                 callback(i, u)
@@ -338,11 +327,4 @@ def optimize(
             if rel < config.beta:
                 report.status = "converged"
                 break
-        else:
-            report.status = "max_iter"
-    finally:
-        if own_stream is not None:
-            own_stream.close()
-        elif writer is not None:
-            fh.flush()
     return u, report

@@ -14,29 +14,30 @@ import numpy as np
 
 from .basis import ModeBasis
 from .control import ControlShapes, operator_norm_B, signal_norm_sq
-from .discretization import SpaceTimeGrid, central_derivative, check_field
+from .discretization import SpaceTimeGrid, central_derivative, check_field, check_shape
+from .fom import DivergenceError, euler_sweep
 from .transform import shift_field, split_shift
 
 
-class SingularMassError(RuntimeError):
+class SingularMassError(DivergenceError):
     """Raised when the reduced mass matrix degenerates during a sweep."""
 
     def __init__(self, step: int, detail: str):
         self.step = step
-        super().__init__(f"reduced mass matrix is numerically singular at step {step}: {detail}")
+        RuntimeError.__init__(
+            self, f"reduced mass matrix is numerically singular at step {step}: {detail}"
+        )
 
 
 @dataclass(frozen=True)
 class SpodRomOperators:
     N: np.ndarray             # (r, r) skew pairing of modes with mode slopes
     M2: np.ndarray            # (r, r) Gram matrix of mode slopes
-    B1_table: np.ndarray      # (n_samples, r, m) shifted modes against shapes
-    B2_table: np.ndarray      # (n_samples, r, m) shift-derivative against shapes
-    B3_table: np.ndarray      # (n_samples, r, m) shifted mode curvature against shapes
+    B_table: np.ndarray       # (n_samples, 3r, m) shifted modes, their shift
+                              # derivative and their curvature against shapes
     sample_shifts: np.ndarray  # (n_samples,) equispaced over [0, l)
     gram_cross: np.ndarray    # (r, r) one-cell cross Gram of the modes
     alpha0: np.ndarray        # (r,)
-    z0: float
     l: float
 
     @property
@@ -45,16 +46,13 @@ class SpodRomOperators:
 
     @property
     def m(self) -> int:
-        return self.B1_table.shape[2]
+        return self.B_table.shape[2]
 
-    def B1(self, z: float) -> np.ndarray:
-        return lookup_B(self.B1_table, self.sample_shifts, self.l, z)
-
-    def B2(self, z: float) -> np.ndarray:
-        return lookup_B(self.B2_table, self.sample_shifts, self.l, z)
-
-    def B3(self, z: float) -> np.ndarray:
-        return lookup_B(self.B3_table, self.sample_shifts, self.l, z)
+    def pairings(self, z: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The three (r, m) control pairings B1, B2 = dB1/dz, B3 = dB2/dz at shift z."""
+        B = lookup_B(self.B_table, self.sample_shifts, self.l, z)
+        r = self.r
+        return B[:r], B[r : 2 * r], B[2 * r :]
 
     def lift_gram(self, frac: float) -> np.ndarray:
         """Gram matrix of the fractionally shifted modes.
@@ -126,27 +124,19 @@ def assemble_spod_rom(
 
     sample_shifts = (grid.l / n_samples) * np.arange(n_samples)
     stacked = np.column_stack([Phi, dPhi, ddPhi])  # one shift call per sample
-    B1 = np.empty((n_samples, r, shapes.m))
-    B2 = np.empty_like(B1)
-    B3 = np.empty_like(B1)
+    table = np.empty((n_samples, 3 * r, shapes.m))
     for s, z in enumerate(sample_shifts):
-        shifted = shift_field(stacked, z, grid)
-        G = dx * (shifted.T @ shapes.shapes)
-        B1[s] = G[:r]
-        B2[s] = -G[r : 2 * r]   # d/dz of the shifted mode is minus its shifted slope
-        B3[s] = G[2 * r :]
+        table[s] = dx * (shift_field(stacked, z, grid).T @ shapes.shapes)
+    table[:, r : 2 * r] *= -1.0  # d/dz of the shifted mode is minus its shifted slope
 
     gram_cross = dx * (Phi.T @ (np.roll(Phi, 1, axis=0) + np.roll(Phi, -1, axis=0)))
     return SpodRomOperators(
         N=N,
         M2=M2,
-        B1_table=B1,
-        B2_table=B2,
-        B3_table=B3,
+        B_table=table,
         sample_shifts=sample_shifts,
         gram_cross=gram_cross,
         alpha0=dx * (Phi.T @ y0),
-        z0=0.0,
         l=grid.l,
     )
 
@@ -191,31 +181,27 @@ def solve_spod_state(
     u: np.ndarray,
     grid: SpaceTimeGrid,
 ) -> SpodReducedTrajectory:
-    """Explicit Euler for the coupled amplitude/shift dynamics."""
-    u = np.asarray(u, dtype=float)
-    if u.shape != (ops.m, grid.n_t):
-        raise ValueError(f"control has shape {u.shape}, expected ({ops.m}, {grid.n_t})")
+    """Explicit Euler for the coupled amplitude/shift dynamics, marched as the
+    stacked vector (alpha, z) from (alpha0, 0)."""
+    u = check_shape(u, (ops.m, grid.n_t), "control")
     if float(ops.alpha0 @ ops.alpha0) == 0.0:
         raise SingularMassError(0, "initial amplitudes are zero")
-    dt, v = grid.dt, grid.v
-    r = ops.r
-    alpha = np.empty((r, grid.n_t))
-    zpath = np.empty(grid.n_t)
-    a = ops.alpha0.copy()
-    z = float(ops.z0)
-    alpha[:, 0] = a
-    zpath[0] = z
-    for j in range(grid.n_t - 1):
-        rhs_a = v * (ops.N @ a) + ops.B1(z) @ u[:, j]
-        rhs_z = v * float(a @ (ops.M2 @ a)) + float(a @ (ops.B2(z) @ u[:, j]))
+    dt, v, r = grid.dt, grid.v, ops.r
+
+    def step(x: np.ndarray, j: int) -> np.ndarray:
+        a, z = x[:r], float(x[r])
+        if not math.isfinite(z):  # the table lookup needs a finite shift
+            raise SingularMassError(j, "non-finite shift")
+        B1, B2, _ = ops.pairings(z)
+        rhs_a = v * (ops.N @ a) + B1 @ u[:, j]
+        rhs_z = v * float(a @ (ops.M2 @ a)) + float(a @ (B2 @ u[:, j]))
         da, dz = _schur_solve(ops.N, ops.M2, a, rhs_a, rhs_z, j)
-        a = a + dt * da
-        z = z + dt * dz
-        if not (np.all(np.isfinite(a)) and math.isfinite(z)):
-            raise SingularMassError(j + 1, "non-finite reduced state")
-        alpha[:, j + 1] = a
-        zpath[j + 1] = z
-    return SpodReducedTrajectory(alpha=alpha, z=zpath)
+        return np.append(a + dt * da, z + dt * dz)
+
+    x = euler_sweep(step, np.append(ops.alpha0, 0.0), grid.n_t, False, "spod state")
+    # C order: the adjoint and the gradient dot strided columns of alpha, which
+    # round differently from contiguous ones in the last bit
+    return SpodReducedTrajectory(alpha=np.ascontiguousarray(x[:r]), z=x[r].copy())
 
 
 def solve_spod_adjoint(
@@ -226,7 +212,8 @@ def solve_spod_adjoint(
     basis: ModeBasis,
     grid: SpaceTimeGrid,
 ) -> SpodAdjointTrajectory:
-    """Backward sweep of the linearized coupled system from zero terminal data.
+    """Backward sweep of the linearized coupled system from zero terminal data,
+    marched as the stacked vector (lambda_a, z_a).
 
     The amplitude/shift rates entering the coefficients are forward differences
     of the stored trajectory. The tracking source differentiates the lifted
@@ -236,31 +223,27 @@ def solve_spod_adjoint(
     consistent with the cost the model actually reports.
     """
     u = np.asarray(u, dtype=float)
-    target = np.asarray(target, dtype=float)
     n_t, dt, v = grid.n_t, grid.dt, grid.v
-    if target.shape != (grid.n, n_t):
-        raise ValueError(f"target has shape {target.shape}, expected ({grid.n}, {n_t})")
+    target = check_shape(target, (grid.n, n_t), "target")
     Phi = basis.modes
     dx = grid.dx
+    r = ops.r
 
     alpha, zpath = traj.alpha, traj.z
     adot = np.diff(alpha, axis=1) / dt        # rate used at node j for j < n_t-1
     zdot = np.diff(zpath) / dt
 
-    lam = np.zeros((ops.r, n_t))
-    za = np.zeros(n_t)
-    cur_l = lam[:, -1]
-    cur_z = 0.0
-    for j in range(n_t - 1, 0, -1):
+    def step(x: np.ndarray, j: int) -> np.ndarray:
+        cur_l, cur_z = x[:r], float(x[r])
         a = alpha[:, j]
         z = zpath[j]
         jd = min(j, n_t - 2)
         ad_j = adot[:, jd]
         zd_j = zdot[jd]
         uj = u[:, j]
-        B2z = ops.B2(z)
+        _, B2z, B3z = ops.pairings(z)
         B2u = B2z @ uj
-        B3u = ops.B3(z) @ uj
+        B3u = B3z @ uj
 
         # exact derivative of 1/2 ||S(z) Phi a - y_d||^2 wrt (a, z)
         k, frac = split_shift(z, grid)
@@ -292,13 +275,10 @@ def solve_spod_adjoint(
             + t_z
         )
         dl, dz = _schur_solve(ops.N, ops.M2, a, rhs_a, rhs_z, j)
-        cur_l = cur_l - dt * dl
-        cur_z = cur_z - dt * dz
-        if not (np.all(np.isfinite(cur_l)) and math.isfinite(cur_z)):
-            raise SingularMassError(j - 1, "non-finite reduced adjoint")
-        lam[:, j - 1] = cur_l
-        za[j - 1] = cur_z
-    return SpodAdjointTrajectory(lambda_a=lam, z_a=za)
+        return np.append(cur_l - dt * dl, cur_z - dt * dz)
+
+    x = euler_sweep(step, np.zeros(r + 1), n_t, True, "spod adjoint")
+    return SpodAdjointTrajectory(lambda_a=np.ascontiguousarray(x[:r]), z_a=x[r].copy())
 
 
 def gradient_spod(
@@ -312,9 +292,9 @@ def gradient_spod(
     u = np.asarray(u, dtype=float)
     g = mu * u.copy()
     for j in range(u.shape[1]):
-        z = traj.z[j]
-        g[:, j] += ops.B1(z).T @ adjoint.lambda_a[:, j]
-        g[:, j] += (ops.B2(z).T @ traj.alpha[:, j]) * adjoint.z_a[j]
+        B1, B2, _ = ops.pairings(traj.z[j])
+        g[:, j] += B1.T @ adjoint.lambda_a[:, j]
+        g[:, j] += (B2.T @ traj.alpha[:, j]) * adjoint.z_a[j]
     return g
 
 

@@ -1,9 +1,11 @@
-"""The shared explicit-Euler kernel against the four time loops it replaced.
+"""The shared explicit-Euler kernel against the six time loops it replaced.
 
 The reference solves below are the loops fom.solve_state, fom.solve_adjoint,
-rom_pod.solve_pod_state and rom_pod.solve_pod_adjoint ran before they shared
-fom.euler_sweep, kept verbatim as oracles: the kernel changes no arithmetic,
-so the solves must match them bit for bit.
+rom_pod.solve_pod_state, rom_pod.solve_pod_adjoint, rom_spod.solve_spod_state
+and rom_spod.solve_spod_adjoint ran before they shared fom.euler_sweep, kept
+verbatim as oracles, with the sPOD-G gradient loop and the three separate
+shift tables those loops read: the kernel and the one stacked table change no
+arithmetic, so the solves must match them bit for bit.
 """
 import math
 
@@ -11,10 +13,22 @@ import numpy as np
 import pytest
 
 from romctl import SpaceTimeGrid, build_fourier_shapes
-from romctl.basis import ModeBasis
-from romctl.discretization import upwind_operator
+from romctl.basis import ModeBasis, weighted_svd
+from romctl.discretization import central_derivative, upwind_operator
 from romctl.fom import DivergenceError, _transport_step, solve_adjoint, solve_state
 from romctl.rom_pod import assemble_pod_rom, solve_pod_adjoint, solve_pod_state
+from romctl.rom_spod import (
+    SingularMassError,
+    SpodAdjointTrajectory,
+    SpodReducedTrajectory,
+    _schur_solve,
+    assemble_spod_rom,
+    gradient_spod,
+    lookup_B,
+    solve_spod_adjoint,
+    solve_spod_state,
+)
+from romctl.transform import shift_field, split_shift
 
 from conftest import smooth_signal
 
@@ -74,6 +88,149 @@ def reference_pod_adjoint(ops, alpha, yd_reduced, grid):
     return lam
 
 
+class ReferenceSpodOps:
+    """The three shift tables B1, B2, B3 and their lookups as assemble_spod_rom
+    built them before it stacked them into one table, in front of the
+    operators that did not change (N, M2, alpha0, the lift Grams)."""
+
+    def __init__(self, ops, basis, shapes, grid):
+        self._ops = ops
+        Phi = basis.modes
+        r = basis.r
+        dPhi = central_derivative(Phi, grid, 1)
+        ddPhi = central_derivative(Phi, grid, 2)
+        dx = grid.dx
+        n_samples = len(ops.sample_shifts)
+        stacked = np.column_stack([Phi, dPhi, ddPhi])  # one shift call per sample
+        B1 = np.empty((n_samples, r, shapes.m))
+        B2 = np.empty_like(B1)
+        B3 = np.empty_like(B1)
+        for s, z in enumerate(ops.sample_shifts):
+            shifted = shift_field(stacked, z, grid)
+            G = dx * (shifted.T @ shapes.shapes)
+            B1[s] = G[:r]
+            B2[s] = -G[r : 2 * r]   # d/dz of the shifted mode is minus its shifted slope
+            B3[s] = G[2 * r :]
+        self.B1_table, self.B2_table, self.B3_table = B1, B2, B3
+        self.z0 = 0.0
+
+    def __getattr__(self, name):
+        return getattr(self._ops, name)
+
+    def B1(self, z: float) -> np.ndarray:
+        return lookup_B(self.B1_table, self.sample_shifts, self.l, z)
+
+    def B2(self, z: float) -> np.ndarray:
+        return lookup_B(self.B2_table, self.sample_shifts, self.l, z)
+
+    def B3(self, z: float) -> np.ndarray:
+        return lookup_B(self.B3_table, self.sample_shifts, self.l, z)
+
+
+def reference_spod_state(ops, u, grid):
+    u = np.asarray(u, dtype=float)
+    if u.shape != (ops.m, grid.n_t):
+        raise ValueError(f"control has shape {u.shape}, expected ({ops.m}, {grid.n_t})")
+    if float(ops.alpha0 @ ops.alpha0) == 0.0:
+        raise SingularMassError(0, "initial amplitudes are zero")
+    dt, v = grid.dt, grid.v
+    r = ops.r
+    alpha = np.empty((r, grid.n_t))
+    zpath = np.empty(grid.n_t)
+    a = ops.alpha0.copy()
+    z = float(ops.z0)
+    alpha[:, 0] = a
+    zpath[0] = z
+    for j in range(grid.n_t - 1):
+        rhs_a = v * (ops.N @ a) + ops.B1(z) @ u[:, j]
+        rhs_z = v * float(a @ (ops.M2 @ a)) + float(a @ (ops.B2(z) @ u[:, j]))
+        da, dz = _schur_solve(ops.N, ops.M2, a, rhs_a, rhs_z, j)
+        a = a + dt * da
+        z = z + dt * dz
+        if not (np.all(np.isfinite(a)) and math.isfinite(z)):
+            raise SingularMassError(j + 1, "non-finite reduced state")
+        alpha[:, j + 1] = a
+        zpath[j + 1] = z
+    return SpodReducedTrajectory(alpha=alpha, z=zpath)
+
+
+def reference_spod_adjoint(ops, traj, u, target, basis, grid):
+    u = np.asarray(u, dtype=float)
+    target = np.asarray(target, dtype=float)
+    n_t, dt, v = grid.n_t, grid.dt, grid.v
+    if target.shape != (grid.n, n_t):
+        raise ValueError(f"target has shape {target.shape}, expected ({grid.n}, {n_t})")
+    Phi = basis.modes
+    dx = grid.dx
+
+    alpha, zpath = traj.alpha, traj.z
+    adot = np.diff(alpha, axis=1) / dt        # rate used at node j for j < n_t-1
+    zdot = np.diff(zpath) / dt
+
+    lam = np.zeros((ops.r, n_t))
+    za = np.zeros(n_t)
+    cur_l = lam[:, -1]
+    cur_z = 0.0
+    for j in range(n_t - 1, 0, -1):
+        a = alpha[:, j]
+        z = zpath[j]
+        jd = min(j, n_t - 2)
+        ad_j = adot[:, jd]
+        zd_j = zdot[jd]
+        uj = u[:, j]
+        B2z = ops.B2(z)
+        B2u = B2z @ uj
+        B3u = ops.B3(z) @ uj
+
+        # exact derivative of 1/2 ||S(z) Phi a - y_d||^2 wrt (a, z)
+        k, frac = split_shift(z, grid)
+        yd = target[:, j]
+        ra = np.roll(yd, -k)
+        rb = np.roll(yd, -(k + 1))
+        if frac == 0.0:
+            w = ra
+            slope_pair = 0.5 * (rb - np.roll(yd, -(k - 1)))
+        else:
+            w = (1.0 - frac) * ra + frac * rb
+            slope_pair = rb - ra
+        lifted_g = Phi @ a
+        t_alpha = dx * (Phi.T @ w) - ops.lift_gram(frac) @ a
+        t_z = float(lifted_g @ slope_pair) - 0.5 * float(
+            a @ (ops.lift_gram_rate(frac, dx) @ a)
+        )
+
+        NTl = ops.N.T @ cur_l
+        # coefficient of the scalar adjoint: the skew pairing contributes
+        # -2 N alpha_dot (operator adjoint plus mass-matrix rate; they add,
+        # not cancel, because N is skew)
+        e12 = -2.0 * (ops.N @ ad_j) + 2.0 * (zd_j - v) * (ops.M2 @ a) - B2u
+        rhs_a = (zd_j - v) * NTl + e12 * cur_z + t_alpha
+        rhs_z = (
+            -float(ad_j @ NTl)
+            - float(uj @ (B2z.T @ cur_l))
+            + (-2.0 * float(a @ (ops.M2 @ ad_j)) - float(B3u @ a)) * cur_z
+            + t_z
+        )
+        dl, dz = _schur_solve(ops.N, ops.M2, a, rhs_a, rhs_z, j)
+        cur_l = cur_l - dt * dl
+        cur_z = cur_z - dt * dz
+        if not (np.all(np.isfinite(cur_l)) and math.isfinite(cur_z)):
+            raise SingularMassError(j - 1, "non-finite reduced adjoint")
+        lam[:, j - 1] = cur_l
+        za[j - 1] = cur_z
+    return SpodAdjointTrajectory(lambda_a=lam, z_a=za)
+
+
+def reference_gradient_spod(ops, traj, adjoint, u, mu):
+    u = np.asarray(u, dtype=float)
+    g = mu * u.copy()
+    for j in range(u.shape[1]):
+        z = traj.z[j]
+        g[:, j] += ops.B1(z).T @ adjoint.lambda_a[:, j]
+        g[:, j] += (ops.B2(z).T @ traj.alpha[:, j]) * adjoint.z_a[j]
+    return g
+
+
 def problem(v, seed, n=97, n_t=83, r=9):
     """Random FOM and POD-G inputs on a grid at CFL 0.9 (T fixed when v = 0)."""
     l = 100.0
@@ -91,6 +248,17 @@ def problem(v, seed, n=97, n_t=83, r=9):
     return grid, shapes, ops, y0, u, target, yd
 
 
+def spod_operators(grid, shapes, seed, r=5, n_samples=64):
+    """sPOD-G operators on the span of r random smooth bumps, the first of them
+    the initial condition. Unlike the invariant-subspace basis, the span holds
+    no control shape, so the control moves the shift off v t."""
+    rng = np.random.default_rng(seed + 100)
+    centers, widths = rng.uniform(0.0, grid.l, r), rng.uniform(4.0, 8.0, r)
+    bumps = np.exp(-(((grid.x[:, None] - centers) / widths) ** 2))
+    basis = ModeBasis(modes=weighted_svd(bumps, grid)[0])
+    return basis, assemble_spod_rom(basis, shapes, bumps[:, 0], grid, n_samples)
+
+
 @pytest.mark.parametrize("v", [0.55, -0.55, 0.0])
 @pytest.mark.parametrize("seed", [0, 1])
 def test_solves_match_parent_loops_bitwise(v, seed):
@@ -104,21 +272,54 @@ def test_solves_match_parent_loops_bitwise(v, seed):
     assert np.array_equal(lam, reference_pod_adjoint(ops, alpha, yd, grid))
 
 
+@pytest.mark.parametrize("v", [0.55, -0.55])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_spod_solves_match_parent_loops_bitwise(v, seed):
+    grid, shapes, _, _, u, target, _ = problem(v, seed)
+    basis, ops = spod_operators(grid, shapes, seed)
+    ref = ReferenceSpodOps(ops, basis, shapes, grid)
+    assert np.array_equal(ops.B_table, np.concatenate(
+        [ref.B1_table, ref.B2_table, ref.B3_table], axis=1))
+    traj = solve_spod_state(ops, u, grid)
+    ref_traj = reference_spod_state(ref, u, grid)
+    assert np.array_equal(traj.alpha, ref_traj.alpha)
+    assert np.array_equal(traj.z, ref_traj.z)
+    adj = solve_spod_adjoint(ops, traj, u, target, basis, grid)
+    ref_adj = reference_spod_adjoint(ref, ref_traj, u, target, basis, grid)
+    assert np.array_equal(adj.lambda_a, ref_adj.lambda_a)
+    assert np.array_equal(adj.z_a, ref_adj.z_a)
+    g = gradient_spod(ops, traj, adj, u, 1e-3)
+    assert np.array_equal(g, reference_gradient_spod(ref, ref_traj, ref_adj, u, 1e-3))
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf arithmetic past the bad column
-@pytest.mark.parametrize("what", ["state", "adjoint", "reduced state", "reduced adjoint"])
+@pytest.mark.parametrize(
+    "what",
+    ["state", "adjoint", "reduced state", "reduced adjoint", "spod state", "spod adjoint"],
+)
 def test_divergence_names_first_bad_column(what):
     # a forward solve first reads control column k for step k+1; a backward
-    # solve first reads target column k for step k-1
-    k = 7
-    grid, shapes, ops, y0, u, target, yd = problem(0.55, 3)
+    # solve first reads target column k for step k-1. An sPOD-G sweep may stop
+    # there with its own DivergenceError, SingularMassError; a non-finite shift
+    # must never reach the table lookup (which would raise ValueError).
     backward = what.endswith("adjoint")
-    (yd if what == "reduced adjoint" else target if backward else u)[:, k] = np.inf
-    solves = {
-        "state": lambda: solve_state(grid, shapes, u, y0),
-        "adjoint": lambda: solve_adjoint(grid, solve_state(grid, shapes, u, y0), target),
-        "reduced state": lambda: solve_pod_state(ops, u, grid),
-        "reduced adjoint": lambda: solve_pod_adjoint(ops, solve_pod_state(ops, u, grid), yd, grid),
-    }
-    with pytest.raises(DivergenceError, match=f"^{what} solve") as err:
-        solves[what]()
-    assert err.value.step == (k - 1 if backward else k + 1)
+    for k in (7, 81):  # column 81 makes the state's last column the bad one
+        for bad in (np.inf, np.nan):
+            grid, shapes, ops, y0, u, target, yd = problem(0.55, 3)
+            basis, sops = spod_operators(grid, shapes, 3)
+            (yd if what == "reduced adjoint" else target if backward else u)[:, k] = bad
+            solves = {
+                "state": lambda: solve_state(grid, shapes, u, y0),
+                "adjoint": lambda: solve_adjoint(grid, solve_state(grid, shapes, u, y0), target),
+                "reduced state": lambda: solve_pod_state(ops, u, grid),
+                "reduced adjoint": lambda: solve_pod_adjoint(
+                    ops, solve_pod_state(ops, u, grid), yd, grid),
+                "spod state": lambda: solve_spod_state(sops, u, grid),
+                "spod adjoint": lambda: solve_spod_adjoint(
+                    sops, solve_spod_state(sops, u, grid), u, target, basis, grid),
+            }
+            with pytest.raises(DivergenceError) as err:
+                solves[what]()
+            if type(err.value) is DivergenceError:
+                assert str(err.value).startswith(f"{what} solve")
+            assert err.value.step == (k - 1 if backward else k + 1)

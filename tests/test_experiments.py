@@ -1,4 +1,6 @@
+import importlib.util
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -240,6 +242,26 @@ def test_cli_config_error_exit_code(tmp_path):
         out = tmp_path / f"out{k}"
         assert cli_main(["run", str(cfg_path), "--out", str(out), "--quiet"]) == 2, text
         assert not out.exists(), text
+
+
+def test_cli_rank_study_rejects_mode_keys(tmp_path, capsys):
+    # the rank study fixes the invariant-subspace basis, so a mode rule would be ignored
+    for k, text in enumerate(("model = spod\nmodes = 4", "model = pod\nmode_tol = 1e-3")):
+        cfg_path = tmp_path / f"rank{k}.cfg"
+        cfg_path.write_text(tiny_config_text() + text + "\n")
+        out = tmp_path / f"out{k}"
+        assert cli_main(["rank-study", str(cfg_path), "--out", str(out), "--quiet"]) == 2, text
+        assert not out.exists(), text
+        assert "rank-study" in capsys.readouterr().err, text
+
+
+def test_gradient_checks_script_passes(capsys):
+    # the study script README lists drives the CLI's gradient-check for all three models
+    path = Path(__file__).resolve().parents[1] / "scripts" / "gradient_checks.py"
+    spec = importlib.util.spec_from_file_location("gradient_checks", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    assert script.main() == 0, capsys.readouterr().out
 
 
 def test_run_scenario_divergence_exit_code(tmp_path, recwarn):

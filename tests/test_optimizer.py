@@ -14,6 +14,7 @@ from romctl.optimizer import (
     refinement_policy,
     two_way_backtracking,
 )
+from romctl.rom_spod import SingularMassError
 
 from conftest import QuadraticModel
 
@@ -170,7 +171,8 @@ def test_phase_timings_cover_iteration_wall_time():
 
 
 class _ExplodingModel(ControlledModel):
-    def __init__(self):
+    def __init__(self, error):
+        self.error = error
         self.calls = 0
 
     def describe(self):
@@ -185,14 +187,16 @@ class _ExplodingModel(ControlledModel):
     def evaluate(self, u):
         self.calls += 1
         if self.calls >= 3:
-            raise DivergenceError(7, "state")
+            raise self.error
         return self.cost_only(u), 2.0 * u
 
 
 def test_divergence_sets_status_and_keeps_report():
-    _, rep = optimize(_ExplodingModel(), np.ones((1, 3)), quad_cfg(n_iter=50, beta=0.0))
-    assert rep.status == "diverged"
-    assert rep.iterations == 2
+    for error in (DivergenceError(7, "state"), SingularMassError(7, "Schur complement 0")):
+        _, rep = optimize(_ExplodingModel(error), np.ones((1, 3)),
+                          quad_cfg(n_iter=50, beta=0.0))
+        assert rep.status == "diverged"
+        assert rep.iterations == 2
 
 
 def test_stream_csv(tmp_path):
