@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
 """Run the adjoint-vs-finite-difference verification for all three models on a
-coarse grid and print the per-direction relative errors."""
+coarse grid, sPOD-G on a snapshot basis and on the invariant basis (its exact
+closed-form gradient), and print the per-direction relative errors."""
 import sys
 import tempfile
 from pathlib import Path
@@ -13,10 +14,15 @@ COARSE = "n = 101\nn_t = 80\nT = 116.5\nxi = 1\n"
 def main() -> int:
     worst = 0
     with tempfile.TemporaryDirectory(prefix="romctl-gc-") as tmp:
-        for model, extra in (("fom", ""), ("pod", "modes = 12\n"), ("spod", "modes = 5\n")):
-            cfg = Path(tmp) / f"{model}.cfg"
+        for name, model, extra in (
+            ("fom", "fom", ""),
+            ("pod", "pod", "modes = 12\n"),
+            ("spod", "spod", "modes = 5\n"),
+            ("spod-invariant", "spod", "eigenfunction_basis = true\n"),
+        ):
+            cfg = Path(tmp) / f"{name}.cfg"
             cfg.write_text(COARSE + f"model = {model}\n" + extra)
-            print(f"--- {model} ---")
+            print(f"--- {name} ---")
             worst = max(worst, cli(["gradient-check", str(cfg)]))
     return worst
 

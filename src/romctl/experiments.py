@@ -291,6 +291,23 @@ pause -1
 """
 
 
+def _save_final_state(outdir: Path, model: ProblemModel, u: np.ndarray) -> dict:
+    """Write the model's state at u to final_state.bin and return the
+    full-order cost at u (fom_cost) with the relative gap of the cost of the
+    written state from it (rom_gap; the FOM's state is the full-order one)."""
+    p = model.problem
+    lifted = model.lift(u)
+    fom.save_snapshots_bin(outdir / "final_state.bin", lifted)
+    lifted_cost = fom.cost(p.grid, lifted, p.target, u, p.mu).total
+    del lifted  # the full-order state below takes its place
+    if isinstance(model, FomModel):
+        fom_cost = lifted_cost
+    else:
+        state = fom.solve_state(p.grid, p.shapes, u, p.y0)
+        fom_cost = fom.cost(p.grid, state, p.target, u, p.mu).total
+    return {"fom_cost": fom_cost, "rom_gap": abs(lifted_cost - fom_cost) / fom_cost}
+
+
 def run_scenario(cfg: ScenarioConfig, quiet: bool = False) -> int:
     """Run one optimization scenario and write all artifacts; returns the exit
     status (0 on converged or max_iter, 3 on divergence)."""
@@ -317,8 +334,6 @@ def run_scenario(cfg: ScenarioConfig, quiet: bool = False) -> int:
     for i, sigma in spectra:
         save_spectrum_csv(outdir / f"singular_values_iter{i:05d}.csv", sigma)
     save_control_csv(outdir / "final_control.csv", u)
-    if report.status != "diverged":
-        fom.save_snapshots_bin(outdir / "final_state.bin", model.lift(u))
     (outdir / "plots.gp").write_text(_PLOT_SCRIPT)
 
     meta = {
@@ -330,6 +345,8 @@ def run_scenario(cfg: ScenarioConfig, quiet: bool = False) -> int:
         "cfl": grid.cfl,
         "modes_final": report.records[-1].modes if report.records else 0,
     }
+    if report.status != "diverged":
+        meta.update(_save_final_state(outdir, model, u))
     (outdir / "run_meta.json").write_text(json.dumps(meta, indent=2) + "\n")
     if not quiet:
         print(

@@ -143,7 +143,9 @@ class PodModel(ProblemModel):
 class SpodModel(ProblemModel):
     """Shifted reduced model. The basis is extracted from snapshots shifted
     back along the frozen uncontrolled wave path; with `eigenfunction_basis`
-    the invariant-subspace basis is built once and kept for the whole run."""
+    the invariant-subspace basis is built once and kept for the whole run. On
+    an invariant basis the cost is evaluated from the reduced trajectory,
+    without a lift."""
 
     def __init__(
         self,
@@ -160,6 +162,8 @@ class SpodModel(ProblemModel):
         self.basis: ModeBasis | None = None
         self.ops: rom_spod.SpodRomOperators | None = None
         self.last_spectrum: np.ndarray | None = None
+        # tracking terms of an invariant basis, with the operators they belong to
+        self._tracking: tuple[rom_spod.SpodRomOperators, rom_spod.SpodTracking] | None = None
 
     def describe(self) -> str:
         return "spod"
@@ -181,26 +185,41 @@ class SpodModel(ProblemModel):
         self.ops = rom_spod.assemble_spod_rom(self.basis, p.shapes, p.y0, p.grid, self.n_samples)
         return self.basis.r
 
+    def _invariant_tracking(self) -> rom_spod.SpodTracking | None:
+        """Tracking terms along z = v t when the operators held are invariant,
+        built once per basis; None on the Schur path."""
+        if not self.ops.invariant:
+            return None
+        if self._tracking is None or self._tracking[0] is not self.ops:
+            p = self.problem
+            terms = rom_spod.tracking_terms(self.basis, p.target, self._path, p.grid)
+            self._tracking = (self.ops, terms)
+        return self._tracking[1]
+
+    def _cost(self, traj: rom_spod.SpodReducedTrajectory, u: np.ndarray) -> CostBreakdown:
+        p = self.problem
+        tracking = self._invariant_tracking()
+        if tracking is not None:
+            return rom_spod.invariant_cost(self.ops, tracking, traj, u, p.mu, p.grid.dt)
+        return fom.cost(p.grid, rom_spod.lift_spod(self.basis, traj, p.grid), p.target, u, p.mu)
+
     def evaluate(self, u: np.ndarray) -> tuple[CostBreakdown, np.ndarray]:
         self._require_basis()
         p = self.problem
         with self.phase("state"):
             traj = rom_spod.solve_spod_state(self.ops, u, p.grid)
         with self.phase("cost"):
-            lifted = rom_spod.lift_spod(self.basis, traj, p.grid)
-            J = fom.cost(p.grid, lifted, p.target, u, p.mu)
+            J = self._cost(traj, u)
         with self.phase("adjoint"):
-            adj = rom_spod.solve_spod_adjoint(self.ops, traj, u, p.target, self.basis, p.grid)
+            adj = rom_spod.solve_spod_adjoint(self.ops, traj, u, p.target, self.basis, p.grid,
+                                              self._invariant_tracking())
         with self.phase("gradient"):
             g = rom_spod.gradient_spod(self.ops, traj, adj, u, p.mu)
         return J, g
 
     def cost_only(self, u: np.ndarray) -> CostBreakdown:
         self._require_basis()
-        p = self.problem
-        traj = rom_spod.solve_spod_state(self.ops, u, p.grid)
-        lifted = rom_spod.lift_spod(self.basis, traj, p.grid)
-        return fom.cost(p.grid, lifted, p.target, u, p.mu)
+        return self._cost(rom_spod.solve_spod_state(self.ops, u, self.problem.grid), u)
 
     def lift(self, u: np.ndarray) -> np.ndarray:
         self._require_basis()

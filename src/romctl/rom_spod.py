@@ -4,6 +4,12 @@ The reduced state couples mode amplitudes with a scalar shift; the mass matrix
 [[I, N a], [a^T N^T, a^T M2 a]] is inverted per step through the Schur
 complement on the scalar block, which stays positive whenever the modes and
 their derivatives are independent and the amplitudes stay away from zero.
+
+When the basis is invariant, N^T B1(z) = B2(z) at every shift (the span of
+y0 and the control shapes is one such basis), and the mass-matrix system has
+the exact solution z' = v, a' = B1(v t) u: the model is linear time-varying in
+u. assemble_spod_rom detects this, and the state, adjoint and gradient then run
+in closed form along z_j = v t_j.
 """
 from __future__ import annotations
 
@@ -15,8 +21,11 @@ import numpy as np
 from .basis import ModeBasis
 from .control import ControlShapes, operator_norm_B, signal_norm_sq
 from .discretization import SpaceTimeGrid, central_derivative, check_field, check_shape
-from .fom import DivergenceError, euler_sweep
-from .transform import shift_field, split_shift
+from .fom import CostBreakdown, DivergenceError, euler_sweep
+from .transform import shift_field, split_shift, uncontrolled_shift_path
+
+# relative gap |N^T B1 - B2| / |B2| up to which a basis counts as invariant
+INVARIANT_TOL = 1e-10
 
 
 class SingularMassError(DivergenceError):
@@ -39,6 +48,7 @@ class SpodRomOperators:
     gram_cross: np.ndarray    # (r, r) one-cell cross Gram of the modes
     alpha0: np.ndarray        # (r,)
     l: float
+    invariant: bool           # N^T B1 = B2 on the whole table: closed-form solves
 
     @property
     def r(self) -> int:
@@ -53,6 +63,25 @@ class SpodRomOperators:
         B = lookup_B(self.B_table, self.sample_shifts, self.l, z)
         r = self.r
         return B[:r], B[r : 2 * r], B[2 * r :]
+
+    def B1_along(self, z: np.ndarray, w: np.ndarray, transpose: bool = False) -> np.ndarray:
+        """Columns B1(z_j) w_j (B1(z_j)^T w_j when `transpose`) along a path z,
+        with B1 interpolated as `pairings` interpolates it. The two table rows
+        of each z_j multiply the weighted w_j, so no blended (len(z), r, m)
+        stack is formed."""
+        n_samples = len(self.sample_shifts)
+        s = (np.asarray(z, dtype=float) % self.l) / (self.l / n_samples)
+        lo = np.floor(s)
+        frac = s - lo
+        k = lo.astype(int) % n_samples
+        B1 = self.B_table[:, : self.r]
+        if transpose:  # row vectors w_j^T against (r, m) rows
+            out = np.matmul(((1.0 - frac) * w).T[:, None, :], B1[k])
+            out += np.matmul((frac * w).T[:, None, :], B1[(k + 1) % n_samples])
+            return out[:, 0, :].T
+        out = np.matmul(B1[k], ((1.0 - frac) * w).T[:, :, None])
+        out += np.matmul(B1[(k + 1) % n_samples], (frac * w).T[:, :, None])
+        return out[:, :, 0].T
 
     def lift_gram(self, frac: float) -> np.ndarray:
         """Gram matrix of the fractionally shifted modes.
@@ -86,6 +115,20 @@ class SpodAdjointTrajectory:
 
 
 @dataclass(frozen=True)
+class SpodTracking:
+    """The control-independent parts of the lifted tracking cost along one
+    shift path z_j. With k_j, f_j the whole cells and fraction of z_j, the
+    lifted state is S(z_j) Phi alpha_j and
+    dx |S(z_j) Phi a - y_d^j|^2 = a^T G_j a - 2 a^T P_j + dx |y_d^j|^2,
+    G_j = self_weight_j I + cross_weight_j C (`lift_gram` at f_j)."""
+
+    P: np.ndarray             # (r, n_t) dx Phi^T S(z_j)^T y_d^j
+    self_weight: np.ndarray   # (n_t,) (1 - f_j)^2 + f_j^2
+    cross_weight: np.ndarray  # (n_t,) f_j (1 - f_j)
+    target_sq: np.ndarray     # (n_t,) dx |y_d^j|^2
+
+
+@dataclass(frozen=True)
 class SmallnessCertificate:
     """Sufficient condition for the reduced solve to exist on the whole horizon."""
 
@@ -109,7 +152,8 @@ def assemble_spod_rom(
     n_samples: int,
 ) -> SpodRomOperators:
     """Assemble the shift-independent matrices plus shift-sampled control
-    pairings on an equispaced table over [0, l)."""
+    pairings on an equispaced table over [0, l), and detect from the table
+    whether the basis is invariant."""
     if n_samples < 2:
         raise ValueError(f"need at least 2 shift samples for interpolation, got {n_samples}")
     y0 = check_field(y0, grid, "y0")
@@ -123,11 +167,14 @@ def assemble_spod_rom(
     M2 = dx * (dPhi.T @ dPhi)
 
     sample_shifts = (grid.l / n_samples) * np.arange(n_samples)
-    stacked = np.column_stack([Phi, dPhi, ddPhi])  # one shift call per sample
-    table = np.empty((n_samples, 3 * r, shapes.m))
-    for s, z in enumerate(sample_shifts):
-        table[s] = dx * (shift_field(stacked, z, grid).T @ shapes.shapes)
+    table = shift_pairing_table(np.column_stack([Phi, dPhi, ddPhi]), shapes, grid, sample_shifts)
     table[:, r : 2 * r] *= -1.0  # d/dz of the shifted mode is minus its shifted slope
+    # invariant basis: |N^T B1 - B2| <= INVARIANT_TOL |B2| at every sample
+    B2 = table[:, r : 2 * r]
+    gap = N.T @ table[:, :r]
+    gap -= B2
+    sq = lambda a: np.einsum("sij,sij->s", a, a)  # squared norm per sample, no temporary
+    invariant = bool(np.all(sq(gap) <= INVARIANT_TOL**2 * sq(B2)))
 
     gram_cross = dx * (Phi.T @ (np.roll(Phi, 1, axis=0) + np.roll(Phi, -1, axis=0)))
     return SpodRomOperators(
@@ -138,7 +185,36 @@ def assemble_spod_rom(
         gram_cross=gram_cross,
         alpha0=dx * (Phi.T @ y0),
         l=grid.l,
+        invariant=invariant,
     )
+
+
+def shift_pairing_table(
+    fields: np.ndarray,
+    shapes: ControlShapes,
+    grid: SpaceTimeGrid,
+    sample_shifts: np.ndarray,
+) -> np.ndarray:
+    """(n_samples, k, m) table of dx * shift_field(fields, z).T @ shapes at each
+    sample shift z.
+
+    A linear-interpolation shift blends two whole-cell rolls, and the pairings
+    of every roll of the (n, k) fields with one shape are one circular
+    correlation, so each shape costs one rfft/irfft pair and memory stays at
+    (n, k). Each sample then blends two rows, snapped as shift_field snaps.
+    """
+    n = grid.n
+    split = [split_shift(z, grid) for z in sample_shifts]
+    k = np.array([c for c, _ in split])
+    frac = np.array([f for _, f in split])[:, None]
+    spectrum = np.conj(np.fft.rfft(fields, axis=0))
+    table = np.empty((len(sample_shifts), fields.shape[1], shapes.m))
+    for c in range(shapes.m):
+        # row q: dx * sum_x fields[x - q] b_c[x], the pairing of the q-cell roll
+        corr = np.fft.irfft(spectrum * np.fft.rfft(shapes.shapes[:, c])[:, None], n, axis=0)
+        corr *= grid.dx
+        table[:, :, c] = (1.0 - frac) * corr[k] + frac * corr[(k + 1) % n]
+    return table
 
 
 def lookup_B(table: np.ndarray, sample_shifts: np.ndarray, l: float, z: float) -> np.ndarray:
@@ -153,6 +229,10 @@ def lookup_B(table: np.ndarray, sample_shifts: np.ndarray, l: float, z: float) -
     if frac == 0.0:
         return table[k]
     return (1.0 - frac) * table[k] + frac * table[(k + 1) % n_samples]
+
+
+def _singular(step: int, s: float, scale: float) -> SingularMassError:
+    return SingularMassError(step, f"Schur complement {s:.3e} vs scale {scale:.3e}")
 
 
 def _schur_solve(
@@ -170,7 +250,7 @@ def _schur_solve(
     s = c - float(b @ b)
     scale = max(1.0, c, float(b @ b))
     if not math.isfinite(s) or s <= 1e-12 * scale:
-        raise SingularMassError(step, f"Schur complement {s:.3e} vs scale {scale:.3e}")
+        raise _singular(step, s, scale)
     w = (rhs_z - float(b @ rhs_a)) / s
     x = rhs_a - b * w
     return x, w
@@ -182,10 +262,13 @@ def solve_spod_state(
     grid: SpaceTimeGrid,
 ) -> SpodReducedTrajectory:
     """Explicit Euler for the coupled amplitude/shift dynamics, marched as the
-    stacked vector (alpha, z) from (alpha0, 0)."""
+    stacked vector (alpha, z) from (alpha0, 0); in closed form on an invariant
+    basis."""
     u = check_shape(u, (ops.m, grid.n_t), "control")
     if float(ops.alpha0 @ ops.alpha0) == 0.0:
         raise SingularMassError(0, "initial amplitudes are zero")
+    if ops.invariant:
+        return _invariant_state(ops, u, grid)
     dt, v, r = grid.dt, grid.v, ops.r
 
     def step(x: np.ndarray, j: int) -> np.ndarray:
@@ -211,9 +294,15 @@ def solve_spod_adjoint(
     target: np.ndarray,
     basis: ModeBasis,
     grid: SpaceTimeGrid,
+    tracking: SpodTracking | None = None,
 ) -> SpodAdjointTrajectory:
     """Backward sweep of the linearized coupled system from zero terminal data,
     marched as the stacked vector (lambda_a, z_a).
+
+    On an invariant basis the adjoint is the closed form
+    lambda_j = sum_{k>j} dt (G_k alpha_k - P_k) with z_a = 0, the exact
+    gradient of the discrete reduced cost; `tracking` holds G and P for the
+    trajectory's path (built here from the target when not given).
 
     The amplitude/shift rates entering the coefficients are forward differences
     of the stored trajectory. The tracking source differentiates the lifted
@@ -225,6 +314,10 @@ def solve_spod_adjoint(
     u = np.asarray(u, dtype=float)
     n_t, dt, v = grid.n_t, grid.dt, grid.v
     target = check_shape(target, (grid.n, n_t), "target")
+    if ops.invariant:
+        if tracking is None:
+            tracking = tracking_terms(basis, target, traj.z, grid)
+        return _invariant_adjoint(ops, tracking, traj, dt)
     Phi = basis.modes
     dx = grid.dx
     r = ops.r
@@ -288,14 +381,106 @@ def gradient_spod(
     u: np.ndarray,
     mu: float,
 ) -> np.ndarray:
-    """Column j is mu u(t_j) + B1(z_j)^T lambda(t_j) + B2(z_j)^T alpha(t_j) z_a(t_j)."""
+    """Column j is mu u(t_j) + B1(z_j)^T lambda(t_j) + B2(z_j)^T alpha(t_j) z_a(t_j)
+    (z_a = 0 on an invariant basis)."""
     u = np.asarray(u, dtype=float)
+    if ops.invariant:
+        return mu * u + ops.B1_along(traj.z, adjoint.lambda_a, transpose=True)
     g = mu * u.copy()
     for j in range(u.shape[1]):
         B1, B2, _ = ops.pairings(traj.z[j])
         g[:, j] += B1.T @ adjoint.lambda_a[:, j]
         g[:, j] += (B2.T @ traj.alpha[:, j]) * adjoint.z_a[j]
     return g
+
+
+def tracking_terms(
+    basis: ModeBasis,
+    target: np.ndarray,
+    z: np.ndarray,
+    grid: SpaceTimeGrid,
+) -> SpodTracking:
+    """Tracking terms of the target snapshots along the shift path z."""
+    target = check_shape(target, (grid.n, grid.n_t), "target")
+    split = [split_shift(zj, grid) for zj in z]
+    frac = np.array([f for _, f in split])
+    # column by column, so that no (n, n_t) temporary is made
+    P = np.empty((basis.r, grid.n_t))
+    for j, (k, f) in enumerate(split):
+        # S(z)^T y = (1 - f) roll(y, -k) + f roll(y, -(k + 1))
+        yd = target[:, j]
+        lo = np.concatenate((yd[k:], yd[:k]))
+        hi = np.concatenate((yd[k + 1 :], yd[: k + 1]))
+        P[:, j] = basis.modes.T @ ((1.0 - f) * lo + f * hi)
+    return SpodTracking(
+        P=grid.dx * P,
+        self_weight=(1.0 - frac) ** 2 + frac**2,
+        cross_weight=frac * (1.0 - frac),
+        target_sq=grid.dx * np.einsum("ij,ij->j", target, target),
+    )
+
+
+def _lift_gram_apply(ops: SpodRomOperators, tracking: SpodTracking, alpha: np.ndarray) -> np.ndarray:
+    """Column j is G_j alpha_j."""
+    return tracking.self_weight * alpha + tracking.cross_weight * (ops.gram_cross @ alpha)
+
+
+def invariant_cost(
+    ops: SpodRomOperators,
+    tracking: SpodTracking,
+    traj: SpodReducedTrajectory,
+    u: np.ndarray,
+    mu: float,
+    dt: float,
+) -> CostBreakdown:
+    """fom.cost of the lifted trajectory, from the reduced quantities alone."""
+    alpha = traj.alpha
+    per_step = np.einsum("rj,rj->j", alpha, _lift_gram_apply(ops, tracking, alpha) - 2.0 * tracking.P)
+    tracking_cost = 0.5 * dt * float(np.sum(per_step + tracking.target_sq))
+    regularization = 0.5 * mu * dt * float(np.sum(np.asarray(u) ** 2))
+    return CostBreakdown(tracking=tracking_cost, regularization=regularization)
+
+
+def _invariant_state(ops: SpodRomOperators, u: np.ndarray, grid: SpaceTimeGrid) -> SpodReducedTrajectory:
+    """z_j = v t_j and alpha_j = alpha0 + dt sum_{k<j} B1(z_k) u_k. The Schur
+    margins of the trajectory are checked in one batch, so a singular step or a
+    non-finite amplitude raises SingularMassError where the Schur sweep would."""
+    n_t, r = grid.n_t, ops.r
+    z = uncontrolled_shift_path(grid)
+    alpha = np.empty((r, n_t))
+    alpha[:, 0] = ops.alpha0
+    np.cumsum(grid.dt * ops.B1_along(z[:-1], u[:, :-1]), axis=1, out=alpha[:, 1:])
+    alpha[:, 1:] += ops.alpha0[:, None]
+    # the Schur sweep solves at columns 0 .. n_t-2
+    a = alpha[:, :-1]
+    b = ops.N @ a
+    c = np.einsum("rj,rj->j", a, ops.M2 @ a)
+    bb = np.einsum("rj,rj->j", b, b)
+    s = c - bb
+    scale = np.maximum(np.maximum(1.0, c), bb)
+    with np.errstate(invalid="ignore"):
+        bad = np.flatnonzero(~np.isfinite(s) | (s <= 1e-12 * scale))
+    if bad.size:
+        j = int(bad[0])
+        raise _singular(j, float(s[j]), float(scale[j]))
+    if not np.all(np.isfinite(alpha[:, -1])):
+        raise DivergenceError(n_t - 1, "spod state")
+    return SpodReducedTrajectory(alpha=alpha, z=z)
+
+
+def _invariant_adjoint(
+    ops: SpodRomOperators,
+    tracking: SpodTracking,
+    traj: SpodReducedTrajectory,
+    dt: float,
+) -> SpodAdjointTrajectory:
+    source = dt * (_lift_gram_apply(ops, tracking, traj.alpha) - tracking.P)
+    lam = np.zeros_like(source)
+    lam[:, :-1] = np.cumsum(source[:, :0:-1], axis=1)[:, ::-1]
+    bad = np.flatnonzero(~np.isfinite(lam.sum(axis=0)))
+    if bad.size:
+        raise DivergenceError(int(bad[-1]), "spod adjoint")
+    return SpodAdjointTrajectory(lambda_a=lam, z_a=np.zeros(lam.shape[1]))
 
 
 def lift_spod(basis: ModeBasis, traj: SpodReducedTrajectory, grid: SpaceTimeGrid) -> np.ndarray:

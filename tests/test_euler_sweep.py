@@ -4,16 +4,19 @@ The reference solves below are the loops fom.solve_state, fom.solve_adjoint,
 rom_pod.solve_pod_state, rom_pod.solve_pod_adjoint, rom_spod.solve_spod_state
 and rom_spod.solve_spod_adjoint ran before they shared fom.euler_sweep, kept
 verbatim as oracles, with the sPOD-G gradient loop and the three separate
-shift tables those loops read: the kernel and the one stacked table change no
-arithmetic, so the solves must match them bit for bit.
+shift-table lookups those loops read: the kernel and the one stacked table
+change no arithmetic, so the solves must match them bit for bit. The table
+itself is built by FFT correlation; its oracle is the per-sample shift loop it
+replaced, matched to 1e-12 relative (the correlation sums in another order).
 """
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from romctl import SpaceTimeGrid, build_fourier_shapes
-from romctl.basis import ModeBasis, weighted_svd
+from romctl.basis import ModeBasis, eigenfunction_stationary_basis, weighted_svd
 from romctl.discretization import central_derivative, upwind_operator
 from romctl.fom import DivergenceError, _transport_step, solve_adjoint, solve_state
 from romctl.rom_pod import assemble_pod_rom, solve_pod_adjoint, solve_pod_state
@@ -88,30 +91,31 @@ def reference_pod_adjoint(ops, alpha, yd_reduced, grid):
     return lam
 
 
-class ReferenceSpodOps:
-    """The three shift tables B1, B2, B3 and their lookups as assemble_spod_rom
-    built them before it stacked them into one table, in front of the
-    operators that did not change (N, M2, alpha0, the lift Grams)."""
+def reference_b_table(basis, shapes, grid, sample_shifts):
+    """The shift table as assemble_spod_rom built it, one shift per sample."""
+    Phi = basis.modes
+    r = basis.r
+    dPhi = central_derivative(Phi, grid, 1)
+    ddPhi = central_derivative(Phi, grid, 2)
+    stacked = np.column_stack([Phi, dPhi, ddPhi])  # one shift call per sample
+    table = np.empty((len(sample_shifts), 3 * r, shapes.m))
+    for s, z in enumerate(sample_shifts):
+        table[s] = grid.dx * (shift_field(stacked, z, grid).T @ shapes.shapes)
+    table[:, r : 2 * r] *= -1.0  # d/dz of the shifted mode is minus its shifted slope
+    return table
 
-    def __init__(self, ops, basis, shapes, grid):
+
+class ReferenceSpodOps:
+    """The three shift tables B1, B2, B3 and their lookups as the sweeps read
+    them before the tables were stacked into one, in front of the operators
+    that did not change (N, M2, alpha0, the lift Grams)."""
+
+    def __init__(self, ops):
         self._ops = ops
-        Phi = basis.modes
-        r = basis.r
-        dPhi = central_derivative(Phi, grid, 1)
-        ddPhi = central_derivative(Phi, grid, 2)
-        dx = grid.dx
-        n_samples = len(ops.sample_shifts)
-        stacked = np.column_stack([Phi, dPhi, ddPhi])  # one shift call per sample
-        B1 = np.empty((n_samples, r, shapes.m))
-        B2 = np.empty_like(B1)
-        B3 = np.empty_like(B1)
-        for s, z in enumerate(ops.sample_shifts):
-            shifted = shift_field(stacked, z, grid)
-            G = dx * (shifted.T @ shapes.shapes)
-            B1[s] = G[:r]
-            B2[s] = -G[r : 2 * r]   # d/dz of the shifted mode is minus its shifted slope
-            B3[s] = G[2 * r :]
-        self.B1_table, self.B2_table, self.B3_table = B1, B2, B3
+        r = ops.r
+        self.B1_table = ops.B_table[:, :r]
+        self.B2_table = ops.B_table[:, r : 2 * r]
+        self.B3_table = ops.B_table[:, 2 * r :]
         self.z0 = 0.0
 
     def __getattr__(self, name):
@@ -277,9 +281,8 @@ def test_solves_match_parent_loops_bitwise(v, seed):
 def test_spod_solves_match_parent_loops_bitwise(v, seed):
     grid, shapes, _, _, u, target, _ = problem(v, seed)
     basis, ops = spod_operators(grid, shapes, seed)
-    ref = ReferenceSpodOps(ops, basis, shapes, grid)
-    assert np.array_equal(ops.B_table, np.concatenate(
-        [ref.B1_table, ref.B2_table, ref.B3_table], axis=1))
+    assert not ops.invariant  # the bumps hold no control shape: the Schur path runs
+    ref = ReferenceSpodOps(ops)
     traj = solve_spod_state(ops, u, grid)
     ref_traj = reference_spod_state(ref, u, grid)
     assert np.array_equal(traj.alpha, ref_traj.alpha)
@@ -292,22 +295,43 @@ def test_spod_solves_match_parent_loops_bitwise(v, seed):
     assert np.array_equal(g, reference_gradient_spod(ref, ref_traj, ref_adj, u, 1e-3))
 
 
+@pytest.mark.parametrize("n_samples", [64, 194, 800])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_b_table_matches_shift_loop(seed, n_samples):
+    # random bumps and the invariant basis on 97 nodes; 194 samples put every
+    # other sample on a node, where split_shift snaps to a whole-cell roll
+    grid, shapes, _, y0, _, _, _ = problem(0.55, seed)
+    bumps, _ = spod_operators(grid, shapes, seed)
+    for basis in (bumps, eigenfunction_stationary_basis(grid, shapes, y0)):
+        ops = assemble_spod_rom(basis, shapes, y0, grid, n_samples)
+        ref = reference_b_table(basis, shapes, grid, ops.sample_shifts)
+        assert np.max(np.abs(ops.B_table - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf arithmetic past the bad column
 @pytest.mark.parametrize(
     "what",
-    ["state", "adjoint", "reduced state", "reduced adjoint", "spod state", "spod adjoint"],
+    ["state", "adjoint", "reduced state", "reduced adjoint", "spod state", "spod adjoint",
+     "spod state, invariant basis", "spod adjoint, invariant basis"],
 )
 def test_divergence_names_first_bad_column(what):
     # a forward solve first reads control column k for step k+1; a backward
     # solve first reads target column k for step k-1. An sPOD-G sweep may stop
     # there with its own DivergenceError, SingularMassError; a non-finite shift
-    # must never reach the table lookup (which would raise ValueError).
-    backward = what.endswith("adjoint")
+    # must never reach the table lookup (which would raise ValueError). On the
+    # invariant basis the closed-form solves raise at the same steps.
+    label, _, invariant = what.partition(", ")
+    backward = label.endswith("adjoint")
     for k in (7, 81):  # column 81 makes the state's last column the bad one
         for bad in (np.inf, np.nan):
             grid, shapes, ops, y0, u, target, yd = problem(0.55, 3)
-            basis, sops = spod_operators(grid, shapes, 3)
-            (yd if what == "reduced adjoint" else target if backward else u)[:, k] = bad
+            if invariant:
+                basis = eigenfunction_stationary_basis(grid, shapes, y0)
+                sops = assemble_spod_rom(basis, shapes, y0, grid, 64)
+            else:
+                basis, sops = spod_operators(grid, shapes, 3)
+            assert sops.invariant == bool(invariant)
+            (yd if label == "reduced adjoint" else target if backward else u)[:, k] = bad
             solves = {
                 "state": lambda: solve_state(grid, shapes, u, y0),
                 "adjoint": lambda: solve_adjoint(grid, solve_state(grid, shapes, u, y0), target),
@@ -319,7 +343,28 @@ def test_divergence_names_first_bad_column(what):
                     sops, solve_spod_state(sops, u, grid), u, target, basis, grid),
             }
             with pytest.raises(DivergenceError) as err:
-                solves[what]()
+                solves[label]()
             if type(err.value) is DivergenceError:
-                assert str(err.value).startswith(f"{what} solve")
+                assert str(err.value).startswith(f"{label} solve")
             assert err.value.step == (k - 1 if backward else k + 1)
+
+
+@pytest.mark.parametrize("first_singular", [0, 40])
+def test_singular_mass_matrix_step_matches_schur_sweep(first_singular):
+    # With M2 = N^T N + w w^T every Schur complement a^T M2 a - |N a|^2 is
+    # (w . a)^2: w = 0 makes every step singular, w orthogonal to alpha_40
+    # makes step 40 the first. M2 does not enter the exact solution, so the
+    # closed-form state, which checks the margins of its trajectory in one
+    # batch, must stop at the step where the Schur sweep stops.
+    grid, shapes, _, y0, u, _, _ = problem(0.55, 0)
+    ops = assemble_spod_rom(eigenfunction_stationary_basis(grid, shapes, y0), shapes, y0, grid, 64)
+    assert ops.invariant
+    w = np.zeros(ops.r)
+    if first_singular:
+        a = solve_spod_state(ops, u, grid).alpha[:, first_singular]
+        w = np.ones(ops.r) - (np.sum(a) / (a @ a)) * a
+    singular = dataclasses.replace(ops, M2=ops.N.T @ ops.N + np.outer(w, w))
+    for flag in (True, False):
+        with pytest.raises(SingularMassError) as err:
+            solve_spod_state(dataclasses.replace(singular, invariant=flag), u, grid)
+        assert err.value.step == first_singular

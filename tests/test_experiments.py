@@ -11,6 +11,7 @@ from romctl.experiments import (
     ConfigError,
     ScenarioConfig,
     TargetSpec,
+    build_model,
     build_target,
     double_tilt_target,
     gaussian_initial_condition,
@@ -19,7 +20,7 @@ from romctl.experiments import (
     run_scenario,
     single_tilt_target,
 )
-from romctl.fom import solve_state
+from romctl.fom import cost, load_snapshots_bin, solve_state
 
 from conftest import coarse_grid
 
@@ -158,6 +159,27 @@ def test_tolerance_rule_mode_counts_monotone(tmp_path):
     assert avgs["1e-4"] >= avgs["1e-1"]
 
 
+@pytest.mark.parametrize("extra", [dict(model="fom"), dict(model="pod", modes=3),
+                                   dict(model="spod", eigenfunction_basis="true")])
+def test_run_meta_reports_full_order_cost(tmp_path, extra):
+    # fom_cost is fom.cost of the full-order state at the returned control;
+    # rom_gap compares fom.cost of the written final state with it
+    cfg_path = tmp_path / "m.cfg"
+    cfg_path.write_text(tiny_config_text(out=tmp_path / "out", n_iter=6, **extra))
+    cfg = parse_config(cfg_path)
+    assert run_scenario(cfg, quiet=True) == 0
+    meta = json.loads((tmp_path / "out" / "run_meta.json").read_text())
+    model = build_model(cfg)
+    p = model.problem
+    u = np.loadtxt(tmp_path / "out" / "final_control.csv", delimiter=",", skiprows=1, ndmin=2).T
+    fom_cost = cost(p.grid, solve_state(p.grid, p.shapes, u, p.y0), p.target, u, p.mu).total
+    lifted = load_snapshots_bin(tmp_path / "out" / "final_state.bin")
+    lifted_cost = cost(p.grid, lifted, p.target, u, p.mu).total
+    assert meta["fom_cost"] == fom_cost
+    assert meta["rom_gap"] == abs(lifted_cost - fom_cost) / fom_cost
+    assert (meta["rom_gap"] == 0.0) == (extra["model"] == "fom")
+
+
 def test_run_scenario_spod_writes_spectra(tmp_path):
     cfg_path = tmp_path / "s.cfg"
     cfg_path.write_text(tiny_config_text(out=tmp_path / "out", model="spod",
@@ -272,3 +294,4 @@ def test_run_scenario_divergence_exit_code(tmp_path, recwarn):
     assert code == 3
     meta = json.loads((tmp_path / "diverged" / "run_meta.json").read_text())
     assert meta["status"] == "diverged"
+    assert "fom_cost" not in meta and "rom_gap" not in meta

@@ -1,0 +1,108 @@
+"""The closed-form sPOD-G on an invariant basis against the Schur sweep.
+
+On the span of y0 and the control shapes, N^T B1(z) = B2(z) at every shift, so
+the Schur sweep marches z' = v, a' = B1(v t) u up to rounding. The closed-form
+state, cost, adjoint and gradient must agree with it (state and cost within
+1e-12 relative), and the gradient is the exact one of the discrete reduced
+cost. The Schur path is forced on the same operators with invariant=False.
+"""
+import dataclasses
+import math
+
+import numpy as np
+import pytest
+
+from romctl import SpaceTimeGrid, build_fourier_shapes
+from romctl.experiments import (
+    build_target,
+    fd_gradient_check,
+    gaussian_initial_condition,
+    single_tilt_target,
+)
+from romctl.fom import cost
+from romctl.models import ControlProblem, SpodModel
+from romctl.optimizer import ModeRule
+from romctl.rom_spod import certify_smallness, lift_spod, solve_spod_state
+
+from conftest import smooth_signal
+
+L, V = 100.0, 0.55
+
+
+def unit_cfl_grid(n, n_t):
+    return SpaceTimeGrid(l=L, n=n, T=n_t * (L / n) / V, n_t=n_t, v=V)
+
+
+# criterion 5 (xi = 2, 5), criterion 6 (xi = 1), and spod-eig-desk.cfg
+SETTINGS = {
+    "criterion-5-xi2": (unit_cfl_grid(401, 300), 2),
+    "criterion-5-xi5": (unit_cfl_grid(401, 300), 5),
+    "criterion-6-xi1": (unit_cfl_grid(401, 300), 1),
+    "spod-eig-desk": (SpaceTimeGrid(l=L, n=401, T=136.02357742008616, n_t=300, v=V), 5),
+}
+
+
+def invariant_model(grid, xi, y0=None):
+    shapes = build_fourier_shapes(grid, xi)
+    target = build_target(grid, gaussian_initial_condition(grid), single_tilt_target(0.0, V))
+    if y0 is None:
+        y0 = gaussian_initial_condition(grid)
+    model = SpodModel(ControlProblem(grid, shapes, y0, target, 1e-3), ModeRule.fixed(1),
+                      n_samples=800, eigenfunction_basis=True)
+    model.refine_basis(np.zeros((shapes.m, grid.n_t)))
+    return model
+
+
+def rel(a, b):
+    return float(np.max(np.abs(a - b)) / np.max(np.abs(b)))
+
+
+@pytest.mark.parametrize("setting", sorted(SETTINGS))
+def test_closed_form_matches_schur_sweep(setting):
+    grid, xi = SETTINGS[setting]
+    model = invariant_model(grid, xi)
+    p, ops = model.problem, model.ops
+    assert ops.invariant
+    schur = dataclasses.replace(ops, invariant=False)
+    rng = np.random.default_rng(5)
+    for amp in (0.05, 0.3):
+        u = smooth_signal(rng, p.shapes.m, grid.n_t, amp)
+        if setting.startswith("criterion-6"):  # inside the smallness certificate
+            cert = certify_smallness(ops, u, p.shapes, grid)
+            u *= 0.7 * math.sqrt(cert.bound / cert.u_norm_sq)
+        traj = solve_spod_state(ops, u, grid)
+        ref = solve_spod_state(schur, u, grid)
+        assert rel(traj.alpha, ref.alpha) < 1e-12
+        assert rel(traj.z, ref.z) < 1e-12
+        J = model.cost_only(u)
+        J_ref = cost(grid, lift_spod(model.basis, ref, grid), p.target, u, p.mu)
+        assert abs(J.total - J_ref.total) < 1e-12 * J_ref.total
+        assert J.regularization == J_ref.regularization
+
+
+@pytest.mark.parametrize("setting", ["criterion-5-xi2", "criterion-6-xi1"])
+def test_closed_form_gradient_is_exact(setting):
+    grid, xi = SETTINGS[setting]
+    model = invariant_model(grid, xi)
+    u = smooth_signal(np.random.default_rng(2), model.problem.shapes.m, grid.n_t, 0.05)
+    assert max(fd_gradient_check(model, u, n_directions=6, seed=17)) < 1e-8
+
+
+def test_tracking_terms_follow_the_model_grid():
+    # tests and criterion 3 hand one model's operators to a model on another
+    # grid: the tracking terms belong to the grid and target of the model that
+    # evaluates, and to the operators it holds (here from another y0)
+    coarse = invariant_model(unit_cfl_grid(101, 60), 1)
+    fine_grid = SpaceTimeGrid(l=L, n=101, T=coarse.problem.grid.T, n_t=120, v=V)
+    fine = invariant_model(fine_grid, 1)
+    other = invariant_model(fine_grid, 1, np.exp(-((fine_grid.x - 60.0) / 3.0) ** 2))
+    u = smooth_signal(np.random.default_rng(9), fine.problem.shapes.m, fine_grid.n_t, 0.1)
+    p = fine.problem
+    for basis, ops in ((coarse.basis, coarse.ops), (other.basis, other.ops)):
+        fine.cost_only(u)  # tracking terms of the operators held before the swap
+        fine.basis, fine.ops = basis, ops
+        J = fine.cost_only(u)
+        lifted = lift_spod(basis, solve_spod_state(ops, u, fine_grid), fine_grid)
+        J_ref = cost(fine_grid, lifted, p.target, u, p.mu)
+        assert abs(J.total - J_ref.total) < 1e-12 * J_ref.total
+
