@@ -143,9 +143,10 @@ class PodModel(ProblemModel):
 class SpodModel(ProblemModel):
     """Shifted reduced model. The basis is extracted from snapshots shifted
     back along the frozen uncontrolled wave path; with `eigenfunction_basis`
-    the invariant-subspace basis is built once and kept for the whole run. On
-    an invariant basis the cost is evaluated from the reduced trajectory,
-    without a lift."""
+    the invariant-subspace basis is built once and kept for the whole run.
+    The cost and the adjoint read the tracking terms of the target along the
+    reduced trajectory's shift path, so no evaluation lifts the state; `lift`
+    alone does, for the artifacts."""
 
     def __init__(
         self,
@@ -162,8 +163,7 @@ class SpodModel(ProblemModel):
         self.basis: ModeBasis | None = None
         self.ops: rom_spod.SpodRomOperators | None = None
         self.last_spectrum: np.ndarray | None = None
-        # tracking terms of an invariant basis, with the operators they belong to
-        self._tracking: tuple[rom_spod.SpodRomOperators, rom_spod.SpodTracking] | None = None
+        self._tracking = None  # (operators, shift path, their tracking terms)
 
     def describe(self) -> str:
         return "spod"
@@ -185,23 +185,17 @@ class SpodModel(ProblemModel):
         self.ops = rom_spod.assemble_spod_rom(self.basis, p.shapes, p.y0, p.grid, self.n_samples)
         return self.basis.r
 
-    def _invariant_tracking(self) -> rom_spod.SpodTracking | None:
-        """Tracking terms along z = v t when the operators held are invariant,
-        built once per basis; None on the Schur path."""
-        if not self.ops.invariant:
-            return None
-        if self._tracking is None or self._tracking[0] is not self.ops:
+    def _tracking_along(self, z: np.ndarray) -> rom_spod.SpodTracking:
+        """Tracking terms of the held basis along the shift path z, kept while
+        the operators and the path stay the same: on an invariant basis z = v t
+        on every call, so they are built once per basis; on a snapshot basis
+        the cost and the adjoint of one evaluation share one build."""
+        held = self._tracking
+        if held is None or held[0] is not self.ops or not np.array_equal(held[1], z):
             p = self.problem
-            terms = rom_spod.tracking_terms(self.basis, p.target, self._path, p.grid)
-            self._tracking = (self.ops, terms)
-        return self._tracking[1]
-
-    def _cost(self, traj: rom_spod.SpodReducedTrajectory, u: np.ndarray) -> CostBreakdown:
-        p = self.problem
-        tracking = self._invariant_tracking()
-        if tracking is not None:
-            return rom_spod.invariant_cost(self.ops, tracking, traj, u, p.mu, p.grid.dt)
-        return fom.cost(p.grid, rom_spod.lift_spod(self.basis, traj, p.grid), p.target, u, p.mu)
+            held = (self.ops, z, rom_spod.tracking_terms(self.basis, p.target, z, p.grid))
+            self._tracking = held
+        return held[2]
 
     def evaluate(self, u: np.ndarray) -> tuple[CostBreakdown, np.ndarray]:
         self._require_basis()
@@ -209,17 +203,20 @@ class SpodModel(ProblemModel):
         with self.phase("state"):
             traj = rom_spod.solve_spod_state(self.ops, u, p.grid)
         with self.phase("cost"):
-            J = self._cost(traj, u)
+            tracking = self._tracking_along(traj.z)
+            J = rom_spod.reduced_cost(self.ops, tracking, traj, u, p.mu, p.grid.dt)
         with self.phase("adjoint"):
-            adj = rom_spod.solve_spod_adjoint(self.ops, traj, u, p.target, self.basis, p.grid,
-                                              self._invariant_tracking())
+            adj = rom_spod.solve_spod_adjoint(self.ops, traj, u, tracking, p.grid)
         with self.phase("gradient"):
             g = rom_spod.gradient_spod(self.ops, traj, adj, u, p.mu)
         return J, g
 
     def cost_only(self, u: np.ndarray) -> CostBreakdown:
         self._require_basis()
-        return self._cost(rom_spod.solve_spod_state(self.ops, u, self.problem.grid), u)
+        p = self.problem
+        traj = rom_spod.solve_spod_state(self.ops, u, p.grid)
+        tracking = self._tracking_along(traj.z)
+        return rom_spod.reduced_cost(self.ops, tracking, traj, u, p.mu, p.grid.dt)
 
     def lift(self, u: np.ndarray) -> np.ndarray:
         self._require_basis()

@@ -5,6 +5,10 @@ The reduced state couples mode amplitudes with a scalar shift; the mass matrix
 complement on the scalar block, which stays positive whenever the modes and
 their derivatives are independent and the amplitudes stay away from zero.
 
+The state is never lifted to evaluate the tracking cost: for dx-orthonormal
+modes it is a quadratic form in a whose coefficients tracking_terms builds once
+per shift path, and the cost and the adjoint read them.
+
 When the basis is invariant, N^T B1(z) = B2(z) at every shift (the span of
 y0 and the control shapes is one such basis), and the mass-matrix system has
 the exact solution z' = v, a' = B1(v t) u: the model is linear time-varying in
@@ -83,24 +87,6 @@ class SpodRomOperators:
         out += np.matmul(B1[(k + 1) % n_samples], (frac * w).T[:, :, None])
         return out[:, :, 0].T
 
-    def lift_gram(self, frac: float) -> np.ndarray:
-        """Gram matrix of the fractionally shifted modes.
-
-        Linear interpolation between node rotations contracts: the Gram of
-        the shifted modes depends only on the fractional cell offset,
-        ((1-f)^2 + f^2) I + f (1-f) C with C the one-cell cross Gram.
-        """
-        return ((1.0 - frac) ** 2 + frac**2) * np.eye(self.r) + (
-            frac * (1.0 - frac)
-        ) * self.gram_cross
-
-    def lift_gram_rate(self, frac: float, dx: float) -> np.ndarray:
-        """d/dz of `lift_gram` along the shift (zero at aligned shifts by the
-        symmetric one-sided average)."""
-        if frac == 0.0:
-            return np.zeros_like(self.gram_cross)
-        return ((4.0 * frac - 2.0) * np.eye(self.r) + (1.0 - 2.0 * frac) * self.gram_cross) / dx
-
 
 @dataclass(frozen=True)
 class SpodReducedTrajectory:
@@ -118,13 +104,21 @@ class SpodAdjointTrajectory:
 class SpodTracking:
     """The control-independent parts of the lifted tracking cost along one
     shift path z_j. With k_j, f_j the whole cells and fraction of z_j, the
-    lifted state is S(z_j) Phi alpha_j and
-    dx |S(z_j) Phi a - y_d^j|^2 = a^T G_j a - 2 a^T P_j + dx |y_d^j|^2,
-    G_j = self_weight_j I + cross_weight_j C (`lift_gram` at f_j)."""
+    lifted state is S(z_j) Phi alpha_j and, for dx-orthonormal modes,
+    dx |S(z_j) Phi a - y_d^j|^2 = a^T G_j a - 2 a^T P_j + dx |y_d^j|^2.
+    Linear interpolation between node rotations contracts, so the Gram G_j of
+    the shifted modes depends only on f_j:
+    G_j = ((1 - f_j)^2 + f_j^2) I + f_j (1 - f_j) C, C the one-cell cross Gram.
+    The shift derivative of the cost is a^T G_j' a - 2 a^T D_j, D_j = dP_j/dz,
+    with G_j' = ((4 f_j - 2) I + (1 - 2 f_j) C) / dx, taken as zero at aligned
+    shifts (the symmetric one-sided average)."""
 
     P: np.ndarray             # (r, n_t) dx Phi^T S(z_j)^T y_d^j
-    self_weight: np.ndarray   # (n_t,) (1 - f_j)^2 + f_j^2
-    cross_weight: np.ndarray  # (n_t,) f_j (1 - f_j)
+    D: np.ndarray             # (r, n_t) Phi^T of the slope pairing dx d/dz S(z_j)^T y_d^j
+    self_weight: np.ndarray   # (n_t,) (1 - f_j)^2 + f_j^2, the I weight of G_j
+    cross_weight: np.ndarray  # (n_t,) f_j (1 - f_j), the C weight of G_j
+    self_rate: np.ndarray     # (n_t,) the I weight of G_j'
+    cross_rate: np.ndarray    # (n_t,) the C weight of G_j'
     target_sq: np.ndarray     # (n_t,) dx |y_d^j|^2
 
 
@@ -231,8 +225,15 @@ def lookup_B(table: np.ndarray, sample_shifts: np.ndarray, l: float, z: float) -
     return (1.0 - frac) * table[k] + frac * table[(k + 1) % n_samples]
 
 
-def _singular(step: int, s: float, scale: float) -> SingularMassError:
-    return SingularMassError(step, f"Schur complement {s:.3e} vs scale {scale:.3e}")
+def _regular_mass(s, c, bb):
+    """Whether the mass matrix counts as regular at a step whose Schur
+    complement is s = c - |b|^2: s finite and above 1e-12 max(1, c, |b|^2).
+    Elementwise on arrays of steps."""
+    return (s < math.inf) & (s > 1e-12) & (s > 1e-12 * c) & (s > 1e-12 * bb)
+
+
+def _singular(step: int, c: float, bb: float) -> SingularMassError:
+    return SingularMassError(step, f"Schur complement {c - bb:.3e} vs scale {max(1.0, c, bb):.3e}")
 
 
 def _schur_solve(
@@ -247,10 +248,10 @@ def _schur_solve(
     c = alpha^T M2 alpha via the scalar Schur complement."""
     b = N @ alpha
     c = float(alpha @ (M2 @ alpha))
-    s = c - float(b @ b)
-    scale = max(1.0, c, float(b @ b))
-    if not math.isfinite(s) or s <= 1e-12 * scale:
-        raise _singular(step, s, scale)
+    bb = float(b @ b)
+    s = c - bb
+    if not _regular_mass(s, c, bb):
+        raise _singular(step, c, bb)
     w = (rhs_z - float(b @ rhs_a)) / s
     x = rhs_a - b * w
     return x, w
@@ -291,81 +292,63 @@ def solve_spod_adjoint(
     ops: SpodRomOperators,
     traj: SpodReducedTrajectory,
     u: np.ndarray,
-    target: np.ndarray,
-    basis: ModeBasis,
+    tracking: SpodTracking,
     grid: SpaceTimeGrid,
-    tracking: SpodTracking | None = None,
 ) -> SpodAdjointTrajectory:
     """Backward sweep of the linearized coupled system from zero terminal data,
     marched as the stacked vector (lambda_a, z_a).
 
+    `tracking` holds the terms along the trajectory's path. The sources are
+    the exact (a, z)-derivatives of the lifted cost, t_a = P_j - G_j a_j and
+    t_z = a_j . D_j - 1/2 a_j^T G_j' a_j, computed before the sweep.
+
     On an invariant basis the adjoint is the closed form
     lambda_j = sum_{k>j} dt (G_k alpha_k - P_k) with z_a = 0, the exact
-    gradient of the discrete reduced cost; `tracking` holds G and P for the
-    trajectory's path (built here from the target when not given).
-
-    The amplitude/shift rates entering the coefficients are forward differences
-    of the stored trajectory. The tracking source differentiates the lifted
-    cost exactly: the target column is paired in the co-moving frame (the one
-    step that scales with the full dimension) and the fractional-shift Gram of
-    the interpolated lift replaces the identity, so that the gradient is
-    consistent with the cost the model actually reports.
+    gradient of the discrete reduced cost. Otherwise the amplitude/shift rates
+    entering the coefficients are forward differences of the stored trajectory.
     """
     u = np.asarray(u, dtype=float)
     n_t, dt, v = grid.n_t, grid.dt, grid.v
-    target = check_shape(target, (grid.n, n_t), "target")
     if ops.invariant:
-        if tracking is None:
-            tracking = tracking_terms(basis, target, traj.z, grid)
-        return _invariant_adjoint(ops, tracking, traj, dt)
-    Phi = basis.modes
-    dx = grid.dx
+        Ga = _gram_apply(ops, tracking.self_weight, tracking.cross_weight, traj.alpha)
+        source = dt * (Ga - tracking.P)
+        lam = np.zeros_like(source)
+        lam[:, :-1] = np.cumsum(source[:, :0:-1], axis=1)[:, ::-1]
+        bad = np.flatnonzero(~np.isfinite(lam.sum(axis=0)))
+        if bad.size:
+            raise DivergenceError(int(bad[-1]), "spod adjoint")
+        return SpodAdjointTrajectory(lambda_a=lam, z_a=np.zeros(n_t))
     r = ops.r
 
     alpha, zpath = traj.alpha, traj.z
     adot = np.diff(alpha, axis=1) / dt        # rate used at node j for j < n_t-1
     zdot = np.diff(zpath) / dt
+    t_alpha = tracking.P - _gram_apply(ops, tracking.self_weight, tracking.cross_weight, alpha)
+    rate_a = _gram_apply(ops, tracking.self_rate, tracking.cross_rate, alpha)
+    t_z = np.einsum("rj,rj->j", alpha, tracking.D - 0.5 * rate_a)
 
     def step(x: np.ndarray, j: int) -> np.ndarray:
         cur_l, cur_z = x[:r], float(x[r])
         a = alpha[:, j]
-        z = zpath[j]
         jd = min(j, n_t - 2)
         ad_j = adot[:, jd]
         zd_j = zdot[jd]
         uj = u[:, j]
-        _, B2z, B3z = ops.pairings(z)
+        _, B2z, B3z = ops.pairings(zpath[j])
         B2u = B2z @ uj
         B3u = B3z @ uj
-
-        # exact derivative of 1/2 ||S(z) Phi a - y_d||^2 wrt (a, z)
-        k, frac = split_shift(z, grid)
-        yd = target[:, j]
-        ra = np.roll(yd, -k)
-        rb = np.roll(yd, -(k + 1))
-        if frac == 0.0:
-            w = ra
-            slope_pair = 0.5 * (rb - np.roll(yd, -(k - 1)))
-        else:
-            w = (1.0 - frac) * ra + frac * rb
-            slope_pair = rb - ra
-        lifted_g = Phi @ a
-        t_alpha = dx * (Phi.T @ w) - ops.lift_gram(frac) @ a
-        t_z = float(lifted_g @ slope_pair) - 0.5 * float(
-            a @ (ops.lift_gram_rate(frac, dx) @ a)
-        )
 
         NTl = ops.N.T @ cur_l
         # coefficient of the scalar adjoint: the skew pairing contributes
         # -2 N alpha_dot (operator adjoint plus mass-matrix rate; they add,
         # not cancel, because N is skew)
         e12 = -2.0 * (ops.N @ ad_j) + 2.0 * (zd_j - v) * (ops.M2 @ a) - B2u
-        rhs_a = (zd_j - v) * NTl + e12 * cur_z + t_alpha
+        rhs_a = (zd_j - v) * NTl + e12 * cur_z + t_alpha[:, j]
         rhs_z = (
             -float(ad_j @ NTl)
             - float(uj @ (B2z.T @ cur_l))
             + (-2.0 * float(a @ (ops.M2 @ ad_j)) - float(B3u @ a)) * cur_z
-            + t_z
+            + t_z[j]
         )
         dl, dz = _schur_solve(ops.N, ops.M2, a, rhs_a, rhs_z, j)
         return np.append(cur_l - dt * dl, cur_z - dt * dz)
@@ -402,30 +385,52 @@ def tracking_terms(
 ) -> SpodTracking:
     """Tracking terms of the target snapshots along the shift path z."""
     target = check_shape(target, (grid.n, grid.n_t), "target")
-    split = [split_shift(zj, grid) for zj in z]
-    frac = np.array([f for _, f in split])
-    # column by column, so that no (n, n_t) temporary is made
+    n, PhiT = grid.n, basis.modes.T
     P = np.empty((basis.r, grid.n_t))
-    for j, (k, f) in enumerate(split):
-        # S(z)^T y = (1 - f) roll(y, -k) + f roll(y, -(k + 1))
-        yd = target[:, j]
-        lo = np.concatenate((yd[k:], yd[:k]))
-        hi = np.concatenate((yd[k + 1 :], yd[: k + 1]))
-        P[:, j] = basis.modes.T @ ((1.0 - f) * lo + f * hi)
+    D = np.empty((basis.r, grid.n_t))
+    frac = np.empty(grid.n_t)
+    # column by column into three work columns, so that the loop allocates
+    # nothing of size n and no (n, n_t) temporary is made
+    yy, w, wf = np.empty(2 * n), np.empty(n), np.empty(n)
+    for j in range(grid.n_t):
+        # S(z)^T y = (1 - f) roll(y, -k) + f roll(y, -(k + 1)), and each roll
+        # is a window of the doubled column. The z-slope times dx is the
+        # difference of the two rolls, at an aligned shift the central
+        # difference of the neighbouring rolls.
+        k, f = split_shift(z[j], grid)
+        frac[j] = f
+        yy[:n] = yy[n:] = target[:, j]
+        lo, hi = yy[k : k + n], yy[k + 1 : k + 1 + n]
+        np.multiply(lo, 1.0 - f, out=w)
+        w += np.multiply(hi, f, out=wf)
+        P[:, j] = PhiT @ w
+        if f:
+            np.subtract(hi, lo, out=w)
+        else:
+            prev = (k - 1) % n
+            np.subtract(hi, yy[prev : prev + n], out=w)
+            w *= 0.5
+        D[:, j] = PhiT @ w
+    aligned = frac == 0.0
     return SpodTracking(
         P=grid.dx * P,
+        D=D,
         self_weight=(1.0 - frac) ** 2 + frac**2,
         cross_weight=frac * (1.0 - frac),
+        self_rate=np.where(aligned, 0.0, (4.0 * frac - 2.0) / grid.dx),
+        cross_rate=np.where(aligned, 0.0, (1.0 - 2.0 * frac) / grid.dx),
         target_sq=grid.dx * np.einsum("ij,ij->j", target, target),
     )
 
 
-def _lift_gram_apply(ops: SpodRomOperators, tracking: SpodTracking, alpha: np.ndarray) -> np.ndarray:
-    """Column j is G_j alpha_j."""
-    return tracking.self_weight * alpha + tracking.cross_weight * (ops.gram_cross @ alpha)
+def _gram_apply(ops: SpodRomOperators, self_w: np.ndarray, cross_w: np.ndarray,
+                alpha: np.ndarray) -> np.ndarray:
+    """Columns (self_w_j I + cross_w_j C) alpha_j, C the one-cell cross Gram:
+    G_j alpha_j from the tracking weights, G_j' alpha_j from the rates."""
+    return self_w * alpha + cross_w * (ops.gram_cross @ alpha)
 
 
-def invariant_cost(
+def reduced_cost(
     ops: SpodRomOperators,
     tracking: SpodTracking,
     traj: SpodReducedTrajectory,
@@ -433,9 +438,11 @@ def invariant_cost(
     mu: float,
     dt: float,
 ) -> CostBreakdown:
-    """fom.cost of the lifted trajectory, from the reduced quantities alone."""
+    """fom.cost of the lifted trajectory, from the reduced quantities alone;
+    `tracking` holds the terms along the trajectory's path."""
     alpha = traj.alpha
-    per_step = np.einsum("rj,rj->j", alpha, _lift_gram_apply(ops, tracking, alpha) - 2.0 * tracking.P)
+    Ga = _gram_apply(ops, tracking.self_weight, tracking.cross_weight, alpha)
+    per_step = np.einsum("rj,rj->j", alpha, Ga - 2.0 * tracking.P)
     tracking_cost = 0.5 * dt * float(np.sum(per_step + tracking.target_sq))
     regularization = 0.5 * mu * dt * float(np.sum(np.asarray(u) ** 2))
     return CostBreakdown(tracking=tracking_cost, regularization=regularization)
@@ -456,31 +463,13 @@ def _invariant_state(ops: SpodRomOperators, u: np.ndarray, grid: SpaceTimeGrid) 
     b = ops.N @ a
     c = np.einsum("rj,rj->j", a, ops.M2 @ a)
     bb = np.einsum("rj,rj->j", b, b)
-    s = c - bb
-    scale = np.maximum(np.maximum(1.0, c), bb)
-    with np.errstate(invalid="ignore"):
-        bad = np.flatnonzero(~np.isfinite(s) | (s <= 1e-12 * scale))
+    bad = np.flatnonzero(~_regular_mass(c - bb, c, bb))
     if bad.size:
         j = int(bad[0])
-        raise _singular(j, float(s[j]), float(scale[j]))
+        raise _singular(j, float(c[j]), float(bb[j]))
     if not np.all(np.isfinite(alpha[:, -1])):
         raise DivergenceError(n_t - 1, "spod state")
     return SpodReducedTrajectory(alpha=alpha, z=z)
-
-
-def _invariant_adjoint(
-    ops: SpodRomOperators,
-    tracking: SpodTracking,
-    traj: SpodReducedTrajectory,
-    dt: float,
-) -> SpodAdjointTrajectory:
-    source = dt * (_lift_gram_apply(ops, tracking, traj.alpha) - tracking.P)
-    lam = np.zeros_like(source)
-    lam[:, :-1] = np.cumsum(source[:, :0:-1], axis=1)[:, ::-1]
-    bad = np.flatnonzero(~np.isfinite(lam.sum(axis=0)))
-    if bad.size:
-        raise DivergenceError(int(bad[-1]), "spod adjoint")
-    return SpodAdjointTrajectory(lambda_a=lam, z_a=np.zeros(lam.shape[1]))
 
 
 def lift_spod(basis: ModeBasis, traj: SpodReducedTrajectory, grid: SpaceTimeGrid) -> np.ndarray:

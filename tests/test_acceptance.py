@@ -25,7 +25,13 @@ from romctl.experiments import (
 from romctl.fom import solve_adjoint, solve_state
 from romctl.models import ControlProblem, FomModel, SpodModel
 from romctl.optimizer import ModeRule, OptimizerConfig, optimize
-from romctl.rom_spod import assemble_spod_rom, certify_smallness, solve_spod_adjoint, solve_spod_state
+from romctl.rom_spod import (
+    assemble_spod_rom,
+    certify_smallness,
+    solve_spod_adjoint,
+    solve_spod_state,
+    tracking_terms,
+)
 from romctl.transform import shift_field, transform_snapshots, uncontrolled_shift_path
 
 from conftest import QuadraticModel, inner_product, smooth_signal
@@ -292,7 +298,7 @@ def test_criterion_07_structural_invariants():
     basis = eigenfunction_stationary_basis(grid, shapes, y0)
     ops = assemble_spod_rom(basis, shapes, y0, grid, 64)
     traj = solve_spod_state(ops, u, grid)
-    adj = solve_spod_adjoint(ops, traj, u, target, basis, grid)
+    adj = solve_spod_adjoint(ops, traj, u, tracking_terms(basis, target, traj.z, grid), grid)
     assert np.all(adj.lambda_a[:, -1] == 0.0) and adj.z_a[-1] == 0.0
 
     # tolerance rule monotonicity

@@ -25,6 +25,7 @@ from romctl.rom_spod import (
     solve_spod_adjoint,
     solve_spod_state,
     SpodReducedTrajectory,
+    tracking_terms,
 )
 from romctl.transform import shift_field
 
@@ -175,7 +176,8 @@ def test_adjoint_vanishes_for_self_target(eig_model, grid, shapes, rng):
     u = np.zeros((shapes.m, grid.n_t))
     traj = solve_spod_state(eig_model.ops, u, grid)
     lifted = lift_spod(eig_model.basis, traj, grid)
-    adj = solve_spod_adjoint(eig_model.ops, traj, u, lifted, eig_model.basis, grid)
+    tracking = tracking_terms(eig_model.basis, lifted, traj.z, grid)
+    adj = solve_spod_adjoint(eig_model.ops, traj, u, tracking, grid)
     # zero source up to the rounding of two float paths for the same pairing
     assert np.max(np.abs(adj.lambda_a)) < 1e-12
     assert np.max(np.abs(adj.z_a)) < 1e-12
@@ -184,7 +186,8 @@ def test_adjoint_vanishes_for_self_target(eig_model, grid, shapes, rng):
 def test_adjoint_terminal_columns_zero(eig_model, grid, shapes, target, rng):
     u = smooth_signal(rng, shapes.m, grid.n_t, 0.05)
     traj = solve_spod_state(eig_model.ops, u, grid)
-    adj = solve_spod_adjoint(eig_model.ops, traj, u, target, eig_model.basis, grid)
+    tracking = tracking_terms(eig_model.basis, target, traj.z, grid)
+    adj = solve_spod_adjoint(eig_model.ops, traj, u, tracking, grid)
     assert np.all(adj.lambda_a[:, -1] == 0.0)
     assert adj.z_a[-1] == 0.0
 
@@ -192,9 +195,9 @@ def test_adjoint_terminal_columns_zero(eig_model, grid, shapes, target, rng):
 def test_gradient_trivial_cases(eig_model, grid, shapes, rng):
     u = rng.standard_normal((shapes.m, grid.n_t))
     traj = solve_spod_state(eig_model.ops, 0 * u, grid)
+    self_target = lift_spod(eig_model.basis, traj, grid)
     zero_adj = solve_spod_adjoint(
-        eig_model.ops, traj, 0 * u, lift_spod(eig_model.basis, traj, grid),
-        eig_model.basis, grid,
+        eig_model.ops, traj, 0 * u, tracking_terms(eig_model.basis, self_target, traj.z, grid), grid
     )
     g = gradient_spod(eig_model.ops, traj, zero_adj, u, 1e-3)
     np.testing.assert_allclose(g, 1e-3 * u, atol=0)

@@ -1,10 +1,15 @@
-"""The closed-form sPOD-G on an invariant basis against the Schur sweep.
+"""The closed-form sPOD-G on an invariant basis against the Schur sweep, and
+the reduced tracking cost against the lifted one on every basis.
 
 On the span of y0 and the control shapes, N^T B1(z) = B2(z) at every shift, so
 the Schur sweep marches z' = v, a' = B1(v t) u up to rounding. The closed-form
 state, cost, adjoint and gradient must agree with it (state and cost within
 1e-12 relative), and the gradient is the exact one of the discrete reduced
 cost. The Schur path is forced on the same operators with invariant=False.
+
+The model never lifts its state to evaluate the cost. On a snapshot basis the
+shift path moves with the control, and the cost must still equal fom.cost of
+the lift within 1e-12 relative.
 """
 import dataclasses
 import math
@@ -106,3 +111,32 @@ def test_tracking_terms_follow_the_model_grid():
         J_ref = cost(fine_grid, lifted, p.target, u, p.mu)
         assert abs(J.total - J_ref.total) < 1e-12 * J_ref.total
 
+
+
+def test_snapshot_basis_cost_matches_lifted_cost():
+    # a snapshot basis refined at a nonzero control holds no control shape, so
+    # the control moves z off v t, and differently for each control: the
+    # tracking terms must follow the path of every trajectory, also when
+    # cost_only and evaluate alternate between two controls
+    grid = unit_cfl_grid(201, 150)
+    shapes = build_fourier_shapes(grid, 2)
+    y0 = gaussian_initial_condition(grid)
+    target = build_target(grid, y0, single_tilt_target(0.5, V))
+    model = SpodModel(ControlProblem(grid, shapes, y0, target, 1e-3), ModeRule.fixed(5),
+                      n_samples=400)
+    rng = np.random.default_rng(6)
+    model.refine_basis(smooth_signal(rng, shapes.m, grid.n_t, 0.05))
+    assert model.basis.r == 5 and not model.ops.invariant
+    controls = [smooth_signal(rng, shapes.m, grid.n_t, 0.02) for _ in range(2)]
+    paths = []
+    for call, u in ((model.cost_only, controls[0]), (model.evaluate, controls[1]),
+                    (model.evaluate, controls[0]), (model.cost_only, controls[1])):
+        J = call(u)
+        J = J[0] if isinstance(J, tuple) else J
+        traj = solve_spod_state(model.ops, u, grid)
+        paths.append(traj.z)
+        J_ref = cost(grid, lift_spod(model.basis, traj, grid), target, u, model.problem.mu)
+        assert abs(J.total - J_ref.total) <= 1e-12 * J_ref.total
+    v_t = V * grid.t
+    assert min(np.max(np.abs(z - v_t)) for z in paths) > grid.dx
+    assert np.max(np.abs(paths[0] - paths[1])) > grid.dx
