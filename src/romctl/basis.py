@@ -52,7 +52,8 @@ def truncate_to_basis(modes: np.ndarray, sigma: np.ndarray, r: int) -> ModeBasis
             RuntimeWarning,
             stacklevel=2,
         )
-    return ModeBasis(modes=modes[:, :r_eff])
+    # a copy, so the basis does not keep the whole singular-vector matrix alive
+    return ModeBasis(modes=modes[:, :r_eff].copy())
 
 
 def mode_count_by_tolerance(sigma: np.ndarray, tol: float) -> int:

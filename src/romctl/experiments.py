@@ -24,7 +24,7 @@ from .optimizer import (
     optimize,
     record_row,
 )
-from .transform import shift_field, transform_snapshots, uncontrolled_shift_path
+from .transform import shift_columns, transform_snapshots, uncontrolled_shift_path
 
 
 class ConfigError(ValueError):
@@ -72,11 +72,7 @@ def double_tilt_target(tilt_factor: float, v: float) -> TargetSpec:
 def build_target(grid: SpaceTimeGrid, y0: np.ndarray, spec: TargetSpec) -> np.ndarray:
     """Snapshot matrix of the target wave: column j is y0 shifted by the
     accumulated target displacement at t_j."""
-    zeta = spec.displacement(grid.t, grid)
-    out = np.empty((grid.n, grid.n_t))
-    for j in range(grid.n_t):
-        out[:, j] = shift_field(y0, zeta[j], grid)
-    return out
+    return shift_columns(y0, spec.displacement(grid.t, grid), grid)
 
 
 def gaussian_initial_condition(grid: SpaceTimeGrid) -> np.ndarray:
@@ -246,7 +242,10 @@ def build_model(cfg: ScenarioConfig) -> ProblemModel:
     grid = cfg.grid()
     shapes = build_fourier_shapes(grid, cfg.xi)
     y0 = gaussian_initial_condition(grid)
-    problem = ControlProblem(grid, shapes, y0, build_target(grid, y0, cfg.target_spec()), cfg.mu)
+    spec = cfg.target_spec()
+    problem = ControlProblem(
+        grid, shapes, y0, build_target(grid, y0, spec), spec.displacement(grid.t, grid), cfg.mu
+    )
     if cfg.model == "fom":
         return FomModel(problem)
     if cfg.model == "pod":

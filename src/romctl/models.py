@@ -8,27 +8,48 @@ import numpy as np
 from . import fom, rom_pod, rom_spod
 from .basis import ModeBasis, eigenfunction_stationary_basis, truncate_to_basis, weighted_svd
 from .control import ControlShapes
-from .discretization import SpaceTimeGrid, upwind_operator
+from .discretization import SpaceTimeGrid, check_shape, upwind_operator
 from .fom import CostBreakdown
 from .optimizer import ControlledModel, ModeRule
-from .transform import transform_snapshots, uncontrolled_shift_path
+from .transform import shift_columns, transform_snapshots, uncontrolled_shift_path
+
+# columns per block of the target check, so that it forms no second target
+_CHECK_COLUMNS = 64
 
 
 @dataclass(frozen=True)
 class ControlProblem:
     """The control problem all three models solve: steer the state from y0
     onto the target snapshots through the control shapes, with regularization
-    weight mu, on one space-time grid."""
+    weight mu, on one space-time grid. The target is one profile moved along
+    a path: column j is target[:, 0] shifted by target_path[j], and
+    target_path[0] = 0; the check is bitwise."""
 
     grid: SpaceTimeGrid
     shapes: ControlShapes
     y0: np.ndarray
     target: np.ndarray
+    target_path: np.ndarray
     mu: float
 
     def __post_init__(self) -> None:
+        grid = self.grid
+        target = check_shape(self.target, (grid.n, grid.n_t), "target")
+        path = check_shape(self.target_path, (grid.n_t,), "target path")
+        if path[0] != 0.0:
+            raise ValueError(f"target path must start at 0, got {path[0]!r}")
+        for start in range(0, grid.n_t, _CHECK_COLUMNS):
+            cols = slice(start, start + _CHECK_COLUMNS)
+            moved = shift_columns(target[:, 0], path[cols], grid)
+            bad = np.flatnonzero(np.any(moved != target[:, cols], axis=0))
+            if bad.size:
+                raise ValueError(
+                    f"target column {start + int(bad[0])} is not target[:, 0] "
+                    "shifted along the target path"
+                )
         object.__setattr__(self, "y0", np.asarray(self.y0, dtype=float))
-        object.__setattr__(self, "target", np.asarray(self.target, dtype=float))
+        object.__setattr__(self, "target", target)
+        object.__setattr__(self, "target_path", path)
 
 
 class ProblemModel(ControlledModel):
@@ -146,7 +167,8 @@ class SpodModel(ProblemModel):
     the invariant-subspace basis is built once and kept for the whole run.
     The cost and the adjoint read the tracking terms of the target along the
     reduced trajectory's shift path, so no evaluation lifts the state; `lift`
-    alone does, for the artifacts."""
+    alone does, for the artifacts. The terms come from the target table of
+    the held basis, built when the operators change, in O(n_t r) per path."""
 
     def __init__(
         self,
@@ -163,6 +185,7 @@ class SpodModel(ProblemModel):
         self.basis: ModeBasis | None = None
         self.ops: rom_spod.SpodRomOperators | None = None
         self.last_spectrum: np.ndarray | None = None
+        self._table = None  # (operators, the target table of their basis)
         self._tracking = None  # (operators, shift path, their tracking terms)
 
     def describe(self) -> str:
@@ -190,11 +213,14 @@ class SpodModel(ProblemModel):
         the operators and the path stay the same: on an invariant basis z = v t
         on every call, so they are built once per basis; on a snapshot basis
         the cost and the adjoint of one evaluation share one build."""
+        p = self.problem
+        if self._table is None or self._table[0] is not self.ops:
+            # column 0 of the target is its profile (target_path[0] = 0)
+            self._table = (self.ops, rom_spod.target_table(self.basis, p.target[:, 0], p.grid))
         held = self._tracking
         if held is None or held[0] is not self.ops or not np.array_equal(held[1], z):
-            p = self.problem
-            held = (self.ops, z, rom_spod.tracking_terms(self.basis, p.target, z, p.grid))
-            self._tracking = held
+            tracking = rom_spod.tracking_terms(self._table[1], p.target_path, z, p.grid)
+            held = self._tracking = (self.ops, z, tracking)
         return held[2]
 
     def evaluate(self, u: np.ndarray) -> tuple[CostBreakdown, np.ndarray]:

@@ -7,7 +7,10 @@ their derivatives are independent and the amplitudes stay away from zero.
 
 The state is never lifted to evaluate the tracking cost: for dx-orthonormal
 modes it is a quadratic form in a whose coefficients tracking_terms builds once
-per shift path, and the cost and the adjoint read them.
+per shift path, and the cost and the adjoint read them. Every target is one
+profile moved along a path zeta_j, so those coefficients blend rows of one
+table of the modes against every whole-cell roll of the profile (target_table,
+one FFT correlation per basis), and a shift path costs O(n_t r), not O(n n_t).
 
 When the basis is invariant, N^T B1(z) = B2(z) at every shift (the span of
 y0 and the control shapes is one such basis), and the mass-matrix system has
@@ -26,10 +29,13 @@ from .basis import ModeBasis
 from .control import ControlShapes, operator_norm_B, signal_norm_sq
 from .discretization import SpaceTimeGrid, central_derivative, check_field, check_shape
 from .fom import CostBreakdown, DivergenceError, euler_sweep
-from .transform import shift_field, split_shift, uncontrolled_shift_path
+from .transform import shift_columns, split_shift, uncontrolled_shift_path
 
 # relative gap |N^T B1 - B2| / |B2| up to which a basis counts as invariant
 INVARIANT_TOL = 1e-10
+# bytes of table rows SpodRomOperators.along gathers per block of steps, so
+# that the gathered rows stay in cache instead of growing with the path
+ALONG_BYTES = 1 << 18
 
 
 class SingularMassError(DivergenceError):
@@ -68,24 +74,34 @@ class SpodRomOperators:
         r = self.r
         return B[:r], B[r : 2 * r], B[2 * r :]
 
-    def B1_along(self, z: np.ndarray, w: np.ndarray, transpose: bool = False) -> np.ndarray:
-        """Columns B1(z_j) w_j (B1(z_j)^T w_j when `transpose`) along a path z,
-        with B1 interpolated as `pairings` interpolates it. The two table rows
-        of each z_j multiply the weighted w_j, so no blended (len(z), r, m)
-        stack is formed."""
+    def along(
+        self, rows: slice, z: np.ndarray, w: np.ndarray, transpose: bool = False
+    ) -> np.ndarray:
+        """Columns B(z_j) w_j (B(z_j)^T w_j when `transpose`) along a path z, B
+        the `rows` of the stacked pairings [B1; B2; B3] interpolated as
+        `pairings` interpolates them. The two table rows of each z_j multiply
+        the weighted w_j, so no blended stack is formed, and the rows are
+        gathered for a block of steps at a time."""
         n_samples = len(self.sample_shifts)
         s = (np.asarray(z, dtype=float) % self.l) / (self.l / n_samples)
         lo = np.floor(s)
         frac = s - lo
         k = lo.astype(int) % n_samples
-        B1 = self.B_table[:, : self.r]
-        if transpose:  # row vectors w_j^T against (r, m) rows
-            out = np.matmul(((1.0 - frac) * w).T[:, None, :], B1[k])
-            out += np.matmul((frac * w).T[:, None, :], B1[(k + 1) % n_samples])
-            return out[:, 0, :].T
-        out = np.matmul(B1[k], ((1.0 - frac) * w).T[:, :, None])
-        out += np.matmul(B1[(k + 1) % n_samples], (frac * w).T[:, :, None])
-        return out[:, :, 0].T
+        B = self.B_table[:, rows]
+        w_lo, w_hi = ((1.0 - frac) * w).T, (frac * w).T
+        out = np.empty((len(k), B.shape[2] if transpose else B.shape[1]))
+        steps = max(1, ALONG_BYTES // B[0].nbytes)
+        for start in range(0, len(k), steps):
+            j = slice(start, start + steps)
+            B_lo, B_hi = B[k[j]], B[(k[j] + 1) % n_samples]
+            if transpose:  # row vectors w_j^T against the rows
+                part = np.matmul(w_lo[j, None, :], B_lo)
+                part += np.matmul(w_hi[j, None, :], B_hi)
+            else:
+                part = np.matmul(B_lo, w_lo[j, :, None])
+                part += np.matmul(B_hi, w_hi[j, :, None])
+            out[j] = part[:, 0, :] if transpose else part[:, :, 0]
+        return out.T
 
 
 @dataclass(frozen=True)
@@ -98,6 +114,15 @@ class SpodReducedTrajectory:
 class SpodAdjointTrajectory:
     lambda_a: np.ndarray  # (r, n_t)
     z_a: np.ndarray       # (n_t,)
+
+
+@dataclass(frozen=True)
+class SpodTargetTable:
+    """The modes against every whole-cell roll of the target profile y."""
+
+    rolls: np.ndarray  # (n, r) row q: dx Phi^T roll(y, q)
+    norm_sq: float     # dx |y|^2
+    cross: float       # dx <y, roll(y, 1)>
 
 
 @dataclass(frozen=True)
@@ -198,17 +223,35 @@ def shift_pairing_table(
     (n, k). Each sample then blends two rows, snapped as shift_field snaps.
     """
     n = grid.n
-    split = [split_shift(z, grid) for z in sample_shifts]
-    k = np.array([c for c, _ in split])
-    frac = np.array([f for _, f in split])[:, None]
+    k, frac = split_shift(sample_shifts, grid)
+    frac = frac[:, None]
     spectrum = np.conj(np.fft.rfft(fields, axis=0))
     table = np.empty((len(sample_shifts), fields.shape[1], shapes.m))
     for c in range(shapes.m):
-        # row q: dx * sum_x fields[x - q] b_c[x], the pairing of the q-cell roll
-        corr = np.fft.irfft(spectrum * np.fft.rfft(shapes.shapes[:, c])[:, None], n, axis=0)
-        corr *= grid.dx
+        corr = _roll_pairings(spectrum, shapes.shapes[:, c : c + 1], grid)
         table[:, :, c] = (1.0 - frac) * corr[k] + frac * corr[(k + 1) % n]
     return table
+
+
+def _roll_pairings(spectrum: np.ndarray, b: np.ndarray, grid: SpaceTimeGrid) -> np.ndarray:
+    """Row q: dx * sum_x a[x - q] b[x], the pairings of the q-cell roll of the
+    columns of a with the columns of b (one broadcasting against the other),
+    for every q at once as one circular correlation; spectrum = conj(rfft(a))."""
+    corr = np.fft.irfft(spectrum * np.fft.rfft(b, axis=0), grid.n, axis=0)
+    corr *= grid.dx
+    return corr
+
+
+def target_table(basis: ModeBasis, profile: np.ndarray, grid: SpaceTimeGrid) -> SpodTargetTable:
+    """The pairings dx Phi^T roll(y, q) of the modes with every whole-cell roll
+    of the target profile y, and the two energies its shifts have."""
+    y = check_shape(profile, (grid.n,), "target profile")
+    rolls = _roll_pairings(np.conj(np.fft.rfft(y))[:, None], basis.modes, grid)
+    return SpodTargetTable(
+        rolls=rolls,
+        norm_sq=grid.dx * float(y @ y),
+        cross=grid.dx * float(y @ np.roll(y, 1)),
+    )
 
 
 def lookup_B(table: np.ndarray, sample_shifts: np.ndarray, l: float, z: float) -> np.ndarray:
@@ -366,60 +409,52 @@ def gradient_spod(
 ) -> np.ndarray:
     """Column j is mu u(t_j) + B1(z_j)^T lambda(t_j) + B2(z_j)^T alpha(t_j) z_a(t_j)
     (z_a = 0 on an invariant basis)."""
-    u = np.asarray(u, dtype=float)
-    if ops.invariant:
-        return mu * u + ops.B1_along(traj.z, adjoint.lambda_a, transpose=True)
-    g = mu * u.copy()
-    for j in range(u.shape[1]):
-        B1, B2, _ = ops.pairings(traj.z[j])
-        g[:, j] += B1.T @ adjoint.lambda_a[:, j]
-        g[:, j] += (B2.T @ traj.alpha[:, j]) * adjoint.z_a[j]
-    return g
+    w = adjoint.lambda_a
+    if adjoint.z_a.any():  # else the B2 rows add nothing
+        w = np.concatenate([w, traj.alpha * adjoint.z_a])
+    return mu * np.asarray(u, dtype=float) + ops.along(slice(0, len(w)), traj.z, w, transpose=True)
 
 
 def tracking_terms(
-    basis: ModeBasis,
-    target: np.ndarray,
+    table: SpodTargetTable,
+    target_path: np.ndarray,
     z: np.ndarray,
     grid: SpaceTimeGrid,
 ) -> SpodTracking:
-    """Tracking terms of the target snapshots along the shift path z."""
-    target = check_shape(target, (grid.n, grid.n_t), "target")
-    n, PhiT = grid.n, basis.modes.T
-    P = np.empty((basis.r, grid.n_t))
-    D = np.empty((basis.r, grid.n_t))
-    frac = np.empty(grid.n_t)
-    # column by column into three work columns, so that the loop allocates
-    # nothing of size n and no (n, n_t) temporary is made
-    yy, w, wf = np.empty(2 * n), np.empty(n), np.empty(n)
-    for j in range(grid.n_t):
-        # S(z)^T y = (1 - f) roll(y, -k) + f roll(y, -(k + 1)), and each roll
-        # is a window of the doubled column. The z-slope times dx is the
-        # difference of the two rolls, at an aligned shift the central
-        # difference of the neighbouring rolls.
-        k, f = split_shift(z[j], grid)
-        frac[j] = f
-        yy[:n] = yy[n:] = target[:, j]
-        lo, hi = yy[k : k + n], yy[k + 1 : k + 1 + n]
-        np.multiply(lo, 1.0 - f, out=w)
-        w += np.multiply(hi, f, out=wf)
-        P[:, j] = PhiT @ w
-        if f:
-            np.subtract(hi, lo, out=w)
-        else:
-            prev = (k - 1) % n
-            np.subtract(hi, yy[prev : prev + n], out=w)
-            w *= 0.5
-        D[:, j] = PhiT @ w
+    """Tracking terms along the shift path z of the target whose column j is
+    the profile of `table` shifted by target_path[j].
+
+    With k_j, f_j the whole cells and fraction of z_j and c_j, b_j those of
+    the target shift, y_d^j = (1 - b_j) roll(y, c_j) + b_j roll(y, c_j + 1),
+    so dx Phi^T roll(y_d^j, -k) is a blend of two table rows around
+    q_j = c_j - k_j. S(z_j)^T y_d^j blends the rolls by -k_j and -(k_j + 1);
+    the z-slope times dx is their difference, at an aligned shift the central
+    difference of the rolls by -(k_j - 1) and -(k_j + 1)."""
+    n, n_t = grid.n, grid.n_t
+    k, frac = split_shift(check_shape(z, (n_t,), "shift path"), grid)
+    c, b = split_shift(check_shape(target_path, (n_t,), "target path"), grid)
+    q = c - k
+
+    def roll_pairing(d, steps=slice(None)):
+        """Rows dx Phi^T roll(y_d^j, -(k_j + d)) at the steps j."""
+        qd, bd, rows = q[steps] - d, b[steps, None], table.rolls
+        return (1.0 - bd) * rows[qd % n] + bd * rows[(qd + 1) % n]
+
+    here, ahead = roll_pairing(0), roll_pairing(1)
+    f = frac[:, None]
+    P = (1.0 - f) * here + f * ahead
     aligned = frac == 0.0
+    D = ahead - here
+    D[aligned] = 0.5 * (ahead[aligned] - roll_pairing(-1, aligned))
+    D /= grid.dx
     return SpodTracking(
-        P=grid.dx * P,
-        D=D,
+        P=np.ascontiguousarray(P.T),
+        D=np.ascontiguousarray(D.T),
         self_weight=(1.0 - frac) ** 2 + frac**2,
         cross_weight=frac * (1.0 - frac),
         self_rate=np.where(aligned, 0.0, (4.0 * frac - 2.0) / grid.dx),
         cross_rate=np.where(aligned, 0.0, (1.0 - 2.0 * frac) / grid.dx),
-        target_sq=grid.dx * np.einsum("ij,ij->j", target, target),
+        target_sq=((1.0 - b) ** 2 + b**2) * table.norm_sq + 2.0 * b * (1.0 - b) * table.cross,
     )
 
 
@@ -456,7 +491,7 @@ def _invariant_state(ops: SpodRomOperators, u: np.ndarray, grid: SpaceTimeGrid) 
     z = uncontrolled_shift_path(grid)
     alpha = np.empty((r, n_t))
     alpha[:, 0] = ops.alpha0
-    np.cumsum(grid.dt * ops.B1_along(z[:-1], u[:, :-1]), axis=1, out=alpha[:, 1:])
+    np.cumsum(grid.dt * ops.along(slice(0, r), z[:-1], u[:, :-1]), axis=1, out=alpha[:, 1:])
     alpha[:, 1:] += ops.alpha0[:, None]
     # the Schur sweep solves at columns 0 .. n_t-2
     a = alpha[:, :-1]
@@ -477,10 +512,7 @@ def lift_spod(basis: ModeBasis, traj: SpodReducedTrajectory, grid: SpaceTimeGrid
     alpha = traj.alpha
     if alpha.shape[0] != basis.r:
         raise ValueError(f"amplitudes have {alpha.shape[0]} rows, basis has r={basis.r}")
-    out = np.empty((basis.modes.shape[0], alpha.shape[1]))
-    for j in range(alpha.shape[1]):
-        out[:, j] = shift_field(basis.modes @ alpha[:, j], traj.z[j], grid)
-    return out
+    return shift_columns(basis.modes @ alpha, traj.z, grid)
 
 
 def certify_smallness(

@@ -10,15 +10,21 @@ from .discretization import SpaceTimeGrid, check_field, check_shape
 _ALIGN_TOL = 1e-8
 
 
-def split_shift(z: float, grid: SpaceTimeGrid) -> tuple[int, float]:
+def split_shift(z: float | np.ndarray, grid: SpaceTimeGrid):
     """Decompose a shift into whole cells and a fractional offset in [0, 1),
-    snapping near-aligned shifts to exact rotations."""
-    s = (float(z) % grid.l) / grid.dx
-    k = int(np.floor(s))
+    snapping near-aligned shifts to exact rotations. A scalar shift gives
+    (int, float); an array of shifts gives (int array, float array)."""
+    s = (np.asarray(z, dtype=float) % grid.l) / grid.dx
+    if not np.all(np.isfinite(s)):
+        raise ValueError("shifts must be finite")
+    k = np.floor(s)
     frac = s - k
-    if frac < _ALIGN_TOL or frac > 1.0 - _ALIGN_TOL:
-        return int(round(s)) % grid.n, 0.0
-    return k % grid.n, frac
+    snap = (frac < _ALIGN_TOL) | (frac > 1.0 - _ALIGN_TOL)
+    k = np.where(snap, np.round(s), k).astype(int) % grid.n
+    frac = np.where(snap, 0.0, frac)
+    if np.ndim(z) == 0:
+        return int(k), float(frac)
+    return k, frac
 
 
 def shift_field(field: np.ndarray, z: float, grid: SpaceTimeGrid) -> np.ndarray:
@@ -36,6 +42,35 @@ def shift_field(field: np.ndarray, z: float, grid: SpaceTimeGrid) -> np.ndarray:
     return (1.0 - frac) * lo + frac * hi
 
 
+def shift_columns(fields: np.ndarray, path: np.ndarray, grid: SpaceTimeGrid) -> np.ndarray:
+    """Column j shifted by path[j], bitwise as shift_field shifts it; `fields`
+    is an (n, len(path)) stack, or one field that every column shifts.
+
+    A roll by k is the window [n - k, 2n - k) of the doubled column, so no
+    column is rolled; a fractional shift blends two neighbouring windows."""
+    fields = check_field(fields, grid)
+    n = grid.n
+    k, frac = split_shift(np.asarray(path, dtype=float).reshape(-1), grid)
+    if fields.ndim > 1 and fields.shape[1:] != (len(k),):
+        raise ValueError(f"fields have shape {fields.shape}, expected ({n}, {len(k)})")
+    out = np.empty((n, len(k)))
+    # work columns, so that the loop allocates nothing of size n
+    yy, w = np.empty(2 * n), np.empty(n)
+    if fields.ndim == 1:
+        yy[:n] = yy[n:] = fields
+    for j, (kj, f) in enumerate(zip(k.tolist(), frac.tolist())):
+        if fields.ndim > 1:
+            yy[:n] = yy[n:] = fields[:, j]
+        col = out[:, j]
+        lo = yy[n - kj : 2 * n - kj]
+        if f == 0.0:
+            col[:] = lo
+        else:
+            np.multiply(lo, 1.0 - f, out=col)
+            col += np.multiply(yy[n - kj - 1 : 2 * n - kj - 1], f, out=w)
+    return out
+
+
 def uncontrolled_shift_path(grid: SpaceTimeGrid) -> np.ndarray:
     """Wave position of the uncontrolled profile: z_j = v t_j, z_0 = 0."""
     return grid.v * grid.t
@@ -45,7 +80,4 @@ def transform_snapshots(Q: np.ndarray, path: np.ndarray, grid: SpaceTimeGrid) ->
     """Shift every column back to the co-moving frame: column j by -z_j."""
     Q = check_shape(Q, (grid.n, grid.n_t), "Q")
     path = check_shape(path, (grid.n_t,), "shift path")
-    out = np.empty_like(Q)
-    for j in range(grid.n_t):
-        out[:, j] = shift_field(Q[:, j], -path[j], grid)
-    return out
+    return shift_columns(Q, -path, grid)

@@ -75,9 +75,20 @@ def y0(grid):
     return gaussian_initial_condition(grid)
 
 
+def resting_path(grid):
+    """Displacement of the target that halts at 3/4 of the horizon, the path
+    of build_target(grid, y0, single_tilt_target(0.0, grid.v))."""
+    return single_tilt_target(0.0, grid.v).displacement(grid.t, grid)
+
+
 @pytest.fixture
 def target(grid, y0):
     return build_target(grid, y0, single_tilt_target(0.0, grid.v))
+
+
+@pytest.fixture
+def target_path(grid):
+    return resting_path(grid)
 
 
 @pytest.fixture

@@ -30,11 +30,12 @@ from romctl.rom_spod import (
     certify_smallness,
     solve_spod_adjoint,
     solve_spod_state,
+    target_table,
     tracking_terms,
 )
 from romctl.transform import shift_field, transform_snapshots, uncontrolled_shift_path
 
-from conftest import QuadraticModel, inner_product, smooth_signal
+from conftest import QuadraticModel, inner_product, resting_path, smooth_signal
 
 L, V = 100.0, 0.55
 
@@ -95,7 +96,7 @@ def test_criterion_02_fom_gradient_check():
     for n_t in (n_t0, 2 * n_t0, 4 * n_t0):
         grid = SpaceTimeGrid(l=L, n=n, T=T, n_t=n_t, v=V)
         shapes, y0, target = fom_setup(grid, 1)  # m = 3
-        model = FomModel(ControlProblem(grid, shapes, y0, target, 1e-3))
+        model = FomModel(ControlProblem(grid, shapes, y0, target, resting_path(grid), 1e-3))
         u = smooth_signal(np.random.default_rng(3), shapes.m, grid.n_t, 0.1)
         _, g = model.evaluate(u)
         # the first direction fd_gradient_check draws
@@ -129,16 +130,16 @@ def test_criterion_03_spod_gradient_check():
     base_grid = SpaceTimeGrid(l=L, n=n, T=T, n_t=n_t0, v=V)
     shapes, y0, _ = fom_setup(base_grid, 1)  # m = 3
     target0 = build_target(base_grid, y0, single_tilt_target(0.0, V))
-    base = SpodModel(ControlProblem(base_grid, shapes, y0, target0, 1e-3), ModeRule.fixed(5),
-                     n_samples=800)
+    base = SpodModel(ControlProblem(base_grid, shapes, y0, target0, resting_path(base_grid), 1e-3),
+                     ModeRule.fixed(5), n_samples=800)
     base.refine_basis(smooth_signal(np.random.default_rng(1), shapes.m, n_t0, 0.02))
     agg = {}
     for n_t in (n_t0, 2 * n_t0):
         grid = SpaceTimeGrid(l=L, n=n, T=T, n_t=n_t, v=V)
         y0g = gaussian_initial_condition(grid)
         target = build_target(grid, y0g, single_tilt_target(0.0, V))
-        model = SpodModel(ControlProblem(grid, shapes, y0g, target, 1e-3), ModeRule.fixed(5),
-                          n_samples=800)
+        model = SpodModel(ControlProblem(grid, shapes, y0g, target, resting_path(grid), 1e-3),
+                          ModeRule.fixed(5), n_samples=800)
         model.basis, model.ops = base.basis, base.ops  # same reduced system, finer steps
         u = smooth_signal(np.random.default_rng(2), shapes.m, grid.n_t, 0.02)
         errs = fd_gradient_check(model, u, seed=17)
@@ -198,7 +199,7 @@ def test_criterion_05_cost_agreement():
         cfg = OptimizerConfig(mu=1e-3, beta=1e-5, omega0=1.0, n_iter=20000,
                               mode_rule=ModeRule.fixed(2 * xi + 2))
         u0 = np.zeros((shapes.m, grid.n_t))
-        problem = ControlProblem(grid, shapes, y0, target, cfg.mu)
+        problem = ControlProblem(grid, shapes, y0, target, resting_path(grid), cfg.mu)
         _, rep_f = optimize(FomModel(problem), u0, cfg)
         spod = SpodModel(problem, cfg.mode_rule, n_samples=800, eigenfunction_basis=True)
         _, rep_s = optimize(spod, u0, cfg)
@@ -298,7 +299,9 @@ def test_criterion_07_structural_invariants():
     basis = eigenfunction_stationary_basis(grid, shapes, y0)
     ops = assemble_spod_rom(basis, shapes, y0, grid, 64)
     traj = solve_spod_state(ops, u, grid)
-    adj = solve_spod_adjoint(ops, traj, u, tracking_terms(basis, target, traj.z, grid), grid)
+    tracking = tracking_terms(target_table(basis, target[:, 0], grid), resting_path(grid),
+                              traj.z, grid)
+    adj = solve_spod_adjoint(ops, traj, u, tracking, grid)
     assert np.all(adj.lambda_a[:, -1] == 0.0) and adj.z_a[-1] == 0.0
 
     # tolerance rule monotonicity

@@ -12,6 +12,9 @@ matrices), while the solve reads the same pairings from rom_spod.tracking_terms,
 summed in another order, so its multipliers and the gradient they give match
 to 1e-12 relative. The table itself is built by FFT correlation; its oracle is
 the per-sample shift loop it replaced, matched to 1e-12 relative as well.
+tracking_terms blends rows of the target table, the pairings of the modes with
+every roll of the target profile; its oracle is the column loop it replaced,
+which read each target column, matched to 1e-12 relative.
 """
 import dataclasses
 import math
@@ -28,15 +31,17 @@ from romctl.rom_spod import (
     SingularMassError,
     SpodAdjointTrajectory,
     SpodReducedTrajectory,
+    SpodTracking,
     _schur_solve,
     assemble_spod_rom,
     gradient_spod,
     lookup_B,
     solve_spod_adjoint,
     solve_spod_state,
+    target_table,
     tracking_terms,
 )
-from romctl.transform import shift_field, split_shift
+from romctl.transform import shift_columns, shift_field, split_shift
 
 from conftest import smooth_signal
 
@@ -241,6 +246,41 @@ def reference_spod_adjoint(ops, traj, u, target, basis, grid):
     return SpodAdjointTrajectory(lambda_a=lam, z_a=za)
 
 
+def reference_tracking_terms(basis, target, z, grid):
+    """The tracking terms as the column loop built them from the target
+    snapshots, one column per step."""
+    n, PhiT = grid.n, basis.modes.T
+    P = np.empty((basis.r, grid.n_t))
+    D = np.empty((basis.r, grid.n_t))
+    frac = np.empty(grid.n_t)
+    yy, w, wf = np.empty(2 * n), np.empty(n), np.empty(n)
+    for j in range(grid.n_t):
+        k, f = split_shift(z[j], grid)
+        frac[j] = f
+        yy[:n] = yy[n:] = target[:, j]
+        lo, hi = yy[k : k + n], yy[k + 1 : k + 1 + n]
+        np.multiply(lo, 1.0 - f, out=w)
+        w += np.multiply(hi, f, out=wf)
+        P[:, j] = PhiT @ w
+        if f:
+            np.subtract(hi, lo, out=w)
+        else:
+            prev = (k - 1) % n
+            np.subtract(hi, yy[prev : prev + n], out=w)
+            w *= 0.5
+        D[:, j] = PhiT @ w
+    aligned = frac == 0.0
+    return SpodTracking(
+        P=grid.dx * P,
+        D=D,
+        self_weight=(1.0 - frac) ** 2 + frac**2,
+        cross_weight=frac * (1.0 - frac),
+        self_rate=np.where(aligned, 0.0, (4.0 * frac - 2.0) / grid.dx),
+        cross_rate=np.where(aligned, 0.0, (1.0 - 2.0 * frac) / grid.dx),
+        target_sq=grid.dx * np.einsum("ij,ij->j", target, target),
+    )
+
+
 def reference_gradient_spod(ops, traj, adjoint, u, mu):
     u = np.asarray(u, dtype=float)
     g = mu * u.copy()
@@ -296,18 +336,43 @@ def rel(a, b):
     return float(np.max(np.abs(a - b)) / np.max(np.abs(b)))
 
 
+def awkward_shifts(grid, rng, shifts):
+    """The shifts with every fifth on a node, every fifth within 1e-8 cells of
+    one (snapped to it), every fifth 1e-7 cells off one (not snapped), and
+    the nodes up to twice l away on either side."""
+    out = np.array(shifts, dtype=float)
+    nodes = grid.dx * rng.integers(-2 * grid.n, 2 * grid.n, out.size)
+    out[1::5] = nodes[1::5]
+    out[2::5] = nodes[2::5] + grid.dx * rng.uniform(-5e-9, 5e-9, out[2::5].size)
+    out[3::5] = nodes[3::5] + grid.dx * 1e-7
+    return out
+
+
+def moving_profile(grid, seed):
+    """A random target profile on a random path from 0 that wraps past l in
+    both directions, and the target snapshots they make."""
+    rng = np.random.default_rng(seed + 200)
+    profile = rng.standard_normal(grid.n)
+    path = np.cumsum(rng.uniform(-1.0, 1.0, grid.n_t)) * (3.0 * grid.l / grid.n_t)
+    path[4::7] -= 2.0 * grid.l
+    path = awkward_shifts(grid, rng, path - path[0])
+    return profile, path, shift_columns(profile, path, grid)
+
+
 @pytest.mark.parametrize("v", [0.55, -0.55])
 @pytest.mark.parametrize("seed", [0, 1])
 def test_spod_solves_match_parent_loops_bitwise(v, seed):
-    grid, shapes, _, _, u, target, _ = problem(v, seed)
+    grid, shapes, _, _, u, _, _ = problem(v, seed)
     basis, ops = spod_operators(grid, shapes, seed)
     assert not ops.invariant  # the bumps hold no control shape: the Schur path runs
+    profile, path, target = moving_profile(grid, seed)
     ref = ReferenceSpodOps(ops)
     traj = solve_spod_state(ops, u, grid)
     ref_traj = reference_spod_state(ref, u, grid)
     assert np.array_equal(traj.alpha, ref_traj.alpha)
     assert np.array_equal(traj.z, ref_traj.z)
-    adj = solve_spod_adjoint(ops, traj, u, tracking_terms(basis, target, traj.z, grid), grid)
+    tracking = tracking_terms(target_table(basis, profile, grid), path, traj.z, grid)
+    adj = solve_spod_adjoint(ops, traj, u, tracking, grid)
     ref_adj = reference_spod_adjoint(ref, ref_traj, u, target, basis, grid)
     assert rel(adj.lambda_a, ref_adj.lambda_a) <= 1e-12
     assert rel(adj.z_a, ref_adj.z_a) <= 1e-12
@@ -328,9 +393,31 @@ def test_b_table_matches_shift_loop(seed, n_samples):
         assert np.max(np.abs(ops.B_table - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
+@pytest.mark.parametrize("v", [0.55, -0.55])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_tracking_terms_match_column_loop(v, seed):
+    # the terms from the target table against the column loop fed the target
+    # snapshots, on a snapshot-like and on the invariant basis, along a shift
+    # path near v t with steps on, next to and far off nodes
+    grid, shapes, _, y0, _, _, _ = problem(v, seed)
+    profile, path, target = moving_profile(grid, seed)
+    rng = np.random.default_rng(seed + 300)
+    z = awkward_shifts(grid, rng, v * grid.t + rng.uniform(-3.0, 3.0, grid.n_t))
+    bumps, _ = spod_operators(grid, shapes, seed)
+    for basis in (bumps, eigenfunction_stationary_basis(grid, shapes, y0)):
+        got = tracking_terms(target_table(basis, profile, grid), path, z, grid)
+        want = reference_tracking_terms(basis, target, z, grid)
+        for field in dataclasses.fields(SpodTracking):
+            a, b = getattr(got, field.name), getattr(want, field.name)
+            assert a.shape == b.shape
+            assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b)), field.name
+
+
 def spod_adjoint(ops, basis, u, target, grid):
+    # the target here is any array, so its terms come from the column loop
     traj = solve_spod_state(ops, u, grid)
-    return solve_spod_adjoint(ops, traj, u, tracking_terms(basis, target, traj.z, grid), grid)
+    tracking = reference_tracking_terms(basis, target, traj.z, grid)
+    return solve_spod_adjoint(ops, traj, u, tracking, grid)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf arithmetic past the bad column

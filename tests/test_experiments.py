@@ -21,6 +21,7 @@ from romctl.experiments import (
     single_tilt_target,
 )
 from romctl.fom import cost, load_snapshots_bin, solve_state
+from romctl.models import ControlProblem
 
 from conftest import coarse_grid
 
@@ -72,6 +73,25 @@ def test_double_tilt_middle_freeze_then_resume():
     q1, q3 = int(0.25 * g.n_t), int(0.75 * g.n_t)
     np.testing.assert_array_equal(Qd[:, q1 + 5], Qd[:, q1 + 1])
     assert np.max(np.abs(Qd[:, q3 + 5] - Qd[:, q3 + 1])) > 0
+
+
+def test_control_problem_holds_a_profile_on_its_path():
+    g = coarse_grid(n=101, n_t=80)
+    y0 = gaussian_initial_condition(g)
+    spec = double_tilt_target(0.5, g.v)
+    target, path = build_target(g, y0, spec), spec.displacement(g.t, g)
+    shapes = build_fourier_shapes(g, 1)
+    ControlProblem(g, shapes, y0, target, path, 1e-3)
+    with pytest.raises(ValueError, match="column 70 "):  # one column off its path
+        bad = target.copy()
+        bad[3, 70] = np.nextafter(bad[3, 70], 1.0)
+        ControlProblem(g, shapes, y0, bad, path, 1e-3)
+    with pytest.raises(ValueError, match="column 1 "):  # a target of another speed
+        ControlProblem(g, shapes, y0, target, 0.5 * path, 1e-3)
+    with pytest.raises(ValueError, match="start at 0"):
+        ControlProblem(g, shapes, y0, build_target(g, y0, spec), path + g.dx, 1e-3)
+    with pytest.raises(ValueError, match="shape"):
+        ControlProblem(g, shapes, y0, target, path[:-1], 1e-3)
 
 
 def test_parse_config_defaults(tmp_path):

@@ -90,8 +90,8 @@ def test_gradient_trivial_cases(grid, shapes, rng):
     np.testing.assert_allclose(gradient_fom(grid, shapes, lam, u, 1e-3), 1e-3 * u, atol=0)
 
 
-def test_gradient_matches_finite_differences(grid, shapes, y0, target, rng):
-    model = FomModel(ControlProblem(grid, shapes, y0, target, 1e-3))
+def test_gradient_matches_finite_differences(grid, shapes, y0, target, target_path, rng):
+    model = FomModel(ControlProblem(grid, shapes, y0, target, target_path, 1e-3))
     u = smooth_signal(rng, shapes.m, grid.n_t, 0.1)
     errs = fd_gradient_check(model, u, n_directions=5, seed=3)
     assert max(errs) < 1e-5

@@ -91,8 +91,9 @@ def test_gradient_trivial_cases(grid, shapes, y0, rng):
     np.testing.assert_allclose(gradient_pod(ops, lam, u, 1e-3), 1e-3 * u, atol=0)
 
 
-def test_reduced_gradient_matches_fd(grid, shapes, y0, target, rng):
-    model = PodModel(ControlProblem(grid, shapes, y0, target, 1e-3), ModeRule.fixed(12))
+def test_reduced_gradient_matches_fd(grid, shapes, y0, target, target_path, rng):
+    model = PodModel(ControlProblem(grid, shapes, y0, target, target_path, 1e-3),
+                     ModeRule.fixed(12))
     u = smooth_signal(rng, shapes.m, grid.n_t, 0.1)
     model.refine_basis(u)
     errs = fd_gradient_check(model, u, n_directions=5, seed=9)
@@ -113,10 +114,11 @@ def test_lift_project_identity_on_span(grid, rng):
     np.testing.assert_allclose(lift_pod(basis, project_snapshots(basis, Q, grid)), Q, atol=1e-10)
 
 
-def test_reduced_cost_matches_lifted_cost(grid, shapes, y0, target, rng):
+def test_reduced_cost_matches_lifted_cost(grid, shapes, y0, target, target_path, rng):
     # reduced misfit plus the constant out-of-span energy equals the full
     # tracking value of the lifted trajectory
-    model = PodModel(ControlProblem(grid, shapes, y0, target, 1e-3), ModeRule.fixed(10))
+    model = PodModel(ControlProblem(grid, shapes, y0, target, target_path, 1e-3),
+                     ModeRule.fixed(10))
     model.refine_basis(np.zeros((shapes.m, grid.n_t)))
     u = smooth_signal(rng, shapes.m, grid.n_t, 0.2)
     reduced = model.cost_only(u)

@@ -25,11 +25,12 @@ from romctl.rom_spod import (
     solve_spod_adjoint,
     solve_spod_state,
     SpodReducedTrajectory,
+    target_table,
     tracking_terms,
 )
-from romctl.transform import shift_field
+from romctl.transform import shift_columns, shift_field
 
-from conftest import coarse_grid, smooth_signal
+from conftest import coarse_grid, resting_path, smooth_signal
 
 
 def normalized_trig_basis(grid, cols):
@@ -45,9 +46,9 @@ def normalized_trig_basis(grid, cols):
 
 
 @pytest.fixture
-def eig_model(grid, shapes, y0, target):
-    model = SpodModel(ControlProblem(grid, shapes, y0, target, 1e-3), ModeRule.fixed(4),
-                      n_samples=400, eigenfunction_basis=True)
+def eig_model(grid, shapes, y0, target, target_path):
+    model = SpodModel(ControlProblem(grid, shapes, y0, target, target_path, 1e-3),
+                      ModeRule.fixed(4), n_samples=400, eigenfunction_basis=True)
     model.refine_basis(np.zeros((shapes.m, grid.n_t)))
     return model
 
@@ -148,10 +149,11 @@ def test_zero_control_shift_law_and_norm(eig_model, grid, shapes):
     assert np.max(np.abs(norms - norms[0])) < 1e-12
 
 
-def test_state_self_convergence_first_order(grid, shapes, y0, target, rng):
+def test_state_self_convergence_first_order(grid, shapes, y0, target, target_path, rng):
     # fixed basis, same smooth control function, halved step: trajectory
     # differences shrink by about the step ratio
-    model = SpodModel(ControlProblem(grid, shapes, y0, target, 1e-3), ModeRule.fixed(4),
+    model = SpodModel(ControlProblem(grid, shapes, y0, target, target_path, 1e-3),
+                      ModeRule.fixed(4),
                       n_samples=400, eigenfunction_basis=True)
     model.refine_basis(np.zeros((shapes.m, grid.n_t)))
     diffs = []
@@ -172,21 +174,30 @@ def test_zero_alpha0_raises(grid, shapes):
         solve_spod_state(ops, np.zeros((shapes.m, grid.n_t)), grid)
 
 
+def self_tracking(basis, traj, grid):
+    """Tracking terms of the uncontrolled trajectory's own lift as the target.
+    Without control the amplitudes stay at alpha0, so the lift is its first
+    column moved along the trajectory's path."""
+    lifted = lift_spod(basis, traj, grid)
+    assert np.array_equal(shift_columns(lifted[:, 0], traj.z, grid), lifted)
+    return tracking_terms(target_table(basis, lifted[:, 0], grid), traj.z, traj.z, grid)
+
+
 def test_adjoint_vanishes_for_self_target(eig_model, grid, shapes, rng):
     u = np.zeros((shapes.m, grid.n_t))
     traj = solve_spod_state(eig_model.ops, u, grid)
-    lifted = lift_spod(eig_model.basis, traj, grid)
-    tracking = tracking_terms(eig_model.basis, lifted, traj.z, grid)
+    tracking = self_tracking(eig_model.basis, traj, grid)
     adj = solve_spod_adjoint(eig_model.ops, traj, u, tracking, grid)
     # zero source up to the rounding of two float paths for the same pairing
     assert np.max(np.abs(adj.lambda_a)) < 1e-12
     assert np.max(np.abs(adj.z_a)) < 1e-12
 
 
-def test_adjoint_terminal_columns_zero(eig_model, grid, shapes, target, rng):
+def test_adjoint_terminal_columns_zero(eig_model, grid, shapes, target, target_path, rng):
     u = smooth_signal(rng, shapes.m, grid.n_t, 0.05)
     traj = solve_spod_state(eig_model.ops, u, grid)
-    tracking = tracking_terms(eig_model.basis, target, traj.z, grid)
+    table = target_table(eig_model.basis, target[:, 0], grid)
+    tracking = tracking_terms(table, target_path, traj.z, grid)
     adj = solve_spod_adjoint(eig_model.ops, traj, u, tracking, grid)
     assert np.all(adj.lambda_a[:, -1] == 0.0)
     assert adj.z_a[-1] == 0.0
@@ -195,9 +206,8 @@ def test_adjoint_terminal_columns_zero(eig_model, grid, shapes, target, rng):
 def test_gradient_trivial_cases(eig_model, grid, shapes, rng):
     u = rng.standard_normal((shapes.m, grid.n_t))
     traj = solve_spod_state(eig_model.ops, 0 * u, grid)
-    self_target = lift_spod(eig_model.basis, traj, grid)
     zero_adj = solve_spod_adjoint(
-        eig_model.ops, traj, 0 * u, tracking_terms(eig_model.basis, self_target, traj.z, grid), grid
+        eig_model.ops, traj, 0 * u, self_tracking(eig_model.basis, traj, grid), grid
     )
     g = gradient_spod(eig_model.ops, traj, zero_adj, u, 1e-3)
     np.testing.assert_allclose(g, 1e-3 * u, atol=0)
@@ -210,8 +220,8 @@ def test_gradient_matches_fd_and_decays(grid, shapes, y0, target):
     for mult in (1, 2):
         g = SpaceTimeGrid(l=grid.l, n=grid.n, T=grid.T, n_t=grid.n_t * mult, v=grid.v)
         tgt = build_target(g, gaussian_initial_condition(g), single_tilt_target(0.0, g.v))
-        model = SpodModel(ControlProblem(g, shapes, y0, tgt, 1e-3), ModeRule.fixed(5),
-                          n_samples=400)
+        model = SpodModel(ControlProblem(g, shapes, y0, tgt, resting_path(g), 1e-3),
+                          ModeRule.fixed(5), n_samples=400)
         u = smooth_signal(np.random.default_rng(8), shapes.m, g.n_t, 0.02)
         model.refine_basis(u)
         dir_errs = fd_gradient_check(model, u, n_directions=6, seed=21)
@@ -229,13 +239,27 @@ def test_lift_rotates_single_mode(grid):
     np.testing.assert_array_equal(lifted[:, 3], np.roll(basis.modes[:, 0], 4))
 
 
+def test_lift_matches_column_loop(grid, rng):
+    # the lift forms Phi alpha in one product and shifts its columns; the
+    # column loop it replaced shifted each Phi alpha_j with shift_field
+    basis = normalized_trig_basis(grid, [("const", 0), ("sin", 1), ("cos", 2)])
+    z = rng.uniform(-2.0 * grid.l, 2.0 * grid.l, grid.n_t)
+    z[1:4] = (3 * grid.dx, -7 * grid.dx + 1e-12, 11 * grid.dx + 2e-9)  # on or next to nodes
+    traj = SpodReducedTrajectory(alpha=rng.standard_normal((basis.r, grid.n_t)), z=z)
+    loop = np.column_stack([
+        shift_field(basis.modes @ traj.alpha[:, j], z[j], grid) for j in range(grid.n_t)
+    ])
+    lifted = lift_spod(basis, traj, grid)
+    assert np.max(np.abs(lifted - loop)) <= 1e-12 * np.max(np.abs(loop))
+
+
 def test_uncontrolled_lift_reproduces_fom_at_unit_cfl():
     g = coarse_grid(n=201, n_t=150, cfl=1.0)
     sh = build_fourier_shapes(g, 1)
     y0 = gaussian_initial_condition(g)
     target = build_target(g, y0, single_tilt_target(0.0, g.v))
-    model = SpodModel(ControlProblem(g, sh, y0, target, 1e-3), ModeRule.fixed(4),
-                      n_samples=400, eigenfunction_basis=True)
+    model = SpodModel(ControlProblem(g, sh, y0, target, resting_path(g), 1e-3),
+                      ModeRule.fixed(4), n_samples=400, eigenfunction_basis=True)
     model.refine_basis(np.zeros((sh.m, g.n_t)))
     u = np.zeros((sh.m, g.n_t))
     lifted = model.lift(u)

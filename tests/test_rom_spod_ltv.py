@@ -49,11 +49,12 @@ SETTINGS = {
 
 def invariant_model(grid, xi, y0=None):
     shapes = build_fourier_shapes(grid, xi)
-    target = build_target(grid, gaussian_initial_condition(grid), single_tilt_target(0.0, V))
+    spec = single_tilt_target(0.0, V)
+    target = build_target(grid, gaussian_initial_condition(grid), spec)
     if y0 is None:
         y0 = gaussian_initial_condition(grid)
-    model = SpodModel(ControlProblem(grid, shapes, y0, target, 1e-3), ModeRule.fixed(1),
-                      n_samples=800, eigenfunction_basis=True)
+    problem = ControlProblem(grid, shapes, y0, target, spec.displacement(grid.t, grid), 1e-3)
+    model = SpodModel(problem, ModeRule.fixed(1), n_samples=800, eigenfunction_basis=True)
     model.refine_basis(np.zeros((shapes.m, grid.n_t)))
     return model
 
@@ -121,9 +122,10 @@ def test_snapshot_basis_cost_matches_lifted_cost():
     grid = unit_cfl_grid(201, 150)
     shapes = build_fourier_shapes(grid, 2)
     y0 = gaussian_initial_condition(grid)
-    target = build_target(grid, y0, single_tilt_target(0.5, V))
-    model = SpodModel(ControlProblem(grid, shapes, y0, target, 1e-3), ModeRule.fixed(5),
-                      n_samples=400)
+    spec = single_tilt_target(0.5, V)
+    target = build_target(grid, y0, spec)
+    problem = ControlProblem(grid, shapes, y0, target, spec.displacement(grid.t, grid), 1e-3)
+    model = SpodModel(problem, ModeRule.fixed(5), n_samples=400)
     rng = np.random.default_rng(6)
     model.refine_basis(smooth_signal(rng, shapes.m, grid.n_t, 0.05))
     assert model.basis.r == 5 and not model.ops.invariant

@@ -9,7 +9,9 @@ from romctl.discretization import central_derivative
 from romctl.experiments import gaussian_initial_condition
 from romctl.fom import solve_state
 from romctl.transform import (
+    shift_columns,
     shift_field,
+    split_shift,
     transform_snapshots,
     uncontrolled_shift_path,
 )
@@ -85,6 +87,43 @@ def test_shift_derivative_matches_fd_in_z():
     fd = (shift_field(smooth, z + h, g) - shift_field(smooth, z - h, g)) / (2 * h)
     got = shift_derivative_field(smooth, z, g)
     assert np.max(np.abs(got - fd)) < 5e-3  # O(h^2) + O(dx^2) on a resolved profile
+
+
+def awkward_path(grid, rng):
+    """Random shifts up to twice l either way, with every third on a node,
+    next to one (within the 1e-8-cell snap) or 1e-7 cells off one."""
+    z = rng.uniform(-2.0 * grid.l, 2.0 * grid.l, grid.n_t)
+    nodes = grid.dx * rng.integers(-2 * grid.n, 2 * grid.n, grid.n_t)
+    z[0::6], z[1::6] = nodes[0::6], nodes[1::6] + 3e-9 * grid.dx
+    z[2::6], z[3::6] = nodes[2::6] - 3e-9 * grid.dx, nodes[3::6] + 1e-7 * grid.dx
+    z[4] = -1e-300  # (z mod l) rounds to l
+    return z
+
+
+def test_split_shift_of_an_array_matches_scalar_calls(grid, rng):
+    z = awkward_path(grid, rng)
+    k, frac = split_shift(z, grid)
+    assert k.dtype.kind == "i" and frac.dtype == np.float64
+    for j, zj in enumerate(z):
+        kj, fj = split_shift(float(zj), grid)
+        assert type(kj) is int and type(fj) is float
+        assert (int(k[j]), float(frac[j])) == (kj, fj)
+    assert np.sum(frac == 0.0) >= grid.n_t // 2  # the node cases all snap
+    with pytest.raises(ValueError):
+        split_shift(np.array([0.0, np.nan]), grid)
+
+
+def test_shift_columns_matches_shift_field_loop(grid, rng):
+    # bitwise, for a stack of columns and for one field on every column;
+    # transform_snapshots is the stack case along the negated path
+    z = awkward_path(grid, rng)
+    Q = rng.standard_normal((grid.n, grid.n_t))
+    loop = np.column_stack([shift_field(Q[:, j], z[j], grid) for j in range(grid.n_t)])
+    assert np.array_equal(shift_columns(Q, z, grid), loop)
+    back = np.column_stack([shift_field(Q[:, j], -z[j], grid) for j in range(grid.n_t)])
+    assert np.array_equal(transform_snapshots(Q, z, grid), back)
+    one = np.column_stack([shift_field(Q[:, 0], zj, grid) for zj in z])
+    assert np.array_equal(shift_columns(Q[:, 0], z, grid), one)
 
 
 def test_uncontrolled_shift_path(grid):
