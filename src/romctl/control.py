@@ -17,7 +17,6 @@ class ControlShapes:
     """Spatial shape functions; column k of `shapes` samples b_k on the grid."""
 
     shapes: np.ndarray  # (n, m)
-    xi: int | None = None  # harmonic count when built from Fourier harmonics
 
     @property
     def m(self) -> int:
@@ -34,7 +33,7 @@ def build_fourier_shapes(grid: SpaceTimeGrid, xi: int) -> ControlShapes:
     for k in range(1, xi + 1):
         cols.append(np.sin(2.0 * np.pi * k * x / grid.l))
         cols.append(-np.cos(2.0 * np.pi * k * x / grid.l))
-    return ControlShapes(shapes=np.column_stack(cols), xi=xi)
+    return ControlShapes(shapes=np.column_stack(cols))
 
 
 def apply_control(shapes: ControlShapes, u: np.ndarray) -> np.ndarray:

@@ -144,12 +144,3 @@ def save_snapshots_bin(path: str | Path, Q: np.ndarray) -> None:
     with open(path, "wb") as fh:
         fh.write(struct.pack("<QQ", Q.shape[0], Q.shape[1]))
         fh.write(Q.tobytes(order="C"))
-
-
-def load_snapshots_bin(path: str | Path) -> np.ndarray:
-    with open(path, "rb") as fh:
-        n, n_t = struct.unpack("<QQ", fh.read(16))
-        data = np.frombuffer(fh.read(), dtype="<f8")
-    if data.size != n * n_t:
-        raise ValueError(f"binary payload has {data.size} values, header says {n}x{n_t}")
-    return data.reshape(n, n_t).astype(float)

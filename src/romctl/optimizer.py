@@ -153,9 +153,6 @@ class OptimizerReport:
     def final_cost(self) -> float:
         return self.records[-1].total if self.records else math.nan
 
-    def cost_history(self) -> np.ndarray:
-        return np.asarray([r.total for r in self.records])
-
 
 STREAM_COLUMNS = (
     "iteration", "J", "tracking", "regularization", "grad_norm",

@@ -68,20 +68,27 @@ class SpodRomOperators:
     def m(self) -> int:
         return self.B_table.shape[2]
 
-    def pairings(self, z: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The three (r, m) control pairings B1, B2 = dB1/dz, B3 = dB2/dz at shift z."""
-        B = lookup_B(self.B_table, self.sample_shifts, self.l, z)
-        r = self.r
-        return B[:r], B[r : 2 * r], B[2 * r :]
+    def at(self, rows: slice, z: float) -> np.ndarray:
+        """The `rows` of the stacked pairings [B1; B2; B3] at one shift z: the
+        periodic linear interpolation of the two samples around z, the sample
+        itself when z lies on it. B2 = dB1/dz and B3 = dB2/dz."""
+        n_samples = len(self.sample_shifts)
+        s = (float(z) % self.l) / (self.l / n_samples)
+        lo = math.floor(s)
+        frac = s - lo
+        k, B = lo % n_samples, self.B_table
+        if frac == 0.0:
+            return B[k, rows]
+        return (1.0 - frac) * B[k, rows] + frac * B[(k + 1) % n_samples, rows]
 
     def along(
         self, rows: slice, z: np.ndarray, w: np.ndarray, transpose: bool = False
     ) -> np.ndarray:
         """Columns B(z_j) w_j (B(z_j)^T w_j when `transpose`) along a path z, B
-        the `rows` of the stacked pairings [B1; B2; B3] interpolated as
-        `pairings` interpolates them. The two table rows of each z_j multiply
-        the weighted w_j, so no blended stack is formed, and the rows are
-        gathered for a block of steps at a time."""
+        the `rows` of the stacked pairings [B1; B2; B3] interpolated as `at`
+        interpolates them. The two table rows of each z_j multiply the
+        weighted w_j, so no blended stack is formed, and the rows are gathered
+        for a block of steps at a time."""
         n_samples = len(self.sample_shifts)
         s = (np.asarray(z, dtype=float) % self.l) / (self.l / n_samples)
         lo = np.floor(s)
@@ -214,13 +221,14 @@ def shift_pairing_table(
     grid: SpaceTimeGrid,
     sample_shifts: np.ndarray,
 ) -> np.ndarray:
-    """(n_samples, k, m) table of dx * shift_field(fields, z).T @ shapes at each
-    sample shift z.
+    """(n_samples, k, m) table of the pairings dx (S(z) f)^T b of each of the
+    (n, k) fields f, shifted by each sample shift z as shift_columns shifts a
+    column, with each shape b.
 
     A linear-interpolation shift blends two whole-cell rolls, and the pairings
-    of every roll of the (n, k) fields with one shape are one circular
-    correlation, so each shape costs one rfft/irfft pair and memory stays at
-    (n, k). Each sample then blends two rows, snapped as shift_field snaps.
+    of every roll of the fields with one shape are one circular correlation,
+    so each shape costs one rfft/irfft pair and memory stays at (n, k). Each
+    sample then blends two rows, snapped as split_shift snaps.
     """
     n = grid.n
     k, frac = split_shift(sample_shifts, grid)
@@ -254,20 +262,6 @@ def target_table(basis: ModeBasis, profile: np.ndarray, grid: SpaceTimeGrid) -> 
     )
 
 
-def lookup_B(table: np.ndarray, sample_shifts: np.ndarray, l: float, z: float) -> np.ndarray:
-    """Periodic linear interpolation of a shift-sampled table."""
-    n_samples = table.shape[0]
-    if n_samples == 0:
-        raise ValueError("empty shift table")
-    step = l / n_samples
-    s = (float(z) % l) / step
-    k = int(np.floor(s)) % n_samples
-    frac = s - np.floor(s)
-    if frac == 0.0:
-        return table[k]
-    return (1.0 - frac) * table[k] + frac * table[(k + 1) % n_samples]
-
-
 def _regular_mass(s, c, bb):
     """Whether the mass matrix counts as regular at a step whose Schur
     complement is s = c - |b|^2: s finite and above 1e-12 max(1, c, |b|^2).
@@ -280,17 +274,14 @@ def _singular(step: int, c: float, bb: float) -> SingularMassError:
 
 
 def _schur_solve(
-    N: np.ndarray,
-    M2: np.ndarray,
-    alpha: np.ndarray,
+    b: np.ndarray,
+    c: float,
     rhs_a: np.ndarray,
     rhs_z: float,
     step: int,
 ) -> tuple[np.ndarray, float]:
-    """Solve [[I, b], [b^T, c]] (x, w) = (rhs_a, rhs_z) with b = N alpha and
-    c = alpha^T M2 alpha via the scalar Schur complement."""
-    b = N @ alpha
-    c = float(alpha @ (M2 @ alpha))
+    """Solve [[I, b], [b^T, c]] (x, w) = (rhs_a, rhs_z), b = N alpha and
+    c = alpha^T M2 alpha, via the scalar Schur complement."""
     bb = float(b @ b)
     s = c - bb
     if not _regular_mass(s, c, bb):
@@ -298,6 +289,22 @@ def _schur_solve(
     w = (rhs_z - float(b @ rhs_a)) / s
     x = rhs_a - b * w
     return x, w
+
+
+def _mass_terms(ops: SpodRomOperators, alpha: np.ndarray, steps: np.ndarray):
+    """b_j = N alpha_j, M2 alpha_j and the Schur complement
+    s_j = alpha_j^T M2 alpha_j - |b_j|^2 at every column of alpha. A sweep
+    solves at `steps`, in its order; the first of them whose mass matrix is not
+    regular raises SingularMassError, as it would in the sweep."""
+    b, M2a = ops.N @ alpha, ops.M2 @ alpha
+    c = np.einsum("rj,rj->j", alpha, M2a)
+    bb = np.einsum("rj,rj->j", b, b)
+    s = c - bb
+    bad = steps[~_regular_mass(s[steps], c[steps], bb[steps])]
+    if bad.size:
+        j = int(bad[0])
+        raise _singular(j, float(c[j]), float(bb[j]))
+    return b, M2a, s
 
 
 def solve_spod_state(
@@ -314,15 +321,18 @@ def solve_spod_state(
     if ops.invariant:
         return _invariant_state(ops, u, grid)
     dt, v, r = grid.dt, grid.v, ops.r
+    rows = slice(0, 2 * r)  # B1 and B2
 
     def step(x: np.ndarray, j: int) -> np.ndarray:
         a, z = x[:r], float(x[r])
-        if not math.isfinite(z):  # the table lookup needs a finite shift
+        if not math.isfinite(z):  # the table read needs a finite shift
             raise SingularMassError(j, "non-finite shift")
-        B1, B2, _ = ops.pairings(z)
-        rhs_a = v * (ops.N @ a) + B1 @ u[:, j]
-        rhs_z = v * float(a @ (ops.M2 @ a)) + float(a @ (B2 @ u[:, j]))
-        da, dz = _schur_solve(ops.N, ops.M2, a, rhs_a, rhs_z, j)
+        B = ops.at(rows, z)
+        b = ops.N @ a
+        c = float(a @ (ops.M2 @ a))
+        rhs_a = v * b + B[:r] @ u[:, j]
+        rhs_z = v * c + float(a @ (B[r:] @ u[:, j]))
+        da, dz = _schur_solve(b, c, rhs_a, rhs_z, j)
         return np.append(a + dt * da, z + dt * dz)
 
     x = euler_sweep(step, np.append(ops.alpha0, 0.0), grid.n_t, False, "spod state")
@@ -343,15 +353,18 @@ def solve_spod_adjoint(
 
     `tracking` holds the terms along the trajectory's path. The sources are
     the exact (a, z)-derivatives of the lifted cost, t_a = P_j - G_j a_j and
-    t_z = a_j . D_j - 1/2 a_j^T G_j' a_j, computed before the sweep.
+    t_z = a_j . D_j - 1/2 a_j^T G_j' a_j.
 
     On an invariant basis the adjoint is the closed form
     lambda_j = sum_{k>j} dt (G_k alpha_k - P_k) with z_a = 0, the exact
-    gradient of the discrete reduced cost. Otherwise the amplitude/shift rates
-    entering the coefficients are forward differences of the stored trajectory.
+    gradient of the discrete reduced cost. Otherwise it is a linear recursion
+    whose coefficients depend only on the forward trajectory, so all of them
+    are formed before the sweep; the amplitude/shift rates among them are
+    forward differences of the stored trajectory, the last one repeated at the
+    final node.
     """
-    u = np.asarray(u, dtype=float)
     n_t, dt, v = grid.n_t, grid.dt, grid.v
+    u = check_shape(u, (ops.m, n_t), "control")
     if ops.invariant:
         Ga = _gram_apply(ops, tracking.self_weight, tracking.cross_weight, traj.alpha)
         source = dt * (Ga - tracking.P)
@@ -364,37 +377,31 @@ def solve_spod_adjoint(
     r = ops.r
 
     alpha, zpath = traj.alpha, traj.z
-    adot = np.diff(alpha, axis=1) / dt        # rate used at node j for j < n_t-1
-    zdot = np.diff(zpath) / dt
+    # the sweep solves at steps n_t-1 .. 1
+    b, M2a, s = _mass_terms(ops, alpha, np.arange(n_t - 1, 0, -1))
+    adot = np.diff(alpha, axis=1) / dt
+    adot = np.append(adot, adot[:, -1:], axis=1)
+    zrel = np.diff(zpath) / dt - v  # shift rate relative to the transport speed
+    zrel = np.append(zrel, zrel[-1])
+    B2u = ops.along(slice(r, 2 * r), zpath, u)
+    aB3u = np.einsum("rj,rj->j", alpha, ops.along(slice(2 * r, 3 * r), zpath, u))
+    # coefficients of the scalar adjoint in the amplitude and the shift rows:
+    # the skew pairing contributes -2 N alpha_dot (operator adjoint plus
+    # mass-matrix rate; they add, not cancel, because N is skew)
+    e12 = -2.0 * (ops.N @ adot) + 2.0 * zrel * M2a - B2u
+    e22 = -2.0 * np.einsum("rj,rj->j", alpha, ops.M2 @ adot) - aB3u
     t_alpha = tracking.P - _gram_apply(ops, tracking.self_weight, tracking.cross_weight, alpha)
     rate_a = _gram_apply(ops, tracking.self_rate, tracking.cross_rate, alpha)
     t_z = np.einsum("rj,rj->j", alpha, tracking.D - 0.5 * rate_a)
+    NT = ops.N.T
 
     def step(x: np.ndarray, j: int) -> np.ndarray:
-        cur_l, cur_z = x[:r], float(x[r])
-        a = alpha[:, j]
-        jd = min(j, n_t - 2)
-        ad_j = adot[:, jd]
-        zd_j = zdot[jd]
-        uj = u[:, j]
-        _, B2z, B3z = ops.pairings(zpath[j])
-        B2u = B2z @ uj
-        B3u = B3z @ uj
-
-        NTl = ops.N.T @ cur_l
-        # coefficient of the scalar adjoint: the skew pairing contributes
-        # -2 N alpha_dot (operator adjoint plus mass-matrix rate; they add,
-        # not cancel, because N is skew)
-        e12 = -2.0 * (ops.N @ ad_j) + 2.0 * (zd_j - v) * (ops.M2 @ a) - B2u
-        rhs_a = (zd_j - v) * NTl + e12 * cur_z + t_alpha[:, j]
-        rhs_z = (
-            -float(ad_j @ NTl)
-            - float(uj @ (B2z.T @ cur_l))
-            + (-2.0 * float(a @ (ops.M2 @ ad_j)) - float(B3u @ a)) * cur_z
-            + t_z[j]
-        )
-        dl, dz = _schur_solve(ops.N, ops.M2, a, rhs_a, rhs_z, j)
-        return np.append(cur_l - dt * dl, cur_z - dt * dz)
+        lam, za = x[:r], x[r]
+        NTl = NT @ lam
+        rhs_a = zrel[j] * NTl + e12[:, j] * za + t_alpha[:, j]
+        rhs_z = -(adot[:, j] @ NTl) - B2u[:, j] @ lam + e22[j] * za + t_z[j]
+        w = (rhs_z - b[:, j] @ rhs_a) / s[j]
+        return np.append(lam - dt * (rhs_a - b[:, j] * w), za - dt * w)
 
     x = euler_sweep(step, np.zeros(r + 1), n_t, True, "spod adjoint")
     return SpodAdjointTrajectory(lambda_a=np.ascontiguousarray(x[:r]), z_a=x[r].copy())
@@ -493,15 +500,7 @@ def _invariant_state(ops: SpodRomOperators, u: np.ndarray, grid: SpaceTimeGrid) 
     alpha[:, 0] = ops.alpha0
     np.cumsum(grid.dt * ops.along(slice(0, r), z[:-1], u[:, :-1]), axis=1, out=alpha[:, 1:])
     alpha[:, 1:] += ops.alpha0[:, None]
-    # the Schur sweep solves at columns 0 .. n_t-2
-    a = alpha[:, :-1]
-    b = ops.N @ a
-    c = np.einsum("rj,rj->j", a, ops.M2 @ a)
-    bb = np.einsum("rj,rj->j", b, b)
-    bad = np.flatnonzero(~_regular_mass(c - bb, c, bb))
-    if bad.size:
-        j = int(bad[0])
-        raise _singular(j, float(c[j]), float(bb[j]))
+    _mass_terms(ops, alpha[:, :-1], np.arange(n_t - 1))  # the Schur sweep solves at 0 .. n_t-2
     if not np.all(np.isfinite(alpha[:, -1])):
         raise DivergenceError(n_t - 1, "spod state")
     return SpodReducedTrajectory(alpha=alpha, z=z)

@@ -27,24 +27,11 @@ def split_shift(z: float | np.ndarray, grid: SpaceTimeGrid):
     return k, frac
 
 
-def shift_field(field: np.ndarray, z: float, grid: SpaceTimeGrid) -> np.ndarray:
-    """Translate a field by z with periodic wrap and linear interpolation.
-
-    Accepts a single field or an (n, k) stack. The value at x_i is the field
-    evaluated at (x_i - z) mod l.
-    """
-    field = check_field(field, grid)
-    k, frac = split_shift(z, grid)
-    if frac == 0.0:
-        return np.roll(field, k, axis=0)
-    lo = np.roll(field, k, axis=0)
-    hi = np.roll(field, (k + 1) % grid.n, axis=0)
-    return (1.0 - frac) * lo + frac * hi
-
-
 def shift_columns(fields: np.ndarray, path: np.ndarray, grid: SpaceTimeGrid) -> np.ndarray:
-    """Column j shifted by path[j], bitwise as shift_field shifts it; `fields`
-    is an (n, len(path)) stack, or one field that every column shifts.
+    """Column j translated by path[j] with periodic wrap and linear
+    interpolation: its value at x_i is the field at (x_i - path[j]) mod l, and
+    a shift that split_shift snaps to whole cells is an exact rotation.
+    `fields` is an (n, len(path)) stack, or one field that every column shifts.
 
     A roll by k is the window [n - k, 2n - k) of the doubled column, so no
     column is rolled; a fractional shift blends two neighbouring windows."""

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from romctl.experiments import (
 )
 from romctl.fom import CostBreakdown
 from romctl.optimizer import ControlledModel
+from romctl.transform import split_shift
 
 
 def coarse_grid(n=101, n_t=60, cfl=0.9, l=100.0, v=0.55):
@@ -25,6 +28,32 @@ def inner_product(a, b, grid):
     a = check_field(a, grid, "a")
     b = check_field(b, grid, "b")
     return grid.dx * float(np.dot(a, b))
+
+
+def shift_field(field, z, grid):
+    """Translate a field by z with periodic wrap and linear interpolation: the
+    definition of the shift S(z) that the package's shifts are tested against.
+
+    Accepts a single field or an (n, k) stack. The value at x_i is the field
+    evaluated at (x_i - z) mod l.
+    """
+    field = check_field(field, grid)
+    k, frac = split_shift(z, grid)
+    if frac == 0.0:
+        return np.roll(field, k, axis=0)
+    lo = np.roll(field, k, axis=0)
+    hi = np.roll(field, (k + 1) % grid.n, axis=0)
+    return (1.0 - frac) * lo + frac * hi
+
+
+def load_snapshots_bin(path):
+    """Read a snapshot file written by fom.save_snapshots_bin."""
+    with open(path, "rb") as fh:
+        n, n_t = struct.unpack("<QQ", fh.read(16))
+        data = np.frombuffer(fh.read(), dtype="<f8")
+    if data.size != n * n_t:
+        raise ValueError(f"binary payload has {data.size} values, header says {n}x{n_t}")
+    return data.reshape(n, n_t).astype(float)
 
 
 def field_norm(a, grid):

@@ -33,9 +33,9 @@ from romctl.rom_spod import (
     target_table,
     tracking_terms,
 )
-from romctl.transform import shift_field, transform_snapshots, uncontrolled_shift_path
+from romctl.transform import transform_snapshots, uncontrolled_shift_path
 
-from conftest import QuadraticModel, inner_product, resting_path, smooth_signal
+from conftest import QuadraticModel, inner_product, resting_path, shift_field, smooth_signal
 
 L, V = 100.0, 0.55
 

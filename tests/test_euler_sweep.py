@@ -35,15 +35,14 @@ from romctl.rom_spod import (
     _schur_solve,
     assemble_spod_rom,
     gradient_spod,
-    lookup_B,
     solve_spod_adjoint,
     solve_spod_state,
     target_table,
     tracking_terms,
 )
-from romctl.transform import shift_columns, shift_field, split_shift
+from romctl.transform import shift_columns, split_shift
 
-from conftest import smooth_signal
+from conftest import shift_field, smooth_signal
 
 
 def reference_state(grid, shapes, u, y0):
@@ -132,14 +131,28 @@ class ReferenceSpodOps:
     def __getattr__(self, name):
         return getattr(self._ops, name)
 
+    @staticmethod
+    def lookup_B(table: np.ndarray, sample_shifts: np.ndarray, l: float, z: float) -> np.ndarray:
+        """Periodic linear interpolation of a shift-sampled table."""
+        n_samples = table.shape[0]
+        if n_samples == 0:
+            raise ValueError("empty shift table")
+        step = l / n_samples
+        s = (float(z) % l) / step
+        k = int(np.floor(s)) % n_samples
+        frac = s - np.floor(s)
+        if frac == 0.0:
+            return table[k]
+        return (1.0 - frac) * table[k] + frac * table[(k + 1) % n_samples]
+
     def B1(self, z: float) -> np.ndarray:
-        return lookup_B(self.B1_table, self.sample_shifts, self.l, z)
+        return self.lookup_B(self.B1_table, self.sample_shifts, self.l, z)
 
     def B2(self, z: float) -> np.ndarray:
-        return lookup_B(self.B2_table, self.sample_shifts, self.l, z)
+        return self.lookup_B(self.B2_table, self.sample_shifts, self.l, z)
 
     def B3(self, z: float) -> np.ndarray:
-        return lookup_B(self.B3_table, self.sample_shifts, self.l, z)
+        return self.lookup_B(self.B3_table, self.sample_shifts, self.l, z)
 
     def lift_gram(self, frac: float) -> np.ndarray:
         return ((1.0 - frac) ** 2 + frac**2) * np.eye(self.r) + (
@@ -169,7 +182,7 @@ def reference_spod_state(ops, u, grid):
     for j in range(grid.n_t - 1):
         rhs_a = v * (ops.N @ a) + ops.B1(z) @ u[:, j]
         rhs_z = v * float(a @ (ops.M2 @ a)) + float(a @ (ops.B2(z) @ u[:, j]))
-        da, dz = _schur_solve(ops.N, ops.M2, a, rhs_a, rhs_z, j)
+        da, dz = _schur_solve(ops.N @ a, float(a @ (ops.M2 @ a)), rhs_a, rhs_z, j)
         a = a + dt * da
         z = z + dt * dz
         if not (np.all(np.isfinite(a)) and math.isfinite(z)):
@@ -236,7 +249,7 @@ def reference_spod_adjoint(ops, traj, u, target, basis, grid):
             + (-2.0 * float(a @ (ops.M2 @ ad_j)) - float(B3u @ a)) * cur_z
             + t_z
         )
-        dl, dz = _schur_solve(ops.N, ops.M2, a, rhs_a, rhs_z, j)
+        dl, dz = _schur_solve(ops.N @ a, float(a @ (ops.M2 @ a)), rhs_a, rhs_z, j)
         cur_l = cur_l - dt * dl
         cur_z = cur_z - dt * dz
         if not (np.all(np.isfinite(cur_l)) and math.isfinite(cur_z)):
@@ -430,8 +443,8 @@ def test_divergence_names_first_bad_column(what):
     # a forward solve first reads control column k for step k+1; a backward
     # solve first reads target column k for step k-1. An sPOD-G sweep may stop
     # there with its own DivergenceError, SingularMassError; a non-finite shift
-    # must never reach the table lookup (which would raise ValueError). On the
-    # invariant basis the closed-form solves raise at the same steps.
+    # must never reach the table read (which would raise). On the invariant
+    # basis the closed-form solves raise at the same steps.
     label, _, invariant = what.partition(", ")
     backward = label.endswith("adjoint")
     for k in (7, 81):  # column 81 makes the state's last column the bad one
@@ -479,3 +492,38 @@ def test_singular_mass_matrix_step_matches_schur_sweep(first_singular):
         with pytest.raises(SingularMassError) as err:
             solve_spod_state(dataclasses.replace(singular, invariant=flag), u, grid)
         assert err.value.step == first_singular
+
+
+@pytest.mark.parametrize("singular_step", [None, 40, 82])
+def test_singular_mass_matrix_adjoint_step_matches_schur_sweep(singular_step):
+    # M2 = N^T N + w w^T with w orthogonal to alpha_k makes step k the only
+    # singular one, and w = 0 every step. The adjoint checks the margins of
+    # the forward trajectory in one batch before its sweep and must stop where
+    # the per-step sweep stops: the last singular step, as it runs backward.
+    # Column n_t - 1 = 82 is one the state never solves at.
+    grid, shapes, _, _, u, _, _ = problem(0.55, 0)
+    basis, ops = spod_operators(grid, shapes, 0)
+    profile, path, target = moving_profile(grid, 0)
+    traj = solve_spod_state(ops, u, grid)
+    w = np.zeros(ops.r)
+    if singular_step is not None:
+        a = traj.alpha[:, singular_step]
+        w = np.ones(ops.r) - (np.sum(a) / (a @ a)) * a
+    singular = dataclasses.replace(ops, M2=ops.N.T @ ops.N + np.outer(w, w))
+    tracking = tracking_terms(target_table(basis, profile, grid), path, traj.z, grid)
+    with pytest.raises(SingularMassError) as err:
+        solve_spod_adjoint(singular, traj, u, tracking, grid)
+    with pytest.raises(SingularMassError) as ref_err:
+        reference_spod_adjoint(ReferenceSpodOps(singular), traj, u, target, basis, grid)
+    assert err.value.step == ref_err.value.step == (singular_step or grid.n_t - 1)
+
+
+def test_spod_adjoint_rejects_control_of_wrong_shape():
+    # a (m, 1) control would broadcast against the path in the batched reads
+    grid, shapes, _, _, u, _, _ = problem(0.55, 0)
+    basis, ops = spod_operators(grid, shapes, 0)
+    profile, path, _ = moving_profile(grid, 0)
+    traj = solve_spod_state(ops, u, grid)
+    tracking = tracking_terms(target_table(basis, profile, grid), path, traj.z, grid)
+    with pytest.raises(ValueError, match="control"):
+        solve_spod_adjoint(ops, traj, u[:, :1], tracking, grid)

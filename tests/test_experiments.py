@@ -20,10 +20,10 @@ from romctl.experiments import (
     run_scenario,
     single_tilt_target,
 )
-from romctl.fom import cost, load_snapshots_bin, solve_state
+from romctl.fom import cost, solve_state
 from romctl.models import ControlProblem
 
-from conftest import coarse_grid
+from conftest import coarse_grid, load_snapshots_bin
 
 
 def tiny_config_text(**extra):

@@ -8,14 +8,13 @@ from romctl.fom import (
     DivergenceError,
     cost,
     gradient_fom,
-    load_snapshots_bin,
     save_snapshots_bin,
     solve_adjoint,
     solve_state,
 )
 from romctl.models import ControlProblem, FomModel
 
-from conftest import coarse_grid, smooth_signal
+from conftest import coarse_grid, load_snapshots_bin, smooth_signal
 
 
 def unit_cfl_grid(n=321, n_t=240, l=100.0, v=0.55):

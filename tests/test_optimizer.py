@@ -124,7 +124,7 @@ def test_cost_monotone_under_pure_backtracking():
     h = np.linspace(1.0, 60.0, 40).reshape(4, 10)
     model = QuadraticModel(np.ones((4, 10)), h)
     _, rep = optimize(model, np.zeros((4, 10)), quad_cfg(bb_switch_threshold=0.0))
-    costs = rep.cost_history()
+    costs = [r.total for r in rep.records]
     assert np.all(np.diff(costs) < 0)
 
 
@@ -134,7 +134,7 @@ def test_determinism():
     model_b = QuadraticModel(np.ones((2, 10)), h)
     _, ra = optimize(model_a, np.zeros((2, 10)), quad_cfg())
     _, rb = optimize(model_b, np.zeros((2, 10)), quad_cfg())
-    assert list(ra.cost_history()) == list(rb.cost_history())
+    assert [r.total for r in ra.records] == [r.total for r in rb.records]
 
 
 class _SleepyModel(ControlledModel):

@@ -21,16 +21,15 @@ from romctl.rom_spod import (
     certify_smallness,
     gradient_spod,
     lift_spod,
-    lookup_B,
     solve_spod_adjoint,
     solve_spod_state,
     SpodReducedTrajectory,
     target_table,
     tracking_terms,
 )
-from romctl.transform import shift_columns, shift_field
+from romctl.transform import shift_columns
 
-from conftest import coarse_grid, resting_path, smooth_signal
+from conftest import coarse_grid, resting_path, shift_field, smooth_signal
 
 
 def normalized_trig_basis(grid, cols):
@@ -100,7 +99,7 @@ def test_b1_at_zero_shift_matches_direct_pairing(grid, shapes, y0):
     basis = normalized_trig_basis(grid, [("const", 0), ("sin", 1)])
     ops = assemble_spod_rom(basis, shapes, y0, grid, 10)
     direct = grid.dx * (basis.modes.T @ shapes.shapes)
-    np.testing.assert_allclose(ops.pairings(0.0)[0], direct, atol=1e-12)
+    np.testing.assert_allclose(ops.at(slice(0, ops.r), 0.0), direct, atol=1e-12)
 
 
 def test_lookup_interpolation(grid, shapes, y0):
@@ -108,8 +107,8 @@ def test_lookup_interpolation(grid, shapes, y0):
     ops = assemble_spod_rom(basis, shapes, y0, grid, 10)
     step = grid.l / 10
     B1_table = ops.B_table[:, : ops.r]
-    np.testing.assert_array_equal(ops.pairings(3 * step)[0], B1_table[3])
-    mid = lookup_B(B1_table, ops.sample_shifts, grid.l, 3.5 * step)
+    np.testing.assert_array_equal(ops.at(slice(0, ops.r), 3 * step), B1_table[3])
+    mid = ops.at(slice(0, ops.r), 3.5 * step)
     np.testing.assert_allclose(mid, 0.5 * (B1_table[3] + B1_table[4]), atol=1e-14)
 
 
@@ -122,7 +121,7 @@ def test_lookup_error_shrinks_with_sample_count(grid, shapes, y0, rng):
         worst = 0.0
         for z in zs:
             direct = grid.dx * (shift_field(basis.modes, z, grid).T @ shapes.shapes)
-            worst = max(worst, np.max(np.abs(ops.pairings(z)[0] - direct)))
+            worst = max(worst, np.max(np.abs(ops.at(slice(0, ops.r), z) - direct)))
         errs.append(worst)
     assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.5)
 
@@ -136,10 +135,11 @@ def test_b_table_slope_consistency():
     basis = normalized_trig_basis(g, [("sin", 1), ("cos", 1)])
     ops = assemble_spod_rom(basis, sh, y0, g, 1600)
     z, h = 13.7, 1e-4
-    (B1p, B2p, _), (B1m, B2m, _) = ops.pairings(z + h), ops.pairings(z - h)
-    _, B2, B3 = ops.pairings(z)
-    np.testing.assert_allclose((B1p - B1m) / (2 * h), B2, atol=2e-3)
-    np.testing.assert_allclose((B2p - B2m) / (2 * h), B3, atol=2e-3)
+    r = ops.r
+    B1, B2, B3 = slice(0, r), slice(r, 2 * r), slice(2 * r, 3 * r)
+    slope = lambda rows: (ops.at(rows, z + h) - ops.at(rows, z - h)) / (2 * h)
+    np.testing.assert_allclose(slope(B1), ops.at(B2, z), atol=2e-3)
+    np.testing.assert_allclose(slope(B2), ops.at(B3, z), atol=2e-3)
 
 
 def test_zero_control_shift_law_and_norm(eig_model, grid, shapes):

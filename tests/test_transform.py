@@ -10,13 +10,12 @@ from romctl.experiments import gaussian_initial_condition
 from romctl.fom import solve_state
 from romctl.transform import (
     shift_columns,
-    shift_field,
     split_shift,
     transform_snapshots,
     uncontrolled_shift_path,
 )
 
-from conftest import coarse_grid, field_norm, inner_product, smooth_signal
+from conftest import coarse_grid, field_norm, inner_product, shift_field, smooth_signal
 
 
 def shift_derivative_field(mode, z, grid):
