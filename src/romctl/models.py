@@ -174,7 +174,7 @@ class SpodModel(ProblemModel):
         self,
         problem: ControlProblem,
         mode_rule: ModeRule,
-        n_samples: int = 800,
+        n_samples: int,
         eigenfunction_basis: bool = False,
     ):
         super().__init__(problem)

@@ -12,6 +12,13 @@ profile moved along a path zeta_j, so those coefficients blend rows of one
 table of the modes against every whole-cell roll of the profile (target_table,
 one FFT correlation per basis), and a shift path costs O(n_t r), not O(n n_t).
 
+The control shapes are discrete Fourier modes and the interpolated shift S(z)
+is circulant, so S(z)^T acts on each (sin_k, -cos_k) pair as the symbol
+sigma_k(z) = e^{i theta_k c} ((1 - f) + f e^{i theta_k}), theta_k = 2 pi k / n,
+c and f the whole cells and fraction of z: the pairings of the shifted modes
+with the shapes are B(z) = B(0) T(z), T(z) one 2x2 rotation-scaling per pair,
+and the model holds B(0) and sigma at the sampled shifts.
+
 When the basis is invariant, N^T B1(z) = B2(z) at every shift (the span of
 y0 and the control shapes is one such basis), and the mass-matrix system has
 the exact solution z' = v, a' = B1(v t) u: the model is linear time-varying in
@@ -26,16 +33,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import ModeBasis
-from .control import ControlShapes, operator_norm_B, signal_norm_sq
+from .control import ControlShapes, build_fourier_shapes, operator_norm_B, signal_norm_sq
 from .discretization import SpaceTimeGrid, central_derivative, check_field, check_shape
 from .fom import CostBreakdown, DivergenceError, euler_sweep
 from .transform import shift_columns, split_shift, uncontrolled_shift_path
 
 # relative gap |N^T B1 - B2| / |B2| up to which a basis counts as invariant
 INVARIANT_TOL = 1e-10
-# bytes of table rows SpodRomOperators.along gathers per block of steps, so
-# that the gathered rows stay in cache instead of growing with the path
-ALONG_BYTES = 1 << 18
 
 
 class SingularMassError(DivergenceError):
@@ -50,15 +54,19 @@ class SingularMassError(DivergenceError):
 
 @dataclass(frozen=True)
 class SpodRomOperators:
-    N: np.ndarray             # (r, r) skew pairing of modes with mode slopes
-    M2: np.ndarray            # (r, r) Gram matrix of mode slopes
-    B_table: np.ndarray       # (n_samples, 3r, m) shifted modes, their shift
-                              # derivative and their curvature against shapes
-    sample_shifts: np.ndarray  # (n_samples,) equispaced over [0, l)
-    gram_cross: np.ndarray    # (r, r) one-cell cross Gram of the modes
-    alpha0: np.ndarray        # (r,)
+    """The shift-independent operators and the pairings B(z) = B(0) T(z) of
+    the stacked [shifted modes; their shift derivative; their curvature] with
+    the shapes. sigma holds the symbol of T at n_samples equispaced shifts
+    over [0, l), and T(z) blends the two samples around z linearly."""
+
+    N: np.ndarray           # (r, r) skew pairing of modes with mode slopes
+    M2: np.ndarray          # (r, r) Gram matrix of mode slopes
+    B0: np.ndarray          # (3r, m) the stacked pairings [B1; B2; B3] at z = 0
+    sigma: np.ndarray       # (n_samples, xi) complex symbol of the shift per pair
+    gram_cross: np.ndarray  # (r, r) one-cell cross Gram of the modes
+    alpha0: np.ndarray      # (r,)
     l: float
-    invariant: bool           # N^T B1 = B2 on the whole table: closed-form solves
+    invariant: bool         # N^T B1 = B2: closed-form solves
 
     @property
     def r(self) -> int:
@@ -66,49 +74,49 @@ class SpodRomOperators:
 
     @property
     def m(self) -> int:
-        return self.B_table.shape[2]
+        return self.B0.shape[1]
 
-    def at(self, rows: slice, z: float) -> np.ndarray:
-        """The `rows` of the stacked pairings [B1; B2; B3] at one shift z: the
-        periodic linear interpolation of the two samples around z, the sample
-        itself when z lies on it. B2 = dB1/dz and B3 = dB2/dz."""
-        n_samples = len(self.sample_shifts)
-        s = (float(z) % self.l) / (self.l / n_samples)
-        lo = math.floor(s)
-        frac = s - lo
-        k, B = lo % n_samples, self.B_table
-        if frac == 0.0:
-            return B[k, rows]
-        return (1.0 - frac) * B[k, rows] + frac * B[(k + 1) % n_samples, rows]
+    def symbol(self, z):
+        """sigma(z), (xi,) at a float shift z, (len(z), xi) along an array of
+        them: the periodic linear interpolation of the two samples around z,
+        the sample itself when z lies on it. The index math of a float z stays
+        in Python scalars, for the per-step read of the state sweep."""
+        n_samples = len(self.sigma)
+        s = (z % self.l) / (self.l / n_samples)
+        if isinstance(s, float):
+            lo = math.floor(s)
+            frac = s - lo
+        else:
+            lo = np.floor(s)
+            frac = (s - lo)[:, None]
+            lo = lo.astype(int)
+        k = lo % n_samples
+        return (1.0 - frac) * self.sigma[k] + frac * self.sigma[(k + 1) % n_samples]
 
     def along(
         self, rows: slice, z: np.ndarray, w: np.ndarray, transpose: bool = False
     ) -> np.ndarray:
         """Columns B(z_j) w_j (B(z_j)^T w_j when `transpose`) along a path z, B
-        the `rows` of the stacked pairings [B1; B2; B3] interpolated as `at`
-        interpolates them. The two table rows of each z_j multiply the
-        weighted w_j, so no blended stack is formed, and the rows are gathered
-        for a block of steps at a time."""
-        n_samples = len(self.sample_shifts)
-        s = (np.asarray(z, dtype=float) % self.l) / (self.l / n_samples)
-        lo = np.floor(s)
-        frac = s - lo
-        k = lo.astype(int) % n_samples
-        B = self.B_table[:, rows]
-        w_lo, w_hi = ((1.0 - frac) * w).T, (frac * w).T
-        out = np.empty((len(k), B.shape[2] if transpose else B.shape[1]))
-        steps = max(1, ALONG_BYTES // B[0].nbytes)
-        for start in range(0, len(k), steps):
-            j = slice(start, start + steps)
-            B_lo, B_hi = B[k[j]], B[(k[j] + 1) % n_samples]
-            if transpose:  # row vectors w_j^T against the rows
-                part = np.matmul(w_lo[j, None, :], B_lo)
-                part += np.matmul(w_hi[j, None, :], B_hi)
-            else:
-                part = np.matmul(B_lo, w_lo[j, :, None])
-                part += np.matmul(B_hi, w_hi[j, :, None])
-            out[j] = part[:, 0, :] if transpose else part[:, :, 0]
-        return out.T
+        the `rows` of the stacked pairings [B1; B2; B3]: the pairs of w turned
+        by T(z_j), then one product with B(0); or the product first, then the
+        pairs turned by T(z_j)^T."""
+        sig = self.symbol(np.asarray(z, dtype=float))
+        B = self.B0[rows]
+        if transpose:
+            v = B.T @ w
+            v[1:] = (sig * _pairs(v)).view(float).T
+            return v
+        v = np.array(w, dtype=float)
+        v[1:] = (np.conj(sig) * _pairs(v)).view(float).T
+        return B @ v
+
+
+def _pairs(w: np.ndarray) -> np.ndarray:
+    """The (sin_k, -cos_k) pairs of rows of w, (m,) or (m, n_t), as complex
+    numbers w_s + i w_m, (xi,) or (n_t, xi); .view(float).T turns them back.
+    On them T(z) acts as multiplication by conj sigma(z), and T(z)^T by
+    sigma(z)."""
+    return np.ascontiguousarray(w[1:].T).view(complex)
 
 
 @dataclass(frozen=True)
@@ -177,37 +185,56 @@ def assemble_spod_rom(
     grid: SpaceTimeGrid,
     n_samples: int,
 ) -> SpodRomOperators:
-    """Assemble the shift-independent matrices plus shift-sampled control
-    pairings on an equispaced table over [0, l), and detect from the table
-    whether the basis is invariant."""
+    """Assemble the shift-independent matrices, the pairings B(0) and the
+    shift symbol at n_samples equispaced shifts over [0, l), and detect from
+    B(0) whether the basis is invariant.
+
+    The shapes must be build_fourier_shapes(grid, (m - 1) // 2) bit for bit.
+    By summation by parts B2(0) = -dx Phi'^T b = dx Phi^T (D b) and
+    B3(0) = dx Phi^T (D2 b), and the central differences D and D2 act on pair
+    k as multiplication by i sin(theta_k) / dx and by
+    (2 cos(theta_k) - 2) / dx^2 = -4 sin^2(theta_k / 2) / dx^2, and annihilate
+    the constant. T(z) is invertible (|sigma_k| >= cos(theta_k / 2) > 0 for
+    xi < n / 2) and N^T B1(z) - B2(z) = (N^T B1(0) - B2(0)) T(z), so the gap
+    at z = 0 decides invariance at every shift, the relative gap within a
+    factor 1 / cos^2(pi xi / n)."""
     if n_samples < 2:
         raise ValueError(f"need at least 2 shift samples for interpolation, got {n_samples}")
+    xi = (shapes.m - 1) // 2
+    if not np.array_equal(shapes.shapes, build_fourier_shapes(grid, xi).shapes):
+        raise ValueError("sPOD-G pairs the modes with Fourier control shapes only: the shapes "
+                         f"differ from build_fourier_shapes(grid, {xi})")
     y0 = check_field(y0, grid, "y0")
     Phi = basis.modes
-    r = basis.r
     dPhi = central_derivative(Phi, grid, 1)
-    ddPhi = central_derivative(Phi, grid, 2)
 
     dx = grid.dx
     N = -dx * (Phi.T @ dPhi)
     M2 = dx * (dPhi.T @ dPhi)
 
-    sample_shifts = (grid.l / n_samples) * np.arange(n_samples)
-    table = shift_pairing_table(np.column_stack([Phi, dPhi, ddPhi]), shapes, grid, sample_shifts)
-    table[:, r : 2 * r] *= -1.0  # d/dz of the shifted mode is minus its shifted slope
-    # invariant basis: |N^T B1 - B2| <= INVARIANT_TOL |B2| at every sample
-    B2 = table[:, r : 2 * r]
-    gap = N.T @ table[:, :r]
-    gap -= B2
-    sq = lambda a: np.einsum("sij,sij->s", a, a)  # squared norm per sample, no temporary
-    invariant = bool(np.all(sq(gap) <= INVARIANT_TOL**2 * sq(B2)))
+    k = np.arange(1, xi + 1)
+    theta = (2.0 * np.pi / grid.n) * k
+    kappa = np.sin(theta) / dx
+    B1 = dx * (Phi.T @ shapes.shapes)
+    B2, B3 = np.zeros_like(B1), np.zeros_like(B1)
+    B2[:, 1::2] = -kappa * B1[:, 2::2]
+    B2[:, 2::2] = kappa * B1[:, 1::2]
+    B3[:, 1:] = np.repeat(-4.0 * (np.sin(0.5 * theta) / dx) ** 2, 2) * B1[:, 1:]
+    gap = N.T @ B1 - B2
+    invariant = bool(np.sum(gap * gap) <= INVARIANT_TOL**2 * np.sum(B2 * B2))
+
+    # sigma_k at the samples, snapped as split_shift snaps; e^{i theta_k c}
+    # from the whole turns k c mod n, so its angle stays below 2 pi
+    c, f = split_shift((grid.l / n_samples) * np.arange(n_samples), grid)
+    turns = np.exp((2j * np.pi / grid.n) * (np.outer(c, k) % grid.n))
+    sigma = turns * ((1.0 - f)[:, None] + f[:, None] * np.exp(1j * theta))
 
     gram_cross = dx * (Phi.T @ (np.roll(Phi, 1, axis=0) + np.roll(Phi, -1, axis=0)))
     return SpodRomOperators(
         N=N,
         M2=M2,
-        B_table=table,
-        sample_shifts=sample_shifts,
+        B0=np.vstack([B1, B2, B3]),
+        sigma=sigma,
         gram_cross=gram_cross,
         alpha0=dx * (Phi.T @ y0),
         l=grid.l,
@@ -215,46 +242,14 @@ def assemble_spod_rom(
     )
 
 
-def shift_pairing_table(
-    fields: np.ndarray,
-    shapes: ControlShapes,
-    grid: SpaceTimeGrid,
-    sample_shifts: np.ndarray,
-) -> np.ndarray:
-    """(n_samples, k, m) table of the pairings dx (S(z) f)^T b of each of the
-    (n, k) fields f, shifted by each sample shift z as shift_columns shifts a
-    column, with each shape b.
-
-    A linear-interpolation shift blends two whole-cell rolls, and the pairings
-    of every roll of the fields with one shape are one circular correlation,
-    so each shape costs one rfft/irfft pair and memory stays at (n, k). Each
-    sample then blends two rows, snapped as split_shift snaps.
-    """
-    n = grid.n
-    k, frac = split_shift(sample_shifts, grid)
-    frac = frac[:, None]
-    spectrum = np.conj(np.fft.rfft(fields, axis=0))
-    table = np.empty((len(sample_shifts), fields.shape[1], shapes.m))
-    for c in range(shapes.m):
-        corr = _roll_pairings(spectrum, shapes.shapes[:, c : c + 1], grid)
-        table[:, :, c] = (1.0 - frac) * corr[k] + frac * corr[(k + 1) % n]
-    return table
-
-
-def _roll_pairings(spectrum: np.ndarray, b: np.ndarray, grid: SpaceTimeGrid) -> np.ndarray:
-    """Row q: dx * sum_x a[x - q] b[x], the pairings of the q-cell roll of the
-    columns of a with the columns of b (one broadcasting against the other),
-    for every q at once as one circular correlation; spectrum = conj(rfft(a))."""
-    corr = np.fft.irfft(spectrum * np.fft.rfft(b, axis=0), grid.n, axis=0)
-    corr *= grid.dx
-    return corr
-
-
 def target_table(basis: ModeBasis, profile: np.ndarray, grid: SpaceTimeGrid) -> SpodTargetTable:
     """The pairings dx Phi^T roll(y, q) of the modes with every whole-cell roll
-    of the target profile y, and the two energies its shifts have."""
+    of the target profile y, and the two energies its shifts have. Row q is
+    dx sum_x y[x - q] Phi[x], for every q at once as one circular correlation."""
     y = check_shape(profile, (grid.n,), "target profile")
-    rolls = _roll_pairings(np.conj(np.fft.rfft(y))[:, None], basis.modes, grid)
+    spectrum = np.conj(np.fft.rfft(y))[:, None]
+    rolls = np.fft.irfft(spectrum * np.fft.rfft(basis.modes, axis=0), grid.n, axis=0)
+    rolls *= grid.dx
     return SpodTargetTable(
         rolls=rolls,
         norm_sq=grid.dx * float(y @ y),
@@ -321,17 +316,20 @@ def solve_spod_state(
     if ops.invariant:
         return _invariant_state(ops, u, grid)
     dt, v, r = grid.dt, grid.v, ops.r
-    rows = slice(0, 2 * r)  # B1 and B2
+    # B(z) u_j = B(0) T(z) u_j for the B1 and B2 rows, the pairs of u_j turned
+    # as along turns them
+    b0, B = ops.B0[: 2 * r, 0], ops.B0[: 2 * r, 1:]
+    u_pairs = _pairs(u)
 
     def step(x: np.ndarray, j: int) -> np.ndarray:
         a, z = x[:r], float(x[r])
-        if not math.isfinite(z):  # the table read needs a finite shift
+        if not math.isfinite(z):  # the symbol read needs a finite shift
             raise SingularMassError(j, "non-finite shift")
-        B = ops.at(rows, z)
+        Bu = b0 * u[0, j] + B @ (np.conj(ops.symbol(z)) * u_pairs[j]).view(float)
         b = ops.N @ a
         c = float(a @ (ops.M2 @ a))
-        rhs_a = v * b + B[:r] @ u[:, j]
-        rhs_z = v * c + float(a @ (B[r:] @ u[:, j]))
+        rhs_a = v * b + Bu[:r]
+        rhs_z = v * c + float(a @ Bu[r:])
         da, dz = _schur_solve(b, c, rhs_a, rhs_z, j)
         return np.append(a + dt * da, z + dt * dz)
 

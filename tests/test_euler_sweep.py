@@ -4,14 +4,15 @@ The reference solves below are the loops fom.solve_state, fom.solve_adjoint,
 rom_pod.solve_pod_state, rom_pod.solve_pod_adjoint, rom_spod.solve_spod_state
 and rom_spod.solve_spod_adjoint ran before they shared fom.euler_sweep, kept
 verbatim as oracles, with the sPOD-G gradient loop and the three separate
-shift-table lookups those loops read: the kernel and the one stacked table
-change no arithmetic, so the solves must match them bit for bit. The sPOD-G
-adjoint is the exception: its oracle pairs the target with the lifted state at
-every step (three rolls of the target column, Phi a, Phi^T w and the lift Gram
-matrices), while the solve reads the same pairings from rom_spod.tracking_terms,
-summed in another order, so its multipliers and the gradient they give match
-to 1e-12 relative. The table itself is built by FFT correlation; its oracle is
-the per-sample shift loop it replaced, matched to 1e-12 relative as well.
+shift-table lookups those loops read: the kernel changes no arithmetic, so
+the FOM and POD-G solves must match them bit for bit. The sPOD-G solves read
+the pairings of the shifted modes with the shapes as B(0) T(z), T(z) from the
+symbol of the shift, where the oracles read the table the per-sample shift
+loop builds, so they match to 1e-12 relative, as B(z) itself does. The sPOD-G
+adjoint oracle also pairs the target with the lifted state at every step
+(three rolls of the target column, Phi a, Phi^T w and the lift Gram matrices),
+while the solve reads the same pairings from rom_spod.tracking_terms, summed
+in another order.
 tracking_terms blends rows of the target table, the pairings of the modes with
 every roll of the target profile; its oracle is the column loop it replaced,
 which read each target column, matched to 1e-12 relative.
@@ -116,16 +117,19 @@ def reference_b_table(basis, shapes, grid, sample_shifts):
 
 class ReferenceSpodOps:
     """The three shift tables B1, B2, B3 and their lookups as the sweeps read
-    them before the tables were stacked into one, and the lift Gram matrices
-    the adjoint built at every step, in front of the operators that did not
-    change (N, M2, alpha0, the one-cell cross Gram)."""
+    them before the tables were stacked into one, sampled by the shift loop at
+    as many shifts as ops holds symbol samples, and the lift Gram matrices the
+    adjoint built at every step, in front of the operators that did not change
+    (N, M2, alpha0, the one-cell cross Gram)."""
 
-    def __init__(self, ops):
+    def __init__(self, ops, basis, shapes, grid):
         self._ops = ops
         r = ops.r
-        self.B1_table = ops.B_table[:, :r]
-        self.B2_table = ops.B_table[:, r : 2 * r]
-        self.B3_table = ops.B_table[:, 2 * r :]
+        self.sample_shifts = (grid.l / len(ops.sigma)) * np.arange(len(ops.sigma))
+        table = reference_b_table(basis, shapes, grid, self.sample_shifts)
+        self.B1_table = table[:, :r]
+        self.B2_table = table[:, r : 2 * r]
+        self.B3_table = table[:, 2 * r :]
         self.z0 = 0.0
 
     def __getattr__(self, name):
@@ -379,11 +383,12 @@ def test_spod_solves_match_parent_loops_bitwise(v, seed):
     basis, ops = spod_operators(grid, shapes, seed)
     assert not ops.invariant  # the bumps hold no control shape: the Schur path runs
     profile, path, target = moving_profile(grid, seed)
-    ref = ReferenceSpodOps(ops)
+    ref = ReferenceSpodOps(ops, basis, shapes, grid)
     traj = solve_spod_state(ops, u, grid)
     ref_traj = reference_spod_state(ref, u, grid)
-    assert np.array_equal(traj.alpha, ref_traj.alpha)
-    assert np.array_equal(traj.z, ref_traj.z)
+    # not bitwise: the solve pairs through B(0) T(z), the oracle through the table
+    assert rel(traj.alpha, ref_traj.alpha) <= 1e-12
+    assert rel(traj.z, ref_traj.z) <= 1e-12
     tracking = tracking_terms(target_table(basis, profile, grid), path, traj.z, grid)
     adj = solve_spod_adjoint(ops, traj, u, tracking, grid)
     ref_adj = reference_spod_adjoint(ref, ref_traj, u, target, basis, grid)
@@ -397,13 +402,24 @@ def test_spod_solves_match_parent_loops_bitwise(v, seed):
 @pytest.mark.parametrize("seed", [0, 1])
 def test_b_table_matches_shift_loop(seed, n_samples):
     # random bumps and the invariant basis on 97 nodes; 194 samples put every
-    # other sample on a node, where split_shift snaps to a whole-cell roll
+    # other sample on a node, where split_shift snaps to a whole-cell roll.
+    # B(z) read through along, forward and transposed, at the samples and at
+    # off-sample shifts against the oracle table blended as lookup_B blends it
     grid, shapes, _, y0, _, _, _ = problem(0.55, seed)
     bumps, _ = spod_operators(grid, shapes, seed)
+    rng = np.random.default_rng(seed + 400)
+    off = awkward_shifts(grid, rng, rng.uniform(-2.0 * grid.l, 2.0 * grid.l, 20))
     for basis in (bumps, eigenfunction_stationary_basis(grid, shapes, y0)):
         ops = assemble_spod_rom(basis, shapes, y0, grid, n_samples)
-        ref = reference_b_table(basis, shapes, grid, ops.sample_shifts)
-        assert np.max(np.abs(ops.B_table - ref)) <= 1e-12 * np.max(np.abs(ref))
+        ref = ReferenceSpodOps(ops, basis, shapes, grid)
+        rows, m = slice(0, 3 * ops.r), ops.m
+        table = np.concatenate([ref.B1_table, ref.B2_table, ref.B3_table], axis=1)
+        want = list(table) + [ref.lookup_B(table, ref.sample_shifts, grid.l, z) for z in off]
+        for z, B in zip(np.concatenate([ref.sample_shifts, off]), want):
+            tol = 1e-12 * np.max(np.abs(table))
+            assert np.max(np.abs(ops.along(rows, np.full(m, z), np.eye(m)) - B)) <= tol
+            BT = ops.along(rows, np.full(3 * ops.r, z), np.eye(3 * ops.r), transpose=True)
+            assert np.max(np.abs(BT - B.T)) <= tol
 
 
 @pytest.mark.parametrize("v", [0.55, -0.55])
@@ -514,7 +530,8 @@ def test_singular_mass_matrix_adjoint_step_matches_schur_sweep(singular_step):
     with pytest.raises(SingularMassError) as err:
         solve_spod_adjoint(singular, traj, u, tracking, grid)
     with pytest.raises(SingularMassError) as ref_err:
-        reference_spod_adjoint(ReferenceSpodOps(singular), traj, u, target, basis, grid)
+        reference_spod_adjoint(ReferenceSpodOps(singular, basis, shapes, grid), traj, u, target,
+                               basis, grid)
     assert err.value.step == ref_err.value.step == (singular_step or grid.n_t - 1)
 
 

@@ -5,7 +5,7 @@ import pytest
 
 from romctl import SpaceTimeGrid, build_fourier_shapes
 from romctl.basis import ModeBasis
-from romctl.control import operator_norm_B
+from romctl.control import ControlShapes, operator_norm_B
 from romctl.experiments import (
     build_target,
     fd_gradient_check,
@@ -95,21 +95,26 @@ def test_mass_matrix_factorization_identity(grid, shapes, y0, rng):
     np.testing.assert_allclose(M, lifted, atol=1e-10)
 
 
+def pairings(ops, rows, z):
+    """The `rows` of the stacked pairings [B1; B2; B3] at one shift z."""
+    return ops.along(rows, np.full(ops.m, z), np.eye(ops.m))
+
+
 def test_b1_at_zero_shift_matches_direct_pairing(grid, shapes, y0):
     basis = normalized_trig_basis(grid, [("const", 0), ("sin", 1)])
     ops = assemble_spod_rom(basis, shapes, y0, grid, 10)
     direct = grid.dx * (basis.modes.T @ shapes.shapes)
-    np.testing.assert_allclose(ops.at(slice(0, ops.r), 0.0), direct, atol=1e-12)
+    np.testing.assert_allclose(pairings(ops, slice(0, ops.r), 0.0), direct, atol=1e-12)
 
 
 def test_lookup_interpolation(grid, shapes, y0):
     basis = normalized_trig_basis(grid, [("const", 0), ("sin", 1)])
     ops = assemble_spod_rom(basis, shapes, y0, grid, 10)
     step = grid.l / 10
-    B1_table = ops.B_table[:, : ops.r]
-    np.testing.assert_array_equal(ops.at(slice(0, ops.r), 3 * step), B1_table[3])
-    mid = ops.at(slice(0, ops.r), 3.5 * step)
-    np.testing.assert_allclose(mid, 0.5 * (B1_table[3] + B1_table[4]), atol=1e-14)
+    B1 = lambda z: pairings(ops, slice(0, ops.r), z)
+    direct = grid.dx * (shift_field(basis.modes, 3 * step, grid).T @ shapes.shapes)
+    np.testing.assert_allclose(B1(3 * step), direct, atol=1e-12)
+    np.testing.assert_allclose(B1(3.5 * step), 0.5 * (B1(3 * step) + B1(4 * step)), atol=1e-14)
 
 
 def test_lookup_error_shrinks_with_sample_count(grid, shapes, y0, rng):
@@ -121,7 +126,7 @@ def test_lookup_error_shrinks_with_sample_count(grid, shapes, y0, rng):
         worst = 0.0
         for z in zs:
             direct = grid.dx * (shift_field(basis.modes, z, grid).T @ shapes.shapes)
-            worst = max(worst, np.max(np.abs(ops.at(slice(0, ops.r), z) - direct)))
+            worst = max(worst, np.max(np.abs(pairings(ops, slice(0, ops.r), z) - direct)))
         errs.append(worst)
     assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.5)
 
@@ -137,9 +142,9 @@ def test_b_table_slope_consistency():
     z, h = 13.7, 1e-4
     r = ops.r
     B1, B2, B3 = slice(0, r), slice(r, 2 * r), slice(2 * r, 3 * r)
-    slope = lambda rows: (ops.at(rows, z + h) - ops.at(rows, z - h)) / (2 * h)
-    np.testing.assert_allclose(slope(B1), ops.at(B2, z), atol=2e-3)
-    np.testing.assert_allclose(slope(B2), ops.at(B3, z), atol=2e-3)
+    slope = lambda rows: (pairings(ops, rows, z + h) - pairings(ops, rows, z - h)) / (2 * h)
+    np.testing.assert_allclose(slope(B1), pairings(ops, B2, z), atol=2e-3)
+    np.testing.assert_allclose(slope(B2), pairings(ops, B3, z), atol=2e-3)
 
 
 def test_zero_control_shift_law_and_norm(eig_model, grid, shapes):
@@ -300,3 +305,15 @@ def test_assembly_needs_two_samples(grid, shapes, y0):
     basis = normalized_trig_basis(grid, [("sin", 1)])
     with pytest.raises(ValueError):
         assemble_spod_rom(basis, shapes, y0, grid, 1)
+
+
+def test_assembly_needs_fourier_shapes(grid, y0, rng):
+    # B(z) = B(0) T(z) holds for the Fourier shapes only
+    basis = normalized_trig_basis(grid, [("sin", 1)])
+    fourier = build_fourier_shapes(grid, 2).shapes
+    scaled = fourier.copy()
+    scaled[:, 3] *= 2.0
+    for cols in (rng.standard_normal((grid.n, 5)), scaled, fourier[:, :4]):
+        with pytest.raises(ValueError, match="Fourier"):
+            assemble_spod_rom(basis, ControlShapes(shapes=cols), y0, grid, 8)
+    assemble_spod_rom(basis, ControlShapes(shapes=fourier), y0, grid, 8)

@@ -71,6 +71,7 @@ def test_closed_form_matches_schur_sweep(setting):
     assert ops.invariant
     schur = dataclasses.replace(ops, invariant=False)
     rng = np.random.default_rng(5)
+    gaps = {}
     for amp in (0.05, 0.3):
         u = smooth_signal(rng, p.shapes.m, grid.n_t, amp)
         if setting.startswith("criterion-6"):  # inside the smallness certificate
@@ -78,12 +79,20 @@ def test_closed_form_matches_schur_sweep(setting):
             u *= 0.7 * math.sqrt(cert.bound / cert.u_norm_sq)
         traj = solve_spod_state(ops, u, grid)
         ref = solve_spod_state(schur, u, grid)
-        assert rel(traj.alpha, ref.alpha) < 1e-12
-        assert rel(traj.z, ref.z) < 1e-12
         J = model.cost_only(u)
         J_ref = cost(grid, lift_spod(model.basis, ref, grid), p.target, u, p.mu)
-        assert abs(J.total - J_ref.total) < 1e-12 * J_ref.total
+        gaps[amp] = (rel(traj.alpha, ref.alpha), rel(traj.z, ref.z),
+                     abs(J.total - J_ref.total) / J_ref.total)
         assert J.regularization == J_ref.regularization
+    # the worst gap of each setting, so that a change to the pairing
+    # arithmetic sees how much of the bound is left
+    worst = max(gaps, key=lambda amp: max(gaps[amp]))
+    print(f"[ltv] {setting}: worst gap {max(gaps[worst]):.2e} at amplitude {worst} "
+          "(alpha, z, J: " + ", ".join(f"{g:.1e}" for g in gaps[worst]) + ") vs bound 1e-12")
+    for amp, (alpha_gap, z_gap, J_gap) in gaps.items():
+        assert alpha_gap < 1e-12, amp
+        assert z_gap < 1e-12, amp
+        assert J_gap < 1e-12, amp
 
 
 @pytest.mark.parametrize("setting", ["criterion-5-xi2", "criterion-6-xi1"])
