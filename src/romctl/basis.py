@@ -1,5 +1,5 @@
-"""Reduced bases from snapshot data: truncated SVD extraction, tolerance-driven
-mode counts, and the invariant-subspace basis built from the initial condition
+"""Reduced bases from snapshot data: truncated SVD extraction, the mode-count
+rule, and the invariant-subspace basis built from the initial condition
 and the control shapes."""
 from __future__ import annotations
 
@@ -56,14 +56,38 @@ def truncate_to_basis(modes: np.ndarray, sigma: np.ndarray, r: int) -> ModeBasis
     return ModeBasis(modes=modes[:, :r_eff].copy())
 
 
-def mode_count_by_tolerance(sigma: np.ndarray, tol: float) -> int:
-    """Number of singular values with sigma_i / sigma_1 > tol, at least 1."""
-    sigma = np.asarray(sigma, dtype=float)
-    if sigma.size == 0 or sigma[0] <= 0.0:
-        raise ValueError("empty or all-zero spectrum")
-    if not 0.0 < tol < 1.0:
-        raise ValueError(f"tolerance must lie in (0, 1), got {tol}")
-    return max(1, int(np.sum(sigma / sigma[0] > tol)))
+@dataclass(frozen=True)
+class ModeRule:
+    """Mode-count selection: either a fixed count or a spectrum tolerance."""
+
+    count: int | None = None
+    tol: float | None = None
+
+    def __post_init__(self) -> None:
+        if (self.count is None) == (self.tol is None):
+            raise ValueError("set exactly one of count and tol")
+        if self.count is not None and self.count < 1:
+            raise ValueError(f"mode count must be positive, got {self.count}")
+        if self.tol is not None and not 0.0 < self.tol < 1.0:
+            raise ValueError(f"mode tolerance must lie in (0, 1), got {self.tol}")
+
+    @classmethod
+    def fixed(cls, r: int) -> "ModeRule":
+        return cls(count=int(r))
+
+    @classmethod
+    def tolerance(cls, tol: float) -> "ModeRule":
+        return cls(tol=float(tol))
+
+    def select(self, sigma: np.ndarray) -> int:
+        """The fixed count, capped at the spectrum's length, or the number of
+        singular values with sigma_i / sigma_1 > tol, at least 1."""
+        if self.count is not None:
+            return min(self.count, len(sigma))
+        sigma = np.asarray(sigma, dtype=float)
+        if sigma.size == 0 or sigma[0] <= 0.0:
+            raise ValueError("empty or all-zero spectrum")
+        return max(1, int(np.sum(sigma / sigma[0] > self.tol)))
 
 
 def eigenfunction_stationary_basis(

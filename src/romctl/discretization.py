@@ -10,7 +10,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 
 @dataclass(frozen=True)
@@ -73,40 +72,25 @@ def check_shape(a: np.ndarray, shape: tuple[int, ...], name: str) -> np.ndarray:
     return a
 
 
-def upwind_operator(grid: SpaceTimeGrid) -> sp.csr_matrix:
-    """First-order upwind discretization of -v d/dx with periodic wrap.
-
-    For v > 0 the stencil is the backward difference, for v < 0 the forward
-    difference; v = 0 yields the zero matrix (pure control dynamics).
-    """
-    n, dx, v = grid.n, grid.dx, grid.v
+def upwind_transport(y: np.ndarray, grid: SpaceTimeGrid, scale: float = 1.0,
+                     transpose: bool = False) -> np.ndarray:
+    """scale * A y for the first-order upwind discretization A of -v d/dx with
+    periodic wrap, or scale * A^T y when `transpose`; y is a single field or
+    an (n, k) stack of fields. For v > 0 the stencil is the backward
+    difference, for v < 0 the forward one, and A^T is the mirrored stencil;
+    v = 0 gives zero (pure control dynamics)."""
+    v = grid.v
     if v == 0.0:
-        return sp.csr_matrix((n, n))
-    c = abs(v) / dx
-    if v > 0:
-        # (A y)_i = -v (y_i - y_{i-1}) / dx
-        mat = sp.diags([-c * np.ones(n), c * np.ones(n - 1)], [0, -1], format="lil")
-        mat[0, n - 1] = c
-    else:
-        # (A y)_i = -v (y_{i+1} - y_i) / dx
-        mat = sp.diags([-c * np.ones(n), c * np.ones(n - 1)], [0, 1], format="lil")
-        mat[n - 1, 0] = c
-    return sp.csr_matrix(mat)
+        return np.zeros_like(y)
+    shift = 1 if (v > 0) != transpose else -1
+    return (scale * abs(v) / grid.dx) * (np.roll(y, shift, axis=0) - y)
 
 
-def central_derivative(field: np.ndarray, grid: SpaceTimeGrid, order: int = 1) -> np.ndarray:
-    """Second-order periodic central difference, order 1 or 2.
-
-    Accepts a single field or an (n, k) stack of fields.
-    """
-    if order not in (1, 2):
-        raise ValueError(f"order must be 1 or 2, got {order}")
+def central_derivative(field: np.ndarray, grid: SpaceTimeGrid) -> np.ndarray:
+    """Second-order periodic central first difference of a single field or an
+    (n, k) stack of fields."""
     field = check_field(field, grid)
-    up = np.roll(field, -1, axis=0)    # y_{i+1}
-    down = np.roll(field, 1, axis=0)   # y_{i-1}
-    if order == 1:
-        return (up - down) / (2.0 * grid.dx)
-    return (up - 2.0 * field + down) / grid.dx**2
+    return (np.roll(field, -1, axis=0) - np.roll(field, 1, axis=0)) / (2.0 * grid.dx)
 
 
 def warn_if_cfl_violated(grid: SpaceTimeGrid) -> None:

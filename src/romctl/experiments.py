@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 
 from . import fom
-from .basis import save_spectrum_csv, weighted_svd
+from .basis import ModeRule, save_spectrum_csv, weighted_svd
 from .control import FMT, build_fourier_shapes, save_control_csv
 from .discretization import SpaceTimeGrid
 from .models import ControlProblem, FomModel, PodModel, ProblemModel, SpodModel
@@ -18,7 +18,6 @@ from .optimizer import (
     PHASES,
     STREAM_COLUMNS,
     ControlledModel,
-    ModeRule,
     OptimizerConfig,
     OptimizerReport,
     optimize,
@@ -136,6 +135,8 @@ class ScenarioConfig:
             raise ConfigError("problem = custom ignores tilt_factor; set kink_velocities")
         if self.xi < 0:
             raise ConfigError(f"xi must be nonnegative, got {self.xi}")
+        if self.mu <= 0:
+            raise ConfigError(f"regularization weight mu must be positive, got {self.mu}")
         if self.n_samples < 2:
             raise ConfigError(f"n_samples must be at least 2, got {self.n_samples}")
         if self.rank_study_every < 1:
@@ -143,6 +144,7 @@ class ScenarioConfig:
         try:
             self.grid()
             self.target_spec()
+            self.mode_rule()
             self.optimizer_config()
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
@@ -172,11 +174,9 @@ class ScenarioConfig:
 
     def optimizer_config(self) -> OptimizerConfig:
         return OptimizerConfig(
-            mu=self.mu,
             beta=self.beta,
             omega0=self.omega0,
             n_iter=self.n_iter,
-            mode_rule=self.mode_rule(),
             refine_every=self.refine_every,
             bb_switch_threshold=self.bb_switch_threshold,
         )

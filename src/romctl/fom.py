@@ -13,6 +13,7 @@ from .discretization import (
     SpaceTimeGrid,
     check_field,
     check_shape,
+    upwind_transport,
     warn_if_cfl_violated,
 )
 
@@ -55,18 +56,6 @@ class CostBreakdown:
         return self.tracking + self.regularization
 
 
-def _transport_step(y: np.ndarray, grid: SpaceTimeGrid, reversed_direction: bool) -> np.ndarray:
-    """dt times the upwind transport operator applied to a field (stencil form,
-    identical arithmetic to the sparse operator but without per-call overhead)."""
-    v = grid.v
-    if v == 0.0:
-        return np.zeros_like(y)
-    # forward transport -v d/dx upwinds against the flow; the adjoint operator
-    # v d/dx uses the mirrored stencil
-    shift = 1 if (v > 0) != reversed_direction else -1
-    return (grid.dt * abs(v) / grid.dx) * (np.roll(y, shift) - y)
-
-
 def solve_state(
     grid: SpaceTimeGrid,
     shapes: ControlShapes,
@@ -81,7 +70,7 @@ def solve_state(
     source = apply_control(shapes, u)  # all control fields in one matrix product
     source *= grid.dt
     return euler_sweep(
-        lambda y, j: y + _transport_step(y, grid, reversed_direction=False) + source[:, j],
+        lambda y, j: y + upwind_transport(y, grid, grid.dt) + source[:, j],
         y0, grid.n_t, False, "state",
     )
 
@@ -93,17 +82,17 @@ def solve_adjoint(
 ) -> np.ndarray:
     """Backward explicit Euler from a zero terminal condition.
 
-    Sweep: lambda^{j-1} = lambda^j + dt (A* lambda^j + y^j - y_d^j), with A*
-    the reversed-upwind transport operator. The sweep is the exact discrete
-    adjoint of solve_state under the cost of fom.cost, so dt * gradient_fom is
-    the exact gradient of that discrete cost.
+    Sweep: lambda^{j-1} = lambda^j + dt (A^T lambda^j + y^j - y_d^j), with A^T
+    the mirrored upwind stencil. The sweep is the exact discrete adjoint of
+    solve_state under the cost of fom.cost, so dt * gradient_fom is the exact
+    gradient of that discrete cost.
     """
     state = check_shape(state, (grid.n, grid.n_t), "state")
     target = check_shape(target, (grid.n, grid.n_t), "target")
     source = state - target
     source *= grid.dt
     return euler_sweep(
-        lambda lam, j: lam + _transport_step(lam, grid, reversed_direction=True) + source[:, j],
+        lambda lam, j: lam + upwind_transport(lam, grid, grid.dt, transpose=True) + source[:, j],
         np.zeros(grid.n), grid.n_t, True, "adjoint",
     )
 

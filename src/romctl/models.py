@@ -6,11 +6,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fom, rom_pod, rom_spod
-from .basis import ModeBasis, eigenfunction_stationary_basis, truncate_to_basis, weighted_svd
+from .basis import (
+    ModeBasis,
+    ModeRule,
+    eigenfunction_stationary_basis,
+    truncate_to_basis,
+    weighted_svd,
+)
 from .control import ControlShapes
-from .discretization import SpaceTimeGrid, check_shape, upwind_operator
+from .discretization import SpaceTimeGrid, check_shape
 from .fom import CostBreakdown
-from .optimizer import ControlledModel, ModeRule
+from .optimizer import ControlledModel
 from .transform import shift_columns, transform_snapshots, uncontrolled_shift_path
 
 # columns per block of the target check, so that it forms no second target
@@ -107,7 +113,6 @@ class PodModel(ProblemModel):
     def __init__(self, problem: ControlProblem, mode_rule: ModeRule):
         super().__init__(problem)
         self.mode_rule = mode_rule
-        self._A = upwind_operator(problem.grid)
         self.basis: ModeBasis | None = None
         self.ops: rom_pod.PodRomOperators | None = None
         self._yd_reduced: np.ndarray | None = None
@@ -123,7 +128,7 @@ class PodModel(ProblemModel):
         modes, sigma = weighted_svd(Q, p.grid)
         self.basis = truncate_to_basis(modes, sigma, self.mode_rule.select(sigma))
         self.last_spectrum = sigma
-        self.ops = rom_pod.assemble_pod_rom(self.basis, self._A, p.shapes, p.y0, p.grid)
+        self.ops = rom_pod.assemble_pod_rom(self.basis, p.shapes, p.y0, p.grid)
         self._yd_reduced = rom_pod.project_snapshots(self.basis, p.target, p.grid)
         resid = p.target - rom_pod.lift_pod(self.basis, self._yd_reduced)
         self._yd_residual_energy = 0.5 * p.grid.dt * p.grid.dx * float(np.sum(resid * resid))

@@ -13,7 +13,6 @@ from typing import Callable
 
 import numpy as np
 
-from .basis import mode_count_by_tolerance
 from .control import FMT
 from .fom import CostBreakdown, DivergenceError
 
@@ -42,47 +41,14 @@ class PhaseClock:
 
 
 @dataclass(frozen=True)
-class ModeRule:
-    """Mode-count selection: either a fixed count or a spectrum tolerance."""
-
-    count: int | None = None
-    tol: float | None = None
-
-    def __post_init__(self) -> None:
-        if (self.count is None) == (self.tol is None):
-            raise ValueError("set exactly one of count and tol")
-        if self.count is not None and self.count < 1:
-            raise ValueError(f"mode count must be positive, got {self.count}")
-        if self.tol is not None and not 0.0 < self.tol < 1.0:
-            raise ValueError(f"mode tolerance must lie in (0, 1), got {self.tol}")
-
-    @classmethod
-    def fixed(cls, r: int) -> "ModeRule":
-        return cls(count=int(r))
-
-    @classmethod
-    def tolerance(cls, tol: float) -> "ModeRule":
-        return cls(tol=float(tol))
-
-    def select(self, sigma: np.ndarray) -> int:
-        if self.count is not None:
-            return min(self.count, len(sigma))
-        return mode_count_by_tolerance(sigma, self.tol)
-
-
-@dataclass(frozen=True)
 class OptimizerConfig:
-    mu: float = 1e-3
     beta: float = 1e-5
     omega0: float = 1.0
     n_iter: int = 20000
-    mode_rule: ModeRule = field(default_factory=lambda: ModeRule.fixed(10))
     refine_every: int = 5
     bb_switch_threshold: float = 5e-3
 
     def __post_init__(self) -> None:
-        if self.mu <= 0:
-            raise ValueError(f"regularization weight must be positive, got {self.mu}")
         if self.n_iter < 1 or self.refine_every < 1:
             raise ValueError("iteration counts must be positive")
         if self.omega0 <= 0:

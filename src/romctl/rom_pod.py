@@ -5,11 +5,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .basis import ModeBasis
 from .control import ControlShapes
-from .discretization import SpaceTimeGrid, check_field, check_shape
+from .discretization import SpaceTimeGrid, check_field, check_shape, upwind_transport
 from .fom import euler_sweep
 
 
@@ -30,7 +29,6 @@ class PodRomOperators:
 
 def assemble_pod_rom(
     basis: ModeBasis,
-    A_h: sp.spmatrix,
     shapes: ControlShapes,
     y0: np.ndarray,
     grid: SpaceTimeGrid,
@@ -38,14 +36,14 @@ def assemble_pod_rom(
     """Galerkin projection of the discrete transport operator, the control
     shapes, and the initial condition onto the basis.
 
-    The same discrete upwind matrix as the full model is used, which keeps the
-    reduced model consistent with the full one when the basis is complete.
+    The full model's own upwind stencil is projected, which keeps the reduced
+    model consistent with the full one when the basis is complete.
     """
     y0 = check_field(y0, grid, "y0")
     Phi = basis.modes
     PhiW = grid.dx * Phi.T  # weighted analysis operator
     return PodRomOperators(
-        A_l=PhiW @ (A_h @ Phi),
+        A_l=PhiW @ upwind_transport(Phi, grid),
         B_l=PhiW @ shapes.shapes,
         alpha0=PhiW @ y0,
     )

@@ -206,7 +206,7 @@ def assemble_spod_rom(
                          f"differ from build_fourier_shapes(grid, {xi})")
     y0 = check_field(y0, grid, "y0")
     Phi = basis.modes
-    dPhi = central_derivative(Phi, grid, 1)
+    dPhi = central_derivative(Phi, grid)
 
     dx = grid.dx
     N = -dx * (Phi.T @ dPhi)

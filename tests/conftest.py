@@ -30,6 +30,13 @@ def inner_product(a, b, grid):
     return grid.dx * float(np.dot(a, b))
 
 
+def second_difference(field, grid):
+    """Second-order periodic central second difference of a field or an (n, k)
+    stack: (y_{i+1} - 2 y_i + y_{i-1}) / dx^2."""
+    field = check_field(field, grid)
+    return (np.roll(field, -1, axis=0) - 2.0 * field + np.roll(field, 1, axis=0)) / grid.dx**2
+
+
 def shift_field(field, z, grid):
     """Translate a field by z with periodic wrap and linear interpolation: the
     definition of the shift S(z) that the package's shifts are tested against.

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from romctl import SpaceTimeGrid, build_fourier_shapes
-from romctl.basis import eigenfunction_stationary_basis, mode_count_by_tolerance, weighted_svd
+from romctl.basis import ModeRule, eigenfunction_stationary_basis, weighted_svd
 from romctl.control import adjoint_control, apply_control, operator_norm_B
 from romctl.experiments import (
     ScenarioConfig,
@@ -24,7 +24,7 @@ from romctl.experiments import (
 )
 from romctl.fom import solve_adjoint, solve_state
 from romctl.models import ControlProblem, FomModel, SpodModel
-from romctl.optimizer import ModeRule, OptimizerConfig, optimize
+from romctl.optimizer import OptimizerConfig, optimize
 from romctl.rom_spod import (
     assemble_spod_rom,
     certify_smallness,
@@ -196,12 +196,12 @@ def test_criterion_05_cost_agreement():
     gaps = {}
     for xi in (2, 5):
         shapes = build_fourier_shapes(grid, xi)
-        cfg = OptimizerConfig(mu=1e-3, beta=1e-5, omega0=1.0, n_iter=20000,
-                              mode_rule=ModeRule.fixed(2 * xi + 2))
+        cfg = OptimizerConfig(beta=1e-5, omega0=1.0, n_iter=20000)
         u0 = np.zeros((shapes.m, grid.n_t))
-        problem = ControlProblem(grid, shapes, y0, target, resting_path(grid), cfg.mu)
+        problem = ControlProblem(grid, shapes, y0, target, resting_path(grid), 1e-3)
         _, rep_f = optimize(FomModel(problem), u0, cfg)
-        spod = SpodModel(problem, cfg.mode_rule, n_samples=800, eigenfunction_basis=True)
+        spod = SpodModel(problem, ModeRule.fixed(2 * xi + 2), n_samples=800,
+                         eigenfunction_basis=True)
         _, rep_s = optimize(spod, u0, cfg)
         assert rep_f.status == "converged"
         assert rep_s.status == "converged"
@@ -306,7 +306,7 @@ def test_criterion_07_structural_invariants():
 
     # tolerance rule monotonicity
     sigma = np.sort(rng.uniform(0, 1, 40))[::-1]
-    counts = [mode_count_by_tolerance(sigma, tol) for tol in (1e-1, 1e-2, 1e-3, 1e-5)]
+    counts = [ModeRule.tolerance(tol).select(sigma) for tol in (1e-1, 1e-2, 1e-3, 1e-5)]
     assert counts == sorted(counts)
 
     elapsed = time.perf_counter() - t0
@@ -318,10 +318,9 @@ def test_criterion_08_optimizer_quadratics():
     t0 = time.perf_counter()
     h = np.linspace(1.0, 100.0, 50).reshape(5, 10)  # condition number 100
     u_star = np.ones((5, 10))
-    cfg = OptimizerConfig(mu=1e-3, beta=1e-5, n_iter=5000, mode_rule=ModeRule.fixed(1))
+    cfg = OptimizerConfig(beta=1e-5, n_iter=5000)
     u, rep = optimize(QuadraticModel(u_star, h), np.zeros((5, 10)), cfg)
-    cfg_nobb = OptimizerConfig(mu=1e-3, beta=1e-5, n_iter=5000,
-                               mode_rule=ModeRule.fixed(1), bb_switch_threshold=0.0)
+    cfg_nobb = OptimizerConfig(beta=1e-5, n_iter=5000, bb_switch_threshold=0.0)
     _, rep_nobb = optimize(QuadraticModel(u_star, h), np.zeros((5, 10)), cfg_nobb)
     elapsed = time.perf_counter() - t0
     speedup = rep_nobb.iterations / rep.iterations

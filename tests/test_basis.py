@@ -5,8 +5,8 @@ from hypothesis import strategies as st
 
 from romctl import build_fourier_shapes
 from romctl.basis import (
+    ModeRule,
     eigenfunction_stationary_basis,
-    mode_count_by_tolerance,
     save_spectrum_csv,
     weighted_svd,
 )
@@ -60,14 +60,27 @@ def test_zero_snapshots_rejected(grid):
         pod_basis(np.zeros((grid.n, 4)), 1, grid)
 
 
+def mode_count(sigma, tol):
+    return ModeRule.tolerance(tol).select(sigma)
+
+
+def test_mode_rule_validation():
+    with pytest.raises(ValueError):
+        ModeRule()
+    with pytest.raises(ValueError):
+        ModeRule(count=3, tol=0.1)
+    assert ModeRule.fixed(5).select(np.ones(3)) == 3
+    assert ModeRule.tolerance(1e-2).select(np.array([1.0, 0.5, 1e-5])) == 2
+
+
 def test_mode_count_rank_one():
-    assert mode_count_by_tolerance(np.array([3.0, 0.0, 0.0]), 0.5) == 1
+    assert mode_count(np.array([3.0, 0.0, 0.0]), 0.5) == 1
 
 
 def test_mode_count_paper_style_spectrum():
     sigma = 10.0 ** -np.arange(12.0)
-    assert mode_count_by_tolerance(sigma, 1e-2) == 2
-    assert mode_count_by_tolerance(sigma, 1e-7) == 7
+    assert mode_count(sigma, 1e-2) == 2
+    assert mode_count(sigma, 1e-7) == 7
 
 
 @settings(max_examples=30, deadline=None)
@@ -81,14 +94,17 @@ def test_mode_count_monotone_in_tolerance(seed, t1, t2):
     sigma = np.sort(r.uniform(0.0, 1.0, size=20))[::-1]
     sigma[0] = 1.0
     lo, hi = min(t1, t2), max(t1, t2)
-    assert mode_count_by_tolerance(sigma, lo) >= mode_count_by_tolerance(sigma, hi)
+    assert mode_count(sigma, lo) >= mode_count(sigma, hi)
 
 
 def test_mode_count_rejects_degenerate_inputs():
     with pytest.raises(ValueError):
-        mode_count_by_tolerance(np.zeros(3), 1e-3)
+        mode_count(np.zeros(3), 1e-3)
     with pytest.raises(ValueError):
-        mode_count_by_tolerance(np.array([1.0]), 1.5)
+        mode_count(np.array([]), 1e-3)
+    for tol in (0.0, 1.0, 1.5):
+        with pytest.raises(ValueError):
+            ModeRule.tolerance(tol)
 
 
 def test_eigenfunction_basis_size(grid, y0):

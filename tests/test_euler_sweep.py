@@ -25,8 +25,8 @@ import pytest
 
 from romctl import SpaceTimeGrid, build_fourier_shapes
 from romctl.basis import ModeBasis, eigenfunction_stationary_basis, weighted_svd
-from romctl.discretization import central_derivative, upwind_operator
-from romctl.fom import DivergenceError, _transport_step, solve_adjoint, solve_state
+from romctl.discretization import central_derivative
+from romctl.fom import DivergenceError, solve_adjoint, solve_state
 from romctl.rom_pod import assemble_pod_rom, solve_pod_adjoint, solve_pod_state
 from romctl.rom_spod import (
     SingularMassError,
@@ -43,7 +43,16 @@ from romctl.rom_spod import (
 )
 from romctl.transform import shift_columns, split_shift
 
-from conftest import shift_field, smooth_signal
+from conftest import second_difference, shift_field, smooth_signal
+
+
+def reference_transport(y, grid, reversed_direction):
+    """dt times the upwind transport of one field, as the FOM loops wrote it."""
+    v = grid.v
+    if v == 0.0:
+        return np.zeros_like(y)
+    shift = 1 if (v > 0) != reversed_direction else -1
+    return (grid.dt * abs(v) / grid.dx) * (np.roll(y, shift) - y)
 
 
 def reference_state(grid, shapes, u, y0):
@@ -53,7 +62,7 @@ def reference_state(grid, shapes, u, y0):
     Y[:, 0] = y0
     y = y0.copy()
     for j in range(grid.n_t - 1):
-        y = y + _transport_step(y, grid, reversed_direction=False) + dt * forcing[:, j]
+        y = y + reference_transport(y, grid, reversed_direction=False) + dt * forcing[:, j]
         # a single non-finite entry poisons the sum
         if not math.isfinite(float(np.sum(y))):
             raise DivergenceError(j + 1, "state")
@@ -67,7 +76,7 @@ def reference_adjoint(grid, state, target):
     lam = np.zeros_like(state)
     cur = lam[:, -1]
     for j in range(grid.n_t - 1, 0, -1):
-        cur = cur + _transport_step(cur, grid, reversed_direction=True) + source[:, j]
+        cur = cur + reference_transport(cur, grid, reversed_direction=True) + source[:, j]
         if not math.isfinite(float(np.sum(cur))):
             raise DivergenceError(j - 1, "adjoint")
         lam[:, j - 1] = cur
@@ -105,8 +114,8 @@ def reference_b_table(basis, shapes, grid, sample_shifts):
     """The shift table as assemble_spod_rom built it, one shift per sample."""
     Phi = basis.modes
     r = basis.r
-    dPhi = central_derivative(Phi, grid, 1)
-    ddPhi = central_derivative(Phi, grid, 2)
+    dPhi = central_derivative(Phi, grid)
+    ddPhi = second_difference(Phi, grid)
     stacked = np.column_stack([Phi, dPhi, ddPhi])  # one shift call per sample
     table = np.empty((len(sample_shifts), 3 * r, shapes.m))
     for s, z in enumerate(sample_shifts):
@@ -318,7 +327,7 @@ def problem(v, seed, n=97, n_t=83, r=9):
     q, _ = np.linalg.qr(rng.standard_normal((n, r)))
     basis = ModeBasis(modes=q / np.sqrt(grid.dx))
     y0 = rng.standard_normal(n)
-    ops = assemble_pod_rom(basis, upwind_operator(grid), shapes, y0, grid)
+    ops = assemble_pod_rom(basis, shapes, y0, grid)
     u = smooth_signal(rng, shapes.m, n_t, 0.3) + 0.01 * rng.standard_normal((shapes.m, n_t))
     target = rng.standard_normal((n, n_t))
     yd = rng.standard_normal((r, n_t))

@@ -264,6 +264,7 @@ BAD_CONFIGS = (
     "xi = -1",
     "eigenfunction_basis = ture",
     "mu = nan",
+    "mu = 0",
     "omega0 = inf",
     "model = pod\nmodes = 4\nmode_tol = 1e-3",
     "model = fom\nmodes = 4",

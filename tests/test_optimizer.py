@@ -7,7 +7,6 @@ import pytest
 from romctl.fom import CostBreakdown, DivergenceError
 from romctl.optimizer import (
     ControlledModel,
-    ModeRule,
     OptimizerConfig,
     barzilai_borwein_step,
     optimize,
@@ -20,23 +19,12 @@ from conftest import QuadraticModel
 
 
 def quad_cfg(**kw):
-    base = dict(mu=1e-3, beta=1e-5, n_iter=2000, mode_rule=ModeRule.fixed(1))
+    base = dict(beta=1e-5, n_iter=2000)
     base.update(kw)
     return OptimizerConfig(**base)
 
 
-def test_mode_rule_validation():
-    with pytest.raises(ValueError):
-        ModeRule()
-    with pytest.raises(ValueError):
-        ModeRule(count=3, tol=0.1)
-    assert ModeRule.fixed(5).select(np.ones(3)) == 3
-    assert ModeRule.tolerance(1e-2).select(np.array([1.0, 0.5, 1e-5])) == 2
-
-
 def test_config_validation():
-    with pytest.raises(ValueError):
-        quad_cfg(mu=0.0)
     with pytest.raises(ValueError):
         quad_cfg(omega0=-1.0)
     with pytest.raises(ValueError):

@@ -1,13 +1,11 @@
 import numpy as np
 import pytest
 
-from romctl import build_fourier_shapes
-from romctl.basis import ModeBasis
-from romctl.discretization import upwind_operator
+from romctl import SpaceTimeGrid, build_fourier_shapes
+from romctl.basis import ModeBasis, ModeRule
 from romctl.experiments import fd_gradient_check, gaussian_initial_condition
 from romctl.fom import cost, solve_state
 from romctl.models import ControlProblem, PodModel
-from romctl.optimizer import ModeRule
 from romctl.rom_pod import (
     assemble_pod_rom,
     gradient_pod,
@@ -32,7 +30,7 @@ def fourier_basis(grid, xi):
 def test_alpha0_single_mode(grid, y0):
     phi = y0 / field_norm(y0, grid)
     basis = ModeBasis(modes=phi[:, None])
-    ops = assemble_pod_rom(basis, upwind_operator(grid), build_fourier_shapes(grid, 1), y0, grid)
+    ops = assemble_pod_rom(basis, build_fourier_shapes(grid, 1), y0, grid)
     assert ops.alpha0[0] == pytest.approx(field_norm(y0, grid), rel=1e-12)
 
 
@@ -42,7 +40,7 @@ def test_galerkin_exactness_on_invariant_span(grid, rng):
     shapes = build_fourier_shapes(grid, 1)
     basis = fourier_basis(grid, 2)
     y0 = 2.0 + np.sin(2 * np.pi * grid.x / grid.l)
-    ops = assemble_pod_rom(basis, upwind_operator(grid), shapes, y0, grid)
+    ops = assemble_pod_rom(basis, shapes, y0, grid)
     u = smooth_signal(rng, shapes.m, grid.n_t, 0.3)
     alpha = solve_pod_state(ops, u, grid)
     Y_fom = solve_state(grid, shapes, u, y0)
@@ -54,7 +52,7 @@ def test_complete_basis_reproduces_fom(rng):
     shapes = build_fourier_shapes(g, 1)
     basis = ModeBasis(modes=np.eye(g.n) / np.sqrt(g.dx))
     y0 = gaussian_initial_condition(g)
-    ops = assemble_pod_rom(basis, upwind_operator(g), shapes, y0, g)
+    ops = assemble_pod_rom(basis, shapes, y0, g)
     u = smooth_signal(rng, shapes.m, g.n_t, 0.5)
     lifted = lift_pod(basis, solve_pod_state(ops, u, g))
     assert np.max(np.abs(lifted - solve_state(g, shapes, u, y0))) < 1e-10
@@ -62,7 +60,7 @@ def test_complete_basis_reproduces_fom(rng):
 
 def test_solution_linear_in_control(grid, shapes, y0, rng):
     basis = fourier_basis(grid, 3)
-    ops = assemble_pod_rom(basis, upwind_operator(grid), shapes, y0, grid)
+    ops = assemble_pod_rom(basis, shapes, y0, grid)
     u1 = smooth_signal(rng, shapes.m, grid.n_t, 0.2)
     u2 = smooth_signal(rng, shapes.m, grid.n_t, 0.2)
     a1 = solve_pod_state(ops, u1, grid)
@@ -74,7 +72,7 @@ def test_solution_linear_in_control(grid, shapes, y0, rng):
 
 def test_adjoint_zero_source_and_terminal(grid, shapes, y0, rng):
     basis = fourier_basis(grid, 2)
-    ops = assemble_pod_rom(basis, upwind_operator(grid), shapes, y0, grid)
+    ops = assemble_pod_rom(basis, shapes, y0, grid)
     alpha = solve_pod_state(ops, smooth_signal(rng, shapes.m, grid.n_t, 0.1), grid)
     lam = solve_pod_adjoint(ops, alpha, alpha.copy(), grid)
     assert np.max(np.abs(lam)) == 0.0
@@ -84,7 +82,7 @@ def test_adjoint_zero_source_and_terminal(grid, shapes, y0, rng):
 
 def test_gradient_trivial_cases(grid, shapes, y0, rng):
     basis = fourier_basis(grid, 2)
-    ops = assemble_pod_rom(basis, upwind_operator(grid), shapes, y0, grid)
+    ops = assemble_pod_rom(basis, shapes, y0, grid)
     u = rng.standard_normal((shapes.m, grid.n_t))
     lam = np.zeros((basis.r, grid.n_t))
     assert np.max(np.abs(gradient_pod(ops, lam, 0 * u, 1e-3))) == 0.0
@@ -131,6 +129,24 @@ def test_projected_upwind_is_skew_plus_grid_level_dissipation(grid, shapes, y0):
     # the central part of the upwind stencil projects to a skew matrix; the
     # remaining symmetric part is the O(dx) upwind dissipation
     basis = fourier_basis(grid, 2)
-    ops = assemble_pod_rom(basis, upwind_operator(grid), shapes, y0, grid)
+    ops = assemble_pod_rom(basis, shapes, y0, grid)
     sym = np.linalg.norm(ops.A_l + ops.A_l.T)
     assert 0.0 < sym < 10.0 * grid.dx
+
+
+
+@pytest.mark.parametrize("v", [0.55, -0.55, 0.0])
+def test_projected_operator_is_galerkin_projection_of_upwind_matrix(v, rng):
+    # A_l = dx Phi^T A Phi with A the full model's upwind matrix, built densely
+    # here: (A y)_i = c (y_{i-1} - y_i) for v > 0, c (y_{i+1} - y_i) for v < 0
+    g = SpaceTimeGrid(l=100.0, n=101, T=50.0, n_t=60, v=v)
+    c = abs(v) / g.dx
+    A = np.zeros((g.n, g.n))
+    for i in range(g.n):
+        A[i, i] = -c
+        A[i, (i - 1 if v > 0 else i + 1) % g.n] += c
+    q, _ = np.linalg.qr(rng.standard_normal((g.n, 9)))
+    basis = ModeBasis(modes=q / np.sqrt(g.dx))
+    ops = assemble_pod_rom(basis, build_fourier_shapes(g, 1), gaussian_initial_condition(g), g)
+    expected = g.dx * (basis.modes.T @ (A @ basis.modes))
+    assert np.max(np.abs(ops.A_l - expected)) <= 1e-15 * np.max(np.abs(ops.A_l))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from romctl import SpaceTimeGrid, build_fourier_shapes
-from romctl.basis import ModeBasis
+from romctl.basis import ModeBasis, ModeRule
 from romctl.control import ControlShapes, operator_norm_B
 from romctl.experiments import (
     build_target,
@@ -14,7 +14,6 @@ from romctl.experiments import (
 )
 from romctl.fom import solve_state
 from romctl.models import ControlProblem, SpodModel
-from romctl.optimizer import ModeRule
 from romctl.rom_spod import (
     SingularMassError,
     assemble_spod_rom,

@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 
 from romctl import SpaceTimeGrid, build_fourier_shapes
+from romctl.basis import ModeRule
 from romctl.experiments import (
     build_target,
     fd_gradient_check,
@@ -26,7 +27,6 @@ from romctl.experiments import (
 )
 from romctl.fom import cost
 from romctl.models import ControlProblem, SpodModel
-from romctl.optimizer import ModeRule
 from romctl.rom_spod import certify_smallness, lift_spod, solve_spod_state
 
 from conftest import smooth_signal

@@ -21,7 +21,7 @@ from conftest import coarse_grid, field_norm, inner_product, shift_field, smooth
 def shift_derivative_field(mode, z, grid):
     """d/dz of the shifted mode as the sPOD shift tables take it: minus the
     shifted central-difference slope."""
-    return -shift_field(central_derivative(mode, grid, 1), z, grid)
+    return -shift_field(central_derivative(mode, grid), z, grid)
 
 
 def test_shift_identity_cases(grid, y0):
@@ -181,7 +181,7 @@ def test_eigenfunction_basis_absorbs_controlled_snapshots(rng):
 def test_transform_collapses_mode_requirements(rng):
     # the whole point: a traveling wave needs many modes in the lab frame but
     # very few in the co-moving frame
-    from romctl.basis import mode_count_by_tolerance
+    from romctl.basis import ModeRule
 
     g = coarse_grid(n=401, n_t=300, cfl=1.0)
     sh = build_fourier_shapes(g, 1)
@@ -189,7 +189,8 @@ def test_transform_collapses_mode_requirements(rng):
     Q = solve_state(g, sh, np.zeros((sh.m, g.n_t)), y0)
     _, sigma_lab = weighted_svd(Q, g)
     _, sigma_com = weighted_svd(transform_snapshots(Q, uncontrolled_shift_path(g), g), g)
-    lab = mode_count_by_tolerance(sigma_lab, 1e-2)
-    com = mode_count_by_tolerance(sigma_com, 1e-2)
+    rule = ModeRule.tolerance(1e-2)
+    lab = rule.select(sigma_lab)
+    com = rule.select(sigma_com)
     assert com == 1  # exact transport collapses to a single profile
     assert lab > 10 * com
