@@ -3,8 +3,10 @@
 tolerance sweeps, and the rank study.
 
 Everything is expressed as flat config files plus `romctl` invocations, so each
-piece can also be launched by hand. Full-scale runs take hours; pass --desk for
-a ~400-point desk-scale variant of the same studies.
+piece can also be launched by hand. The commands run `python -m romctl.cli` with
+this interpreter, so a checkout on PYTHONPATH needs no installed `romctl`.
+Full-scale runs take hours; pass --desk for a ~400-point desk-scale variant of
+the same studies.
 """
 import argparse
 import subprocess
@@ -18,6 +20,7 @@ DESK = {"n": 401, "n_t": 300, "T": 300 * (100.0 / 401) / 0.55}
 MODE_SWEEP_SPOD = "2,5,8,10,12,15,20,25,30,35,40,45,50"
 MODE_SWEEP_POD = "5,10,20,30,40,50,60,70,80,90,100,200,300"
 TOLERANCES = ["1e-2", "1e-3", "1e-4", "1e-5", "1e-6", "1e-7", "1e-8", "1e-9"]
+ROMCTL = [sys.executable, "-m", "romctl.cli"]
 
 
 def write_cfg(path: Path, scale: dict, **kv) -> Path:
@@ -46,34 +49,35 @@ def main() -> int:
     out = Path(args.out) / args.problem
     out.mkdir(parents=True, exist_ok=True)
     todo = set(args.studies.split(","))
-    tmp = Path(tempfile.mkdtemp(prefix="romctl-cfg-"))
+    with tempfile.TemporaryDirectory(prefix="romctl-cfg-") as tmp_dir:
+        tmp = Path(tmp_dir)
 
-    if "reference" in todo:
-        cfg = write_cfg(tmp / "fom.cfg", scale, model="fom", problem=args.problem)
-        run(["romctl", "run", str(cfg), "--out", str(out / "fom_reference")])
+        if "reference" in todo:
+            cfg = write_cfg(tmp / "fom.cfg", scale, model="fom", problem=args.problem)
+            run([*ROMCTL, "run", str(cfg), "--out", str(out / "fom_reference")])
 
-    if "modes" in todo:
-        for model, sweep in (("spod", MODE_SWEEP_SPOD), ("pod", MODE_SWEEP_POD)):
-            cfg = write_cfg(tmp / f"{model}.cfg", scale, model=model, problem=args.problem)
-            run(["romctl", "sweep", str(cfg), "--modes", sweep,
-                 "--out", str(out / f"mode_study_{model}")])
+        if "modes" in todo:
+            for model, sweep in (("spod", MODE_SWEEP_SPOD), ("pod", MODE_SWEEP_POD)):
+                cfg = write_cfg(tmp / f"{model}.cfg", scale, model=model, problem=args.problem)
+                run([*ROMCTL, "sweep", str(cfg), "--modes", sweep,
+                     "--out", str(out / f"mode_study_{model}")])
 
-    if "tolerance" in todo:
-        for model in ("spod", "pod"):
-            for tol in TOLERANCES:
-                cfg = write_cfg(tmp / f"{model}_{tol}.cfg", scale, model=model,
-                                problem=args.problem, mode_tol=tol)
-                run(["romctl", "run", str(cfg),
-                     "--out", str(out / f"tolerance_study_{model}" / f"tol_{tol}")])
+        if "tolerance" in todo:
+            for model in ("spod", "pod"):
+                for tol in TOLERANCES:
+                    cfg = write_cfg(tmp / f"{model}_{tol}.cfg", scale, model=model,
+                                    problem=args.problem, mode_tol=tol)
+                    run([*ROMCTL, "run", str(cfg),
+                         "--out", str(out / f"tolerance_study_{model}" / f"tol_{tol}")])
 
-    if "rank" in todo:
-        # m = 9 controls, unit CFL so the co-moving snapshots stay grid-aligned
-        n = scale["n"]
-        rank_scale = dict(scale)
-        rank_scale["T"] = scale["n_t"] * (100.0 / n) / 0.55
-        cfg = write_cfg(tmp / "rank.cfg", rank_scale, model="spod", problem=args.problem,
-                        xi=4, eigenfunction_basis="true")
-        run(["romctl", "rank-study", str(cfg), "--out", str(out / "rank_study")])
+        if "rank" in todo:
+            # m = 9 controls, unit CFL so the co-moving snapshots stay grid-aligned
+            n = scale["n"]
+            rank_scale = dict(scale)
+            rank_scale["T"] = scale["n_t"] * (100.0 / n) / 0.55
+            cfg = write_cfg(tmp / "rank.cfg", rank_scale, model="spod", problem=args.problem,
+                            xi=4, eigenfunction_basis="true")
+            run([*ROMCTL, "rank-study", str(cfg), "--out", str(out / "rank_study")])
 
     return 0
 

@@ -28,8 +28,6 @@ def _load(args) -> ScenarioConfig:
     cfg = parse_config(args.config)
     if args.out is not None:
         cfg = replace(cfg, out=args.out)
-    if args.seed is not None:
-        cfg = replace(cfg, seed=args.seed)
     return cfg
 
 
@@ -54,6 +52,9 @@ def cmd_run(args) -> int:
 
 def cmd_sweep(args) -> int:
     cfg = _load(args)
+    if cfg.modes is not None or cfg.mode_tol is not None:
+        raise ConfigError("sweep takes its mode counts from --modes; it ignores modes "
+                          "and mode_tol")
     try:
         mode_counts = [int(v) for v in args.modes.split(",") if v.strip()]
     except ValueError as exc:
@@ -81,12 +82,11 @@ def cmd_rank_study(args) -> int:
 
 
 def cmd_gradient_check(args) -> int:
-    cfg = _load(args)
-    model = build_model(cfg)
-    rng = np.random.default_rng(cfg.seed)
+    model = build_model(parse_config(args.config))
+    rng = np.random.default_rng(args.seed)
     u = smooth_random_signal(rng, model.problem.shapes.m, model.problem.grid.n_t, 0.05)
     model.refine_basis(u)
-    errors = fd_gradient_check(model, u, seed=cfg.seed)
+    errors = fd_gradient_check(model, u, seed=args.seed)
     worst = max(errors)
     if not args.quiet:
         for k, e in enumerate(errors):
@@ -95,24 +95,28 @@ def cmd_gradient_check(args) -> int:
     return 0 if worst < 1e-3 else 1
 
 
+# each subcommand takes only the flags it reads
+MODES = ("--modes", dict(required=True, help="comma-separated mode counts"))
+OUT = ("--out", dict(default=None, help="output directory (overrides config)"))
+SEED = ("--seed", dict(type=int, default=0, help="seed of the control and the directions"))
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="romctl",
         description="Optimal control of 1D periodic advection with full-order and reduced models",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, fn, extra in (
-        ("run", cmd_run, ()),
-        ("sweep", cmd_sweep, ("modes",)),
-        ("rank-study", cmd_rank_study, ()),
-        ("gradient-check", cmd_gradient_check, ()),
+    for name, fn, flags in (
+        ("run", cmd_run, (OUT,)),
+        ("sweep", cmd_sweep, (MODES, OUT)),
+        ("rank-study", cmd_rank_study, (OUT,)),
+        ("gradient-check", cmd_gradient_check, (SEED,)),
     ):
         p = sub.add_parser(name)
         p.add_argument("config", help="path to a flat key = value config file")
-        if "modes" in extra:
-            p.add_argument("--modes", required=True, help="comma-separated mode counts")
-        p.add_argument("--out", default=None, help="output directory (overrides config)")
-        p.add_argument("--seed", type=int, default=None, help="rng seed (overrides config)")
+        for flag, kwargs in flags:
+            p.add_argument(flag, **kwargs)
         p.add_argument("--quiet", action="store_true")
         p.set_defaults(fn=fn)
     args = parser.parse_args(argv)

@@ -4,7 +4,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -78,12 +78,17 @@ def gaussian_initial_condition(grid: SpaceTimeGrid) -> np.ndarray:
     return np.exp(-((grid.x - grid.l / 12.0) ** 2))
 
 
-def smooth_random_signal(rng, m: int, n_t: int, amp: float = 1.0, harmonics: int = 3) -> np.ndarray:
-    """Random control signal that is smooth in time (a few Fourier harmonics),
-    so that its identity is resolution independent."""
+SIGNAL_HARMONICS = 3
+FD_STEP = 1e-5  # central finite-difference step of fd_gradient_check
+RANK_STUDY_EVERY = 10  # iterations between the rank study's spectrum samples
+
+
+def smooth_random_signal(rng, m: int, n_t: int, amp: float = 1.0) -> np.ndarray:
+    """Random control signal that is smooth in time (SIGNAL_HARMONICS Fourier
+    harmonics), so that its identity is resolution independent."""
     tg = np.linspace(0.0, 1.0, n_t)
     sig = np.zeros((m, n_t))
-    for q in range(1, harmonics + 1):
+    for q in range(1, SIGNAL_HARMONICS + 1):
         sig += rng.standard_normal((m, 1)) * np.sin(np.pi * q * tg)
         sig += rng.standard_normal((m, 1)) * np.cos(np.pi * q * tg)
     return amp * sig
@@ -112,8 +117,6 @@ class ScenarioConfig:
     kinks: tuple[float, ...] = ()
     kink_velocities: tuple[float, ...] = ()  # in units of v, paired with kinks
     eigenfunction_basis: bool = False
-    rank_study_every: int = 10
-    seed: int = 0
     out: str = "out"
 
     def __post_init__(self) -> None:
@@ -127,6 +130,8 @@ class ScenarioConfig:
             raise ConfigError("modes and mode_tol choose a reduced basis; model = fom has none")
         if self.eigenfunction_basis and self.model != "spod":
             raise ConfigError(f"model = {self.model} ignores eigenfunction_basis, an sPOD-G basis")
+        if self.model != "spod" and self.n_samples != ScenarioConfig.n_samples:
+            raise ConfigError(f"model = {self.model} ignores n_samples, the sPOD-G shift samples")
         if self.eigenfunction_basis and (self.modes is not None or self.mode_tol is not None):
             raise ConfigError("eigenfunction_basis fixes the basis; it ignores modes and mode_tol")
         if self.problem != "custom" and (self.kinks or self.kink_velocities):
@@ -139,8 +144,6 @@ class ScenarioConfig:
             raise ConfigError(f"regularization weight mu must be positive, got {self.mu}")
         if self.n_samples < 2:
             raise ConfigError(f"n_samples must be at least 2, got {self.n_samples}")
-        if self.rank_study_every < 1:
-            raise ConfigError(f"rank_study_every must be positive, got {self.rank_study_every}")
         try:
             self.grid()
             self.target_spec()
@@ -200,15 +203,13 @@ def _bool(s: str) -> bool:
     return words[s.lower()]
 
 
-_PARSERS = {
-    "l": _finite, "n": int, "T": _finite, "n_t": int, "v": _finite, "xi": int,
-    "mu": _finite, "beta": _finite, "omega0": _finite, "n_iter": int,
-    "n_samples": int, "refine_every": int, "bb_switch_threshold": _finite,
-    "model": str, "modes": int, "mode_tol": _finite, "problem": str,
-    "tilt_factor": _finite, "eigenfunction_basis": _bool,
-    "rank_study_every": int, "seed": int, "out": str,
-    "kinks": _finites, "kink_velocities": _finites,
+# each key parses by the annotation of its field, a string under the
+# future import
+_BY_TYPE = {
+    "int": int, "int | None": int, "float": _finite, "float | None": _finite,
+    "str": str, "bool": _bool, "tuple[float, ...]": _finites,
 }
+_PARSERS = {f.name: _BY_TYPE[f.type] for f in fields(ScenarioConfig)}
 
 
 def parse_config(path: str | Path) -> ScenarioConfig:
@@ -349,7 +350,7 @@ def run_scenario(cfg: ScenarioConfig, quiet: bool = False) -> int:
     (outdir / "run_meta.json").write_text(json.dumps(meta, indent=2) + "\n")
     if not quiet:
         print(
-            f"[{model.describe()}] {report.status} after {report.iterations} iterations, "
+            f"[{cfg.model}] {report.status} after {report.iterations} iterations, "
             f"J = {report.final_cost:.6g} -> {outdir}"
         )
     return 0 if report.status in ("converged", "max_iter") else 3
@@ -358,12 +359,13 @@ def run_scenario(cfg: ScenarioConfig, quiet: bool = False) -> int:
 def run_rank_study(cfg: ScenarioConfig, quiet: bool = False) -> int:
     """Optimize with the invariant-subspace basis while recording the relative
     singular values sigma_{m+1}/sigma_1 and sigma_{m+2}/sigma_1 of the
-    co-moving snapshot matrix every few iterations."""
-    if cfg.modes is not None or cfg.mode_tol is not None:
+    co-moving snapshot matrix at the start and every RANK_STUDY_EVERY
+    iterations."""
+    if cfg.model != "spod" or not cfg.eigenfunction_basis:
         raise ConfigError(
-            "rank-study uses the invariant-subspace basis; it ignores modes and mode_tol"
+            "rank-study runs sPOD-G on the invariant-subspace basis; "
+            "set model = spod and eigenfunction_basis = true"
         )
-    cfg = replace(cfg, model="spod", eigenfunction_basis=True)
     outdir = Path(cfg.out)
     outdir.mkdir(parents=True, exist_ok=True)
     model = build_model(cfg)
@@ -383,7 +385,7 @@ def run_rank_study(cfg: ScenarioConfig, quiet: bool = False) -> int:
     rows.append((0, *ratios(u0)))
 
     def spy(i: int, u: np.ndarray) -> None:
-        if i % cfg.rank_study_every == 0:
+        if i % RANK_STUDY_EVERY == 0:
             rows.append((i, *ratios(u)))
 
     u, report = optimize(model, u0, cfg.optimizer_config(), callback=spy)
@@ -405,7 +407,6 @@ def fd_gradient_check(
     model: ControlledModel,
     u: np.ndarray,
     n_directions: int = 10,
-    eps: float = 1e-5,
     seed: int = 0,
 ) -> list[float]:
     """Relative errors between the adjoint directional derivative and central
@@ -418,9 +419,9 @@ def fd_gradient_check(
     errors = []
     for _ in range(n_directions):
         du = smooth_random_signal(rng, m, n_t)
-        jp = model.cost_only(u + eps * du).total
-        jm = model.cost_only(u - eps * du).total
-        fd = (jp - jm) / (2.0 * eps)
+        jp = model.cost_only(u + FD_STEP * du).total
+        jm = model.cost_only(u - FD_STEP * du).total
+        fd = (jp - jm) / (2.0 * FD_STEP)
         ad = weight * float(np.sum(g * du))
         denom = max(abs(fd), 1e-300)
         errors.append(abs(ad - fd) / denom)

@@ -77,9 +77,6 @@ class ProblemModel(ControlledModel):
 class FomModel(ProblemModel):
     """Full-order model: no reduction, refine_basis is a no-op."""
 
-    def describe(self) -> str:
-        return "fom"
-
     def refine_basis(self, u: np.ndarray) -> int:
         return self.problem.grid.n
 
@@ -118,9 +115,6 @@ class PodModel(ProblemModel):
         self._yd_reduced: np.ndarray | None = None
         self._yd_residual_energy = 0.0
         self.last_spectrum: np.ndarray | None = None
-
-    def describe(self) -> str:
-        return "pod"
 
     def refine_basis(self, u: np.ndarray) -> int:
         p = self.problem
@@ -192,9 +186,6 @@ class SpodModel(ProblemModel):
         self.last_spectrum: np.ndarray | None = None
         self._table = None  # (operators, the target table of their basis)
         self._tracking = None  # (operators, shift path, their tracking terms)
-
-    def describe(self) -> str:
-        return "spod"
 
     def refine_basis(self, u: np.ndarray) -> int:
         p = self.problem

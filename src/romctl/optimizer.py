@@ -18,6 +18,11 @@ from .fom import CostBreakdown, DivergenceError
 
 PHASES = ("basis", "state", "cost", "adjoint", "gradient", "update")
 
+ARMIJO_C = 1e-4  # sufficient-decrease constant of the step-size search
+MAX_HALVINGS = 30
+MAX_DOUBLINGS = 30
+BB_MIN_STEP, BB_MAX_STEP = 1e-8, 1e3  # clamp of the Barzilai-Borwein step
+
 
 class PhaseClock:
     """Accumulates wall time per pipeline phase; models and driver share one."""
@@ -75,10 +80,6 @@ class ControlledModel(ABC):
     def refine_basis(self, u: np.ndarray) -> int:
         """Rebuild the reduced basis from fresh snapshots at u; returns the
         mode count (a no-op for the full model)."""
-
-    @abstractmethod
-    def describe(self) -> str:
-        ...
 
     @abstractmethod
     def cost_only(self, u: np.ndarray) -> CostBreakdown:
@@ -144,14 +145,11 @@ def two_way_backtracking(
     omega_prev: float,
     current_cost: float,
     weight: float = 1.0,
-    c: float = 1e-4,
-    max_halvings: int = 30,
-    max_doublings: int = 30,
 ) -> tuple[float, bool]:
     """Armijo search that shrinks or grows from the previous step size.
 
     f maps a step size to the cost of the candidate control; the sufficient
-    decrease test is f(w) <= J - c w ||g||^2 in the weighted pairing.
+    decrease test is f(w) <= J - ARMIJO_C w ||g||^2 in the weighted pairing.
     """
     g_sq = weight * float(np.sum(np.asarray(g) ** 2))
     if g_sq <= 0.0:
@@ -159,16 +157,16 @@ def two_way_backtracking(
 
     def ok(w: float) -> bool:
         val = f(w)
-        return math.isfinite(val) and val <= current_cost - c * w * g_sq
+        return math.isfinite(val) and val <= current_cost - ARMIJO_C * w * g_sq
 
     omega = omega_prev
     if not ok(omega):
-        for _ in range(max_halvings):
+        for _ in range(MAX_HALVINGS):
             omega *= 0.5
             if ok(omega):
                 return omega, True
         return omega, False
-    for _ in range(max_doublings):
+    for _ in range(MAX_DOUBLINGS):
         if not ok(2.0 * omega):
             break
         omega *= 2.0
@@ -180,8 +178,6 @@ def barzilai_borwein_step(
     y: np.ndarray,
     prev_omega: float,
     weight: float = 1.0,
-    lo: float = 1e-8,
-    hi: float = 1e3,
 ) -> float:
     """First Barzilai-Borwein step <s,s>/<s,y>, clamped; degenerate curvature
     falls back to the previous step size."""
@@ -189,7 +185,7 @@ def barzilai_borwein_step(
     ss = weight * float(np.sum(np.asarray(s) ** 2))
     if not math.isfinite(sy) or sy <= 0.0 or ss == 0.0:
         return prev_omega
-    return float(min(max(ss / sy, lo), hi))
+    return float(min(max(ss / sy, BB_MIN_STEP), BB_MAX_STEP))
 
 
 def refinement_policy(i: int, last_linesearch_ok: bool, config: OptimizerConfig) -> bool:

@@ -81,9 +81,6 @@ class QuadraticModel(ControlledModel):
         self.u_star = np.asarray(u_star, dtype=float)
         self.h = np.asarray(hessian_diag, dtype=float)
 
-    def describe(self):
-        return "quadratic"
-
     def refine_basis(self, u):
         return self.u_star.size
 

@@ -1,5 +1,7 @@
 import importlib.util
 import json
+import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -214,8 +216,8 @@ def test_rank_study_emits_ratio_table(tmp_path):
     dx = 100.0 / g_kw["n"]
     T = g_kw["n_t"] * dx / 0.55  # unit CFL keeps shifts grid-aligned
     cfg = ScenarioConfig(n=g_kw["n"], n_t=g_kw["n_t"], T=T, xi=4, n_iter=25,
-                         n_samples=64, rank_study_every=10,
-                         out=str(tmp_path / "rank"), model="spod")
+                         n_samples=64, out=str(tmp_path / "rank"), model="spod",
+                         eigenfunction_basis=True)
     assert run_rank_study(cfg, quiet=True) == 0
     lines = (tmp_path / "rank" / "rank_study.csv").read_text().splitlines()
     assert lines[0] == "iteration,sv_ratio_m_plus_1,sv_ratio_m_plus_2"
@@ -229,6 +231,32 @@ def test_cli_run_and_gradient_check(tmp_path, capsys):
     cfg_path.write_text(tiny_config_text())
     assert cli_main(["run", str(cfg_path), "--out", str(tmp_path / "o"), "--quiet"]) == 0
     assert cli_main(["gradient-check", str(cfg_path), "--quiet"]) == 0
+
+
+def test_cli_gradient_check_reads_seed(tmp_path, capsys):
+    # the seed draws the control and the directions, so another seed prints other errors
+    cfg_path = tmp_path / "c.cfg"
+    cfg_path.write_text(tiny_config_text(model="pod", modes=3))
+    printed = []
+    for seed in ("0", "3"):
+        assert cli_main(["gradient-check", str(cfg_path), "--seed", seed]) == 0
+        printed.append(capsys.readouterr().out)
+    assert printed[0] != printed[1]
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "--seed", "1"],
+    ["sweep", "--modes", "3", "--seed", "1"],
+    ["rank-study", "--seed", "1"],
+    ["rank-study", "--every", "5"],
+    ["gradient-check", "--out", "X"],
+])
+def test_cli_rejects_flags_the_command_does_not_read(tmp_path, argv):
+    cfg_path = tmp_path / "c.cfg"
+    cfg_path.write_text(tiny_config_text())
+    with pytest.raises(SystemExit) as exc:
+        cli_main([argv[0], str(cfg_path), *argv[1:]])
+    assert exc.value.code == 2
 
 
 def test_cli_sweep(tmp_path, monkeypatch):
@@ -275,6 +303,10 @@ BAD_CONFIGS = (
     "kinks = 0.5\nkink_velocities = 0.5",
     "problem = double_tilt\nkink_velocities = 0.5",
     "problem = custom\ntilt_factor = 0.5",
+    "seed = 1",
+    "rank_study_every = 5",
+    "model = pod\nn_samples = 64",
+    "model = fom\nn_samples = 64",
 )
 
 
@@ -298,6 +330,34 @@ def test_cli_rank_study_rejects_mode_keys(tmp_path, capsys):
         assert "rank-study" in capsys.readouterr().err, text
 
 
+@pytest.mark.parametrize("text", [
+    "",  # model = fom by default
+    "model = pod",
+    "model = spod",  # on a snapshot basis
+    "model = fom\nn_samples = 64",
+])
+def test_cli_rank_study_needs_the_invariant_spod_basis(tmp_path, text):
+    # rank-study reads model and eigenfunction_basis, so anything but the
+    # invariant sPOD-G basis exits 2 before any output
+    cfg_path = tmp_path / "rank.cfg"
+    cfg_path.write_text(tiny_config_text() + text + "\n")
+    out = tmp_path / "out"
+    assert cli_main(["rank-study", str(cfg_path), "--out", str(out), "--quiet"]) == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("text", ["model = pod\nmodes = 4", "model = spod\nmode_tol = 1e-3"])
+def test_cli_sweep_rejects_mode_keys(tmp_path, monkeypatch, capsys, text):
+    # --modes sets each job's mode count, so the config's mode rule would be ignored
+    monkeypatch.setenv("ROMCTL_THREADS", "1")
+    cfg_path = tmp_path / "c.cfg"
+    cfg_path.write_text(tiny_config_text() + text + "\n")
+    out = tmp_path / "sweep"
+    assert cli_main(["sweep", str(cfg_path), "--modes", "3", "--out", str(out), "--quiet"]) == 2
+    assert not out.exists()
+    assert "sweep" in capsys.readouterr().err
+
+
 def test_gradient_checks_script_passes(capsys):
     # the study script README lists drives the CLI's gradient-check for all three models
     path = Path(__file__).resolve().parents[1] / "scripts" / "gradient_checks.py"
@@ -305,6 +365,26 @@ def test_gradient_checks_script_passes(capsys):
     script = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(script)
     assert script.main() == 0, capsys.readouterr().out
+
+
+def test_reproduce_studies_runs_the_cli_of_this_interpreter(tmp_path, monkeypatch):
+    # the commands need no installed romctl, and the config directory goes away
+    path = Path(__file__).resolve().parents[1] / "scripts" / "reproduce_studies.py"
+    spec = importlib.util.spec_from_file_location("reproduce_studies", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    commands = []
+    monkeypatch.setattr(script, "run", commands.append)
+    monkeypatch.setattr(sys, "argv", ["reproduce_studies.py", "--desk",
+                                      "--studies", "reference,rank", "--out", str(tmp_path)])
+    temp_root = Path(tempfile.gettempdir())
+    before = set(temp_root.glob("romctl-cfg-*"))
+    assert script.main() == 0
+    assert [cmd[3] for cmd in commands] == ["run", "rank-study"]
+    for cmd in commands:
+        assert cmd[:3] == [sys.executable, "-m", "romctl.cli"]
+        assert not Path(cmd[4]).exists()  # the config file went with its directory
+    assert set(temp_root.glob("romctl-cfg-*")) <= before
 
 
 def test_run_scenario_divergence_exit_code(tmp_path, recwarn):

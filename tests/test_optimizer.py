@@ -131,9 +131,6 @@ class _SleepyModel(ControlledModel):
     def __init__(self, pause=0.002):
         self.pause = pause
 
-    def describe(self):
-        return "sleepy"
-
     def refine_basis(self, u):
         time.sleep(self.pause)
         return 1
@@ -162,9 +159,6 @@ class _ExplodingModel(ControlledModel):
     def __init__(self, error):
         self.error = error
         self.calls = 0
-
-    def describe(self):
-        return "exploding"
 
     def refine_basis(self, u):
         return 1

@@ -1,13 +1,23 @@
-"""Every definition in the package has a reader outside the tests.
+"""Every definition in the package has a reader outside the tests, and every
+parameter with a default has a caller that passes it.
 
-Collects each top-level function and class of src/romctl/*.py, with each
-class's non-dunder methods and annotated fields, and looks for a reference to
-its name in the code under src/, scripts/ and perfbench/: a Name, an
-Attribute, an import alias or a keyword argument for a top-level definition,
-and an Attribute or a keyword argument for a class member, which no bare Name
-reads. A definition that only tests read belongs in the tests. The match is
-by name alone, so a dead definition whose name something else shares in the
-same role goes unseen.
+The first test collects each top-level function and class of
+src/romctl/*.py, with each class's non-dunder methods and annotated fields,
+and looks for a reference to its name in the code under src/, scripts/ and
+perfbench/: a Name, an Attribute, an import alias or a keyword argument for a
+top-level definition, and an Attribute or a keyword argument for a class
+member, which no bare Name reads. A definition that only tests read belongs
+in the tests. The match is by name alone, so a dead definition whose name
+something else shares in the same role goes unseen.
+
+The second test collects each top-level function and method of
+src/romctl/*.py, and for each parameter with a default looks for a call under
+src/, scripts/ or perfbench/ that passes it: by keyword, or by a positional
+count above its index (after self). A callee matches by name, with import
+aliases resolved across the reader files, and `__init__` by its class name. A
+call with *args or **kwargs counts as passing everything. A default that no
+caller outside the tests moves is a constant, and belongs in the module as
+one; a parameter that only tests pass is listed in TEST_HOOKS with its reason.
 """
 import ast
 from pathlib import Path
@@ -22,6 +32,12 @@ ALLOWED = {
                          "through the cert_zeta column",
     "SmallnessCertificate.satisfied": "the verdict of that certificate, read with it",
     "SmallnessCertificate.zeta": "the slack of that certificate, the cert_zeta column itself",
+}
+
+# defaulted parameters that only tests pass, each with its reason
+TEST_HOOKS = {
+    "fd_gradient_check(n_directions)": "fewer directions keep the per-model gradient tests "
+                                       "fast; the CLI checks the default ten",
 }
 
 
@@ -66,3 +82,66 @@ def test_every_definition_has_a_reader_outside_the_tests():
     assert sorted(unread - set(ALLOWED)) == []
     # an allowed definition that gained a reader, or went, leaves the list
     assert sorted(set(ALLOWED) - unread) == []
+
+
+def defaulted_parameters():
+    """(callee name, qualified name, parameter, positional index or None for
+    keyword-only) of every parameter with a default in the package."""
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.FunctionDef):
+                yield from _defaulted(node, node.name, node.name, method=False)
+            elif isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, ast.FunctionDef):
+                        callee = node.name if item.name == "__init__" else item.name
+                        yield from _defaulted(item, callee, f"{node.name}.{item.name}",
+                                              method=True)
+
+
+def _defaulted(fn, callee, qual, method):
+    positional = fn.args.posonlyargs + fn.args.args
+    offset = 1 if method else 0  # self or cls is not passed
+    for k in range(len(positional) - len(fn.args.defaults), len(positional)):
+        yield callee, qual, positional[k].arg, k - offset
+    for arg, default in zip(fn.args.kwonlyargs, fn.args.kw_defaults):
+        if default is not None:
+            yield callee, qual, arg.arg, None
+
+
+def calls():
+    """(callee name, positional count, keyword names, whether it splats) of
+    every call in the readers, with import aliases resolved."""
+    trees = [ast.parse(path.read_text())
+             for top in READERS for path in sorted((ROOT / top).rglob("*.py"))]
+    aliases = {node.asname: node.name.rpartition(".")[2]
+               for tree in trees for node in ast.walk(tree)
+               if isinstance(node, ast.alias) and node.asname}
+    for tree in trees:
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            if isinstance(node.func, ast.Name):
+                name = aliases.get(node.func.id, node.func.id)
+            elif isinstance(node.func, ast.Attribute):
+                name = node.func.attr
+            else:
+                continue
+            keywords = {kw.arg for kw in node.keywords}
+            splat = None in keywords or any(isinstance(a, ast.Starred) for a in node.args)
+            yield name, len(node.args), keywords, splat
+
+
+def test_every_defaulted_parameter_has_a_caller_that_passes_it():
+    by_callee = {}
+    for name, n_args, keywords, splat in calls():
+        by_callee.setdefault(name, []).append((n_args, keywords, splat))
+    unpassed = [
+        f"{qual}({param})"
+        for callee, qual, param, position in defaulted_parameters()
+        if not any(splat or param in keywords or (position is not None and n_args > position)
+                   for n_args, keywords, splat in by_callee.get(callee, ()))
+    ]
+    assert sorted(set(unpassed) - set(TEST_HOOKS)) == []
+    # a hook that gained a caller outside the tests, or went, leaves the list
+    assert sorted(set(TEST_HOOKS) - set(unpassed)) == []
