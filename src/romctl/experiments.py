@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 
 from . import fom
-from .basis import ModeRule, save_spectrum_csv, weighted_svd
+from .basis import ModeRule, save_spectrum_csv, singular_values
 from .control import FMT, build_fourier_shapes, save_control_csv
 from .discretization import SpaceTimeGrid
 from .models import ControlProblem, FomModel, PodModel, ProblemModel, SpodModel
@@ -376,7 +376,7 @@ def run_rank_study(cfg: ScenarioConfig, quiet: bool = False) -> int:
 
     def ratios(u: np.ndarray) -> tuple[float, float]:
         Q = fom.solve_state(grid, shapes, u, y0)
-        _, sigma = weighted_svd(transform_snapshots(Q, path, grid), grid)
+        sigma = singular_values(transform_snapshots(Q, path, grid), grid)
         s1 = sigma[0]
         get = lambda k: float(sigma[k] / s1) if k < len(sigma) else 0.0
         return get(m), get(m + 1)

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from romctl import SpaceTimeGrid, build_fourier_shapes
-from romctl.basis import ModeRule, eigenfunction_stationary_basis, weighted_svd
+from romctl.basis import ModeRule, eigenfunction_stationary_basis, singular_values
 from romctl.control import adjoint_control, apply_control, operator_norm_B
 from romctl.experiments import (
     ScenarioConfig,
@@ -170,7 +170,7 @@ def test_criterion_04_rank_bound():
     for _ in range(20):
         u = smooth_signal(rng, m, grid.n_t, 0.3)
         Q = solve_state(grid, shapes, u, y0)
-        _, sigma = weighted_svd(transform_snapshots(Q, path, grid), grid)
+        sigma = singular_values(transform_snapshots(Q, path, grid), grid)
         worst_rank = max(worst_rank, int(np.sum(sigma > 1e-10 * sigma[0])))
         worst_m2 = max(worst_m2, float(sigma[m + 1] / sigma[0]))
         best_m1 = max(best_m1, float(sigma[m] / sigma[0]))
