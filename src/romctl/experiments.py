@@ -23,6 +23,7 @@ from .optimizer import (
     optimize,
     record_row,
 )
+from .rom_spod import certify_smallness
 from .transform import shift_columns, transform_snapshots, uncontrolled_shift_path
 
 
@@ -308,6 +309,20 @@ def _save_final_state(outdir: Path, model: ProblemModel, u: np.ndarray) -> dict:
     return {"fom_cost": fom_cost, "rom_gap": abs(lifted_cost - fom_cost) / fom_cost}
 
 
+def _smallness(model: ProblemModel, u: np.ndarray) -> dict:
+    """The sPOD-G smallness certificate of the held operators at u: its slack
+    zeta and whether it holds. None for the linear models, which need none,
+    and when zero initial amplitudes make the bound vacuous."""
+    none = {"smallness_zeta": None, "smallness_satisfied": None}
+    if not isinstance(model, SpodModel):
+        return none
+    try:
+        cert = certify_smallness(model.ops, u, model.problem.shapes, model.problem.grid)
+    except ValueError:
+        return none
+    return {"smallness_zeta": cert.zeta, "smallness_satisfied": cert.satisfied}
+
+
 def run_scenario(cfg: ScenarioConfig, quiet: bool = False) -> int:
     """Run one optimization scenario and write all artifacts; returns the exit
     status (0 on converged or max_iter, 3 on divergence)."""
@@ -344,6 +359,7 @@ def run_scenario(cfg: ScenarioConfig, quiet: bool = False) -> int:
         "tilt_factor": cfg.tilt_factor,
         "cfl": grid.cfl,
         "modes_final": report.records[-1].modes if report.records else 0,
+        **_smallness(model, u),
     }
     if report.status != "diverged":
         meta.update(_save_final_state(outdir, model, u))

@@ -1,7 +1,10 @@
 """Model adapters binding the solvers to the descent driver's interface."""
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from abc import abstractmethod
+from dataclasses import dataclass, replace
+from typing import Callable
 
 import numpy as np
 
@@ -15,7 +18,7 @@ from .basis import (
 )
 from .control import ControlShapes
 from .discretization import SpaceTimeGrid, check_shape
-from .fom import CostBreakdown
+from .fom import CostBreakdown, DivergenceError
 from .optimizer import ControlledModel
 from .transform import shift_columns, transform_snapshots, uncontrolled_shift_path
 
@@ -74,7 +77,30 @@ class ProblemModel(ControlledModel):
             raise RuntimeError("reduced model has no basis yet; call refine_basis first")
 
 
-class FomModel(ProblemModel):
+class LinearQuadraticModel(ProblemModel):
+    """A model whose cost is exactly quadratic in the control and whose
+    gradient is that of the exact discrete adjoint. Along the gradient g at u
+    the cost is then the parabola J - w dt|g|^2 + w^2/2 (c(g) + mu dt |g|^2),
+    with c(g) the tracking curvature along g (Nocedal & Wright, Numerical
+    Optimization, ch. 3). The step-size search reads it: one direction solve
+    per search in place of one trial solve per step size."""
+
+    @abstractmethod
+    def tracking_curvature(self, g: np.ndarray) -> float:
+        """c(g): twice the tracking cost, against a zero target, of the state
+        solved under the control g from a zero initial condition."""
+
+    def line_cost(self, u: np.ndarray, g: np.ndarray, cost: float) -> Callable[[float], float]:
+        try:
+            tracking = self.tracking_curvature(g)
+        except DivergenceError:
+            return lambda w: math.inf  # a failed search, as when every trial diverges
+        g_sq = self.signal_weight * float(np.sum(np.asarray(g) ** 2))
+        curvature = tracking + self.problem.mu * g_sq
+        return lambda w: cost - w * g_sq + 0.5 * w * w * curvature
+
+
+class FomModel(LinearQuadraticModel):
     """Full-order model: no reduction, refine_basis is a no-op."""
 
     def refine_basis(self, u: np.ndarray) -> int:
@@ -97,12 +123,17 @@ class FomModel(ProblemModel):
         Y = fom.solve_state(p.grid, p.shapes, u, p.y0)
         return fom.cost(p.grid, Y, p.target, u, p.mu)
 
+    def tracking_curvature(self, g: np.ndarray) -> float:
+        p = self.problem
+        Y = fom.solve_state(p.grid, p.shapes, g, np.zeros(p.grid.n))
+        return p.grid.dt * p.grid.dx * float(np.sum(Y * Y))
+
     def lift(self, u: np.ndarray) -> np.ndarray:
         p = self.problem
         return fom.solve_state(p.grid, p.shapes, u, p.y0)
 
 
-class PodModel(ProblemModel):
+class PodModel(LinearQuadraticModel):
     """Linear reduced model refreshed from full-order snapshots at the current
     control. The tracking cost adds the constant out-of-span target energy so
     the reported values are comparable with the full model's."""
@@ -154,6 +185,13 @@ class PodModel(ProblemModel):
         self._require_basis()
         alpha = rom_pod.solve_pod_state(self.ops, u, self.problem.grid)
         return self._cost_from_alpha(alpha, u)
+
+    def tracking_curvature(self, g: np.ndarray) -> float:
+        # the modes are dx-orthonormal, so the lifted response has the energy of its amplitudes
+        self._require_basis()
+        grid = self.problem.grid
+        alpha = rom_pod.solve_pod_state(replace(self.ops, alpha0=np.zeros(self.ops.r)), g, grid)
+        return grid.dt * float(np.sum(alpha * alpha))
 
     def lift(self, u: np.ndarray) -> np.ndarray:
         self._require_basis()

@@ -83,8 +83,22 @@ class ControlledModel(ABC):
 
     @abstractmethod
     def cost_only(self, u: np.ndarray) -> CostBreakdown:
-        """Cost without the adjoint work, as the line search needs it. It
-        records no phase, so line-search work counts as update time."""
+        """Cost without the adjoint work: one state solve. It records no
+        phase; the default line_cost calls it once per step size."""
+
+    def line_cost(self, u: np.ndarray, g: np.ndarray, cost: float) -> Callable[[float], float]:
+        """The cost at u - w g as a function of the step size w, for g the
+        gradient `evaluate` returned at u with total cost `cost`; the step-size
+        search reads it. Here each step size is one cost_only trial, and a
+        trial that diverges costs +inf. Its work counts as update time."""
+
+        def trial(w: float) -> float:
+            try:
+                return self.cost_only(u - w * g).total
+            except DivergenceError:
+                return math.inf
+
+        return trial
 
     @property
     def signal_weight(self) -> float:
@@ -105,6 +119,7 @@ class IterationRecord:
     refined: bool
     timings: dict[str, float]
     wall: float
+    trials: int  # step sizes the search tested; 0 on a Barzilai-Borwein step
 
 
 @dataclass
@@ -124,7 +139,7 @@ class OptimizerReport:
 STREAM_COLUMNS = (
     "iteration", "J", "tracking", "regularization", "grad_norm",
     "rel_grad_norm", "omega", "modes", "refined",
-    *PHASES, "wall",
+    *PHASES, "wall", "trials",
 )
 
 
@@ -135,7 +150,7 @@ def record_row(rec: IterationRecord) -> list:
          FMT % rec.grad_norm, FMT % rec.rel_grad_norm, FMT % rec.omega, rec.modes,
          int(rec.refined)]
         + [FMT % rec.timings[p] for p in PHASES]
-        + [FMT % rec.wall]
+        + [FMT % rec.wall, rec.trials]
     )
 
 
@@ -245,16 +260,18 @@ def optimize(
                 bb_phase = True
 
             with clock.phase("update"):
+                trials = 0
                 if bb_phase and prev_u is not None:
                     omega = barzilai_borwein_step(u - prev_u, g - prev_g, omega, weight)
                     success = True
                 else:
-                    # the search tries each step size at most once
+                    line = model.line_cost(u, g, cost.total)
+
+                    # the search tests each step size at most once: one trial per call
                     def trial(w: float) -> float:
-                        try:
-                            return model.cost_only(u - w * g).total
-                        except DivergenceError:
-                            return math.inf
+                        nonlocal trials
+                        trials += 1
+                        return line(w)
 
                     omega, success = two_way_backtracking(trial, g, omega, cost.total, weight)
                 prev_u, prev_g = u, g
@@ -274,6 +291,7 @@ def optimize(
                 refined=refined,
                 timings=timings,
                 wall=time.perf_counter() - t_iter,
+                trials=trials,
             )
             report.records.append(rec)
             if writer is not None:

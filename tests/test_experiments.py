@@ -1,5 +1,7 @@
+import dataclasses
 import importlib.util
 import json
+import math
 import sys
 import tempfile
 from pathlib import Path
@@ -13,6 +15,7 @@ from romctl.experiments import (
     ConfigError,
     ScenarioConfig,
     TargetSpec,
+    _smallness,
     build_model,
     build_target,
     double_tilt_target,
@@ -24,6 +27,7 @@ from romctl.experiments import (
 )
 from romctl.fom import cost, solve_state
 from romctl.models import ControlProblem
+from romctl.rom_spod import certify_smallness
 
 from conftest import coarse_grid, load_snapshots_bin
 
@@ -200,6 +204,44 @@ def test_run_meta_reports_full_order_cost(tmp_path, extra):
     assert meta["fom_cost"] == fom_cost
     assert meta["rom_gap"] == abs(lifted_cost - fom_cost) / fom_cost
     assert (meta["rom_gap"] == 0.0) == (extra["model"] == "fom")
+
+
+@pytest.mark.parametrize("extra", [dict(model="fom"), dict(model="pod", modes=3),
+                                   dict(model="spod", eigenfunction_basis="true"),
+                                   dict(model="spod", modes=4, n_samples=64)])
+def test_run_meta_reports_smallness_certificate(tmp_path, extra):
+    # the sPOD-G certificate of the held operators at the returned control;
+    # null for the linear models
+    cfg_path = tmp_path / "m.cfg"
+    cfg_path.write_text(tiny_config_text(out=tmp_path / "out", n_iter=6, **extra))
+    cfg = parse_config(cfg_path)
+    assert run_scenario(cfg, quiet=True) == 0
+    meta = json.loads((tmp_path / "out" / "run_meta.json").read_text())
+    if extra["model"] != "spod":
+        assert meta["smallness_zeta"] is None and meta["smallness_satisfied"] is None
+        return
+    zeta, satisfied = meta["smallness_zeta"], meta["smallness_satisfied"]
+    assert isinstance(zeta, float) and math.isfinite(zeta)
+    assert satisfied is (zeta > 0.0)
+    if cfg.eigenfunction_basis:
+        # the invariant basis is the same at every control
+        model = build_model(cfg)
+        p = model.problem
+        u = np.loadtxt(tmp_path / "out" / "final_control.csv", delimiter=",", skiprows=1,
+                       ndmin=2).T
+        model.refine_basis(u)
+        assert zeta == certify_smallness(model.ops, u, p.shapes, p.grid).zeta
+
+
+def test_smallness_is_null_when_the_bound_is_vacuous(tmp_path):
+    cfg = ScenarioConfig(n=41, n_t=30, T=5.0, xi=1, model="spod", eigenfunction_basis=True,
+                         out=str(tmp_path))
+    model = build_model(cfg)
+    u = np.zeros((model.problem.shapes.m, cfg.n_t))
+    model.refine_basis(u)
+    assert _smallness(model, u)["smallness_satisfied"] is True
+    model.ops = dataclasses.replace(model.ops, alpha0=np.zeros(model.ops.r))
+    assert _smallness(model, u) == {"smallness_zeta": None, "smallness_satisfied": None}
 
 
 def test_run_scenario_spod_writes_spectra(tmp_path):

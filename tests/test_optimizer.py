@@ -1,10 +1,22 @@
+import csv
 import math
 import time
+import types
 
 import numpy as np
 import pytest
 
+from romctl import SpaceTimeGrid, build_fourier_shapes
+from romctl.basis import ModeRule
+from romctl.experiments import (
+    ScenarioConfig,
+    build_model,
+    build_target,
+    gaussian_initial_condition,
+    single_tilt_target,
+)
 from romctl.fom import CostBreakdown, DivergenceError
+from romctl.models import ControlProblem, FomModel, PodModel, SpodModel
 from romctl.optimizer import (
     ControlledModel,
     OptimizerConfig,
@@ -15,7 +27,7 @@ from romctl.optimizer import (
 )
 from romctl.rom_spod import SingularMassError
 
-from conftest import QuadraticModel
+from conftest import QuadraticModel, smooth_signal
 
 
 def quad_cfg(**kw):
@@ -188,3 +200,165 @@ def test_stream_csv(tmp_path):
     lines = path.read_text().splitlines()
     assert lines[0].startswith("iteration,J,tracking,regularization")
     assert len(lines) >= 2
+
+
+# --- the step-size search of the linear-quadratic models ---------------------
+
+def trial_search(model):
+    """Give the model the base-class search: one cost_only trial per step size."""
+    model.line_cost = types.MethodType(ControlledModel.line_cost, model)
+    return model
+
+
+def count_cost_only(model):
+    """Count the model's cost_only calls in model.cost_only_calls."""
+    model.cost_only_calls = 0
+    inner = model.cost_only
+
+    def counted(u):
+        model.cost_only_calls += 1
+        return inner(u)
+
+    model.cost_only = counted
+    return model
+
+
+def count_trials(model):
+    """Count the step sizes the search tests in model.search_trials."""
+    model.search_trials = 0
+    inner = model.line_cost
+
+    def line_cost(u, g, cost):
+        f = inner(u, g, cost)
+
+        def counted(w):
+            model.search_trials += 1
+            return f(w)
+
+        return counted
+
+    model.line_cost = line_cost
+    return model
+
+
+def trials_column(path):
+    with open(path, newline="") as fh:
+        return [int(row["trials"]) for row in csv.DictReader(fh)]
+
+
+def small_problem(v):
+    n, n_t = 101, 60
+    grid = SpaceTimeGrid(l=100.0, n=n, T=n_t * 0.9 * (100.0 / n) / abs(v), n_t=n_t, v=v)
+    shapes = build_fourier_shapes(grid, 1)
+    y0 = gaussian_initial_condition(grid)
+    spec = single_tilt_target(0.0, v)
+    target = build_target(grid, y0, spec)
+    return ControlProblem(grid, shapes, y0, target, spec.displacement(grid.t, grid), 1e-3)
+
+
+def quadratic_model(kind, problem):
+    if kind == "fom":
+        return FomModel(problem)
+    model = PodModel(problem, ModeRule.fixed(6))
+    rng = np.random.default_rng(7)
+    model.refine_basis(smooth_signal(rng, problem.shapes.m, problem.grid.n_t, 0.5))
+    return model
+
+
+@pytest.mark.parametrize("v", [0.55, -0.55])
+@pytest.mark.parametrize("kind", ["fom", "pod"])
+def test_closed_form_line_cost_matches_trial_solves(kind, v):
+    problem = small_problem(v)
+    model = quadratic_model(kind, problem)
+    grid, m = problem.grid, problem.shapes.m
+    rng = np.random.default_rng(11)
+    steps = [2.0**k for k in range(-10, 11)]
+    for _ in range(3):
+        u = smooth_signal(rng, m, grid.n_t, rng.uniform(0.1, 1.0))
+        cost, g = model.evaluate(u)
+        closed = model.line_cost(u, g, cost.total)
+        trial = ControlledModel.line_cost(model, u, g, cost.total)
+        for w in steps:
+            assert closed(w) == pytest.approx(trial(w), rel=1e-12, abs=0.0)
+        # along any direction d the cost is J - w <grad, d> + w^2/2 (c(d) + mu dt |d|^2)
+        d = smooth_signal(rng, m, grid.n_t, rng.uniform(0.1, 1.0))
+        slope = grid.dt * float(np.sum(g * d))
+        curvature = model.tracking_curvature(d) + problem.mu * grid.dt * float(np.sum(d * d))
+        for w in steps:
+            expected = cost.total - w * slope + 0.5 * w * w * curvature
+            assert expected == pytest.approx(model.cost_only(u - w * d).total, rel=1e-12, abs=0.0)
+
+
+def desk_model(kind):
+    base = dict(l=100.0, n=401, n_t=300, T=136.02357742008616, v=0.55, xi=5)
+    if kind == "fom":
+        return build_model(ScenarioConfig(model="fom", **base))
+    return build_model(ScenarioConfig(model="pod", mode_tol=1e-6, problem="double_tilt", **base))
+
+
+@pytest.mark.parametrize("kind", ["fom", "pod"])
+def test_closed_form_search_repeats_the_trial_search_bitwise(kind, tmp_path):
+    cfg = OptimizerConfig(n_iter=32)
+    closed = count_trials(count_cost_only(desk_model(kind)))
+    trials = count_cost_only(trial_search(desk_model(kind)))
+    m, n_t = closed.problem.shapes.m, closed.problem.grid.n_t
+    u_closed, rep_closed = optimize(closed, np.zeros((m, n_t)), cfg, stream=tmp_path / "c.csv")
+    u_trials, rep_trials = optimize(trials, np.zeros((m, n_t)), cfg, stream=tmp_path / "t.csv")
+    assert rep_closed.iterations == rep_trials.iterations == 32
+    assert [r.omega for r in rep_closed.records] == [r.omega for r in rep_trials.records]
+    assert [r.total for r in rep_closed.records] == [r.total for r in rep_trials.records]
+    assert np.array_equal(u_closed, u_trials)
+    assert closed.cost_only_calls == 0
+    assert trials_column(tmp_path / "c.csv") == trials_column(tmp_path / "t.csv")
+    assert sum(trials_column(tmp_path / "c.csv")) == closed.search_trials
+    assert sum(trials_column(tmp_path / "t.csv")) == trials.cost_only_calls > 0
+
+
+@pytest.mark.parametrize("eigenfunction_basis", [True, False])
+def test_spod_search_keeps_trial_solves(eigenfunction_basis, tmp_path):
+    # the Schur path is nonlinear, and the invariant path checks the Schur
+    # margins of every trial trajectory
+    problem = small_problem(0.55)
+    model = count_cost_only(SpodModel(problem, ModeRule.fixed(4), n_samples=400,
+                                      eigenfunction_basis=eigenfunction_basis))
+    u0 = np.zeros((problem.shapes.m, problem.grid.n_t))
+    _, rep = optimize(model, u0, quad_cfg(n_iter=6, beta=0.0, bb_switch_threshold=0.0),
+                      stream=tmp_path / "s.csv")
+    assert rep.iterations == 6
+    assert sum(trials_column(tmp_path / "s.csv")) == model.cost_only_calls > 0
+
+
+class _DivergingDirection(FomModel):
+    def tracking_curvature(self, g):
+        raise DivergenceError(3, "state")
+
+
+class _DivergingTrials(FomModel):
+    def cost_only(self, u):
+        raise DivergenceError(3, "state")
+
+
+def test_diverging_direction_solve_fails_the_search(tmp_path):
+    problem = small_problem(0.55)
+    u0 = np.zeros((problem.shapes.m, problem.grid.n_t))
+    cfg = quad_cfg(n_iter=4, beta=0.0)
+    _, rep = optimize(_DivergingDirection(problem), u0, cfg, stream=tmp_path / "d.csv")
+    _, ref = optimize(trial_search(_DivergingTrials(problem)), u0, cfg)
+    assert rep.status == ref.status == "max_iter"
+    assert rep.iterations == 4
+    # every search fails after testing each halving, as when every trial diverges
+    assert [r.omega for r in rep.records] == [r.omega for r in ref.records]
+    assert [r.trials for r in rep.records] == [r.trials for r in ref.records] == [31] * 4
+    assert trials_column(tmp_path / "d.csv") == [31] * 4
+
+
+def test_trials_column_counts_the_search_trials(tmp_path):
+    h = np.linspace(1.0, 100.0, 50).reshape(5, 10)
+    model = count_trials(QuadraticModel(np.ones((5, 10)), h))
+    path = tmp_path / "iters.csv"
+    _, rep = optimize(model, np.zeros((5, 10)), quad_cfg(n_iter=5000), stream=path)
+    column = trials_column(path)
+    assert column == [r.trials for r in rep.records]
+    assert sum(column) == model.search_trials
+    # Barzilai-Borwein steps test no step size
+    assert 0 in column and column[0] > 0

@@ -27,12 +27,7 @@ PACKAGE = ROOT / "src" / "romctl"
 READERS = ("src", "scripts", "perfbench")
 
 # definitions that may stay without a reader, each with its reason
-ALLOWED = {
-    "certify_smallness": "the paper's existence certificate; ROADMAP item 9 gives it a caller "
-                         "through the cert_zeta column",
-    "SmallnessCertificate.satisfied": "the verdict of that certificate, read with it",
-    "SmallnessCertificate.zeta": "the slack of that certificate, the cert_zeta column itself",
-}
+ALLOWED: dict[str, str] = {}
 
 # defaulted parameters that only tests pass, each with its reason
 TEST_HOOKS = {
