@@ -107,7 +107,6 @@ class ScenarioConfig:
     beta: float = 1e-5
     omega0: float = 1.0
     n_iter: int = 20000
-    n_samples: int = 800
     refine_every: int = 5
     bb_switch_threshold: float = 5e-3
     model: str = "fom"
@@ -131,8 +130,6 @@ class ScenarioConfig:
             raise ConfigError("modes and mode_tol choose a reduced basis; model = fom has none")
         if self.eigenfunction_basis and self.model != "spod":
             raise ConfigError(f"model = {self.model} ignores eigenfunction_basis, an sPOD-G basis")
-        if self.model != "spod" and self.n_samples != ScenarioConfig.n_samples:
-            raise ConfigError(f"model = {self.model} ignores n_samples, the sPOD-G shift samples")
         if self.eigenfunction_basis and (self.modes is not None or self.mode_tol is not None):
             raise ConfigError("eigenfunction_basis fixes the basis; it ignores modes and mode_tol")
         if self.problem != "custom" and (self.kinks or self.kink_velocities):
@@ -143,8 +140,6 @@ class ScenarioConfig:
             raise ConfigError(f"xi must be nonnegative, got {self.xi}")
         if self.mu <= 0:
             raise ConfigError(f"regularization weight mu must be positive, got {self.mu}")
-        if self.n_samples < 2:
-            raise ConfigError(f"n_samples must be at least 2, got {self.n_samples}")
         try:
             self.grid()
             self.target_spec()
@@ -252,7 +247,7 @@ def build_model(cfg: ScenarioConfig) -> ProblemModel:
         return FomModel(problem)
     if cfg.model == "pod":
         return PodModel(problem, cfg.mode_rule())
-    return SpodModel(problem, cfg.mode_rule(), cfg.n_samples, cfg.eigenfunction_basis)
+    return SpodModel(problem, cfg.mode_rule(), cfg.eigenfunction_basis)
 
 
 # each history file is a column subset of the iteration records

@@ -211,12 +211,10 @@ class SpodModel(ProblemModel):
         self,
         problem: ControlProblem,
         mode_rule: ModeRule,
-        n_samples: int,
         eigenfunction_basis: bool = False,
     ):
         super().__init__(problem)
         self.mode_rule = mode_rule
-        self.n_samples = n_samples
         self.eigenfunction_basis = eigenfunction_basis
         self._path = uncontrolled_shift_path(problem.grid)
         self.basis: ModeBasis | None = None
@@ -230,16 +228,14 @@ class SpodModel(ProblemModel):
         if self.eigenfunction_basis:
             if self.ops is None:
                 self.basis = eigenfunction_stationary_basis(p.grid, p.shapes, p.y0)
-                self.ops = rom_spod.assemble_spod_rom(
-                    self.basis, p.shapes, p.y0, p.grid, self.n_samples
-                )
+                self.ops = rom_spod.assemble_spod_rom(self.basis, p.shapes, p.y0, p.grid)
             return self.basis.r
         Q = fom.solve_state(p.grid, p.shapes, u, p.y0)
         Qs = transform_snapshots(Q, self._path, p.grid)
         modes, sigma = weighted_svd(Qs, p.grid)
         self.basis = truncate_to_basis(modes, sigma, self.mode_rule.select(sigma))
         self.last_spectrum = sigma
-        self.ops = rom_spod.assemble_spod_rom(self.basis, p.shapes, p.y0, p.grid, self.n_samples)
+        self.ops = rom_spod.assemble_spod_rom(self.basis, p.shapes, p.y0, p.grid)
         return self.basis.r
 
     def _tracking_along(self, z: np.ndarray) -> rom_spod.SpodTracking:

@@ -17,7 +17,8 @@ is circulant, so S(z)^T acts on each (sin_k, -cos_k) pair as the symbol
 sigma_k(z) = e^{i theta_k c} ((1 - f) + f e^{i theta_k}), theta_k = 2 pi k / n,
 c and f the whole cells and fraction of z: the pairings of the shifted modes
 with the shapes are B(z) = B(0) T(z), T(z) one 2x2 rotation-scaling per pair,
-and the model holds B(0) and sigma at the sampled shifts.
+and the model holds B(0) and sigma at the n whole-cell shifts, from which
+sigma(z) is exact at any z.
 
 When the basis is invariant, N^T B1(z) = B2(z) at every shift (the span of
 y0 and the control shapes is one such basis), and the mass-matrix system has
@@ -56,16 +57,16 @@ class SingularMassError(DivergenceError):
 class SpodRomOperators:
     """The shift-independent operators and the pairings B(z) = B(0) T(z) of
     the stacked [shifted modes; their shift derivative; their curvature] with
-    the shapes. sigma holds the symbol of T at n_samples equispaced shifts
-    over [0, l), and T(z) blends the two samples around z linearly."""
+    the shapes. cells holds the symbol of T at the n whole-cell shifts, and
+    T(z) is exact at every shift z."""
 
     N: np.ndarray           # (r, r) skew pairing of modes with mode slopes
     M2: np.ndarray          # (r, r) Gram matrix of mode slopes
     B0: np.ndarray          # (3r, m) the stacked pairings [B1; B2; B3] at z = 0
-    sigma: np.ndarray       # (n_samples, xi) complex symbol of the shift per pair
+    cells: np.ndarray       # (n, xi) row c: e^{i theta_k c}, the symbol at shift c dx
     gram_cross: np.ndarray  # (r, r) one-cell cross Gram of the modes
     alpha0: np.ndarray      # (r,)
-    l: float
+    grid: SpaceTimeGrid     # its l and n split a shift into cells
     invariant: bool         # N^T B1 = B2: closed-form solves
 
     @property
@@ -77,21 +78,13 @@ class SpodRomOperators:
         return self.B0.shape[1]
 
     def symbol(self, z):
-        """sigma(z), (xi,) at a float shift z, (len(z), xi) along an array of
-        them: the periodic linear interpolation of the two samples around z,
-        the sample itself when z lies on it. The index math of a float z stays
-        in Python scalars, for the per-step read of the state sweep."""
-        n_samples = len(self.sigma)
-        s = (z % self.l) / (self.l / n_samples)
-        if isinstance(s, float):
-            lo = math.floor(s)
-            frac = s - lo
-        else:
-            lo = np.floor(s)
-            frac = (s - lo)[:, None]
-            lo = lo.astype(int)
-        k = lo % n_samples
-        return (1.0 - frac) * self.sigma[k] + frac * self.sigma[(k + 1) % n_samples]
+        """sigma(z) = e^{i theta_k c} ((1 - f) + f e^{i theta_k}), (xi,) at a
+        float shift z, (len(z), xi) along an array of them, with c and f the
+        whole cells and fraction of z as split_shift snaps them."""
+        c, f = split_shift(z, self.grid)
+        if not isinstance(f, float):
+            f = f[:, None]
+        return self.cells[c] * ((1.0 - f) + f * self.cells[1])
 
     def along(
         self, rows: slice, z: np.ndarray, w: np.ndarray, transpose: bool = False
@@ -183,11 +176,10 @@ def assemble_spod_rom(
     shapes: ControlShapes,
     y0: np.ndarray,
     grid: SpaceTimeGrid,
-    n_samples: int,
 ) -> SpodRomOperators:
     """Assemble the shift-independent matrices, the pairings B(0) and the
-    shift symbol at n_samples equispaced shifts over [0, l), and detect from
-    B(0) whether the basis is invariant.
+    shift symbol at the n whole-cell shifts, and detect from B(0) whether the
+    basis is invariant.
 
     The shapes must be build_fourier_shapes(grid, (m - 1) // 2) bit for bit.
     By summation by parts B2(0) = -dx Phi'^T b = dx Phi^T (D b) and
@@ -198,8 +190,6 @@ def assemble_spod_rom(
     xi < n / 2) and N^T B1(z) - B2(z) = (N^T B1(0) - B2(0)) T(z), so the gap
     at z = 0 decides invariance at every shift, the relative gap within a
     factor 1 / cos^2(pi xi / n)."""
-    if n_samples < 2:
-        raise ValueError(f"need at least 2 shift samples for interpolation, got {n_samples}")
     xi = (shapes.m - 1) // 2
     if not np.array_equal(shapes.shapes, build_fourier_shapes(grid, xi).shapes):
         raise ValueError("sPOD-G pairs the modes with Fourier control shapes only: the shapes "
@@ -223,21 +213,18 @@ def assemble_spod_rom(
     gap = N.T @ B1 - B2
     invariant = bool(np.sum(gap * gap) <= INVARIANT_TOL**2 * np.sum(B2 * B2))
 
-    # sigma_k at the samples, snapped as split_shift snaps; e^{i theta_k c}
-    # from the whole turns k c mod n, so its angle stays below 2 pi
-    c, f = split_shift((grid.l / n_samples) * np.arange(n_samples), grid)
-    turns = np.exp((2j * np.pi / grid.n) * (np.outer(c, k) % grid.n))
-    sigma = turns * ((1.0 - f)[:, None] + f[:, None] * np.exp(1j * theta))
+    # e^{i theta_k c} from the whole turns k c mod n, so its angle stays below 2 pi
+    cells = np.exp((2j * np.pi / grid.n) * (np.outer(np.arange(grid.n), k) % grid.n))
 
     gram_cross = dx * (Phi.T @ (np.roll(Phi, 1, axis=0) + np.roll(Phi, -1, axis=0)))
     return SpodRomOperators(
         N=N,
         M2=M2,
         B0=np.vstack([B1, B2, B3]),
-        sigma=sigma,
+        cells=cells,
         gram_cross=gram_cross,
         alpha0=dx * (Phi.T @ y0),
-        l=grid.l,
+        grid=grid,
         invariant=invariant,
     )
 

@@ -1,6 +1,8 @@
 """Periodic shift operator and snapshot transformation."""
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .discretization import SpaceTimeGrid, check_field, check_shape
@@ -13,17 +15,28 @@ _ALIGN_TOL = 1e-8
 def split_shift(z: float | np.ndarray, grid: SpaceTimeGrid):
     """Decompose a shift into whole cells and a fractional offset in [0, 1),
     snapping near-aligned shifts to exact rotations. A scalar shift gives
-    (int, float); an array of shifts gives (int array, float array)."""
-    s = (np.asarray(z, dtype=float) % grid.l) / grid.dx
-    if not np.all(np.isfinite(s)):
+    (int, float), its index math in Python scalars for the per-step reads of
+    the sPOD-G state sweep; an array of shifts gives (int array, float array),
+    bitwise the same."""
+    if isinstance(z, float) or np.ndim(z) == 0:  # np.ndim alone costs a conversion
+        s = (float(z) % grid.l) / grid.dx
+        if not math.isfinite(s):
+            raise ValueError("shifts must be finite")
+        k = math.floor(s)
+        frac = s - k
+        if frac > 1.0 - _ALIGN_TOL:  # snap up to the next node
+            return (k + 1) % grid.n, 0.0
+        return k % grid.n, (0.0 if frac < _ALIGN_TOL else frac)
+    s = np.asarray(z, dtype=float) % grid.l
+    s /= grid.dx
+    if not math.isfinite(s.sum()):  # each finite shift gives s in [0, n]
         raise ValueError("shifts must be finite")
     k = np.floor(s)
     frac = s - k
-    snap = (frac < _ALIGN_TOL) | (frac > 1.0 - _ALIGN_TOL)
-    k = np.where(snap, np.round(s), k).astype(int) % grid.n
-    frac = np.where(snap, 0.0, frac)
-    if np.ndim(z) == 0:
-        return int(k), float(frac)
+    up = frac > 1.0 - _ALIGN_TOL
+    frac[up | (frac < _ALIGN_TOL)] = 0.0
+    k = k.astype(int) + up
+    k %= grid.n
     return k, frac
 
 

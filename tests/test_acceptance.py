@@ -131,7 +131,7 @@ def test_criterion_03_spod_gradient_check():
     shapes, y0, _ = fom_setup(base_grid, 1)  # m = 3
     target0 = build_target(base_grid, y0, single_tilt_target(0.0, V))
     base = SpodModel(ControlProblem(base_grid, shapes, y0, target0, resting_path(base_grid), 1e-3),
-                     ModeRule.fixed(5), n_samples=800)
+                     ModeRule.fixed(5))
     base.refine_basis(smooth_signal(np.random.default_rng(1), shapes.m, n_t0, 0.02))
     agg = {}
     for n_t in (n_t0, 2 * n_t0):
@@ -139,7 +139,7 @@ def test_criterion_03_spod_gradient_check():
         y0g = gaussian_initial_condition(grid)
         target = build_target(grid, y0g, single_tilt_target(0.0, V))
         model = SpodModel(ControlProblem(grid, shapes, y0g, target, resting_path(grid), 1e-3),
-                          ModeRule.fixed(5), n_samples=800)
+                          ModeRule.fixed(5))
         model.basis, model.ops = base.basis, base.ops  # same reduced system, finer steps
         u = smooth_signal(np.random.default_rng(2), shapes.m, grid.n_t, 0.02)
         errs = fd_gradient_check(model, u, seed=17)
@@ -200,8 +200,7 @@ def test_criterion_05_cost_agreement():
         u0 = np.zeros((shapes.m, grid.n_t))
         problem = ControlProblem(grid, shapes, y0, target, resting_path(grid), 1e-3)
         _, rep_f = optimize(FomModel(problem), u0, cfg)
-        spod = SpodModel(problem, ModeRule.fixed(2 * xi + 2), n_samples=800,
-                         eigenfunction_basis=True)
+        spod = SpodModel(problem, ModeRule.fixed(2 * xi + 2), eigenfunction_basis=True)
         _, rep_s = optimize(spod, u0, cfg)
         assert rep_f.status == "converged"
         assert rep_s.status == "converged"
@@ -224,7 +223,7 @@ def test_criterion_06_smallness_envelope():
     grid = unit_cfl_grid(401, 300)
     shapes, y0, target = fom_setup(grid, 1)  # m = 3, basis size 4
     basis = eigenfunction_stationary_basis(grid, shapes, y0)
-    ops = assemble_spod_rom(basis, shapes, y0, grid, 800)
+    ops = assemble_spod_rom(basis, shapes, y0, grid)
     bn = operator_norm_B(shapes, grid)
     a0_sq = float(ops.alpha0 @ ops.alpha0)
     rng = np.random.default_rng(7)
@@ -271,7 +270,7 @@ def test_criterion_07_structural_invariants():
         q, _ = np.linalg.qr(np.sqrt(grid.dx) * raw)
         from romctl.basis import ModeBasis
 
-        ops = assemble_spod_rom(ModeBasis(modes=q / np.sqrt(grid.dx)), shapes, y0, grid, 16)
+        ops = assemble_spod_rom(ModeBasis(modes=q / np.sqrt(grid.dx)), shapes, y0, grid)
         assert np.max(np.abs(ops.N + ops.N.T)) < 1e-10
         M_c = np.block([[np.eye(ops.r), ops.N], [ops.N.T, ops.M2]])
         assert np.min(np.linalg.eigvalsh(M_c)) > 0.0
@@ -297,7 +296,7 @@ def test_criterion_07_structural_invariants():
     lam = solve_adjoint(grid, Y, target)
     assert np.all(lam[:, -1] == 0.0)
     basis = eigenfunction_stationary_basis(grid, shapes, y0)
-    ops = assemble_spod_rom(basis, shapes, y0, grid, 64)
+    ops = assemble_spod_rom(basis, shapes, y0, grid)
     traj = solve_spod_state(ops, u, grid)
     tracking = tracking_terms(target_table(basis, target[:, 0], grid), resting_path(grid),
                               traj.z, grid)
@@ -379,7 +378,7 @@ def test_criterion_09_full_scale_reproduction(tmp_path):
 def test_criterion_10_timing_categories(tmp_path):
     t0 = time.perf_counter()
     cfg = ScenarioConfig(n=41, n_t=30, T=5.0, xi=1, n_iter=8, model="spod",
-                         modes=4, n_samples=32, out=str(tmp_path / "timing"))
+                         modes=4, out=str(tmp_path / "timing"))
     assert run_scenario(cfg, quiet=True) == 0
     lines = (tmp_path / "timing" / "timings.csv").read_text().splitlines()
     header = lines[0].split(",")

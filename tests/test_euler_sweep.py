@@ -4,11 +4,11 @@ The reference solves below are the loops fom.solve_state, fom.solve_adjoint,
 rom_pod.solve_pod_state, rom_pod.solve_pod_adjoint, rom_spod.solve_spod_state
 and rom_spod.solve_spod_adjoint ran before they shared fom.euler_sweep, kept
 verbatim as oracles, with the sPOD-G gradient loop and the three separate
-shift-table lookups those loops read: the kernel changes no arithmetic, so
+shift pairings those loops read: the kernel changes no arithmetic, so
 the FOM and POD-G solves must match them bit for bit. The sPOD-G solves read
 the pairings of the shifted modes with the shapes as B(0) T(z), T(z) from the
-symbol of the shift, where the oracles read the table the per-sample shift
-loop builds, so they match to 1e-12 relative, as B(z) itself does. The sPOD-G
+symbol of the shift, where the oracles evaluate the shift loop at each step's
+shift, so they match to 1e-12 relative, as B(z) itself does. The sPOD-G
 adjoint oracle also pairs the target with the lifted state at every step
 (three rolls of the target column, Phi a, Phi^T w and the lift Gram matrices),
 while the solve reads the same pairings from rom_spod.tracking_terms, summed
@@ -110,62 +110,44 @@ def reference_pod_adjoint(ops, alpha, yd_reduced, grid):
     return lam
 
 
-def reference_b_table(basis, shapes, grid, sample_shifts):
-    """The shift table as assemble_spod_rom built it, one shift per sample."""
+def reference_b_table(basis, shapes, grid, shifts):
+    """The stacked pairings [B1; B2; B3] at each of the shifts, by the shift
+    loop that built the sampled table before the shift symbol replaced it."""
     Phi = basis.modes
     r = basis.r
     dPhi = central_derivative(Phi, grid)
     ddPhi = second_difference(Phi, grid)
-    stacked = np.column_stack([Phi, dPhi, ddPhi])  # one shift call per sample
-    table = np.empty((len(sample_shifts), 3 * r, shapes.m))
-    for s, z in enumerate(sample_shifts):
+    stacked = np.column_stack([Phi, dPhi, ddPhi])  # one shift call per shift
+    table = np.empty((len(shifts), 3 * r, shapes.m))
+    for s, z in enumerate(shifts):
         table[s] = grid.dx * (shift_field(stacked, z, grid).T @ shapes.shapes)
     table[:, r : 2 * r] *= -1.0  # d/dz of the shifted mode is minus its shifted slope
     return table
 
 
 class ReferenceSpodOps:
-    """The three shift tables B1, B2, B3 and their lookups as the sweeps read
-    them before the tables were stacked into one, sampled by the shift loop at
-    as many shifts as ops holds symbol samples, and the lift Gram matrices the
-    adjoint built at every step, in front of the operators that did not change
-    (N, M2, alpha0, the one-cell cross Gram)."""
+    """The three pairings B1, B2, B3 as the sweeps read them before they were
+    stacked into one, each evaluated by the shift loop at the shift it is
+    read at, and the lift Gram matrices the adjoint built at every step, in
+    front of the operators that did not change (N, M2, alpha0, the one-cell
+    cross Gram)."""
 
     def __init__(self, ops, basis, shapes, grid):
         self._ops = ops
-        r = ops.r
-        self.sample_shifts = (grid.l / len(ops.sigma)) * np.arange(len(ops.sigma))
-        table = reference_b_table(basis, shapes, grid, self.sample_shifts)
-        self.B1_table = table[:, :r]
-        self.B2_table = table[:, r : 2 * r]
-        self.B3_table = table[:, 2 * r :]
+        self._pairing = lambda z: reference_b_table(basis, shapes, grid, [z])[0]
         self.z0 = 0.0
 
     def __getattr__(self, name):
         return getattr(self._ops, name)
 
-    @staticmethod
-    def lookup_B(table: np.ndarray, sample_shifts: np.ndarray, l: float, z: float) -> np.ndarray:
-        """Periodic linear interpolation of a shift-sampled table."""
-        n_samples = table.shape[0]
-        if n_samples == 0:
-            raise ValueError("empty shift table")
-        step = l / n_samples
-        s = (float(z) % l) / step
-        k = int(np.floor(s)) % n_samples
-        frac = s - np.floor(s)
-        if frac == 0.0:
-            return table[k]
-        return (1.0 - frac) * table[k] + frac * table[(k + 1) % n_samples]
-
     def B1(self, z: float) -> np.ndarray:
-        return self.lookup_B(self.B1_table, self.sample_shifts, self.l, z)
+        return self._pairing(z)[: self.r]
 
     def B2(self, z: float) -> np.ndarray:
-        return self.lookup_B(self.B2_table, self.sample_shifts, self.l, z)
+        return self._pairing(z)[self.r : 2 * self.r]
 
     def B3(self, z: float) -> np.ndarray:
-        return self.lookup_B(self.B3_table, self.sample_shifts, self.l, z)
+        return self._pairing(z)[2 * self.r :]
 
     def lift_gram(self, frac: float) -> np.ndarray:
         return ((1.0 - frac) ** 2 + frac**2) * np.eye(self.r) + (
@@ -334,7 +316,7 @@ def problem(v, seed, n=97, n_t=83, r=9):
     return grid, shapes, ops, y0, u, target, yd
 
 
-def spod_operators(grid, shapes, seed, r=5, n_samples=64):
+def spod_operators(grid, shapes, seed, r=5):
     """sPOD-G operators on the span of r random smooth bumps, the first of them
     the initial condition. Unlike the invariant-subspace basis, the span holds
     no control shape, so the control moves the shift off v t."""
@@ -342,7 +324,7 @@ def spod_operators(grid, shapes, seed, r=5, n_samples=64):
     centers, widths = rng.uniform(0.0, grid.l, r), rng.uniform(4.0, 8.0, r)
     bumps = np.exp(-(((grid.x[:, None] - centers) / widths) ** 2))
     basis = ModeBasis(modes=weighted_svd(bumps, grid)[0])
-    return basis, assemble_spod_rom(basis, shapes, bumps[:, 0], grid, n_samples)
+    return basis, assemble_spod_rom(basis, shapes, bumps[:, 0], grid)
 
 
 @pytest.mark.parametrize("v", [0.55, -0.55, 0.0])
@@ -395,7 +377,7 @@ def test_spod_solves_match_parent_loops_bitwise(v, seed):
     ref = ReferenceSpodOps(ops, basis, shapes, grid)
     traj = solve_spod_state(ops, u, grid)
     ref_traj = reference_spod_state(ref, u, grid)
-    # not bitwise: the solve pairs through B(0) T(z), the oracle through the table
+    # not bitwise: the solve pairs through B(0) T(z), the oracle through the shift loop
     assert rel(traj.alpha, ref_traj.alpha) <= 1e-12
     assert rel(traj.z, ref_traj.z) <= 1e-12
     tracking = tracking_terms(target_table(basis, profile, grid), path, traj.z, grid)
@@ -410,22 +392,24 @@ def test_spod_solves_match_parent_loops_bitwise(v, seed):
 @pytest.mark.parametrize("n_samples", [64, 194, 800])
 @pytest.mark.parametrize("seed", [0, 1])
 def test_b_table_matches_shift_loop(seed, n_samples):
-    # random bumps and the invariant basis on 97 nodes; 194 samples put every
-    # other sample on a node, where split_shift snaps to a whole-cell roll.
-    # B(z) read through along, forward and transposed, at the samples and at
-    # off-sample shifts against the oracle table blended as lookup_B blends it
+    # random bumps and the invariant basis on 97 nodes: B(z) read through
+    # along, forward and transposed, against the shift loop evaluated at z, at
+    # every whole-cell shift, at n_samples evenly spaced shifts over one
+    # period (194 put every other one on a node, where split_shift snaps to a
+    # whole-cell roll) and at shifts on, within the snap band of, and just
+    # outside it around nodes up to 3 l away on either side
     grid, shapes, _, y0, _, _, _ = problem(0.55, seed)
     bumps, _ = spod_operators(grid, shapes, seed)
     rng = np.random.default_rng(seed + 400)
-    off = awkward_shifts(grid, rng, rng.uniform(-2.0 * grid.l, 2.0 * grid.l, 20))
+    off = awkward_shifts(grid, rng, rng.uniform(-3.0 * grid.l, 3.0 * grid.l, 40))
+    even = (grid.l / n_samples) * np.arange(n_samples)
+    shifts = np.concatenate([grid.dx * np.arange(grid.n), even, off])
     for basis in (bumps, eigenfunction_stationary_basis(grid, shapes, y0)):
-        ops = assemble_spod_rom(basis, shapes, y0, grid, n_samples)
-        ref = ReferenceSpodOps(ops, basis, shapes, grid)
+        ops = assemble_spod_rom(basis, shapes, y0, grid)
+        table = reference_b_table(basis, shapes, grid, shifts)
+        tol = 1e-12 * np.max(np.abs(table))
         rows, m = slice(0, 3 * ops.r), ops.m
-        table = np.concatenate([ref.B1_table, ref.B2_table, ref.B3_table], axis=1)
-        want = list(table) + [ref.lookup_B(table, ref.sample_shifts, grid.l, z) for z in off]
-        for z, B in zip(np.concatenate([ref.sample_shifts, off]), want):
-            tol = 1e-12 * np.max(np.abs(table))
+        for z, B in zip(shifts, table):
             assert np.max(np.abs(ops.along(rows, np.full(m, z), np.eye(m)) - B)) <= tol
             BT = ops.along(rows, np.full(3 * ops.r, z), np.eye(3 * ops.r), transpose=True)
             assert np.max(np.abs(BT - B.T)) <= tol
@@ -468,7 +452,7 @@ def test_divergence_names_first_bad_column(what):
     # a forward solve first reads control column k for step k+1; a backward
     # solve first reads target column k for step k-1. An sPOD-G sweep may stop
     # there with its own DivergenceError, SingularMassError; a non-finite shift
-    # must never reach the table read (which would raise). On the invariant
+    # must never reach the symbol read (which would raise). On the invariant
     # basis the closed-form solves raise at the same steps.
     label, _, invariant = what.partition(", ")
     backward = label.endswith("adjoint")
@@ -477,7 +461,7 @@ def test_divergence_names_first_bad_column(what):
             grid, shapes, ops, y0, u, target, yd = problem(0.55, 3)
             if invariant:
                 basis = eigenfunction_stationary_basis(grid, shapes, y0)
-                sops = assemble_spod_rom(basis, shapes, y0, grid, 64)
+                sops = assemble_spod_rom(basis, shapes, y0, grid)
             else:
                 basis, sops = spod_operators(grid, shapes, 3)
             assert sops.invariant == bool(invariant)
@@ -506,7 +490,7 @@ def test_singular_mass_matrix_step_matches_schur_sweep(first_singular):
     # closed-form state, which checks the margins of its trajectory in one
     # batch, must stop at the step where the Schur sweep stops.
     grid, shapes, _, y0, u, _, _ = problem(0.55, 0)
-    ops = assemble_spod_rom(eigenfunction_stationary_basis(grid, shapes, y0), shapes, y0, grid, 64)
+    ops = assemble_spod_rom(eigenfunction_stationary_basis(grid, shapes, y0), shapes, y0, grid)
     assert ops.invariant
     w = np.zeros(ops.r)
     if first_singular:

@@ -2,6 +2,7 @@ import dataclasses
 import importlib.util
 import json
 import math
+import re
 import sys
 import tempfile
 from pathlib import Path
@@ -106,7 +107,21 @@ def test_parse_config_defaults(tmp_path):
     cfg = parse_config(path)
     assert (cfg.l, cfg.n, cfg.T, cfg.n_t, cfg.v) == (100.0, 3201, 136.2642, 2400, 0.55)
     assert (cfg.xi, cfg.mu, cfg.beta, cfg.omega0) == (20, 1e-3, 1e-5, 1.0)
-    assert (cfg.n_iter, cfg.n_samples) == (20000, 800)
+    assert cfg.n_iter == 20000
+
+
+def test_readme_defaults_are_the_config_defaults():
+    # README "CLI" lists the reference defaults as key=value pairs; each must
+    # name a ScenarioConfig field and equal its default
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    text = " ".join(readme.read_text().split())
+    sentence = text.split("missing keys take the reference defaults:", 1)[1].split(")", 1)[0]
+    pairs = re.findall(r"(\w+)=([^,\s`]+)", sentence)
+    assert len(pairs) >= 10, sentence
+    defaults = {f.name: f.default for f in dataclasses.fields(ScenarioConfig)}
+    for key, value in pairs:
+        assert key in defaults, key
+        assert type(defaults[key])(value) == defaults[key], key
 
 
 def test_parse_config_model_selection(tmp_path):
@@ -208,7 +223,7 @@ def test_run_meta_reports_full_order_cost(tmp_path, extra):
 
 @pytest.mark.parametrize("extra", [dict(model="fom"), dict(model="pod", modes=3),
                                    dict(model="spod", eigenfunction_basis="true"),
-                                   dict(model="spod", modes=4, n_samples=64)])
+                                   dict(model="spod", modes=4)])
 def test_run_meta_reports_smallness_certificate(tmp_path, extra):
     # the sPOD-G certificate of the held operators at the returned control;
     # null for the linear models
@@ -247,7 +262,7 @@ def test_smallness_is_null_when_the_bound_is_vacuous(tmp_path):
 def test_run_scenario_spod_writes_spectra(tmp_path):
     cfg_path = tmp_path / "s.cfg"
     cfg_path.write_text(tiny_config_text(out=tmp_path / "out", model="spod",
-                                         modes=4, n_samples=64, n_iter=7))
+                                         modes=4, n_iter=7))
     assert run_scenario(parse_config(cfg_path), quiet=True) == 0
     spectra = list((tmp_path / "out").glob("singular_values_iter*.csv"))
     assert spectra
@@ -258,7 +273,7 @@ def test_rank_study_emits_ratio_table(tmp_path):
     dx = 100.0 / g_kw["n"]
     T = g_kw["n_t"] * dx / 0.55  # unit CFL keeps shifts grid-aligned
     cfg = ScenarioConfig(n=g_kw["n"], n_t=g_kw["n_t"], T=T, xi=4, n_iter=25,
-                         n_samples=64, out=str(tmp_path / "rank"), model="spod",
+                         out=str(tmp_path / "rank"), model="spod",
                          eigenfunction_basis=True)
     assert run_rank_study(cfg, quiet=True) == 0
     lines = (tmp_path / "rank" / "rank_study.csv").read_text().splitlines()
@@ -349,6 +364,7 @@ BAD_CONFIGS = (
     "rank_study_every = 5",
     "model = pod\nn_samples = 64",
     "model = fom\nn_samples = 64",
+    "model = spod\nn_samples = 800",
 )
 
 
@@ -376,7 +392,7 @@ def test_cli_rank_study_rejects_mode_keys(tmp_path, capsys):
     "",  # model = fom by default
     "model = pod",
     "model = spod",  # on a snapshot basis
-    "model = fom\nn_samples = 64",
+    "model = fom",
 ])
 def test_cli_rank_study_needs_the_invariant_spod_basis(tmp_path, text):
     # rank-study reads model and eigenfunction_basis, so anything but the

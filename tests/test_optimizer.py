@@ -319,8 +319,7 @@ def test_spod_search_keeps_trial_solves(eigenfunction_basis, tmp_path):
     # the Schur path is nonlinear, and the invariant path checks the Schur
     # margins of every trial trajectory
     problem = small_problem(0.55)
-    model = count_cost_only(SpodModel(problem, ModeRule.fixed(4), n_samples=400,
-                                      eigenfunction_basis=eigenfunction_basis))
+    model = count_cost_only(SpodModel(problem, ModeRule.fixed(4), eigenfunction_basis))
     u0 = np.zeros((problem.shapes.m, problem.grid.n_t))
     _, rep = optimize(model, u0, quad_cfg(n_iter=6, beta=0.0, bb_switch_threshold=0.0),
                       stream=tmp_path / "s.csv")

@@ -46,21 +46,21 @@ def normalized_trig_basis(grid, cols):
 @pytest.fixture
 def eig_model(grid, shapes, y0, target, target_path):
     model = SpodModel(ControlProblem(grid, shapes, y0, target, target_path, 1e-3),
-                      ModeRule.fixed(4), n_samples=400, eigenfunction_basis=True)
+                      ModeRule.fixed(4), eigenfunction_basis=True)
     model.refine_basis(np.zeros((shapes.m, grid.n_t)))
     return model
 
 
 def test_constant_mode_has_trivial_operators(grid, shapes, y0):
     basis = normalized_trig_basis(grid, [("const", 0)])
-    ops = assemble_spod_rom(basis, shapes, y0, grid, 8)
+    ops = assemble_spod_rom(basis, shapes, y0, grid)
     assert abs(ops.N[0, 0]) < 1e-12
     assert abs(ops.M2[0, 0]) < 1e-12
 
 
 def test_sin_cos_pair_skew_structure(grid, shapes, y0):
     basis = normalized_trig_basis(grid, [("sin", 1), ("cos", 1)])
-    ops = assemble_spod_rom(basis, shapes, y0, grid, 8)
+    ops = assemble_spod_rom(basis, shapes, y0, grid)
     assert np.max(np.abs(ops.N + ops.N.T)) < 1e-10
     assert abs(ops.N[0, 1]) > 1e-3  # coupling between the pair
     np.testing.assert_allclose(ops.M2, ops.M2.T, atol=1e-12)
@@ -72,7 +72,7 @@ def test_structural_invariants_random_modes(grid, shapes, y0, rng):
     )
     modes, _ = np.linalg.qr(np.sqrt(grid.dx) * raw)
     basis = ModeBasis(modes=modes / np.sqrt(grid.dx))
-    ops = assemble_spod_rom(basis, shapes, y0, grid, 16)
+    ops = assemble_spod_rom(basis, shapes, y0, grid)
     assert np.max(np.abs(ops.N + ops.N.T)) < 1e-10
     eigs = np.linalg.eigvalsh(ops.M2)
     assert np.all(eigs > -1e-12)
@@ -82,7 +82,7 @@ def test_structural_invariants_random_modes(grid, shapes, y0, rng):
 
 def test_mass_matrix_factorization_identity(grid, shapes, y0, rng):
     basis = normalized_trig_basis(grid, [("sin", 1), ("cos", 1), ("sin", 2)])
-    ops = assemble_spod_rom(basis, shapes, y0, grid, 8)
+    ops = assemble_spod_rom(basis, shapes, y0, grid)
     a = rng.standard_normal(3)
     M = np.block([
         [np.eye(3), (ops.N @ a)[:, None]],
@@ -101,43 +101,29 @@ def pairings(ops, rows, z):
 
 def test_b1_at_zero_shift_matches_direct_pairing(grid, shapes, y0):
     basis = normalized_trig_basis(grid, [("const", 0), ("sin", 1)])
-    ops = assemble_spod_rom(basis, shapes, y0, grid, 10)
+    ops = assemble_spod_rom(basis, shapes, y0, grid)
     direct = grid.dx * (basis.modes.T @ shapes.shapes)
     np.testing.assert_allclose(pairings(ops, slice(0, ops.r), 0.0), direct, atol=1e-12)
 
 
-def test_lookup_interpolation(grid, shapes, y0):
-    basis = normalized_trig_basis(grid, [("const", 0), ("sin", 1)])
-    ops = assemble_spod_rom(basis, shapes, y0, grid, 10)
-    step = grid.l / 10
-    B1 = lambda z: pairings(ops, slice(0, ops.r), z)
-    direct = grid.dx * (shift_field(basis.modes, 3 * step, grid).T @ shapes.shapes)
-    np.testing.assert_allclose(B1(3 * step), direct, atol=1e-12)
-    np.testing.assert_allclose(B1(3.5 * step), 0.5 * (B1(3 * step) + B1(4 * step)), atol=1e-14)
-
-
-def test_lookup_error_shrinks_with_sample_count(grid, shapes, y0, rng):
-    basis = normalized_trig_basis(grid, [("sin", 1), ("cos", 2)])
-    zs = rng.uniform(0.0, grid.l, size=12)
-    errs = []
-    for n_samples in (50, 100):
-        ops = assemble_spod_rom(basis, shapes, y0, grid, n_samples)
-        worst = 0.0
-        for z in zs:
-            direct = grid.dx * (shift_field(basis.modes, z, grid).T @ shapes.shapes)
-            worst = max(worst, np.max(np.abs(pairings(ops, slice(0, ops.r), z) - direct)))
-        errs.append(worst)
-    assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.5)
+def test_lookup_interpolation(grid, shapes, y0, rng):
+    # B1(z) from the exact symbol against the pairing of the shifted modes,
+    # at a node and at shifts off the nodes, negative ones and ones past l
+    basis = normalized_trig_basis(grid, [("const", 0), ("sin", 1), ("cos", 2)])
+    ops = assemble_spod_rom(basis, shapes, y0, grid)
+    for z in (3 * grid.dx, 3.5 * grid.dx, *rng.uniform(-2.0 * grid.l, 2.0 * grid.l, 8)):
+        direct = grid.dx * (shift_field(basis.modes, z, grid).T @ shapes.shapes)
+        np.testing.assert_allclose(pairings(ops, slice(0, ops.r), z), direct, rtol=0, atol=1e-14)
 
 
 def test_b_table_slope_consistency():
-    # dB1/dz = B2 and dB2/dz = B3 up to table resolution and the O(dx^2)
-    # gap between interpolated-shift slopes and shifted mode derivatives
+    # dB1/dz = B2 and dB2/dz = B3 up to the gap between the slope of the
+    # interpolated shift within a cell and the shifted mode derivatives
     g = coarse_grid(n=1001, n_t=4)
     sh = build_fourier_shapes(g, 1)
     y0 = gaussian_initial_condition(g)
     basis = normalized_trig_basis(g, [("sin", 1), ("cos", 1)])
-    ops = assemble_spod_rom(basis, sh, y0, g, 1600)
+    ops = assemble_spod_rom(basis, sh, y0, g)
     z, h = 13.7, 1e-4
     r = ops.r
     B1, B2, B3 = slice(0, r), slice(r, 2 * r), slice(2 * r, 3 * r)
@@ -157,8 +143,7 @@ def test_state_self_convergence_first_order(grid, shapes, y0, target, target_pat
     # fixed basis, same smooth control function, halved step: trajectory
     # differences shrink by about the step ratio
     model = SpodModel(ControlProblem(grid, shapes, y0, target, target_path, 1e-3),
-                      ModeRule.fixed(4),
-                      n_samples=400, eigenfunction_basis=True)
+                      ModeRule.fixed(4), eigenfunction_basis=True)
     model.refine_basis(np.zeros((shapes.m, grid.n_t)))
     diffs = []
     for mult in (1, 2, 4):
@@ -173,7 +158,7 @@ def test_state_self_convergence_first_order(grid, shapes, y0, target, target_pat
 
 def test_zero_alpha0_raises(grid, shapes):
     basis = normalized_trig_basis(grid, [("sin", 1), ("cos", 1)])
-    ops = assemble_spod_rom(basis, shapes, np.zeros(grid.n), grid, 8)
+    ops = assemble_spod_rom(basis, shapes, np.zeros(grid.n), grid)
     with pytest.raises(SingularMassError):
         solve_spod_state(ops, np.zeros((shapes.m, grid.n_t)), grid)
 
@@ -225,7 +210,7 @@ def test_gradient_matches_fd_and_decays(grid, shapes, y0, target):
         g = SpaceTimeGrid(l=grid.l, n=grid.n, T=grid.T, n_t=grid.n_t * mult, v=grid.v)
         tgt = build_target(g, gaussian_initial_condition(g), single_tilt_target(0.0, g.v))
         model = SpodModel(ControlProblem(g, shapes, y0, tgt, resting_path(g), 1e-3),
-                          ModeRule.fixed(5), n_samples=400)
+                          ModeRule.fixed(5))
         u = smooth_signal(np.random.default_rng(8), shapes.m, g.n_t, 0.02)
         model.refine_basis(u)
         dir_errs = fd_gradient_check(model, u, n_directions=6, seed=21)
@@ -263,7 +248,7 @@ def test_uncontrolled_lift_reproduces_fom_at_unit_cfl():
     y0 = gaussian_initial_condition(g)
     target = build_target(g, y0, single_tilt_target(0.0, g.v))
     model = SpodModel(ControlProblem(g, sh, y0, target, resting_path(g), 1e-3),
-                      ModeRule.fixed(4), n_samples=400, eigenfunction_basis=True)
+                      ModeRule.fixed(4), eigenfunction_basis=True)
     model.refine_basis(np.zeros((sh.m, g.n_t)))
     u = np.zeros((sh.m, g.n_t))
     lifted = model.lift(u)
@@ -300,12 +285,6 @@ def test_certified_controls_obey_envelope(eig_model, grid, shapes, rng):
         assert np.max(nsq) < 1.05 * hi
 
 
-def test_assembly_needs_two_samples(grid, shapes, y0):
-    basis = normalized_trig_basis(grid, [("sin", 1)])
-    with pytest.raises(ValueError):
-        assemble_spod_rom(basis, shapes, y0, grid, 1)
-
-
 def test_assembly_needs_fourier_shapes(grid, y0, rng):
     # B(z) = B(0) T(z) holds for the Fourier shapes only
     basis = normalized_trig_basis(grid, [("sin", 1)])
@@ -314,5 +293,5 @@ def test_assembly_needs_fourier_shapes(grid, y0, rng):
     scaled[:, 3] *= 2.0
     for cols in (rng.standard_normal((grid.n, 5)), scaled, fourier[:, :4]):
         with pytest.raises(ValueError, match="Fourier"):
-            assemble_spod_rom(basis, ControlShapes(shapes=cols), y0, grid, 8)
-    assemble_spod_rom(basis, ControlShapes(shapes=fourier), y0, grid, 8)
+            assemble_spod_rom(basis, ControlShapes(shapes=cols), y0, grid)
+    assemble_spod_rom(basis, ControlShapes(shapes=fourier), y0, grid)

@@ -54,7 +54,7 @@ def invariant_model(grid, xi, y0=None):
     if y0 is None:
         y0 = gaussian_initial_condition(grid)
     problem = ControlProblem(grid, shapes, y0, target, spec.displacement(grid.t, grid), 1e-3)
-    model = SpodModel(problem, ModeRule.fixed(1), n_samples=800, eigenfunction_basis=True)
+    model = SpodModel(problem, ModeRule.fixed(1), eigenfunction_basis=True)
     model.refine_basis(np.zeros((shapes.m, grid.n_t)))
     return model
 
@@ -134,7 +134,7 @@ def test_snapshot_basis_cost_matches_lifted_cost():
     spec = single_tilt_target(0.5, V)
     target = build_target(grid, y0, spec)
     problem = ControlProblem(grid, shapes, y0, target, spec.displacement(grid.t, grid), 1e-3)
-    model = SpodModel(problem, ModeRule.fixed(5), n_samples=400)
+    model = SpodModel(problem, ModeRule.fixed(5))
     rng = np.random.default_rng(6)
     model.refine_basis(smooth_signal(rng, shapes.m, grid.n_t, 0.05))
     assert model.basis.r == 5 and not model.ops.invariant

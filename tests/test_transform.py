@@ -108,8 +108,14 @@ def test_split_shift_of_an_array_matches_scalar_calls(grid, rng):
         assert type(kj) is int and type(fj) is float
         assert (int(k[j]), float(frac[j])) == (kj, fj)
     assert np.sum(frac == 0.0) >= grid.n_t // 2  # the node cases all snap
+    for zj in (np.float64(z[1]), np.array(z[1]), np.int64(-7)):  # any 0-d shift
+        kj, fj = split_shift(zj, grid)
+        assert type(kj) is int and type(fj) is float
     with pytest.raises(ValueError):
         split_shift(np.array([0.0, np.nan]), grid)
+    for bad in (np.nan, np.inf, -np.inf, np.float64(np.nan), np.array(np.inf)):
+        with pytest.raises(ValueError):
+            split_shift(bad, grid)
 
 
 def test_shift_columns_matches_shift_field_loop(grid, rng):
