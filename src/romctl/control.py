@@ -25,9 +25,12 @@ class ControlShapes:
 
 def build_fourier_shapes(grid: SpaceTimeGrid, xi: int) -> ControlShapes:
     """Constant plus xi sine/cosine pairs: b_1 = 1, b_2k = sin(2 pi k x / l),
-    b_2k+1 = -cos(2 pi k x / l); m = 2 xi + 1."""
-    if xi < 0:
-        raise ValueError(f"xi must be nonnegative, got {xi}")
+    b_2k+1 = -cos(2 pi k x / l); m = 2 xi + 1. For 2 xi < n they are
+    dx-orthogonal with squared norms l and l / 2, so ||B||^2 = l; from
+    2 xi = n on the top pair degenerates or aliases onto lower shapes, and
+    such xi are rejected."""
+    if not 0 <= 2 * xi < grid.n:
+        raise ValueError(f"xi must satisfy 0 <= 2 xi < n = {grid.n}, got {xi}")
     x = grid.x
     cols = [np.ones(grid.n)]
     for k in range(1, xi + 1):
@@ -48,24 +51,6 @@ def adjoint_control(shapes: ControlShapes, field: np.ndarray, grid: SpaceTimeGri
     """Component k is the L2 pairing of b_k with the field (or with each column)."""
     field = check_field(field, grid)
     return grid.dx * (shapes.shapes.T @ field)
-
-
-def operator_norm_B(shapes: ControlShapes, grid: SpaceTimeGrid) -> float:
-    """Spectral norm of u -> sum b_k u_k from Euclidean R^m to the weighted L2 norm.
-
-    Evaluated numerically so it stays correct for non-Fourier user shapes.
-    """
-    weighted = np.sqrt(grid.dx) * shapes.shapes
-    return float(np.linalg.svd(weighted, compute_uv=False)[0])
-
-
-def signal_inner(a: np.ndarray, b: np.ndarray, dt: float) -> float:
-    """Rectangle-rule pairing dt * sum_j a(t_j) . b(t_j) of two control signals."""
-    return dt * float(np.sum(np.asarray(a) * np.asarray(b)))
-
-
-def signal_norm_sq(u: np.ndarray, dt: float) -> float:
-    return signal_inner(u, u, dt)
 
 
 def save_control_csv(path: str | Path, u: np.ndarray) -> None:

@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import math
 from abc import abstractmethod
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -22,7 +22,7 @@ from .fom import CostBreakdown, DivergenceError
 from .optimizer import ControlledModel
 from .transform import shift_columns, transform_snapshots, uncontrolled_shift_path
 
-# columns per block of the target check, so that it forms no second target
+# columns per block of the target check and energy sum: they form no second target
 _CHECK_COLUMNS = 64
 
 
@@ -32,7 +32,8 @@ class ControlProblem:
     onto the target snapshots through the control shapes, with regularization
     weight mu, on one space-time grid. The target is one profile moved along
     a path: column j is target[:, 0] shifted by target_path[j], and
-    target_path[0] = 0; the check is bitwise."""
+    target_path[0] = 0; the check is bitwise. Alongside it, block by block,
+    it sums target_energy = 1/2 dt dx |target|_F^2."""
 
     grid: SpaceTimeGrid
     shapes: ControlShapes
@@ -40,6 +41,7 @@ class ControlProblem:
     target: np.ndarray
     target_path: np.ndarray
     mu: float
+    target_energy: float = field(init=False)
 
     def __post_init__(self) -> None:
         grid = self.grid
@@ -47,15 +49,18 @@ class ControlProblem:
         path = check_shape(self.target_path, (grid.n_t,), "target path")
         if path[0] != 0.0:
             raise ValueError(f"target path must start at 0, got {path[0]!r}")
+        energy = 0.0
         for start in range(0, grid.n_t, _CHECK_COLUMNS):
-            cols = slice(start, start + _CHECK_COLUMNS)
-            moved = shift_columns(target[:, 0], path[cols], grid)
-            bad = np.flatnonzero(np.any(moved != target[:, cols], axis=0))
+            block = target[:, start : start + _CHECK_COLUMNS]
+            moved = shift_columns(target[:, 0], path[start : start + _CHECK_COLUMNS], grid)
+            bad = np.flatnonzero(np.any(moved != block, axis=0))
             if bad.size:
                 raise ValueError(
                     f"target column {start + int(bad[0])} is not target[:, 0] "
                     "shifted along the target path"
                 )
+            energy += float(np.einsum("ij,ij->", block, block))
+        object.__setattr__(self, "target_energy", 0.5 * grid.dt * grid.dx * energy)
         object.__setattr__(self, "y0", np.asarray(self.y0, dtype=float))
         object.__setattr__(self, "target", target)
         object.__setattr__(self, "target_path", path)
@@ -135,8 +140,9 @@ class FomModel(LinearQuadraticModel):
 
 class PodModel(LinearQuadraticModel):
     """Linear reduced model refreshed from full-order snapshots at the current
-    control. The tracking cost adds the constant out-of-span target energy so
-    the reported values are comparable with the full model's."""
+    control. The modes are dx-orthonormal, so the lifted tracking cost is the
+    reduced misfit plus the target's energy outside their span,
+    target_energy - 1/2 dt |alpha_d|^2, and equals the full model's."""
 
     def __init__(self, problem: ControlProblem, mode_rule: ModeRule):
         super().__init__(problem)
@@ -155,13 +161,11 @@ class PodModel(LinearQuadraticModel):
         self.last_spectrum = sigma
         self.ops = rom_pod.assemble_pod_rom(self.basis, p.shapes, p.y0, p.grid)
         self._yd_reduced = rom_pod.project_snapshots(self.basis, p.target, p.grid)
-        resid = p.target - rom_pod.lift_pod(self.basis, self._yd_reduced)
-        self._yd_residual_energy = 0.5 * p.grid.dt * p.grid.dx * float(np.sum(resid * resid))
+        in_span = 0.5 * p.grid.dt * float(np.sum(self._yd_reduced * self._yd_reduced))
+        self._yd_residual_energy = p.target_energy - in_span
         return self.basis.r
 
     def _cost_from_alpha(self, alpha: np.ndarray, u: np.ndarray) -> CostBreakdown:
-        # orthonormal modes make the lifted tracking term split into the
-        # reduced misfit plus the constant out-of-span energy of the target
         dt = self.problem.grid.dt
         diff = alpha - self._yd_reduced
         tracking = 0.5 * dt * float(np.sum(diff * diff)) + self._yd_residual_energy
@@ -260,7 +264,8 @@ class SpodModel(ProblemModel):
             traj = rom_spod.solve_spod_state(self.ops, u, p.grid)
         with self.phase("cost"):
             tracking = self._tracking_along(traj.z)
-            J = rom_spod.reduced_cost(self.ops, tracking, traj, u, p.mu, p.grid.dt)
+            J = rom_spod.reduced_cost(self.ops, tracking, traj, u, p.mu, p.grid.dt,
+                                      p.target_energy)
         with self.phase("adjoint"):
             adj = rom_spod.solve_spod_adjoint(self.ops, traj, u, tracking, p.grid)
         with self.phase("gradient"):
@@ -272,7 +277,8 @@ class SpodModel(ProblemModel):
         p = self.problem
         traj = rom_spod.solve_spod_state(self.ops, u, p.grid)
         tracking = self._tracking_along(traj.z)
-        return rom_spod.reduced_cost(self.ops, tracking, traj, u, p.mu, p.grid.dt)
+        return rom_spod.reduced_cost(self.ops, tracking, traj, u, p.mu, p.grid.dt,
+                                     p.target_energy)
 
     def lift(self, u: np.ndarray) -> np.ndarray:
         self._require_basis()

@@ -160,17 +160,22 @@ def two_way_backtracking(
     omega_prev: float,
     current_cost: float,
     weight: float = 1.0,
-) -> tuple[float, bool]:
+) -> tuple[float, bool, int]:
     """Armijo search that shrinks or grows from the previous step size.
 
     f maps a step size to the cost of the candidate control; the sufficient
     decrease test is f(w) <= J - ARMIJO_C w ||g||^2 in the weighted pairing.
+    Returns the step size, whether it passed, and the number of step sizes
+    tested, each once.
     """
     g_sq = weight * float(np.sum(np.asarray(g) ** 2))
     if g_sq <= 0.0:
-        return omega_prev, False
+        return omega_prev, False, 0
+    trials = 0
 
     def ok(w: float) -> bool:
+        nonlocal trials
+        trials += 1
         val = f(w)
         return math.isfinite(val) and val <= current_cost - ARMIJO_C * w * g_sq
 
@@ -179,13 +184,13 @@ def two_way_backtracking(
         for _ in range(MAX_HALVINGS):
             omega *= 0.5
             if ok(omega):
-                return omega, True
-        return omega, False
+                return omega, True, trials
+        return omega, False, trials
     for _ in range(MAX_DOUBLINGS):
         if not ok(2.0 * omega):
             break
         omega *= 2.0
-    return omega, True
+    return omega, True, trials
 
 
 def barzilai_borwein_step(
@@ -245,7 +250,6 @@ def optimize(
                     mode_count = model.refine_basis(u)
                 refined = True
                 prev_u = prev_g = None  # gradient coordinates changed
-                last_ok = True
             try:
                 cost, g = model.evaluate(u)
             except DivergenceError:
@@ -260,20 +264,13 @@ def optimize(
                 bb_phase = True
 
             with clock.phase("update"):
-                trials = 0
                 if bb_phase and prev_u is not None:
                     omega = barzilai_borwein_step(u - prev_u, g - prev_g, omega, weight)
-                    success = True
+                    success, trials = True, 0
                 else:
-                    line = model.line_cost(u, g, cost.total)
-
-                    # the search tests each step size at most once: one trial per call
-                    def trial(w: float) -> float:
-                        nonlocal trials
-                        trials += 1
-                        return line(w)
-
-                    omega, success = two_way_backtracking(trial, g, omega, cost.total, weight)
+                    omega, success, trials = two_way_backtracking(
+                        model.line_cost(u, g, cost.total), g, omega, cost.total, weight
+                    )
                 prev_u, prev_g = u, g
                 u = u - omega * g
             last_ok = success

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import ModeBasis
-from .control import ControlShapes, build_fourier_shapes, operator_norm_B, signal_norm_sq
+from .control import ControlShapes, build_fourier_shapes
 from .discretization import SpaceTimeGrid, central_derivative, check_field, check_shape
 from .fom import CostBreakdown, DivergenceError, euler_sweep
 from .transform import shift_columns, split_shift, uncontrolled_shift_path
@@ -125,20 +125,12 @@ class SpodAdjointTrajectory:
 
 
 @dataclass(frozen=True)
-class SpodTargetTable:
-    """The modes against every whole-cell roll of the target profile y."""
-
-    rolls: np.ndarray  # (n, r) row q: dx Phi^T roll(y, q)
-    norm_sq: float     # dx |y|^2
-    cross: float       # dx <y, roll(y, 1)>
-
-
-@dataclass(frozen=True)
 class SpodTracking:
     """The control-independent parts of the lifted tracking cost along one
     shift path z_j. With k_j, f_j the whole cells and fraction of z_j, the
     lifted state is S(z_j) Phi alpha_j and, for dx-orthonormal modes,
-    dx |S(z_j) Phi a - y_d^j|^2 = a^T G_j a - 2 a^T P_j + dx |y_d^j|^2.
+    dx |S(z_j) Phi a - y_d^j|^2 = a^T G_j a - 2 a^T P_j + dx |y_d^j|^2, where
+    1/2 dt sum_j dx |y_d^j|^2 is the problem's target_energy.
     Linear interpolation between node rotations contracts, so the Gram G_j of
     the shifted modes depends only on f_j:
     G_j = ((1 - f_j)^2 + f_j^2) I + f_j (1 - f_j) C, C the one-cell cross Gram.
@@ -152,7 +144,6 @@ class SpodTracking:
     cross_weight: np.ndarray  # (n_t,) f_j (1 - f_j), the C weight of G_j
     self_rate: np.ndarray     # (n_t,) the I weight of G_j'
     cross_rate: np.ndarray    # (n_t,) the C weight of G_j'
-    target_sq: np.ndarray     # (n_t,) dx |y_d^j|^2
 
 
 @dataclass(frozen=True)
@@ -229,19 +220,13 @@ def assemble_spod_rom(
     )
 
 
-def target_table(basis: ModeBasis, profile: np.ndarray, grid: SpaceTimeGrid) -> SpodTargetTable:
-    """The pairings dx Phi^T roll(y, q) of the modes with every whole-cell roll
-    of the target profile y, and the two energies its shifts have. Row q is
+def target_table(basis: ModeBasis, profile: np.ndarray, grid: SpaceTimeGrid) -> np.ndarray:
+    """The (n, r) pairings dx Phi^T roll(y, q) of the modes with every
+    whole-cell roll of the target profile y. Row q is
     dx sum_x y[x - q] Phi[x], for every q at once as one circular correlation."""
     y = check_shape(profile, (grid.n,), "target profile")
     spectrum = np.conj(np.fft.rfft(y))[:, None]
-    rolls = np.fft.irfft(spectrum * np.fft.rfft(basis.modes, axis=0), grid.n, axis=0)
-    rolls *= grid.dx
-    return SpodTargetTable(
-        rolls=rolls,
-        norm_sq=grid.dx * float(y @ y),
-        cross=grid.dx * float(y @ np.roll(y, 1)),
-    )
+    return grid.dx * np.fft.irfft(spectrum * np.fft.rfft(basis.modes, axis=0), grid.n, axis=0)
 
 
 def _regular_mass(s, c, bb):
@@ -408,13 +393,13 @@ def gradient_spod(
 
 
 def tracking_terms(
-    table: SpodTargetTable,
+    table: np.ndarray,
     target_path: np.ndarray,
     z: np.ndarray,
     grid: SpaceTimeGrid,
 ) -> SpodTracking:
     """Tracking terms along the shift path z of the target whose column j is
-    the profile of `table` shifted by target_path[j].
+    the profile of the target table shifted by target_path[j].
 
     With k_j, f_j the whole cells and fraction of z_j and c_j, b_j those of
     the target shift, y_d^j = (1 - b_j) roll(y, c_j) + b_j roll(y, c_j + 1),
@@ -429,8 +414,8 @@ def tracking_terms(
 
     def roll_pairing(d, steps=slice(None)):
         """Rows dx Phi^T roll(y_d^j, -(k_j + d)) at the steps j."""
-        qd, bd, rows = q[steps] - d, b[steps, None], table.rolls
-        return (1.0 - bd) * rows[qd % n] + bd * rows[(qd + 1) % n]
+        qd, bd = q[steps] - d, b[steps, None]
+        return (1.0 - bd) * table[qd % n] + bd * table[(qd + 1) % n]
 
     here, ahead = roll_pairing(0), roll_pairing(1)
     f = frac[:, None]
@@ -446,7 +431,6 @@ def tracking_terms(
         cross_weight=frac * (1.0 - frac),
         self_rate=np.where(aligned, 0.0, (4.0 * frac - 2.0) / grid.dx),
         cross_rate=np.where(aligned, 0.0, (1.0 - 2.0 * frac) / grid.dx),
-        target_sq=((1.0 - b) ** 2 + b**2) * table.norm_sq + 2.0 * b * (1.0 - b) * table.cross,
     )
 
 
@@ -464,13 +448,14 @@ def reduced_cost(
     u: np.ndarray,
     mu: float,
     dt: float,
+    target_energy: float,
 ) -> CostBreakdown:
-    """fom.cost of the lifted trajectory, from the reduced quantities alone;
-    `tracking` holds the terms along the trajectory's path."""
+    """fom.cost of the lifted trajectory, from the reduced quantities alone:
+    `tracking` holds the terms along its path, target_energy the problem's."""
     alpha = traj.alpha
     Ga = _gram_apply(ops, tracking.self_weight, tracking.cross_weight, alpha)
     per_step = np.einsum("rj,rj->j", alpha, Ga - 2.0 * tracking.P)
-    tracking_cost = 0.5 * dt * float(np.sum(per_step + tracking.target_sq))
+    tracking_cost = 0.5 * dt * float(np.sum(per_step)) + target_energy
     regularization = 0.5 * mu * dt * float(np.sum(np.asarray(u) ** 2))
     return CostBreakdown(tracking=tracking_cost, regularization=regularization)
 
@@ -500,16 +485,13 @@ def lift_spod(basis: ModeBasis, traj: SpodReducedTrajectory, grid: SpaceTimeGrid
 
 
 def certify_smallness(
-    ops: SpodRomOperators,
-    u: np.ndarray,
-    shapes: ControlShapes,
-    grid: SpaceTimeGrid,
+    ops: SpodRomOperators, u: np.ndarray, grid: SpaceTimeGrid
 ) -> SmallnessCertificate:
     """Check the control against the well-posedness bound
-    ||u||^2 < ||alpha0||^2 / (||B||^2 e T r)."""
+    ||u||^2 < ||alpha0||^2 / (||B||^2 e T r), with ||u||^2 = dt sum u^2 and
+    ||B||^2 = l for the Fourier shapes the operators pair with."""
     a0_sq = float(ops.alpha0 @ ops.alpha0)
     if a0_sq == 0.0:
         raise ValueError("initial amplitudes are zero; the bound is vacuous")
-    bnorm = operator_norm_B(shapes, grid)
-    bound = a0_sq / (bnorm**2 * math.e * grid.T * ops.r)
-    return SmallnessCertificate(bound=bound, u_norm_sq=signal_norm_sq(u, grid.dt))
+    bound = a0_sq / (grid.l * math.e * grid.T * ops.r)
+    return SmallnessCertificate(bound=bound, u_norm_sq=grid.dt * float(np.sum(u * u)))

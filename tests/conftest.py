@@ -63,6 +63,13 @@ def load_snapshots_bin(path):
     return data.reshape(n, n_t).astype(float)
 
 
+def svd_norm_B(shapes, grid):
+    """Spectral norm of u -> sum_k b_k u_k from Euclidean R^m to the
+    dx-weighted L2 norm, from an SVD of the shapes: the independent reference
+    for the closed form ||B||^2 = l of the Fourier shapes."""
+    return float(np.linalg.svd(np.sqrt(grid.dx) * shapes.shapes, compute_uv=False)[0])
+
+
 def field_norm(a, grid):
     return float(np.sqrt(max(inner_product(a, a, grid), 0.0)))
 

@@ -13,7 +13,7 @@ import pytest
 
 from romctl import SpaceTimeGrid, build_fourier_shapes
 from romctl.basis import ModeRule, eigenfunction_stationary_basis, singular_values
-from romctl.control import adjoint_control, apply_control, operator_norm_B
+from romctl.control import adjoint_control, apply_control
 from romctl.experiments import (
     ScenarioConfig,
     build_target,
@@ -35,7 +35,9 @@ from romctl.rom_spod import (
 )
 from romctl.transform import transform_snapshots, uncontrolled_shift_path
 
-from conftest import QuadraticModel, inner_product, resting_path, shift_field, smooth_signal
+from conftest import (
+    QuadraticModel, inner_product, resting_path, shift_field, smooth_signal, svd_norm_B,
+)
 
 L, V = 100.0, 0.55
 
@@ -224,15 +226,15 @@ def test_criterion_06_smallness_envelope():
     shapes, y0, target = fom_setup(grid, 1)  # m = 3, basis size 4
     basis = eigenfunction_stationary_basis(grid, shapes, y0)
     ops = assemble_spod_rom(basis, shapes, y0, grid)
-    bn = operator_norm_B(shapes, grid)
+    bn = svd_norm_B(shapes, grid)  # the certificate's closed form is ||B||^2 = l
     a0_sq = float(ops.alpha0 @ ops.alpha0)
     rng = np.random.default_rng(7)
     margins = []
     for _ in range(20):
         u = smooth_signal(rng, shapes.m, grid.n_t)
-        cert0 = certify_smallness(ops, u, shapes, grid)
+        cert0 = certify_smallness(ops, u, grid)
         u *= 0.7 * math.sqrt(cert0.bound / cert0.u_norm_sq)
-        cert = certify_smallness(ops, u, shapes, grid)
+        cert = certify_smallness(ops, u, grid)
         assert cert.satisfied
         traj = solve_spod_state(ops, u, grid)  # must not hit a singular step
         nsq = np.sum(traj.alpha**2, axis=0)

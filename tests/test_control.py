@@ -3,15 +3,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from romctl import SpaceTimeGrid
 from romctl.control import (
-    ControlShapes,
     adjoint_control,
     apply_control,
     build_fourier_shapes,
-    operator_norm_B,
     save_control_csv,
 )
-from conftest import coarse_grid, inner_product
+from conftest import coarse_grid, inner_product, svd_norm_B
 
 
 def test_fourier_shape_count(grid):
@@ -66,22 +65,26 @@ def test_fourier_gram_is_diagonal(grid):
     np.testing.assert_allclose(gram, expected, atol=1e-8)
 
 
-def test_operator_norm_single_constant_shape(grid):
-    sh = ControlShapes(shapes=np.ones((grid.n, 1)))
-    assert operator_norm_B(sh, grid) == pytest.approx(10.0, abs=1e-9)
-
-
-def test_operator_norm_homogeneity(grid, rng):
-    sh = ControlShapes(shapes=rng.standard_normal((grid.n, 4)))
-    base = operator_norm_B(sh, grid)
-    scaled = operator_norm_B(ControlShapes(shapes=2.5 * sh.shapes), grid)
-    assert scaled == pytest.approx(2.5 * base, rel=1e-12)
-
-
 def test_operator_norm_fourier_xi1(grid):
     # shapes are mutually orthogonal with norms sqrt(l), sqrt(l/2), sqrt(l/2)
     sh = build_fourier_shapes(grid, 1)
-    assert operator_norm_B(sh, grid) == pytest.approx(10.0, abs=1e-6)
+    assert svd_norm_B(sh, grid) == pytest.approx(10.0, abs=1e-6)
+
+
+@pytest.mark.parametrize("n, xi", [(41, 20), (401, 5), (1601, 20), (3201, 20)])
+def test_fourier_operator_norm_squared_is_l(n, xi):
+    # the closed form the smallness certificate uses, up to the largest xi
+    # with 2 xi < n
+    g = SpaceTimeGrid(l=100.0, n=n, T=1.0, n_t=1, v=0.55)
+    assert svd_norm_B(build_fourier_shapes(g, xi), g) ** 2 == pytest.approx(g.l, rel=1e-15)
+
+
+@pytest.mark.parametrize("n, xi", [(41, 21), (40, 20), (401, 401), (401, -1)])
+def test_fourier_shapes_reject_aliasing_xi(n, xi):
+    # from 2 xi = n on the top pair vanishes or aliases onto lower shapes
+    g = SpaceTimeGrid(l=100.0, n=n, T=1.0, n_t=1, v=0.55)
+    with pytest.raises(ValueError, match="2 xi < n"):
+        build_fourier_shapes(g, xi)
 
 
 def test_control_csv_round_trip(tmp_path, rng):

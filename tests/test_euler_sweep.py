@@ -285,7 +285,6 @@ def reference_tracking_terms(basis, target, z, grid):
         cross_weight=frac * (1.0 - frac),
         self_rate=np.where(aligned, 0.0, (4.0 * frac - 2.0) / grid.dx),
         cross_rate=np.where(aligned, 0.0, (1.0 - 2.0 * frac) / grid.dx),
-        target_sq=grid.dx * np.einsum("ij,ij->j", target, target),
     )
 
 

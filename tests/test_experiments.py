@@ -29,6 +29,7 @@ from romctl.experiments import (
 from romctl.fom import cost, solve_state
 from romctl.models import ControlProblem
 from romctl.rom_spod import certify_smallness
+from romctl.transform import split_shift
 
 from conftest import coarse_grid, load_snapshots_bin
 
@@ -122,6 +123,43 @@ def test_readme_defaults_are_the_config_defaults():
     for key, value in pairs:
         assert key in defaults, key
         assert type(defaults[key])(value) == defaults[key], key
+
+
+def test_readme_cli_section_names_every_config_key():
+    # every ScenarioConfig field appears as a word inside a backtick span of
+    # README's "CLI" section, outside its code blocks
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    section = readme.read_text().split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    spans = re.findall(r"`([^`]+)`", re.sub(r"```.*?```", "", section, flags=re.S))
+    named = {word for span in spans for word in re.findall(r"\w+", span)}
+    missing = [f.name for f in dataclasses.fields(ScenarioConfig) if f.name not in named]
+    assert missing == []
+
+
+@pytest.mark.parametrize("n", [401, 1601, 3201])
+def test_initial_condition_holds_no_subnormals(n):
+    # the Gaussian's tail below the smallest normal float is flushed to zero;
+    # every other value is the plain exponential
+    g = ScenarioConfig(n=n).grid()
+    y0 = gaussian_initial_condition(g)
+    raw = np.exp(-((g.x - g.l / 12.0) ** 2))
+    normal = raw >= np.finfo(float).tiny
+    np.testing.assert_array_equal(y0[normal], raw[normal])
+    assert not np.any(y0[~normal])
+
+
+def test_target_energy_is_the_sum_of_blended_profile_energies():
+    # at the spod-eig-desk settings: target column j blends the rolls of the
+    # profile y by c_j and c_j + 1 cells with weight b_j, so
+    # dx |y_d^j|^2 = ((1 - b_j)^2 + b_j^2) dx |y|^2 + 2 b_j (1 - b_j) dx <y, roll(y, 1)>
+    cfg = ScenarioConfig(n=401, n_t=300, T=136.02357742008616, xi=5, model="spod",
+                         eigenfunction_basis=True)
+    p = build_model(cfg).problem
+    g, y = p.grid, p.target[:, 0]
+    _, b = split_shift(p.target_path, g)
+    per_step = ((1.0 - b) ** 2 + b**2) * (y @ y) + 2.0 * b * (1.0 - b) * (y @ np.roll(y, 1))
+    per_step *= g.dx
+    assert p.target_energy == pytest.approx(0.5 * g.dt * np.sum(per_step), rel=1e-14)
 
 
 def test_parse_config_model_selection(tmp_path):
@@ -245,7 +283,7 @@ def test_run_meta_reports_smallness_certificate(tmp_path, extra):
         u = np.loadtxt(tmp_path / "out" / "final_control.csv", delimiter=",", skiprows=1,
                        ndmin=2).T
         model.refine_basis(u)
-        assert zeta == certify_smallness(model.ops, u, p.shapes, p.grid).zeta
+        assert zeta == certify_smallness(model.ops, u, p.grid).zeta
 
 
 def test_smallness_is_null_when_the_bound_is_vacuous(tmp_path):
@@ -365,6 +403,7 @@ BAD_CONFIGS = (
     "model = pod\nn_samples = 64",
     "model = fom\nn_samples = 64",
     "model = spod\nn_samples = 800",
+    "xi = 21",  # 2 xi >= n = 41: the top Fourier pair would alias
 )
 
 

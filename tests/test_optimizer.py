@@ -18,6 +18,7 @@ from romctl.experiments import (
 from romctl.fom import CostBreakdown, DivergenceError
 from romctl.models import ControlProblem, FomModel, PodModel, SpodModel
 from romctl.optimizer import (
+    MAX_HALVINGS,
     ControlledModel,
     OptimizerConfig,
     barzilai_borwein_step,
@@ -46,29 +47,33 @@ def test_config_validation():
 def test_backtracking_accepts_near_exact_minimizer():
     # step cost of a 1d quadratic with unit curvature: the unit step is exact
     f = lambda w: 0.5 * (1.0 - w) ** 2
-    omega, ok = two_way_backtracking(f, np.array([1.0]), 1.0, current_cost=0.5)
+    omega, ok, trials = two_way_backtracking(f, np.array([1.0]), 1.0, current_cost=0.5)
     assert ok
     assert omega == pytest.approx(1.0)
+    assert trials == 2  # the unit step, then the doubled one that fails
 
 
 def test_backtracking_halves_on_increasing_cost():
     f = lambda w: 0.5 - w + 400.0 * w**2  # decrease only for small steps
-    omega, ok = two_way_backtracking(f, np.array([1.0]), 1.0, current_cost=0.5)
+    omega, ok, trials = two_way_backtracking(f, np.array([1.0]), 1.0, current_cost=0.5)
     assert ok
     assert omega < 0.01
+    assert trials == 10  # 1, then halvings down to the accepted 2^-9
 
 
 def test_backtracking_doubles_after_undershoot():
     f = lambda w: 0.5 * (1.0 - w) ** 2
-    omega, ok = two_way_backtracking(f, np.array([1.0]), 1e-3, current_cost=0.5)
+    omega, ok, trials = two_way_backtracking(f, np.array([1.0]), 1e-3, current_cost=0.5)
     assert ok
     assert omega >= 2e-3
+    assert trials == 12  # 1e-3, ten doublings up to 1.024, the failed 2.048
 
 
 def test_backtracking_reports_failure():
     f = lambda w: math.inf
-    omega, ok = two_way_backtracking(f, np.array([1.0]), 1.0, current_cost=0.5)
+    omega, ok, trials = two_way_backtracking(f, np.array([1.0]), 1.0, current_cost=0.5)
     assert not ok
+    assert trials == 1 + MAX_HALVINGS
 
 
 def test_bb_step_trivial_and_curvature():

@@ -3,7 +3,12 @@ import pytest
 
 from romctl import SpaceTimeGrid, build_fourier_shapes
 from romctl.basis import ModeBasis, ModeRule
-from romctl.experiments import fd_gradient_check, gaussian_initial_condition
+from romctl.experiments import (
+    ScenarioConfig,
+    build_model,
+    fd_gradient_check,
+    gaussian_initial_condition,
+)
 from romctl.fom import cost, solve_state
 from romctl.models import ControlProblem, PodModel
 from romctl.rom_pod import (
@@ -123,6 +128,21 @@ def test_reduced_cost_matches_lifted_cost(grid, shapes, y0, target, target_path,
     lifted = model.lift(u)
     full = cost(grid, lifted, target, u, 1e-3)
     assert reduced.total == pytest.approx(full.total, rel=1e-10)
+
+
+def test_reduced_cost_matches_lifted_cost_at_high_rank():
+    # the pod-adapt-desk setting at u = 0: the r = 181 modes leave about 1e-11
+    # of the target energy (about 85) out of their span, so that energy,
+    # target_energy - 1/2 dt |alpha_d|^2, is rounding; the total cost is still
+    # the full cost of the lifted state
+    cfg = ScenarioConfig(n=401, n_t=300, T=136.02357742008616, xi=5, model="pod",
+                         mode_tol=1e-6, problem="double_tilt")
+    model = build_model(cfg)
+    p = model.problem
+    u = np.zeros((p.shapes.m, p.grid.n_t))
+    assert model.refine_basis(u) == 181
+    full = cost(p.grid, model.lift(u), p.target, u, p.mu)
+    assert model.cost_only(u).total == pytest.approx(full.total, rel=1e-12)
 
 
 def test_projected_upwind_is_skew_plus_grid_level_dissipation(grid, shapes, y0):

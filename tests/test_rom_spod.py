@@ -5,7 +5,7 @@ import pytest
 
 from romctl import SpaceTimeGrid, build_fourier_shapes
 from romctl.basis import ModeBasis, ModeRule
-from romctl.control import ControlShapes, operator_norm_B
+from romctl.control import ControlShapes
 from romctl.experiments import (
     build_target,
     fd_gradient_check,
@@ -28,7 +28,7 @@ from romctl.rom_spod import (
 )
 from romctl.transform import shift_columns
 
-from conftest import coarse_grid, resting_path, shift_field, smooth_signal
+from conftest import coarse_grid, resting_path, shift_field, smooth_signal, svd_norm_B
 
 
 def normalized_trig_basis(grid, cols):
@@ -258,24 +258,29 @@ def test_uncontrolled_lift_reproduces_fom_at_unit_cfl():
 
 def test_certificate_zero_and_boundary(eig_model, grid, shapes):
     u0 = np.zeros((shapes.m, grid.n_t))
-    cert = certify_smallness(eig_model.ops, u0, shapes, grid)
+    cert = certify_smallness(eig_model.ops, u0, grid)
     assert cert.satisfied
     assert cert.zeta == pytest.approx(cert.bound, rel=1e-12)
+    # the closed form ||B||^2 = l against the SVD of the shapes
+    a0_sq = float(eig_model.ops.alpha0 @ eig_model.ops.alpha0)
+    bn = svd_norm_B(shapes, grid)
+    assert cert.bound == pytest.approx(a0_sq / (bn**2 * math.e * grid.T * eig_model.ops.r),
+                                       rel=1e-14)
     amp = math.sqrt(cert.bound / (grid.dt * grid.n_t * shapes.m))
     u_edge = amp * np.ones((shapes.m, grid.n_t))
-    cert_edge = certify_smallness(eig_model.ops, u_edge, shapes, grid)
+    cert_edge = certify_smallness(eig_model.ops, u_edge, grid)
     assert cert_edge.u_norm_sq == pytest.approx(cert_edge.bound, rel=1e-12)
     assert not cert_edge.satisfied
 
 
 def test_certified_controls_obey_envelope(eig_model, grid, shapes, rng):
-    bn = operator_norm_B(shapes, grid)
+    bn = svd_norm_B(shapes, grid)
     a0_sq = float(eig_model.ops.alpha0 @ eig_model.ops.alpha0)
     for _ in range(5):
         u = smooth_signal(rng, shapes.m, grid.n_t, 1.0)
-        cert0 = certify_smallness(eig_model.ops, u, shapes, grid)
+        cert0 = certify_smallness(eig_model.ops, u, grid)
         u *= 0.7 * math.sqrt(cert0.bound / cert0.u_norm_sq)
-        cert = certify_smallness(eig_model.ops, u, shapes, grid)
+        cert = certify_smallness(eig_model.ops, u, grid)
         assert cert.satisfied
         traj = solve_spod_state(eig_model.ops, u, grid)
         nsq = np.sum(traj.alpha**2, axis=0)

@@ -75,7 +75,7 @@ def test_closed_form_matches_schur_sweep(setting):
     for amp in (0.05, 0.3):
         u = smooth_signal(rng, p.shapes.m, grid.n_t, amp)
         if setting.startswith("criterion-6"):  # inside the smallness certificate
-            cert = certify_smallness(ops, u, p.shapes, grid)
+            cert = certify_smallness(ops, u, grid)
             u *= 0.7 * math.sqrt(cert.bound / cert.u_norm_sq)
         traj = solve_spod_state(ops, u, grid)
         ref = solve_spod_state(schur, u, grid)
