@@ -32,8 +32,8 @@ class SpaceTimeGrid:
     def __post_init__(self) -> None:
         if self.n < 2:
             raise ValueError(f"need at least 2 spatial nodes, got n={self.n}")
-        if self.n_t < 1:
-            raise ValueError(f"need at least 1 time step, got n_t={self.n_t}")
+        if self.n_t < 2:
+            raise ValueError(f"need at least 2 time nodes (1 step), got n_t={self.n_t}")
         if self.l <= 0 or self.T <= 0:
             raise ValueError(f"domain length and horizon must be positive, got l={self.l}, T={self.T}")
 

@@ -107,18 +107,16 @@ class ScenarioConfig:
     v: float = 0.55
     xi: int = 20
     mu: float = 1e-3
-    beta: float = 1e-5
-    omega0: float = 1.0
-    n_iter: int = 20000
-    refine_every: int = 5
-    bb_switch_threshold: float = 5e-3
+    beta: float = OptimizerConfig.beta
+    omega0: float = OptimizerConfig.omega0
+    n_iter: int = OptimizerConfig.n_iter
+    refine_every: int = OptimizerConfig.refine_every
+    bb_switch_threshold: float = OptimizerConfig.bb_switch_threshold
     model: str = "fom"
     modes: int | None = None
     mode_tol: float | None = None
     problem: str = "single_tilt"
     tilt_factor: float = 0.0
-    kinks: tuple[float, ...] = ()
-    kink_velocities: tuple[float, ...] = ()  # in units of v, paired with kinks
     eigenfunction_basis: bool = False
     out: str = "out"
 
@@ -135,10 +133,6 @@ class ScenarioConfig:
             raise ConfigError(f"model = {self.model} ignores eigenfunction_basis, an sPOD-G basis")
         if self.eigenfunction_basis and (self.modes is not None or self.mode_tol is not None):
             raise ConfigError("eigenfunction_basis fixes the basis; it ignores modes and mode_tol")
-        if self.problem != "custom" and (self.kinks or self.kink_velocities):
-            raise ConfigError("kinks and kink_velocities are read only by problem = custom")
-        if self.problem == "custom" and self.tilt_factor != 0.0:
-            raise ConfigError("problem = custom ignores tilt_factor; set kink_velocities")
         if self.mu <= 0:
             raise ConfigError(f"regularization weight mu must be positive, got {self.mu}")
         try:
@@ -153,12 +147,6 @@ class ScenarioConfig:
         return SpaceTimeGrid(l=self.l, n=self.n, T=self.T, n_t=self.n_t, v=self.v)
 
     def target_spec(self) -> TargetSpec:
-        if self.problem == "custom":
-            if len(self.kinks) != len(self.kink_velocities):
-                raise ConfigError("custom problem needs matching kinks and kink_velocities")
-            return TargetSpec(
-                segments=tuple((f, w * self.v) for f, w in zip(self.kinks, self.kink_velocities))
-            )
         if self.problem == "double_tilt":
             return double_tilt_target(self.tilt_factor, self.v)
         if self.problem == "single_tilt":
@@ -173,13 +161,7 @@ class ScenarioConfig:
         return ModeRule.fixed(2 * self.xi + 2)  # invariant-subspace dimension
 
     def optimizer_config(self) -> OptimizerConfig:
-        return OptimizerConfig(
-            beta=self.beta,
-            omega0=self.omega0,
-            n_iter=self.n_iter,
-            refine_every=self.refine_every,
-            bb_switch_threshold=self.bb_switch_threshold,
-        )
+        return OptimizerConfig(**{f.name: getattr(self, f.name) for f in fields(OptimizerConfig)})
 
 
 def _finite(s: str) -> float:
@@ -187,10 +169,6 @@ def _finite(s: str) -> float:
     if not math.isfinite(val):
         raise ValueError(f"{s!r} is not a finite number")
     return val
-
-
-def _finites(s: str) -> tuple[float, ...]:
-    return tuple(_finite(v) for v in s.split(",") if v.strip())
 
 
 def _bool(s: str) -> bool:
@@ -204,16 +182,17 @@ def _bool(s: str) -> bool:
 # future import
 _BY_TYPE = {
     "int": int, "int | None": int, "float": _finite, "float | None": _finite,
-    "str": str, "bool": _bool, "tuple[float, ...]": _finites,
+    "str": str, "bool": _bool,
 }
 _PARSERS = {f.name: _BY_TYPE[f.type] for f in fields(ScenarioConfig)}
 
 
 def parse_config(path: str | Path) -> ScenarioConfig:
-    """Flat key = value file with # comments; unknown keys are errors, missing
-    keys take the defaults."""
+    """Flat key = value file with # comments; unknown and repeated keys are
+    errors, missing keys take the defaults."""
     path = Path(path)
     overrides: dict = {}
+    set_at: dict[str, int] = {}
     for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -224,10 +203,11 @@ def parse_config(path: str | Path) -> ScenarioConfig:
         key, value = key.strip(), value.strip()
         if key not in _PARSERS:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+        if key in set_at:
+            raise ConfigError(f"{path}:{lineno}: {key!r} is already set on line {set_at[key]}")
+        set_at[key] = lineno
         try:
             overrides[key] = _PARSERS[key](value)
-        except ConfigError:
-            raise
         except Exception as exc:
             raise ConfigError(f"{path}:{lineno}: bad value for {key!r}: {exc}") from exc
     try:
@@ -291,7 +271,8 @@ pause -1
 def _save_final_state(outdir: Path, model: ProblemModel, u: np.ndarray) -> dict:
     """Write the model's state at u to final_state.bin and return the
     full-order cost at u (fom_cost) with the relative gap of the cost of the
-    written state from it (rom_gap; the FOM's state is the full-order one)."""
+    written state from it (rom_gap; the FOM's state is the full-order one).
+    rom_gap is None when fom_cost is 0, where no relative gap exists."""
     p = model.problem
     lifted = model.lift(u)
     fom.save_snapshots_bin(outdir / "final_state.bin", lifted)
@@ -302,7 +283,8 @@ def _save_final_state(outdir: Path, model: ProblemModel, u: np.ndarray) -> dict:
     else:
         state = fom.solve_state(p.grid, p.shapes, u, p.y0)
         fom_cost = fom.cost(p.grid, state, p.target, u, p.mu).total
-    return {"fom_cost": fom_cost, "rom_gap": abs(lifted_cost - fom_cost) / fom_cost}
+    gap = abs(lifted_cost - fom_cost) / fom_cost if fom_cost else None
+    return {"fom_cost": fom_cost, "rom_gap": gap}
 
 
 def _smallness(model: ProblemModel, u: np.ndarray) -> dict:
@@ -348,11 +330,10 @@ def run_scenario(cfg: ScenarioConfig, quiet: bool = False) -> int:
     (outdir / "plots.gp").write_text(_PLOT_SCRIPT)
 
     meta = {
-        "config": {k: (list(v) if isinstance(v, tuple) else v) for k, v in vars(cfg).items()},
+        "config": vars(cfg),
         "status": report.status,
         "iterations": report.iterations,
         "final_cost": report.final_cost,
-        "tilt_factor": cfg.tilt_factor,
         "cfl": grid.cfl,
         "modes_final": report.records[-1].modes if report.records else 0,
         **_smallness(model, u),

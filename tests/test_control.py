@@ -75,14 +75,14 @@ def test_operator_norm_fourier_xi1(grid):
 def test_fourier_operator_norm_squared_is_l(n, xi):
     # the closed form the smallness certificate uses, up to the largest xi
     # with 2 xi < n
-    g = SpaceTimeGrid(l=100.0, n=n, T=1.0, n_t=1, v=0.55)
+    g = SpaceTimeGrid(l=100.0, n=n, T=1.0, n_t=2, v=0.55)
     assert svd_norm_B(build_fourier_shapes(g, xi), g) ** 2 == pytest.approx(g.l, rel=1e-15)
 
 
 @pytest.mark.parametrize("n, xi", [(41, 21), (40, 20), (401, 401), (401, -1)])
 def test_fourier_shapes_reject_aliasing_xi(n, xi):
     # from 2 xi = n on the top pair vanishes or aliases onto lower shapes
-    g = SpaceTimeGrid(l=100.0, n=n, T=1.0, n_t=1, v=0.55)
+    g = SpaceTimeGrid(l=100.0, n=n, T=1.0, n_t=2, v=0.55)
     with pytest.raises(ValueError, match="2 xi < n"):
         build_fourier_shapes(g, xi)
 

@@ -24,6 +24,7 @@ def test_grid_derived_quantities():
     [
         dict(l=100.0, n=1, T=1.0, n_t=10, v=1.0),
         dict(l=100.0, n=10, T=1.0, n_t=0, v=1.0),
+        dict(l=100.0, n=10, T=1.0, n_t=1, v=1.0),  # one time node, no step
         dict(l=-1.0, n=10, T=1.0, n_t=10, v=1.0),
         dict(l=100.0, n=10, T=0.0, n_t=10, v=1.0),
     ],
@@ -34,14 +35,14 @@ def test_grid_validation(kwargs):
 
 
 def test_inner_product_constant_is_domain_length():
-    g = SpaceTimeGrid(l=100.0, n=3201, T=1.0, n_t=1, v=0.55)
+    g = SpaceTimeGrid(l=100.0, n=3201, T=1.0, n_t=2, v=0.55)
     ones = np.ones(g.n)
     assert inner_product(ones, ones, g) == pytest.approx(100.0, abs=1e-9)
     assert inner_product(np.zeros(g.n), ones, g) == 0.0
 
 
 def test_inner_product_sine_matches_analytic_value():
-    g = SpaceTimeGrid(l=100.0, n=400, T=1.0, n_t=1, v=0.55)
+    g = SpaceTimeGrid(l=100.0, n=400, T=1.0, n_t=2, v=0.55)
     s = np.sin(2.0 * np.pi * g.x / g.l)
     # analytic integral of sin^2 over one period is l/2; the rectangle rule is
     # exact for this integrand on a uniform periodic grid
@@ -57,7 +58,7 @@ def test_inner_product_dimension_mismatch():
 @settings(max_examples=25, deadline=None)
 @given(n=st.integers(min_value=2, max_value=700))
 def test_quadrature_exactness_any_n(n):
-    g = SpaceTimeGrid(l=100.0, n=n, T=1.0, n_t=1, v=0.55)
+    g = SpaceTimeGrid(l=100.0, n=n, T=1.0, n_t=2, v=0.55)
     ones = np.ones(n)
     assert inner_product(ones, ones, g) == pytest.approx(100.0, rel=1e-12)
 
@@ -124,7 +125,7 @@ def test_central_derivative_convergence(order):
     # halving dx should reduce the max error roughly fourfold
     errs = []
     for n in (200, 400):
-        g = SpaceTimeGrid(l=100.0, n=n, T=1.0, n_t=1, v=0.55)
+        g = SpaceTimeGrid(l=100.0, n=n, T=1.0, n_t=2, v=0.55)
         s = np.sin(2.0 * np.pi * g.x / g.l)
         k = 2.0 * np.pi / g.l
         exact = k * np.cos(k * g.x) if order == 1 else -(k**2) * s

@@ -28,24 +28,20 @@ from romctl.experiments import (
 )
 from romctl.fom import cost, solve_state
 from romctl.models import ControlProblem
+from romctl.optimizer import OptimizerConfig
 from romctl.rom_spod import certify_smallness
 from romctl.transform import split_shift
 
 from conftest import coarse_grid, load_snapshots_bin
 
 
-def tiny_config_text(**extra):
-    lines = [
-        "# tiny smoke scenario",
-        "n = 41",
-        "n_t = 30",
-        "T = 5.0",
-        "n_iter = 12",
-        "xi = 1",
-        "beta = 1e-8",
-    ]
-    lines += [f"{k} = {v}" for k, v in extra.items()]
-    return "\n".join(lines) + "\n"
+TINY_CONFIG = {"n": "41", "n_t": "30", "T": "5.0", "n_iter": "12", "xi": "1", "beta": "1e-8"}
+
+
+def tiny_config_text(**overrides):
+    # a key set twice is a config error, so each override replaces its base line
+    keys = {**TINY_CONFIG, **overrides}
+    return "# tiny smoke scenario\n" + "".join(f"{k} = {v}\n" for k, v in keys.items())
 
 
 def test_target_spec_validation():
@@ -186,6 +182,22 @@ def test_parse_config_errors_carry_location(tmp_path):
         parse_config(path)
 
 
+def test_parse_config_rejects_a_repeated_key(tmp_path):
+    path = tmp_path / "twice.cfg"
+    path.write_text("model = pod\nmodes = 4\n# again\nmodes = 8\n")
+    with pytest.raises(ConfigError, match=r"twice\.cfg:4: 'modes' is already set on line 2"):
+        parse_config(path)
+    out = tmp_path / "out"
+    assert cli_main(["run", str(path), "--out", str(out), "--quiet"]) == 2
+    assert not out.exists()
+
+
+def test_optimizer_settings_default_to_the_optimizer_defaults():
+    assert ScenarioConfig().optimizer_config() == OptimizerConfig()
+    settings = dict(beta=2e-5, omega0=0.5, n_iter=7, refine_every=3, bb_switch_threshold=0.1)
+    assert ScenarioConfig(**settings).optimizer_config() == OptimizerConfig(**settings)
+
+
 def test_run_scenario_fom_artifacts(tmp_path):
     cfg_path = tmp_path / "run.cfg"
     cfg_path.write_text(tiny_config_text(out=tmp_path / "out"))
@@ -206,6 +218,11 @@ def test_run_scenario_fom_artifacts(tmp_path):
         assert (out / name).exists(), name
     meta = json.loads((out / "run_meta.json").read_text())
     assert meta["status"] in ("converged", "max_iter")
+    # the config echo is every ScenarioConfig field, each a JSON scalar, and
+    # nothing else repeats a config value at the top level
+    assert meta["config"] == {f.name: getattr(cfg, f.name) for f in dataclasses.fields(cfg)}
+    assert len(meta["config"]) == 19
+    assert "tilt_factor" not in meta
     header = (out / "timings.csv").read_text().splitlines()[0]
     assert header == "iteration,basis,state,cost,adjoint,gradient,update,wall"
 
@@ -284,6 +301,18 @@ def test_run_meta_reports_smallness_certificate(tmp_path, extra):
                        ndmin=2).T
         model.refine_basis(u)
         assert zeta == certify_smallness(model.ops, u, p.grid).zeta
+
+
+def test_rom_gap_is_null_when_the_fom_reaches_the_target(tmp_path):
+    # with two time nodes the target's second column, y0 moved by the sub-cell
+    # shift v dt, is the linear blend that one upwind step of y0 makes, so the
+    # zero control tracks the target exactly and fom_cost is 0
+    cfg_path = tmp_path / "exact.cfg"
+    cfg_path.write_text("n = 41\nn_t = 2\nT = 0.2\nxi = 1\nmodel = fom\n")
+    assert cli_main(["run", str(cfg_path), "--out", str(tmp_path / "out"), "--quiet"]) == 0
+    meta = json.loads((tmp_path / "out" / "run_meta.json").read_text())
+    assert meta["fom_cost"] == 0.0
+    assert meta["rom_gap"] is None
 
 
 def test_smallness_is_null_when_the_bound_is_vacuous(tmp_path):
@@ -398,19 +427,22 @@ BAD_CONFIGS = (
     "kinks = 0.5\nkink_velocities = 0.5",
     "problem = double_tilt\nkink_velocities = 0.5",
     "problem = custom\ntilt_factor = 0.5",
+    "problem = custom",
     "seed = 1",
     "rank_study_every = 5",
     "model = pod\nn_samples = 64",
     "model = fom\nn_samples = 64",
     "model = spod\nn_samples = 800",
     "xi = 21",  # 2 xi >= n = 41: the top Fourier pair would alias
+    "n_t = 1",  # one time node: no step to take
+    "model = spod\nmodes = 2\nn_t = 1",
 )
 
 
 def test_cli_config_error_exit_code(tmp_path):
     for k, text in enumerate(BAD_CONFIGS):
         cfg_path = tmp_path / f"bad{k}.cfg"
-        cfg_path.write_text(tiny_config_text() + text + "\n")
+        cfg_path.write_text(tiny_config_text(**dict(ln.split(" = ") for ln in text.splitlines())))
         out = tmp_path / f"out{k}"
         assert cli_main(["run", str(cfg_path), "--out", str(out), "--quiet"]) == 2, text
         assert not out.exists(), text
