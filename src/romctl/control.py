@@ -39,12 +39,13 @@ def build_fourier_shapes(grid: SpaceTimeGrid, xi: int) -> ControlShapes:
     return ControlShapes(shapes=np.column_stack(cols))
 
 
-def apply_control(shapes: ControlShapes, u: np.ndarray) -> np.ndarray:
-    """Nodal fields sum_k b_k u_k of one (m,) time slice or of an (m, n_t) signal."""
+def apply_control(shapes: ControlShapes, u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Nodal fields sum_k b_k u_k of one (m,) time slice or of an (m, n_t)
+    signal, written to `out` when given."""
     u = np.asarray(u, dtype=float)
     if u.shape[0] != shapes.m:
         raise ValueError(f"control has {u.shape[0]} components, shapes have m={shapes.m}")
-    return shapes.shapes @ u
+    return np.matmul(shapes.shapes, u, out=out)
 
 
 def adjoint_control(shapes: ControlShapes, field: np.ndarray, grid: SpaceTimeGrid) -> np.ndarray:

@@ -73,17 +73,28 @@ def check_shape(a: np.ndarray, shape: tuple[int, ...], name: str) -> np.ndarray:
 
 
 def upwind_transport(y: np.ndarray, grid: SpaceTimeGrid, scale: float = 1.0,
-                     transpose: bool = False) -> np.ndarray:
+                     transpose: bool = False, out: np.ndarray | None = None) -> np.ndarray:
     """scale * A y for the first-order upwind discretization A of -v d/dx with
     periodic wrap, or scale * A^T y when `transpose`; y is a single field or
     an (n, k) stack of fields. For v > 0 the stencil is the backward
     difference, for v < 0 the forward one, and A^T is the mirrored stencil;
-    v = 0 gives zero (pure control dynamics)."""
+    v = 0 gives zero (pure control dynamics). The result goes to `out`, an
+    array of y's shape that must not overlap y, or to a new one, and no
+    temporary is made."""
+    if out is None:
+        out = np.empty(np.shape(y))
     v = grid.v
     if v == 0.0:
-        return np.zeros_like(y)
-    shift = 1 if (v > 0) != transpose else -1
-    return (scale * abs(v) / grid.dx) * (np.roll(y, shift, axis=0) - y)
+        out.fill(0.0)
+        return out
+    # roll y into out by copying two slices, then difference in place
+    if (v > 0) != transpose:  # out_i = y_{i-1}
+        out[1:], out[:1] = y[:-1], y[-1:]
+    else:  # out_i = y_{i+1}
+        out[:-1], out[-1:] = y[1:], y[:1]
+    out -= y
+    out *= scale * abs(v) / grid.dx
+    return out
 
 
 def central_derivative(field: np.ndarray, grid: SpaceTimeGrid) -> np.ndarray:

@@ -4,6 +4,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import re
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -187,14 +188,23 @@ _BY_TYPE = {
 _PARSERS = {f.name: _BY_TYPE[f.type] for f in fields(ScenarioConfig)}
 
 
+# a comment starts at a '#' at the start of a line or after whitespace
+_COMMENT = re.compile(r"(?:^|\s)#")
+
+
 def parse_config(path: str | Path) -> ScenarioConfig:
-    """Flat key = value file with # comments; unknown and repeated keys are
-    errors, missing keys take the defaults."""
+    """Flat key = value file with # comments, each starting at a # at the start
+    of a line or after whitespace; any other # (as in `out = run#1`), unknown
+    keys and repeated keys are errors, missing keys take the defaults."""
     path = Path(path)
     overrides: dict = {}
     set_at: dict[str, int] = {}
     for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        line = _COMMENT.split(raw, 1)[0]
+        if "#" in line:
+            raise ConfigError(f"{path}:{lineno}: '#' inside a value; a comment starts at "
+                              f"a '#' after whitespace, got {raw!r}")
+        line = line.strip()
         if not line:
             continue
         if "=" not in line:

@@ -106,32 +106,47 @@ class LinearQuadraticModel(ProblemModel):
 
 
 class FomModel(LinearQuadraticModel):
-    """Full-order model: no reduction, refine_basis is a no-op."""
+    """Full-order model: no reduction, refine_basis is a no-op. Its solves
+    write into buffers it holds for the run: the state and the adjoint, in
+    Fortran order, and one C-order work array that holds in turn the control
+    source, the squared misfit and the adjoint source. Gradients and `lift`
+    are new arrays."""
+
+    def __init__(self, problem: ControlProblem):
+        super().__init__(problem)
+        shape = (problem.grid.n, problem.grid.n_t)
+        self._state = np.empty(shape, order="F")
+        self._adjoint = np.empty(shape, order="F")
+        self._work = np.empty(shape)
 
     def refine_basis(self, u: np.ndarray) -> int:
         return self.problem.grid.n
 
+    def _solve_state(self, u: np.ndarray, y0: np.ndarray) -> np.ndarray:
+        p = self.problem
+        return fom.solve_state(p.grid, p.shapes, u, y0, out=self._state, work=self._work)
+
     def evaluate(self, u: np.ndarray) -> tuple[CostBreakdown, np.ndarray]:
         p = self.problem
         with self.phase("state"):
-            Y = fom.solve_state(p.grid, p.shapes, u, p.y0)
+            Y = self._solve_state(u, p.y0)
         with self.phase("cost"):
-            J = fom.cost(p.grid, Y, p.target, u, p.mu)
+            J = fom.cost(p.grid, Y, p.target, u, p.mu, work=self._work)
         with self.phase("adjoint"):
-            lam = fom.solve_adjoint(p.grid, Y, p.target)
+            lam = fom.solve_adjoint(p.grid, Y, p.target, out=self._adjoint, work=self._work)
         with self.phase("gradient"):
             g = fom.gradient_fom(p.grid, p.shapes, lam, u, p.mu)
         return J, g
 
     def cost_only(self, u: np.ndarray) -> CostBreakdown:
         p = self.problem
-        Y = fom.solve_state(p.grid, p.shapes, u, p.y0)
-        return fom.cost(p.grid, Y, p.target, u, p.mu)
+        return fom.cost(p.grid, self._solve_state(u, p.y0), p.target, u, p.mu, work=self._work)
 
     def tracking_curvature(self, g: np.ndarray) -> float:
         p = self.problem
-        Y = fom.solve_state(p.grid, p.shapes, g, np.zeros(p.grid.n))
-        return p.grid.dt * p.grid.dx * float(np.sum(Y * Y))
+        Y = self._solve_state(g, np.zeros(p.grid.n))
+        Y *= Y  # the state buffer is free again once the curvature is read
+        return p.grid.dt * p.grid.dx * float(np.sum(Y))
 
     def lift(self, u: np.ndarray) -> np.ndarray:
         p = self.problem

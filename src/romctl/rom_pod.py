@@ -54,10 +54,15 @@ def solve_pod_state(ops: PodRomOperators, u: np.ndarray, grid: SpaceTimeGrid) ->
     u = check_shape(u, (ops.m, grid.n_t), "control")
     dt = grid.dt
     forcing = ops.B_l @ u
-    return euler_sweep(
-        lambda a, j: a + dt * (ops.A_l @ a + forcing[:, j]),
-        ops.alpha0, grid.n_t, False, "reduced state",
-    )
+
+    def step(a: np.ndarray, j: int, nxt: np.ndarray) -> None:
+        # a + dt (A_l a + B_l u_j), in that order
+        np.matmul(ops.A_l, a, out=nxt)
+        nxt += forcing[:, j]
+        nxt *= dt
+        nxt += a
+
+    return euler_sweep(step, ops.alpha0, grid.n_t, False, "reduced state")
 
 
 def solve_pod_adjoint(
@@ -72,10 +77,16 @@ def solve_pod_adjoint(
     yd_reduced = check_shape(yd_reduced, alpha.shape, "reduced target")
     dt = grid.dt
     AT = ops.A_l.T
-    return euler_sweep(
-        lambda lam, j: lam + dt * (AT @ lam + alpha[:, j] - yd_reduced[:, j]),
-        np.zeros(ops.r), grid.n_t, True, "reduced adjoint",
-    )
+
+    def step(lam: np.ndarray, j: int, nxt: np.ndarray) -> None:
+        # lam + dt (A_l^T lam + alpha_j - yd_j), in that order
+        np.matmul(AT, lam, out=nxt)
+        nxt += alpha[:, j]
+        nxt -= yd_reduced[:, j]
+        nxt *= dt
+        nxt += lam
+
+    return euler_sweep(step, np.zeros(ops.r), grid.n_t, True, "reduced adjoint")
 
 
 def gradient_pod(ops: PodRomOperators, lam: np.ndarray, u: np.ndarray, mu: float) -> np.ndarray:

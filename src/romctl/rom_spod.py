@@ -29,7 +29,7 @@ in closed form along z_j = v t_j.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -68,6 +68,8 @@ class SpodRomOperators:
     alpha0: np.ndarray      # (r,)
     grid: SpaceTimeGrid     # its l and n split a shift into cells
     invariant: bool         # N^T B1 = B2: closed-form solves
+    # [path, its symbol] of the last symbol_along call
+    _held_path: list = field(default_factory=list, init=False, repr=False, compare=False)
 
     @property
     def r(self) -> int:
@@ -86,14 +88,24 @@ class SpodRomOperators:
             f = f[:, None]
         return self.cells[c] * ((1.0 - f) + f * self.cells[1])
 
+    def symbol_along(self, z: np.ndarray) -> np.ndarray:
+        """symbol(z) along a path z, (len(z), xi), kept until another path
+        asks: an invariant basis moves along v t on every solve, so its table
+        is built once, and on other bases the adjoint and the gradient of one
+        evaluation share one."""
+        held = self._held_path
+        if not held or not np.array_equal(held[0], z):
+            z = np.array(z, dtype=float)
+            held[:] = [z, self.symbol(z)]
+        return held[1]
+
     def along(
-        self, rows: slice, z: np.ndarray, w: np.ndarray, transpose: bool = False
+        self, rows: slice, sig: np.ndarray, w: np.ndarray, transpose: bool = False
     ) -> np.ndarray:
-        """Columns B(z_j) w_j (B(z_j)^T w_j when `transpose`) along a path z, B
-        the `rows` of the stacked pairings [B1; B2; B3]: the pairs of w turned
-        by T(z_j), then one product with B(0); or the product first, then the
-        pairs turned by T(z_j)^T."""
-        sig = self.symbol(np.asarray(z, dtype=float))
+        """Columns B(z_j) w_j (B(z_j)^T w_j when `transpose`) along a path z
+        whose symbol is sig = symbol(z), B the `rows` of the stacked pairings
+        [B1; B2; B3]: the pairs of w turned by T(z_j), then one product with
+        B(0); or the product first, then the pairs turned by T(z_j)^T."""
         B = self.B0[rows]
         if transpose:
             v = B.T @ w
@@ -293,7 +305,7 @@ def solve_spod_state(
     b0, B = ops.B0[: 2 * r, 0], ops.B0[: 2 * r, 1:]
     u_pairs = _pairs(u)
 
-    def step(x: np.ndarray, j: int) -> np.ndarray:
+    def step(x: np.ndarray, j: int, nxt: np.ndarray) -> None:
         a, z = x[:r], float(x[r])
         if not math.isfinite(z):  # the symbol read needs a finite shift
             raise SingularMassError(j, "non-finite shift")
@@ -303,7 +315,9 @@ def solve_spod_state(
         rhs_a = v * b + Bu[:r]
         rhs_z = v * c + float(a @ Bu[r:])
         da, dz = _schur_solve(b, c, rhs_a, rhs_z, j)
-        return np.append(a + dt * da, z + dt * dz)
+        nxt_a = np.multiply(da, dt, out=nxt[:r])
+        nxt_a += a
+        nxt[r] = z + dt * dz
 
     x = euler_sweep(step, np.append(ops.alpha0, 0.0), grid.n_t, False, "spod state")
     # C order: the adjoint and the gradient dot strided columns of alpha, which
@@ -353,8 +367,9 @@ def solve_spod_adjoint(
     adot = np.append(adot, adot[:, -1:], axis=1)
     zrel = np.diff(zpath) / dt - v  # shift rate relative to the transport speed
     zrel = np.append(zrel, zrel[-1])
-    B2u = ops.along(slice(r, 2 * r), zpath, u)
-    aB3u = np.einsum("rj,rj->j", alpha, ops.along(slice(2 * r, 3 * r), zpath, u))
+    sig = ops.symbol_along(zpath)
+    B2u = ops.along(slice(r, 2 * r), sig, u)
+    aB3u = np.einsum("rj,rj->j", alpha, ops.along(slice(2 * r, 3 * r), sig, u))
     # coefficients of the scalar adjoint in the amplitude and the shift rows:
     # the skew pairing contributes -2 N alpha_dot (operator adjoint plus
     # mass-matrix rate; they add, not cancel, because N is skew)
@@ -365,13 +380,18 @@ def solve_spod_adjoint(
     t_z = np.einsum("rj,rj->j", alpha, tracking.D - 0.5 * rate_a)
     NT = ops.N.T
 
-    def step(x: np.ndarray, j: int) -> np.ndarray:
+    def step(x: np.ndarray, j: int, nxt: np.ndarray) -> None:
         lam, za = x[:r], x[r]
         NTl = NT @ lam
         rhs_a = zrel[j] * NTl + e12[:, j] * za + t_alpha[:, j]
         rhs_z = -(adot[:, j] @ NTl) - B2u[:, j] @ lam + e22[j] * za + t_z[j]
         w = (rhs_z - b[:, j] @ rhs_a) / s[j]
-        return np.append(lam - dt * (rhs_a - b[:, j] * w), za - dt * w)
+        # lam - dt (rhs_a - b_j w), in that order
+        nxt_a = np.multiply(b[:, j], w, out=nxt[:r])
+        np.subtract(rhs_a, nxt_a, out=nxt_a)
+        nxt_a *= dt
+        np.subtract(lam, nxt_a, out=nxt_a)
+        nxt[r] = za - dt * w
 
     x = euler_sweep(step, np.zeros(r + 1), n_t, True, "spod adjoint")
     return SpodAdjointTrajectory(lambda_a=np.ascontiguousarray(x[:r]), z_a=x[r].copy())
@@ -389,7 +409,8 @@ def gradient_spod(
     w = adjoint.lambda_a
     if adjoint.z_a.any():  # else the B2 rows add nothing
         w = np.concatenate([w, traj.alpha * adjoint.z_a])
-    return mu * np.asarray(u, dtype=float) + ops.along(slice(0, len(w)), traj.z, w, transpose=True)
+    sig = ops.symbol_along(traj.z)
+    return mu * np.asarray(u, dtype=float) + ops.along(slice(0, len(w)), sig, w, transpose=True)
 
 
 def tracking_terms(
@@ -468,7 +489,8 @@ def _invariant_state(ops: SpodRomOperators, u: np.ndarray, grid: SpaceTimeGrid) 
     z = uncontrolled_shift_path(grid)
     alpha = np.empty((r, n_t))
     alpha[:, 0] = ops.alpha0
-    np.cumsum(grid.dt * ops.along(slice(0, r), z[:-1], u[:, :-1]), axis=1, out=alpha[:, 1:])
+    sig = ops.symbol_along(z)[:-1]
+    np.cumsum(grid.dt * ops.along(slice(0, r), sig, u[:, :-1]), axis=1, out=alpha[:, 1:])
     alpha[:, 1:] += ops.alpha0[:, None]
     _mass_terms(ops, alpha[:, :-1], np.arange(n_t - 1))  # the Schur sweep solves at 0 .. n_t-2
     if not np.all(np.isfinite(alpha[:, -1])):

@@ -409,8 +409,10 @@ def test_b_table_matches_shift_loop(seed, n_samples):
         tol = 1e-12 * np.max(np.abs(table))
         rows, m = slice(0, 3 * ops.r), ops.m
         for z, B in zip(shifts, table):
-            assert np.max(np.abs(ops.along(rows, np.full(m, z), np.eye(m)) - B)) <= tol
-            BT = ops.along(rows, np.full(3 * ops.r, z), np.eye(3 * ops.r), transpose=True)
+            sig = ops.symbol(np.full(m, z))
+            assert np.max(np.abs(ops.along(rows, sig, np.eye(m)) - B)) <= tol
+            sig = ops.symbol(np.full(3 * ops.r, z))
+            BT = ops.along(rows, sig, np.eye(3 * ops.r), transpose=True)
             assert np.max(np.abs(BT - B.T)) <= tol
 
 

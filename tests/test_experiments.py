@@ -192,6 +192,22 @@ def test_parse_config_rejects_a_repeated_key(tmp_path):
     assert not out.exists()
 
 
+def test_parse_config_rejects_a_hash_inside_a_value(tmp_path):
+    # a comment starts at a '#' at the start of a line or after whitespace;
+    # any other '#' would cut a value short without a word
+    path = tmp_path / "hash.cfg"
+    path.write_text("# header\nn = 401  # note\n\t# indented\nmodel = pod\t# tab\n")
+    cfg = parse_config(path)
+    assert (cfg.n, cfg.model) == (401, "pod")
+    for line in ("out = run#1", "n = 401#note", "n# = 401"):
+        path.write_text(f"n_t = 30\n{line}\n")
+        with pytest.raises(ConfigError, match=r"hash\.cfg:2: '#' inside a value"):
+            parse_config(path)
+    out = tmp_path / "out"
+    assert cli_main(["run", str(path), "--out", str(out), "--quiet"]) == 2
+    assert not out.exists()
+
+
 def test_optimizer_settings_default_to_the_optimizer_defaults():
     assert ScenarioConfig().optimizer_config() == OptimizerConfig()
     settings = dict(beta=2e-5, omega0=0.5, n_iter=7, refine_every=3, bb_switch_threshold=0.1)

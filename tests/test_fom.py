@@ -1,8 +1,15 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from romctl import SpaceTimeGrid, build_fourier_shapes
-from romctl.experiments import fd_gradient_check, gaussian_initial_condition
+from romctl.experiments import (
+    build_target,
+    fd_gradient_check,
+    gaussian_initial_condition,
+    single_tilt_target,
+)
 from romctl.fom import (
     CostBreakdown,
     DivergenceError,
@@ -14,7 +21,7 @@ from romctl.fom import (
 )
 from romctl.models import ControlProblem, FomModel
 
-from conftest import coarse_grid, load_snapshots_bin, smooth_signal
+from conftest import coarse_grid, load_snapshots_bin, resting_path, smooth_signal
 
 
 def unit_cfl_grid(n=321, n_t=240, l=100.0, v=0.55):
@@ -102,3 +109,50 @@ def test_snapshot_binary_round_trip(tmp_path, rng):
     data = (tmp_path / "q.bin").read_bytes()
     assert len(data) == 16 + 13 * 9 * 8
     np.testing.assert_array_equal(load_snapshots_bin(tmp_path / "q.bin"), Q)
+
+
+def fom_model(grid, shapes, y0, target, target_path):
+    return FomModel(ControlProblem(grid, shapes, y0, target, target_path, 1e-3))
+
+
+def test_fom_model_evaluates_in_its_own_buffers(rng):
+    # after a warm-up, an evaluation and a closed-form step-size search make no
+    # (n, n_t) array: the state, the adjoint and the work array are the model's.
+    # The grid holds more than the 8192 elements of numpy's iteration buffer,
+    # which the mixed-order misfit takes.
+    grid = coarse_grid(n=201, n_t=120)
+    shapes, y0 = build_fourier_shapes(grid, 1), gaussian_initial_condition(grid)
+    target = build_target(grid, y0, single_tilt_target(0.0, grid.v))
+    model = fom_model(grid, shapes, y0, target, resting_path(grid))
+    u = smooth_signal(rng, shapes.m, grid.n_t, 0.1)
+    J, g = model.evaluate(u)
+    model.line_cost(u, g, J.total)
+    tracemalloc.start()
+    try:
+        J, g = model.evaluate(u)
+        model.line_cost(u, g, J.total)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * grid.n * grid.n_t
+
+
+def test_fom_model_buffers_leave_results_alone(grid, shapes, y0, target, target_path, rng):
+    # the buffers are overwritten by every solve, so nothing a call returns
+    # may live in them: evaluating at u1, u2 and u1 again repeats bit for bit,
+    # and the first gradient is untouched by the later calls
+    model = fom_model(grid, shapes, y0, target, target_path)
+    u1, u2 = (smooth_signal(rng, shapes.m, grid.n_t, 0.1) for _ in range(2))
+    J1, g1 = model.evaluate(u1)
+    kept = g1.copy()
+    model.evaluate(u2)
+    model.line_cost(u2, g1, J1.total)
+    J3, g3 = model.evaluate(u1)
+    assert J3 == J1 and g3.tobytes() == kept.tobytes() and g1.tobytes() == kept.tobytes()
+    assert model.cost_only(u1) == J1
+    lifted = model.lift(u1)
+    assert lifted.tobytes() == solve_state(grid, shapes, u1, y0).tobytes()
+    buffers = [a for a in vars(model).values() if isinstance(a, np.ndarray)]
+    assert len(buffers) == 3
+    assert not any(np.shares_memory(lifted, b) for b in buffers)
+    assert not any(np.shares_memory(g3, b) for b in buffers)

@@ -26,7 +26,7 @@ from romctl.rom_spod import (
     target_table,
     tracking_terms,
 )
-from romctl.transform import shift_columns
+from romctl.transform import shift_columns, uncontrolled_shift_path
 
 from conftest import coarse_grid, resting_path, shift_field, smooth_signal, svd_norm_B
 
@@ -96,7 +96,20 @@ def test_mass_matrix_factorization_identity(grid, shapes, y0, rng):
 
 def pairings(ops, rows, z):
     """The `rows` of the stacked pairings [B1; B2; B3] at one shift z."""
-    return ops.along(rows, np.full(ops.m, z), np.eye(ops.m))
+    return ops.along(rows, ops.symbol(np.full(ops.m, z)), np.eye(ops.m))
+
+
+def test_symbol_along_keeps_the_table_of_the_last_path(eig_model, grid, rng):
+    # an invariant basis reads sigma along v t on every solve: the table is
+    # built once, and any other path gets its own, bitwise symbol(z)
+    ops = eig_model.ops
+    drift = uncontrolled_shift_path(grid)
+    first = ops.symbol_along(drift)
+    assert first.tobytes() == ops.symbol(drift).tobytes()
+    assert ops.symbol_along(drift.copy()) is first
+    other = drift + rng.uniform(0.0, grid.dx, grid.n_t)
+    assert ops.symbol_along(other).tobytes() == ops.symbol(other).tobytes()
+    assert ops.symbol_along(drift).tobytes() == first.tobytes()
 
 
 def test_b1_at_zero_shift_matches_direct_pairing(grid, shapes, y0):
