@@ -14,6 +14,7 @@ from . import fom
 from .basis import ModeRule, save_spectrum_csv, singular_values
 from .control import FMT, build_fourier_shapes, save_control_csv
 from .discretization import SpaceTimeGrid
+from .fom import DivergenceError
 from .models import ControlProblem, FomModel, PodModel, ProblemModel, SpodModel
 from .optimizer import (
     PHASES,
@@ -282,7 +283,8 @@ def _save_final_state(outdir: Path, model: ProblemModel, u: np.ndarray) -> dict:
     """Write the model's state at u to final_state.bin and return the
     full-order cost at u (fom_cost) with the relative gap of the cost of the
     written state from it (rom_gap; the FOM's state is the full-order one).
-    rom_gap is None when fom_cost is 0, where no relative gap exists."""
+    rom_gap is None when fom_cost is 0, where no relative gap exists, and
+    both are None when the full-order solve at a reduced model's u diverges."""
     p = model.problem
     lifted = model.lift(u)
     fom.save_snapshots_bin(outdir / "final_state.bin", lifted)
@@ -291,21 +293,33 @@ def _save_final_state(outdir: Path, model: ProblemModel, u: np.ndarray) -> dict:
     if isinstance(model, FomModel):
         fom_cost = lifted_cost
     else:
-        state = fom.solve_state(p.grid, p.shapes, u, p.y0)
+        try:
+            state = fom.solve_state(p.grid, p.shapes, u, p.y0)
+        except DivergenceError:
+            return {"fom_cost": None, "rom_gap": None}
         fom_cost = fom.cost(p.grid, state, p.target, u, p.mu).total
     gap = abs(lifted_cost - fom_cost) / fom_cost if fom_cost else None
     return {"fom_cost": fom_cost, "rom_gap": gap}
 
 
+def _strict(meta: dict) -> dict:
+    """meta with every non-finite float as None: strict JSON (RFC 8259) has
+    no NaN or Infinity."""
+    return {k: _strict(v) if isinstance(v, dict)
+            else None if isinstance(v, float) and not math.isfinite(v) else v
+            for k, v in meta.items()}
+
+
 def _smallness(model: ProblemModel, u: np.ndarray) -> dict:
     """The sPOD-G smallness certificate of the held operators at u: its slack
     zeta and whether it holds. None for the linear models, which need none,
-    and when zero initial amplitudes make the bound vacuous."""
+    before the first refresh has built operators, and when zero initial
+    amplitudes make the bound vacuous."""
     none = {"smallness_zeta": None, "smallness_satisfied": None}
-    if not isinstance(model, SpodModel):
+    if not isinstance(model, SpodModel) or model.ops is None:
         return none
     try:
-        cert = certify_smallness(model.ops, u, model.problem.grid)
+        cert = certify_smallness(model.ops, u)
     except ValueError:
         return none
     return {"smallness_zeta": cert.zeta, "smallness_satisfied": cert.satisfied}
@@ -350,7 +364,8 @@ def run_scenario(cfg: ScenarioConfig, quiet: bool = False) -> int:
     }
     if report.status != "diverged":
         meta.update(_save_final_state(outdir, model, u))
-    (outdir / "run_meta.json").write_text(json.dumps(meta, indent=2) + "\n")
+    (outdir / "run_meta.json").write_text(json.dumps(_strict(meta), indent=2, allow_nan=False)
+                                          + "\n")
     if not quiet:
         print(
             f"[{cfg.model}] {report.status} after {report.iterations} iterations, "

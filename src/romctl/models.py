@@ -224,7 +224,8 @@ class SpodModel(ProblemModel):
     The cost and the adjoint read the tracking terms of the target along the
     reduced trajectory's shift path, so no evaluation lifts the state; `lift`
     alone does, for the artifacts. The terms come from the target table of
-    the held basis, built when the operators change, in O(n_t r) per path."""
+    the held basis, built on first use after each refresh, in O(n_t r) per
+    path."""
 
     def __init__(
         self,
@@ -239,8 +240,8 @@ class SpodModel(ProblemModel):
         self.basis: ModeBasis | None = None
         self.ops: rom_spod.SpodRomOperators | None = None
         self.last_spectrum: np.ndarray | None = None
-        self._table = None  # (operators, the target table of their basis)
-        self._tracking = None  # (operators, shift path, their tracking terms)
+        self._table: np.ndarray | None = None  # the target table of the held basis
+        self._drift_tracking: rom_spod.SpodTracking | None = None  # an invariant basis's terms
 
     def refine_basis(self, u: np.ndarray) -> int:
         p = self.problem
@@ -255,34 +256,34 @@ class SpodModel(ProblemModel):
         self.basis = truncate_to_basis(modes, sigma, self.mode_rule.select(sigma))
         self.last_spectrum = sigma
         self.ops = rom_spod.assemble_spod_rom(self.basis, p.shapes, p.y0, p.grid)
+        self._table = self._drift_tracking = None
         return self.basis.r
 
-    def _tracking_along(self, z: np.ndarray) -> rom_spod.SpodTracking:
-        """Tracking terms of the held basis along the shift path z, kept while
-        the operators and the path stay the same: on an invariant basis z = v t
-        on every call, so they are built once per basis; on a snapshot basis
-        the cost and the adjoint of one evaluation share one build."""
+    def _tracking(self, z: np.ndarray) -> rom_spod.SpodTracking:
+        """Tracking terms of the held basis along the shift path z of one of
+        its trajectories. An invariant basis moves along v t on every solve, so
+        its terms are built once; on other bases each path builds its own."""
         p = self.problem
-        if self._table is None or self._table[0] is not self.ops:
+        if self._table is None:
             # column 0 of the target is its profile (target_path[0] = 0)
-            self._table = (self.ops, rom_spod.target_table(self.basis, p.target[:, 0], p.grid))
-        held = self._tracking
-        if held is None or held[0] is not self.ops or not np.array_equal(held[1], z):
-            tracking = rom_spod.tracking_terms(self._table[1], p.target_path, z, p.grid)
-            held = self._tracking = (self.ops, z, tracking)
-        return held[2]
+            self._table = rom_spod.target_table(self.basis, p.target[:, 0], p.grid)
+        if not self.ops.invariant:
+            return rom_spod.tracking_terms(self._table, p.target_path, z, p.grid)
+        if self._drift_tracking is None:
+            self._drift_tracking = rom_spod.tracking_terms(self._table, p.target_path, z, p.grid)
+        return self._drift_tracking
 
     def evaluate(self, u: np.ndarray) -> tuple[CostBreakdown, np.ndarray]:
         self._require_basis()
         p = self.problem
         with self.phase("state"):
-            traj = rom_spod.solve_spod_state(self.ops, u, p.grid)
+            traj = rom_spod.solve_spod_state(self.ops, u)
         with self.phase("cost"):
-            tracking = self._tracking_along(traj.z)
+            tracking = self._tracking(traj.z)
             J = rom_spod.reduced_cost(self.ops, tracking, traj, u, p.mu, p.grid.dt,
                                       p.target_energy)
         with self.phase("adjoint"):
-            adj = rom_spod.solve_spod_adjoint(self.ops, traj, u, tracking, p.grid)
+            adj = rom_spod.solve_spod_adjoint(self.ops, traj, u, tracking)
         with self.phase("gradient"):
             g = rom_spod.gradient_spod(self.ops, traj, adj, u, p.mu)
         return J, g
@@ -290,12 +291,12 @@ class SpodModel(ProblemModel):
     def cost_only(self, u: np.ndarray) -> CostBreakdown:
         self._require_basis()
         p = self.problem
-        traj = rom_spod.solve_spod_state(self.ops, u, p.grid)
-        tracking = self._tracking_along(traj.z)
+        traj = rom_spod.solve_spod_state(self.ops, u)
+        tracking = self._tracking(traj.z)
         return rom_spod.reduced_cost(self.ops, tracking, traj, u, p.mu, p.grid.dt,
                                      p.target_energy)
 
     def lift(self, u: np.ndarray) -> np.ndarray:
         self._require_basis()
-        grid = self.problem.grid
-        return rom_spod.lift_spod(self.basis, rom_spod.solve_spod_state(self.ops, u, grid), grid)
+        return rom_spod.lift_spod(self.basis, rom_spod.solve_spod_state(self.ops, u),
+                                  self.problem.grid)

@@ -245,14 +245,14 @@ def optimize(
         for i in range(1, config.n_iter + 1):
             t_iter = time.perf_counter()
             refined = False
-            if i == 1 or refinement_policy(i, last_ok, config):
-                with clock.phase("basis"):
-                    mode_count = model.refine_basis(u)
-                refined = True
-                prev_u = prev_g = None  # gradient coordinates changed
             try:
+                if i == 1 or refinement_policy(i, last_ok, config):
+                    with clock.phase("basis"):
+                        mode_count = model.refine_basis(u)
+                    refined = True
+                    prev_u = prev_g = None  # gradient coordinates changed
                 cost, g = model.evaluate(u)
-            except DivergenceError:
+            except DivergenceError:  # in the snapshot solve of a refresh or in the model
                 report.status = "diverged"
                 break
 

@@ -29,7 +29,8 @@ in closed form along z_j = v t_j.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -57,8 +58,8 @@ class SingularMassError(DivergenceError):
 class SpodRomOperators:
     """The shift-independent operators and the pairings B(z) = B(0) T(z) of
     the stacked [shifted modes; their shift derivative; their curvature] with
-    the shapes. cells holds the symbol of T at the n whole-cell shifts, and
-    T(z) is exact at every shift z."""
+    the shapes on one grid. cells holds the symbol of T at the n whole-cell
+    shifts, and T(z) is exact at every shift z."""
 
     N: np.ndarray           # (r, r) skew pairing of modes with mode slopes
     M2: np.ndarray          # (r, r) Gram matrix of mode slopes
@@ -66,10 +67,8 @@ class SpodRomOperators:
     cells: np.ndarray       # (n, xi) row c: e^{i theta_k c}, the symbol at shift c dx
     gram_cross: np.ndarray  # (r, r) one-cell cross Gram of the modes
     alpha0: np.ndarray      # (r,)
-    grid: SpaceTimeGrid     # its l and n split a shift into cells
+    grid: SpaceTimeGrid     # the grid the solves march on
     invariant: bool         # N^T B1 = B2: closed-form solves
-    # [path, its symbol] of the last symbol_along call
-    _held_path: list = field(default_factory=list, init=False, repr=False, compare=False)
 
     @property
     def r(self) -> int:
@@ -88,16 +87,11 @@ class SpodRomOperators:
             f = f[:, None]
         return self.cells[c] * ((1.0 - f) + f * self.cells[1])
 
-    def symbol_along(self, z: np.ndarray) -> np.ndarray:
-        """symbol(z) along a path z, (len(z), xi), kept until another path
-        asks: an invariant basis moves along v t on every solve, so its table
-        is built once, and on other bases the adjoint and the gradient of one
-        evaluation share one."""
-        held = self._held_path
-        if not held or not np.array_equal(held[0], z):
-            z = np.array(z, dtype=float)
-            held[:] = [z, self.symbol(z)]
-        return held[1]
+    @cached_property
+    def drift_symbol(self) -> np.ndarray:
+        """symbol along the uncontrolled path v t, (n_t, xi): an invariant
+        basis moves along it on every solve."""
+        return self.symbol(uncontrolled_shift_path(self.grid))
 
     def along(
         self, rows: slice, sig: np.ndarray, w: np.ndarray, transpose: bool = False
@@ -128,6 +122,7 @@ def _pairs(w: np.ndarray) -> np.ndarray:
 class SpodReducedTrajectory:
     alpha: np.ndarray  # (r, n_t)
     z: np.ndarray      # (n_t,)
+    sig: np.ndarray    # (n_t, xi) symbol(z), which the adjoint and the gradient read
 
 
 @dataclass(frozen=True)
@@ -286,19 +281,16 @@ def _mass_terms(ops: SpodRomOperators, alpha: np.ndarray, steps: np.ndarray):
     return b, M2a, s
 
 
-def solve_spod_state(
-    ops: SpodRomOperators,
-    u: np.ndarray,
-    grid: SpaceTimeGrid,
-) -> SpodReducedTrajectory:
+def solve_spod_state(ops: SpodRomOperators, u: np.ndarray) -> SpodReducedTrajectory:
     """Explicit Euler for the coupled amplitude/shift dynamics, marched as the
     stacked vector (alpha, z) from (alpha0, 0); in closed form on an invariant
     basis."""
+    grid = ops.grid
     u = check_shape(u, (ops.m, grid.n_t), "control")
     if float(ops.alpha0 @ ops.alpha0) == 0.0:
         raise SingularMassError(0, "initial amplitudes are zero")
     if ops.invariant:
-        return _invariant_state(ops, u, grid)
+        return _invariant_state(ops, u)
     dt, v, r = grid.dt, grid.v, ops.r
     # B(z) u_j = B(0) T(z) u_j for the B1 and B2 rows, the pairs of u_j turned
     # as along turns them
@@ -322,7 +314,8 @@ def solve_spod_state(
     x = euler_sweep(step, np.append(ops.alpha0, 0.0), grid.n_t, False, "spod state")
     # C order: the adjoint and the gradient dot strided columns of alpha, which
     # round differently from contiguous ones in the last bit
-    return SpodReducedTrajectory(alpha=np.ascontiguousarray(x[:r]), z=x[r].copy())
+    z = x[r].copy()
+    return SpodReducedTrajectory(alpha=np.ascontiguousarray(x[:r]), z=z, sig=ops.symbol(z))
 
 
 def solve_spod_adjoint(
@@ -330,7 +323,6 @@ def solve_spod_adjoint(
     traj: SpodReducedTrajectory,
     u: np.ndarray,
     tracking: SpodTracking,
-    grid: SpaceTimeGrid,
 ) -> SpodAdjointTrajectory:
     """Backward sweep of the linearized coupled system from zero terminal data,
     marched as the stacked vector (lambda_a, z_a).
@@ -347,7 +339,7 @@ def solve_spod_adjoint(
     forward differences of the stored trajectory, the last one repeated at the
     final node.
     """
-    n_t, dt, v = grid.n_t, grid.dt, grid.v
+    n_t, dt, v = ops.grid.n_t, ops.grid.dt, ops.grid.v
     u = check_shape(u, (ops.m, n_t), "control")
     if ops.invariant:
         Ga = _gram_apply(ops, tracking.self_weight, tracking.cross_weight, traj.alpha)
@@ -367,9 +359,8 @@ def solve_spod_adjoint(
     adot = np.append(adot, adot[:, -1:], axis=1)
     zrel = np.diff(zpath) / dt - v  # shift rate relative to the transport speed
     zrel = np.append(zrel, zrel[-1])
-    sig = ops.symbol_along(zpath)
-    B2u = ops.along(slice(r, 2 * r), sig, u)
-    aB3u = np.einsum("rj,rj->j", alpha, ops.along(slice(2 * r, 3 * r), sig, u))
+    B2u = ops.along(slice(r, 2 * r), traj.sig, u)
+    aB3u = np.einsum("rj,rj->j", alpha, ops.along(slice(2 * r, 3 * r), traj.sig, u))
     # coefficients of the scalar adjoint in the amplitude and the shift rows:
     # the skew pairing contributes -2 N alpha_dot (operator adjoint plus
     # mass-matrix rate; they add, not cancel, because N is skew)
@@ -409,8 +400,8 @@ def gradient_spod(
     w = adjoint.lambda_a
     if adjoint.z_a.any():  # else the B2 rows add nothing
         w = np.concatenate([w, traj.alpha * adjoint.z_a])
-    sig = ops.symbol_along(traj.z)
-    return mu * np.asarray(u, dtype=float) + ops.along(slice(0, len(w)), sig, w, transpose=True)
+    return mu * np.asarray(u, dtype=float) + ops.along(slice(0, len(w)), traj.sig, w,
+                                                       transpose=True)
 
 
 def tracking_terms(
@@ -481,21 +472,20 @@ def reduced_cost(
     return CostBreakdown(tracking=tracking_cost, regularization=regularization)
 
 
-def _invariant_state(ops: SpodRomOperators, u: np.ndarray, grid: SpaceTimeGrid) -> SpodReducedTrajectory:
+def _invariant_state(ops: SpodRomOperators, u: np.ndarray) -> SpodReducedTrajectory:
     """z_j = v t_j and alpha_j = alpha0 + dt sum_{k<j} B1(z_k) u_k. The Schur
     margins of the trajectory are checked in one batch, so a singular step or a
     non-finite amplitude raises SingularMassError where the Schur sweep would."""
-    n_t, r = grid.n_t, ops.r
-    z = uncontrolled_shift_path(grid)
+    grid, r, sig = ops.grid, ops.r, ops.drift_symbol
+    n_t = grid.n_t
     alpha = np.empty((r, n_t))
     alpha[:, 0] = ops.alpha0
-    sig = ops.symbol_along(z)[:-1]
-    np.cumsum(grid.dt * ops.along(slice(0, r), sig, u[:, :-1]), axis=1, out=alpha[:, 1:])
+    np.cumsum(grid.dt * ops.along(slice(0, r), sig[:-1], u[:, :-1]), axis=1, out=alpha[:, 1:])
     alpha[:, 1:] += ops.alpha0[:, None]
     _mass_terms(ops, alpha[:, :-1], np.arange(n_t - 1))  # the Schur sweep solves at 0 .. n_t-2
     if not np.all(np.isfinite(alpha[:, -1])):
         raise DivergenceError(n_t - 1, "spod state")
-    return SpodReducedTrajectory(alpha=alpha, z=z)
+    return SpodReducedTrajectory(alpha=alpha, z=uncontrolled_shift_path(grid), sig=sig)
 
 
 def lift_spod(basis: ModeBasis, traj: SpodReducedTrajectory, grid: SpaceTimeGrid) -> np.ndarray:
@@ -506,14 +496,13 @@ def lift_spod(basis: ModeBasis, traj: SpodReducedTrajectory, grid: SpaceTimeGrid
     return shift_columns(basis.modes @ alpha, traj.z, grid)
 
 
-def certify_smallness(
-    ops: SpodRomOperators, u: np.ndarray, grid: SpaceTimeGrid
-) -> SmallnessCertificate:
+def certify_smallness(ops: SpodRomOperators, u: np.ndarray) -> SmallnessCertificate:
     """Check the control against the well-posedness bound
     ||u||^2 < ||alpha0||^2 / (||B||^2 e T r), with ||u||^2 = dt sum u^2 and
     ||B||^2 = l for the Fourier shapes the operators pair with."""
     a0_sq = float(ops.alpha0 @ ops.alpha0)
     if a0_sq == 0.0:
         raise ValueError("initial amplitudes are zero; the bound is vacuous")
+    grid = ops.grid
     bound = a0_sq / (grid.l * math.e * grid.T * ops.r)
     return SmallnessCertificate(bound=bound, u_norm_sq=grid.dt * float(np.sum(u * u)))

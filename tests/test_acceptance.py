@@ -142,7 +142,10 @@ def test_criterion_03_spod_gradient_check():
         target = build_target(grid, y0g, single_tilt_target(0.0, V))
         model = SpodModel(ControlProblem(grid, shapes, y0g, target, resting_path(grid), 1e-3),
                           ModeRule.fixed(5))
-        model.basis, model.ops = base.basis, base.ops  # same reduced system, finer steps
+        # the same reduced system, finer steps: n, l and y0 stay, so the
+        # operators assembled on this grid differ from base.ops only in it
+        model.basis = base.basis
+        model.ops = assemble_spod_rom(base.basis, shapes, y0g, grid)
         u = smooth_signal(np.random.default_rng(2), shapes.m, grid.n_t, 0.02)
         errs = fd_gradient_check(model, u, seed=17)
         agg[n_t] = float(np.sqrt(np.mean(np.square(errs))))
@@ -232,11 +235,11 @@ def test_criterion_06_smallness_envelope():
     margins = []
     for _ in range(20):
         u = smooth_signal(rng, shapes.m, grid.n_t)
-        cert0 = certify_smallness(ops, u, grid)
+        cert0 = certify_smallness(ops, u)
         u *= 0.7 * math.sqrt(cert0.bound / cert0.u_norm_sq)
-        cert = certify_smallness(ops, u, grid)
+        cert = certify_smallness(ops, u)
         assert cert.satisfied
-        traj = solve_spod_state(ops, u, grid)  # must not hit a singular step
+        traj = solve_spod_state(ops, u)  # must not hit a singular step
         nsq = np.sum(traj.alpha**2, axis=0)
         lo = grid.T * ops.r * bn**2 * cert.zeta
         hi = (math.e + 1.0) * a0_sq
@@ -299,10 +302,10 @@ def test_criterion_07_structural_invariants():
     assert np.all(lam[:, -1] == 0.0)
     basis = eigenfunction_stationary_basis(grid, shapes, y0)
     ops = assemble_spod_rom(basis, shapes, y0, grid)
-    traj = solve_spod_state(ops, u, grid)
+    traj = solve_spod_state(ops, u)
     tracking = tracking_terms(target_table(basis, target[:, 0], grid), resting_path(grid),
                               traj.z, grid)
-    adj = solve_spod_adjoint(ops, traj, u, tracking, grid)
+    adj = solve_spod_adjoint(ops, traj, u, tracking)
     assert np.all(adj.lambda_a[:, -1] == 0.0) and adj.z_a[-1] == 0.0
 
     # tolerance rule monotonicity

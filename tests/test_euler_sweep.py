@@ -184,7 +184,7 @@ def reference_spod_state(ops, u, grid):
             raise SingularMassError(j + 1, "non-finite reduced state")
         alpha[:, j + 1] = a
         zpath[j + 1] = z
-    return SpodReducedTrajectory(alpha=alpha, z=zpath)
+    return SpodReducedTrajectory(alpha=alpha, z=zpath, sig=ops.symbol(zpath))
 
 
 def reference_spod_adjoint(ops, traj, u, target, basis, grid):
@@ -374,13 +374,13 @@ def test_spod_solves_match_parent_loops_bitwise(v, seed):
     assert not ops.invariant  # the bumps hold no control shape: the Schur path runs
     profile, path, target = moving_profile(grid, seed)
     ref = ReferenceSpodOps(ops, basis, shapes, grid)
-    traj = solve_spod_state(ops, u, grid)
+    traj = solve_spod_state(ops, u)
     ref_traj = reference_spod_state(ref, u, grid)
     # not bitwise: the solve pairs through B(0) T(z), the oracle through the shift loop
     assert rel(traj.alpha, ref_traj.alpha) <= 1e-12
     assert rel(traj.z, ref_traj.z) <= 1e-12
     tracking = tracking_terms(target_table(basis, profile, grid), path, traj.z, grid)
-    adj = solve_spod_adjoint(ops, traj, u, tracking, grid)
+    adj = solve_spod_adjoint(ops, traj, u, tracking)
     ref_adj = reference_spod_adjoint(ref, ref_traj, u, target, basis, grid)
     assert rel(adj.lambda_a, ref_adj.lambda_a) <= 1e-12
     assert rel(adj.z_a, ref_adj.z_a) <= 1e-12
@@ -438,9 +438,9 @@ def test_tracking_terms_match_column_loop(v, seed):
 
 def spod_adjoint(ops, basis, u, target, grid):
     # the target here is any array, so its terms come from the column loop
-    traj = solve_spod_state(ops, u, grid)
+    traj = solve_spod_state(ops, u)
     tracking = reference_tracking_terms(basis, target, traj.z, grid)
-    return solve_spod_adjoint(ops, traj, u, tracking, grid)
+    return solve_spod_adjoint(ops, traj, u, tracking)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf arithmetic past the bad column
@@ -473,7 +473,7 @@ def test_divergence_names_first_bad_column(what):
                 "reduced state": lambda: solve_pod_state(ops, u, grid),
                 "reduced adjoint": lambda: solve_pod_adjoint(
                     ops, solve_pod_state(ops, u, grid), yd, grid),
-                "spod state": lambda: solve_spod_state(sops, u, grid),
+                "spod state": lambda: solve_spod_state(sops, u),
                 "spod adjoint": lambda: spod_adjoint(sops, basis, u, target, grid),
             }
             with pytest.raises(DivergenceError) as err:
@@ -495,12 +495,12 @@ def test_singular_mass_matrix_step_matches_schur_sweep(first_singular):
     assert ops.invariant
     w = np.zeros(ops.r)
     if first_singular:
-        a = solve_spod_state(ops, u, grid).alpha[:, first_singular]
+        a = solve_spod_state(ops, u).alpha[:, first_singular]
         w = np.ones(ops.r) - (np.sum(a) / (a @ a)) * a
     singular = dataclasses.replace(ops, M2=ops.N.T @ ops.N + np.outer(w, w))
     for flag in (True, False):
         with pytest.raises(SingularMassError) as err:
-            solve_spod_state(dataclasses.replace(singular, invariant=flag), u, grid)
+            solve_spod_state(dataclasses.replace(singular, invariant=flag), u)
         assert err.value.step == first_singular
 
 
@@ -514,7 +514,7 @@ def test_singular_mass_matrix_adjoint_step_matches_schur_sweep(singular_step):
     grid, shapes, _, _, u, _, _ = problem(0.55, 0)
     basis, ops = spod_operators(grid, shapes, 0)
     profile, path, target = moving_profile(grid, 0)
-    traj = solve_spod_state(ops, u, grid)
+    traj = solve_spod_state(ops, u)
     w = np.zeros(ops.r)
     if singular_step is not None:
         a = traj.alpha[:, singular_step]
@@ -522,7 +522,7 @@ def test_singular_mass_matrix_adjoint_step_matches_schur_sweep(singular_step):
     singular = dataclasses.replace(ops, M2=ops.N.T @ ops.N + np.outer(w, w))
     tracking = tracking_terms(target_table(basis, profile, grid), path, traj.z, grid)
     with pytest.raises(SingularMassError) as err:
-        solve_spod_adjoint(singular, traj, u, tracking, grid)
+        solve_spod_adjoint(singular, traj, u, tracking)
     with pytest.raises(SingularMassError) as ref_err:
         reference_spod_adjoint(ReferenceSpodOps(singular, basis, shapes, grid), traj, u, target,
                                basis, grid)
@@ -534,7 +534,7 @@ def test_spod_adjoint_rejects_control_of_wrong_shape():
     grid, shapes, _, _, u, _, _ = problem(0.55, 0)
     basis, ops = spod_operators(grid, shapes, 0)
     profile, path, _ = moving_profile(grid, 0)
-    traj = solve_spod_state(ops, u, grid)
+    traj = solve_spod_state(ops, u)
     tracking = tracking_terms(target_table(basis, profile, grid), path, traj.z, grid)
     with pytest.raises(ValueError, match="control"):
-        solve_spod_adjoint(ops, traj, u[:, :1], tracking, grid)
+        solve_spod_adjoint(ops, traj, u[:, :1], tracking)

@@ -316,7 +316,7 @@ def test_run_meta_reports_smallness_certificate(tmp_path, extra):
         u = np.loadtxt(tmp_path / "out" / "final_control.csv", delimiter=",", skiprows=1,
                        ndmin=2).T
         model.refine_basis(u)
-        assert zeta == certify_smallness(model.ops, u, p.grid).zeta
+        assert zeta == certify_smallness(model.ops, u).zeta
 
 
 def test_rom_gap_is_null_when_the_fom_reaches_the_target(tmp_path):
@@ -532,12 +532,42 @@ def test_reproduce_studies_runs_the_cli_of_this_interpreter(tmp_path, monkeypatc
     assert set(temp_root.glob("romctl-cfg-*")) <= before
 
 
+# a step size far beyond the stability bound of the full-order upwind scheme
+UNSTABLE = dict(n=41, n_t=700, T=7000.0, xi=1, n_iter=5)
+
+
+def strict_json(path):
+    """run_meta.json parsed as RFC 8259 JSON, which has no NaN or Infinity."""
+    def reject(word):
+        raise ValueError(f"{path} holds {word}, which is not JSON")
+
+    return json.loads(path.read_text(), parse_constant=reject)
+
+
 def test_run_scenario_divergence_exit_code(tmp_path, recwarn):
-    # step size far beyond the stability bound blows up the state solve
-    cfg = ScenarioConfig(n=41, n_t=700, T=7000.0, xi=1, n_iter=5,
-                         out=str(tmp_path / "diverged"))
-    code = run_scenario(cfg, quiet=True)
-    assert code == 3
-    meta = json.loads((tmp_path / "diverged" / "run_meta.json").read_text())
-    assert meta["status"] == "diverged"
-    assert "fom_cost" not in meta and "rom_gap" not in meta
+    # the full-order state solve blows up: in the full model's first
+    # evaluation, and in the snapshot solve of a reduced model's first refresh
+    for model in ({"model": "fom"}, {"model": "pod", "modes": 4},
+                  {"model": "spod", "modes": 4}):
+        out = tmp_path / f"diverged-{model['model']}"
+        code = run_scenario(ScenarioConfig(**UNSTABLE, **model, out=str(out)), quiet=True)
+        assert code == 3, model
+        meta = strict_json(out / "run_meta.json")
+        assert (meta["status"], meta["iterations"], meta["final_cost"]) == ("diverged", 0, None)
+        assert meta["smallness_zeta"] is None
+        assert "fom_cost" not in meta and "rom_gap" not in meta
+
+
+def test_full_order_check_that_diverges_leaves_the_run_its_status(tmp_path, recwarn):
+    # the invariant sPOD-G stays stable on the grid where the full model blows
+    # up: the run ends as the optimizer did, with the lifted final state and
+    # no full-order cost to compare it against
+    out = tmp_path / "reduced-only"
+    cfg = ScenarioConfig(**UNSTABLE, model="spod", eigenfunction_basis=True, out=str(out))
+    assert run_scenario(cfg, quiet=True) == 0
+    meta = strict_json(out / "run_meta.json")
+    assert (meta["status"], meta["iterations"]) == ("max_iter", 5)
+    assert math.isfinite(meta["final_cost"]) and meta["smallness_zeta"] is not None
+    assert meta["fom_cost"] is None and meta["rom_gap"] is None
+    lifted = load_snapshots_bin(out / "final_state.bin")
+    assert lifted.shape == (cfg.n, cfg.n_t) and np.all(np.isfinite(lifted))

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from romctl import SpaceTimeGrid, build_fourier_shapes
+from romctl import SpaceTimeGrid, build_fourier_shapes, rom_spod
 from romctl.basis import ModeBasis, ModeRule
 from romctl.control import ControlShapes
 from romctl.experiments import (
@@ -26,7 +26,7 @@ from romctl.rom_spod import (
     target_table,
     tracking_terms,
 )
-from romctl.transform import shift_columns, uncontrolled_shift_path
+from romctl.transform import shift_columns
 
 from conftest import coarse_grid, resting_path, shift_field, smooth_signal, svd_norm_B
 
@@ -99,17 +99,29 @@ def pairings(ops, rows, z):
     return ops.along(rows, ops.symbol(np.full(ops.m, z)), np.eye(ops.m))
 
 
-def test_symbol_along_keeps_the_table_of_the_last_path(eig_model, grid, rng):
-    # an invariant basis reads sigma along v t on every solve: the table is
-    # built once, and any other path gets its own, bitwise symbol(z)
-    ops = eig_model.ops
-    drift = uncontrolled_shift_path(grid)
-    first = ops.symbol_along(drift)
-    assert first.tobytes() == ops.symbol(drift).tobytes()
-    assert ops.symbol_along(drift.copy()) is first
-    other = drift + rng.uniform(0.0, grid.dx, grid.n_t)
-    assert ops.symbol_along(other).tobytes() == ops.symbol(other).tobytes()
-    assert ops.symbol_along(drift).tobytes() == first.tobytes()
+def test_invariant_basis_builds_its_drift_terms_once(eig_model, grid, shapes, rng, monkeypatch):
+    # an invariant basis moves along v t on every solve: over many evaluations
+    # the model builds the symbol and the tracking terms along it once
+    assert eig_model.ops.invariant
+    calls = {"symbol": 0, "tracking_terms": 0}
+
+    def count(owner, name):
+        fn = getattr(owner, name)
+
+        def counted(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        monkeypatch.setattr(owner, name, counted)
+
+    count(rom_spod.SpodRomOperators, "symbol")
+    count(rom_spod, "tracking_terms")
+    for amp in (0.0, 0.01, 0.02):
+        u = smooth_signal(rng, shapes.m, grid.n_t, amp)
+        eig_model.evaluate(u)
+        eig_model.cost_only(u)
+        eig_model.cost_only(-u)
+    assert calls == {"symbol": 1, "tracking_terms": 1}
 
 
 def test_b1_at_zero_shift_matches_direct_pairing(grid, shapes, y0):
@@ -146,7 +158,7 @@ def test_b_table_slope_consistency():
 
 
 def test_zero_control_shift_law_and_norm(eig_model, grid, shapes):
-    traj = solve_spod_state(eig_model.ops, np.zeros((shapes.m, grid.n_t)), grid)
+    traj = solve_spod_state(eig_model.ops, np.zeros((shapes.m, grid.n_t)))
     np.testing.assert_allclose(traj.z, grid.v * grid.t, atol=1e-12)
     norms = np.sum(traj.alpha**2, axis=0)
     assert np.max(np.abs(norms - norms[0])) < 1e-12
@@ -154,7 +166,8 @@ def test_zero_control_shift_law_and_norm(eig_model, grid, shapes):
 
 def test_state_self_convergence_first_order(grid, shapes, y0, target, target_path, rng):
     # fixed basis, same smooth control function, halved step: trajectory
-    # differences shrink by about the step ratio
+    # differences shrink by about the step ratio. n and l stay, so the
+    # operators assembled on each grid differ only in their grid
     model = SpodModel(ControlProblem(grid, shapes, y0, target, target_path, 1e-3),
                       ModeRule.fixed(4), eigenfunction_basis=True)
     model.refine_basis(np.zeros((shapes.m, grid.n_t)))
@@ -162,7 +175,7 @@ def test_state_self_convergence_first_order(grid, shapes, y0, target, target_pat
     for mult in (1, 2, 4):
         g = SpaceTimeGrid(l=grid.l, n=grid.n, T=grid.T, n_t=grid.n_t * mult, v=grid.v)
         u = smooth_signal(np.random.default_rng(5), shapes.m, g.n_t, 0.05)
-        traj = solve_spod_state(model.ops, u, g)
+        traj = solve_spod_state(assemble_spod_rom(model.basis, shapes, y0, g), u)
         diffs.append(traj.alpha[:, ::mult])
     e1 = np.max(np.abs(diffs[0] - diffs[1][:, : diffs[0].shape[1]]))
     e2 = np.max(np.abs(diffs[1][:, : diffs[0].shape[1]] - diffs[2][:, : diffs[0].shape[1]]))
@@ -173,7 +186,7 @@ def test_zero_alpha0_raises(grid, shapes):
     basis = normalized_trig_basis(grid, [("sin", 1), ("cos", 1)])
     ops = assemble_spod_rom(basis, shapes, np.zeros(grid.n), grid)
     with pytest.raises(SingularMassError):
-        solve_spod_state(ops, np.zeros((shapes.m, grid.n_t)), grid)
+        solve_spod_state(ops, np.zeros((shapes.m, grid.n_t)))
 
 
 def self_tracking(basis, traj, grid):
@@ -187,9 +200,9 @@ def self_tracking(basis, traj, grid):
 
 def test_adjoint_vanishes_for_self_target(eig_model, grid, shapes, rng):
     u = np.zeros((shapes.m, grid.n_t))
-    traj = solve_spod_state(eig_model.ops, u, grid)
+    traj = solve_spod_state(eig_model.ops, u)
     tracking = self_tracking(eig_model.basis, traj, grid)
-    adj = solve_spod_adjoint(eig_model.ops, traj, u, tracking, grid)
+    adj = solve_spod_adjoint(eig_model.ops, traj, u, tracking)
     # zero source up to the rounding of two float paths for the same pairing
     assert np.max(np.abs(adj.lambda_a)) < 1e-12
     assert np.max(np.abs(adj.z_a)) < 1e-12
@@ -197,19 +210,19 @@ def test_adjoint_vanishes_for_self_target(eig_model, grid, shapes, rng):
 
 def test_adjoint_terminal_columns_zero(eig_model, grid, shapes, target, target_path, rng):
     u = smooth_signal(rng, shapes.m, grid.n_t, 0.05)
-    traj = solve_spod_state(eig_model.ops, u, grid)
+    traj = solve_spod_state(eig_model.ops, u)
     table = target_table(eig_model.basis, target[:, 0], grid)
     tracking = tracking_terms(table, target_path, traj.z, grid)
-    adj = solve_spod_adjoint(eig_model.ops, traj, u, tracking, grid)
+    adj = solve_spod_adjoint(eig_model.ops, traj, u, tracking)
     assert np.all(adj.lambda_a[:, -1] == 0.0)
     assert adj.z_a[-1] == 0.0
 
 
 def test_gradient_trivial_cases(eig_model, grid, shapes, rng):
     u = rng.standard_normal((shapes.m, grid.n_t))
-    traj = solve_spod_state(eig_model.ops, 0 * u, grid)
+    traj = solve_spod_state(eig_model.ops, 0 * u)
     zero_adj = solve_spod_adjoint(
-        eig_model.ops, traj, 0 * u, self_tracking(eig_model.basis, traj, grid), grid
+        eig_model.ops, traj, 0 * u, self_tracking(eig_model.basis, traj, grid)
     )
     g = gradient_spod(eig_model.ops, traj, zero_adj, u, 1e-3)
     np.testing.assert_allclose(g, 1e-3 * u, atol=0)
@@ -232,11 +245,17 @@ def test_gradient_matches_fd_and_decays(grid, shapes, y0, target):
     assert errs[0] / errs[1] > 1.3
 
 
+def lift_trajectory(alpha, z):
+    """A trajectory for lift_spod, which reads no symbol: it carries the
+    empty one of the constant control shape alone (xi = 0)."""
+    return SpodReducedTrajectory(alpha=alpha, z=z, sig=np.empty((len(z), 0), dtype=complex))
+
+
 def test_lift_rotates_single_mode(grid):
     basis = normalized_trig_basis(grid, [("sin", 1)])
     z = 4 * grid.dx * np.ones(grid.n_t)
     z[0] = 0.0
-    traj = SpodReducedTrajectory(alpha=np.ones((1, grid.n_t)), z=z)
+    traj = lift_trajectory(np.ones((1, grid.n_t)), z)
     lifted = lift_spod(basis, traj, grid)
     np.testing.assert_array_equal(lifted[:, 3], np.roll(basis.modes[:, 0], 4))
 
@@ -247,7 +266,7 @@ def test_lift_matches_column_loop(grid, rng):
     basis = normalized_trig_basis(grid, [("const", 0), ("sin", 1), ("cos", 2)])
     z = rng.uniform(-2.0 * grid.l, 2.0 * grid.l, grid.n_t)
     z[1:4] = (3 * grid.dx, -7 * grid.dx + 1e-12, 11 * grid.dx + 2e-9)  # on or next to nodes
-    traj = SpodReducedTrajectory(alpha=rng.standard_normal((basis.r, grid.n_t)), z=z)
+    traj = lift_trajectory(rng.standard_normal((basis.r, grid.n_t)), z)
     loop = np.column_stack([
         shift_field(basis.modes @ traj.alpha[:, j], z[j], grid) for j in range(grid.n_t)
     ])
@@ -271,7 +290,7 @@ def test_uncontrolled_lift_reproduces_fom_at_unit_cfl():
 
 def test_certificate_zero_and_boundary(eig_model, grid, shapes):
     u0 = np.zeros((shapes.m, grid.n_t))
-    cert = certify_smallness(eig_model.ops, u0, grid)
+    cert = certify_smallness(eig_model.ops, u0)
     assert cert.satisfied
     assert cert.zeta == pytest.approx(cert.bound, rel=1e-12)
     # the closed form ||B||^2 = l against the SVD of the shapes
@@ -281,7 +300,7 @@ def test_certificate_zero_and_boundary(eig_model, grid, shapes):
                                        rel=1e-14)
     amp = math.sqrt(cert.bound / (grid.dt * grid.n_t * shapes.m))
     u_edge = amp * np.ones((shapes.m, grid.n_t))
-    cert_edge = certify_smallness(eig_model.ops, u_edge, grid)
+    cert_edge = certify_smallness(eig_model.ops, u_edge)
     assert cert_edge.u_norm_sq == pytest.approx(cert_edge.bound, rel=1e-12)
     assert not cert_edge.satisfied
 
@@ -291,11 +310,11 @@ def test_certified_controls_obey_envelope(eig_model, grid, shapes, rng):
     a0_sq = float(eig_model.ops.alpha0 @ eig_model.ops.alpha0)
     for _ in range(5):
         u = smooth_signal(rng, shapes.m, grid.n_t, 1.0)
-        cert0 = certify_smallness(eig_model.ops, u, grid)
+        cert0 = certify_smallness(eig_model.ops, u)
         u *= 0.7 * math.sqrt(cert0.bound / cert0.u_norm_sq)
-        cert = certify_smallness(eig_model.ops, u, grid)
+        cert = certify_smallness(eig_model.ops, u)
         assert cert.satisfied
-        traj = solve_spod_state(eig_model.ops, u, grid)
+        traj = solve_spod_state(eig_model.ops, u)
         nsq = np.sum(traj.alpha**2, axis=0)
         lo = grid.T * eig_model.ops.r * bn**2 * cert.zeta
         hi = (math.e + 1.0) * a0_sq

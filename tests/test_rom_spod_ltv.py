@@ -27,7 +27,7 @@ from romctl.experiments import (
 )
 from romctl.fom import cost
 from romctl.models import ControlProblem, SpodModel
-from romctl.rom_spod import certify_smallness, lift_spod, solve_spod_state
+from romctl.rom_spod import assemble_spod_rom, certify_smallness, lift_spod, solve_spod_state
 
 from conftest import smooth_signal
 
@@ -75,10 +75,10 @@ def test_closed_form_matches_schur_sweep(setting):
     for amp in (0.05, 0.3):
         u = smooth_signal(rng, p.shapes.m, grid.n_t, amp)
         if setting.startswith("criterion-6"):  # inside the smallness certificate
-            cert = certify_smallness(ops, u, grid)
+            cert = certify_smallness(ops, u)
             u *= 0.7 * math.sqrt(cert.bound / cert.u_norm_sq)
-        traj = solve_spod_state(ops, u, grid)
-        ref = solve_spod_state(schur, u, grid)
+        traj = solve_spod_state(ops, u)
+        ref = solve_spod_state(schur, u)
         J = model.cost_only(u)
         J_ref = cost(grid, lift_spod(model.basis, ref, grid), p.target, u, p.mu)
         gaps[amp] = (rel(traj.alpha, ref.alpha), rel(traj.z, ref.z),
@@ -104,20 +104,21 @@ def test_closed_form_gradient_is_exact(setting):
 
 
 def test_tracking_terms_follow_the_model_grid():
-    # tests and criterion 3 hand one model's operators to a model on another
-    # grid: the tracking terms belong to the grid and target of the model that
-    # evaluates, and to the operators it holds (here from another y0)
+    # criterion 3 hands one model's basis to a model on another grid, which
+    # assembles its operators on its own grid: the tracking terms belong to
+    # the grid and target of the model that evaluates, and to the basis it
+    # holds (here also one from another y0)
     coarse = invariant_model(unit_cfl_grid(101, 60), 1)
     fine_grid = SpaceTimeGrid(l=L, n=101, T=coarse.problem.grid.T, n_t=120, v=V)
-    fine = invariant_model(fine_grid, 1)
     other = invariant_model(fine_grid, 1, np.exp(-((fine_grid.x - 60.0) / 3.0) ** 2))
-    u = smooth_signal(np.random.default_rng(9), fine.problem.shapes.m, fine_grid.n_t, 0.1)
-    p = fine.problem
-    for basis, ops in ((coarse.basis, coarse.ops), (other.basis, other.ops)):
-        fine.cost_only(u)  # tracking terms of the operators held before the swap
-        fine.basis, fine.ops = basis, ops
+    for source in (coarse, other):
+        fine = invariant_model(fine_grid, 1)
+        p = fine.problem
+        u = smooth_signal(np.random.default_rng(9), p.shapes.m, fine_grid.n_t, 0.1)
+        fine.basis = source.basis
+        fine.ops = assemble_spod_rom(source.basis, p.shapes, source.problem.y0, fine_grid)
         J = fine.cost_only(u)
-        lifted = lift_spod(basis, solve_spod_state(ops, u, fine_grid), fine_grid)
+        lifted = lift_spod(fine.basis, solve_spod_state(fine.ops, u), fine_grid)
         J_ref = cost(fine_grid, lifted, p.target, u, p.mu)
         assert abs(J.total - J_ref.total) < 1e-12 * J_ref.total
 
@@ -144,10 +145,29 @@ def test_snapshot_basis_cost_matches_lifted_cost():
                     (model.evaluate, controls[0]), (model.cost_only, controls[1])):
         J = call(u)
         J = J[0] if isinstance(J, tuple) else J
-        traj = solve_spod_state(model.ops, u, grid)
+        traj = solve_spod_state(model.ops, u)
         paths.append(traj.z)
         J_ref = cost(grid, lift_spod(model.basis, traj, grid), target, u, model.problem.mu)
         assert abs(J.total - J_ref.total) <= 1e-12 * J_ref.total
     v_t = V * grid.t
     assert min(np.max(np.abs(z - v_t)) for z in paths) > grid.dx
     assert np.max(np.abs(paths[0] - paths[1])) > grid.dx
+
+
+def test_refresh_between_invariant_and_snapshot_bases_rebuilds_the_terms():
+    # a snapshot basis of all 2 xi + 2 co-moving modes spans the invariant
+    # subspace, a truncated one does not: a refresh that switches between them
+    # must drop the target table and the terms along v t of the basis before
+    p = invariant_model(unit_cfl_grid(201, 150), 2).problem
+    grid, m = p.grid, p.shapes.m
+    model = SpodModel(p, ModeRule.fixed(m + 1))
+    rng = np.random.default_rng(4)
+    u = smooth_signal(rng, m, grid.n_t, 0.02)
+    for r, invariant in ((m + 1, True), (3, False), (m + 1, True)):
+        model.mode_rule = ModeRule.fixed(r)
+        model.refine_basis(smooth_signal(rng, m, grid.n_t, 0.05))
+        assert model.ops.invariant == invariant
+        J = model.evaluate(u)[0]
+        lifted = lift_spod(model.basis, solve_spod_state(model.ops, u), grid)
+        J_ref = cost(grid, lifted, p.target, u, p.mu)
+        assert abs(J.total - J_ref.total) <= 1e-12 * J_ref.total
