@@ -8,7 +8,7 @@ from typing import Callable
 
 import numpy as np
 
-from . import fom, rom_pod, rom_spod
+from . import fom, rom_pod, rom_spod, spod_batch
 from .basis import (
     ModeBasis,
     ModeRule,
@@ -19,7 +19,7 @@ from .basis import (
 from .control import ControlShapes
 from .discretization import SpaceTimeGrid, check_shape
 from .fom import CostBreakdown, DivergenceError
-from .optimizer import ControlledModel
+from .optimizer import ControlledModel, blocked_line_cost
 from .transform import shift_columns, transform_snapshots, uncontrolled_shift_path
 
 # columns per block of the target check and energy sum: they form no second target
@@ -124,6 +124,7 @@ class FomModel(LinearQuadraticModel):
 
     def _solve_state(self, u: np.ndarray, y0: np.ndarray) -> np.ndarray:
         p = self.problem
+        self.state_solves += 1
         return fom.solve_state(p.grid, p.shapes, u, y0, out=self._state, work=self._work)
 
     def evaluate(self, u: np.ndarray) -> tuple[CostBreakdown, np.ndarray]:
@@ -180,6 +181,10 @@ class PodModel(LinearQuadraticModel):
         self._yd_residual_energy = p.target_energy - in_span
         return self.basis.r
 
+    def _solve_state(self, ops: rom_pod.PodRomOperators, u: np.ndarray) -> np.ndarray:
+        self.state_solves += 1
+        return rom_pod.solve_pod_state(ops, u, self.problem.grid)
+
     def _cost_from_alpha(self, alpha: np.ndarray, u: np.ndarray) -> CostBreakdown:
         dt = self.problem.grid.dt
         diff = alpha - self._yd_reduced
@@ -191,7 +196,7 @@ class PodModel(LinearQuadraticModel):
         self._require_basis()
         grid = self.problem.grid
         with self.phase("state"):
-            alpha = rom_pod.solve_pod_state(self.ops, u, grid)
+            alpha = self._solve_state(self.ops, u)
         with self.phase("cost"):
             J = self._cost_from_alpha(alpha, u)
         with self.phase("adjoint"):
@@ -202,15 +207,13 @@ class PodModel(LinearQuadraticModel):
 
     def cost_only(self, u: np.ndarray) -> CostBreakdown:
         self._require_basis()
-        alpha = rom_pod.solve_pod_state(self.ops, u, self.problem.grid)
-        return self._cost_from_alpha(alpha, u)
+        return self._cost_from_alpha(self._solve_state(self.ops, u), u)
 
     def tracking_curvature(self, g: np.ndarray) -> float:
         # the modes are dx-orthonormal, so the lifted response has the energy of its amplitudes
         self._require_basis()
-        grid = self.problem.grid
-        alpha = rom_pod.solve_pod_state(replace(self.ops, alpha0=np.zeros(self.ops.r)), g, grid)
-        return grid.dt * float(np.sum(alpha * alpha))
+        alpha = self._solve_state(replace(self.ops, alpha0=np.zeros(self.ops.r)), g)
+        return self.problem.grid.dt * float(np.sum(alpha * alpha))
 
     def lift(self, u: np.ndarray) -> np.ndarray:
         self._require_basis()
@@ -277,10 +280,11 @@ class SpodModel(ProblemModel):
         self._require_basis()
         p = self.problem
         with self.phase("state"):
+            self.state_solves += 1
             traj = rom_spod.solve_spod_state(self.ops, u)
         with self.phase("cost"):
             tracking = self._tracking(traj.z)
-            J = rom_spod.reduced_cost(self.ops, tracking, traj, u, p.mu, p.grid.dt,
+            J = rom_spod.reduced_cost(self.ops, tracking, traj.alpha, u, p.mu, p.grid.dt,
                                       p.target_energy)
         with self.phase("adjoint"):
             adj = rom_spod.solve_spod_adjoint(self.ops, traj, u, tracking)
@@ -291,10 +295,40 @@ class SpodModel(ProblemModel):
     def cost_only(self, u: np.ndarray) -> CostBreakdown:
         self._require_basis()
         p = self.problem
+        self.state_solves += 1
         traj = rom_spod.solve_spod_state(self.ops, u)
-        tracking = self._tracking(traj.z)
-        return rom_spod.reduced_cost(self.ops, tracking, traj, u, p.mu, p.grid.dt,
-                                     p.target_energy)
+        return rom_spod.reduced_cost(self.ops, self._tracking(traj.z), traj.alpha, u, p.mu,
+                                     p.grid.dt, p.target_energy)
+
+    def line_cost(self, u: np.ndarray, g: np.ndarray, cost: float) -> Callable[[float], float]:
+        """On an invariant basis each step size is one cost_only trial. On a
+        Schur basis the step sizes are marched in blocks (blocked_line_cost,
+        spod_batch.solve_spod_candidates), and only the candidates the search
+        reads are priced. A candidate that fails in the march costs +inf, as a
+        trial that diverges does."""
+        self._require_basis()
+        if self.ops.invariant:
+            return super().line_cost(u, g, cost)
+        p = self.problem
+
+        def march(omegas: list[float]) -> Callable[[int], float]:
+            self.state_solves += 1
+            try:
+                block = spod_batch.solve_spod_candidates(self.ops, u, g, omegas)
+            except DivergenceError:  # zero initial amplitudes: every candidate fails
+                return lambda k: math.inf
+
+            def price(k: int) -> float:
+                if block.failed[k]:
+                    return math.inf
+                return rom_spod.reduced_cost(
+                    self.ops, self._tracking(block.z[k]), block.alpha[k], u - omegas[k] * g,
+                    p.mu, p.grid.dt, p.target_energy,
+                ).total
+
+            return price
+
+        return blocked_line_cost(march)
 
     def lift(self, u: np.ndarray) -> np.ndarray:
         self._require_basis()

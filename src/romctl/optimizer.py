@@ -22,6 +22,7 @@ ARMIJO_C = 1e-4  # sufficient-decrease constant of the step-size search
 MAX_HALVINGS = 30
 MAX_DOUBLINGS = 30
 BB_MIN_STEP, BB_MAX_STEP = 1e-8, 1e3  # clamp of the Barzilai-Borwein step
+MAX_BLOCK = 16  # step sizes a batched search marches at once after its first block
 
 
 class PhaseClock:
@@ -64,9 +65,12 @@ class ControlledModel(ABC):
     """What the descent loop needs from a model.
 
     `evaluate` must be deterministic for a fixed control and basis state.
+    A model counts the state solves of `evaluate`, `cost_only` and its step-size
+    search in `state_solves`; a march of a block of step sizes counts once.
     """
 
     clock: PhaseClock | None = None
+    state_solves: int = 0
 
     def phase(self, name: str):
         """Timing context for one pipeline phase; no-op when unclocked."""
@@ -120,6 +124,7 @@ class IterationRecord:
     timings: dict[str, float]
     wall: float
     trials: int  # step sizes the search tested; 0 on a Barzilai-Borwein step
+    evals: int   # state solves of the evaluation and the search, not of the refresh
 
 
 @dataclass
@@ -139,7 +144,7 @@ class OptimizerReport:
 STREAM_COLUMNS = (
     "iteration", "J", "tracking", "regularization", "grad_norm",
     "rel_grad_norm", "omega", "modes", "refined",
-    *PHASES, "wall", "trials",
+    *PHASES, "wall", "trials", "evals",
 )
 
 
@@ -150,7 +155,7 @@ def record_row(rec: IterationRecord) -> list:
          FMT % rec.grad_norm, FMT % rec.rel_grad_norm, FMT % rec.omega, rec.modes,
          int(rec.refined)]
         + [FMT % rec.timings[p] for p in PHASES]
-        + [FMT % rec.wall, rec.trials]
+        + [FMT % rec.wall, rec.trials, rec.evals]
     )
 
 
@@ -191,6 +196,53 @@ def two_way_backtracking(
             break
         omega *= 2.0
     return omega, True, trials
+
+
+def blocked_line_cost(
+    march: Callable[[list[float]], Callable[[int], float]],
+) -> Callable[[float], float]:
+    """The cost at a step size for two_way_backtracking, from blocks of step sizes
+    priced together: march(ws) marches the block ws at once and returns
+    price(k), the cost at ws[k], computed when it is read.
+
+    The first step size read, w, marches [w, w/2, 2w, 4w]: if w fails the search
+    reads w/2 next; if w passes it reads 2w, and 4w if 2w passes too. A step size outside every block
+    marched so far marches the rest of its direction from it, by repeated
+    halving below w and doubling above it, MAX_BLOCK at most and no more than
+    the search can still read there. Halving and doubling are exact, so the
+    step sizes of a block are the ones the search reads, bit for bit, and the
+    search reads the costs it would read trial by trial: the blocks change how
+    many marches run, never which step size is accepted. A block is dropped
+    when the next one is marched."""
+    blocks: dict[float, tuple[Callable[[int], float], int]] = {}
+    first: float | None = None
+    below = above = 0  # step sizes read on either side of the first
+
+    def cost(w: float) -> float:
+        nonlocal first, below, above
+        if first is None:
+            first = w
+        elif w < first:
+            below += 1
+        elif w > first:
+            above += 1
+        if w not in blocks:
+            if w == first:
+                block = [w, 0.5 * w, 2.0 * w, 2.0 * (2.0 * w)]
+            else:
+                factor, left = ((0.5, MAX_HALVINGS - below) if w < first
+                                else (2.0, MAX_DOUBLINGS - above))
+                block = [w]
+                while len(block) <= min(MAX_BLOCK - 1, left):
+                    block.append(factor * block[-1])
+            blocks.clear()  # the search moves one way and reads no step size twice
+            price = march(block)
+            for k, wk in enumerate(block):
+                blocks.setdefault(wk, (price, k))
+        price, k = blocks[w]
+        return price(k)
+
+    return cost
 
 
 def barzilai_borwein_step(
@@ -251,6 +303,7 @@ def optimize(
                         mode_count = model.refine_basis(u)
                     refined = True
                     prev_u = prev_g = None  # gradient coordinates changed
+                solves = model.state_solves  # the refresh's snapshot solve does not count
                 cost, g = model.evaluate(u)
             except DivergenceError:  # in the snapshot solve of a refresh or in the model
                 report.status = "diverged"
@@ -289,6 +342,7 @@ def optimize(
                 timings=timings,
                 wall=time.perf_counter() - t_iter,
                 trials=trials,
+                evals=model.state_solves - solves,
             )
             report.records.append(rec)
             if writer is not None:

@@ -456,15 +456,15 @@ def _gram_apply(ops: SpodRomOperators, self_w: np.ndarray, cross_w: np.ndarray,
 def reduced_cost(
     ops: SpodRomOperators,
     tracking: SpodTracking,
-    traj: SpodReducedTrajectory,
+    alpha: np.ndarray,
     u: np.ndarray,
     mu: float,
     dt: float,
     target_energy: float,
 ) -> CostBreakdown:
-    """fom.cost of the lifted trajectory, from the reduced quantities alone:
-    `tracking` holds the terms along its path, target_energy the problem's."""
-    alpha = traj.alpha
+    """fom.cost of the lifted trajectory with amplitudes alpha, from the reduced
+    quantities alone: `tracking` holds the terms along its path, target_energy
+    the problem's."""
     Ga = _gram_apply(ops, tracking.self_weight, tracking.cross_weight, alpha)
     per_step = np.einsum("rj,rj->j", alpha, Ga - 2.0 * tracking.P)
     tracking_cost = 0.5 * dt * float(np.sum(per_step)) + target_energy

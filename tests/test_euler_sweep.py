@@ -19,6 +19,7 @@ which read each target column, matched to 1e-12 relative.
 """
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -26,7 +27,7 @@ import pytest
 from romctl import SpaceTimeGrid, build_fourier_shapes
 from romctl.basis import ModeBasis, eigenfunction_stationary_basis, weighted_svd
 from romctl.discretization import central_derivative
-from romctl.fom import DivergenceError, solve_adjoint, solve_state
+from romctl.fom import CHECK_EVERY, DivergenceError, euler_sweep, solve_adjoint, solve_state
 from romctl.rom_pod import assemble_pod_rom, solve_pod_adjoint, solve_pod_state
 from romctl.rom_spod import (
     SingularMassError,
@@ -481,6 +482,27 @@ def test_divergence_names_first_bad_column(what):
             if type(err.value) is DivergenceError:
                 assert str(err.value).startswith(f"{label} solve")
             assert err.value.step == (k - 1 if backward else k + 1)
+
+
+@pytest.mark.parametrize("backward", [False, True])
+def test_diverging_sweep_stops_within_its_block(backward):
+    # the step that writes column `bad` overflows: the sweep runs no step past
+    # the end of that block, names the column, and warns of nothing
+    n_t, bad = 1000, 10
+    if backward:
+        bad = n_t - 1 - bad
+    steps = []
+
+    def step(x, j, nxt):
+        steps.append(j)
+        np.multiply(x, 1e300 if j + (-1 if backward else 1) == bad else 1.0, out=nxt)
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DivergenceError) as err:
+            euler_sweep(step, np.full(3, 1e10), n_t, backward, "test")
+    assert err.value.step == bad
+    assert len(steps) == CHECK_EVERY
 
 
 @pytest.mark.parametrize("first_singular", [0, 40])

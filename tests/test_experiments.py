@@ -5,6 +5,7 @@ import math
 import re
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -28,7 +29,7 @@ from romctl.experiments import (
 )
 from romctl.fom import cost, solve_state
 from romctl.models import ControlProblem
-from romctl.optimizer import OptimizerConfig
+from romctl.optimizer import STREAM_COLUMNS, OptimizerConfig
 from romctl.rom_spod import certify_smallness
 from romctl.transform import split_shift
 
@@ -571,3 +572,32 @@ def test_full_order_check_that_diverges_leaves_the_run_its_status(tmp_path, recw
     assert meta["fom_cost"] is None and meta["rom_gap"] is None
     lifted = load_snapshots_bin(out / "final_state.bin")
     assert lifted.shape == (cfg.n, cfg.n_t) and np.all(np.isfinite(lifted))
+
+
+def test_iterations_csv_counts_the_state_solves_after_the_trials(tmp_path):
+    # evals follows trials in iterations.csv; timings.csv keeps its header
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(tiny_config_text(out=tmp_path / "out", n_iter=4))
+    assert run_scenario(parse_config(cfg_path), quiet=True) == 0
+    header = (tmp_path / "out" / "iterations.csv").read_text().splitlines()[0]
+    assert header == ",".join(STREAM_COLUMNS)
+    assert header.endswith(",update,wall,trials,evals")
+    header = (tmp_path / "out" / "timings.csv").read_text().splitlines()[0]
+    assert header == "iteration,basis,state,cost,adjoint,gradient,update,wall"
+
+
+@pytest.mark.parametrize("model", [{"model": "fom"}, {"model": "pod", "modes": 4},
+                                   {"model": "spod", "modes": 4}])
+def test_diverging_run_prints_no_numpy_warning(tmp_path, model):
+    # the full-order state blows up; its sweep stops within a block of the step
+    # where it diverged, with numpy's floating-point warnings off, since the
+    # diverged status reports them. The CFL warning, which names the cause, stays.
+    cfg = tmp_path / "unstable.cfg"
+    cfg.write_text("".join(f"{k} = {v}\n" for k, v in {**UNSTABLE, **model}.items()))
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        warnings.filterwarnings("ignore", "CFL number", RuntimeWarning)
+        assert cli_main(["run", str(cfg), "--out", str(out), "--quiet"]) == 3
+    meta = strict_json(out / "run_meta.json")
+    assert (meta["status"], meta["iterations"]) == ("diverged", 0)

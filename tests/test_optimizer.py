@@ -6,7 +6,7 @@ import types
 import numpy as np
 import pytest
 
-from romctl import SpaceTimeGrid, build_fourier_shapes
+from romctl import SpaceTimeGrid, build_fourier_shapes, spod_batch
 from romctl.basis import ModeRule
 from romctl.experiments import (
     ScenarioConfig,
@@ -18,6 +18,7 @@ from romctl.experiments import (
 from romctl.fom import CostBreakdown, DivergenceError
 from romctl.models import ControlProblem, FomModel, PodModel, SpodModel
 from romctl.optimizer import (
+    MAX_BLOCK,
     MAX_HALVINGS,
     ControlledModel,
     OptimizerConfig,
@@ -251,6 +252,11 @@ def trials_column(path):
         return [int(row["trials"]) for row in csv.DictReader(fh)]
 
 
+def evals_column(path):
+    with open(path, newline="") as fh:
+        return [int(row["evals"]) for row in csv.DictReader(fh)]
+
+
 def small_problem(v):
     n, n_t = 101, 60
     grid = SpaceTimeGrid(l=100.0, n=n, T=n_t * 0.9 * (100.0 / n) / abs(v), n_t=n_t, v=v)
@@ -319,10 +325,9 @@ def test_closed_form_search_repeats_the_trial_search_bitwise(kind, tmp_path):
     assert sum(trials_column(tmp_path / "t.csv")) == trials.cost_only_calls > 0
 
 
-@pytest.mark.parametrize("eigenfunction_basis", [True, False])
+@pytest.mark.parametrize("eigenfunction_basis", [True])
 def test_spod_search_keeps_trial_solves(eigenfunction_basis, tmp_path):
-    # the Schur path is nonlinear, and the invariant path checks the Schur
-    # margins of every trial trajectory
+    # the invariant path checks the Schur margins of every trial trajectory
     problem = small_problem(0.55)
     model = count_cost_only(SpodModel(problem, ModeRule.fixed(4), eigenfunction_basis))
     u0 = np.zeros((problem.shapes.m, problem.grid.n_t))
@@ -330,6 +335,52 @@ def test_spod_search_keeps_trial_solves(eigenfunction_basis, tmp_path):
                       stream=tmp_path / "s.csv")
     assert rep.iterations == 6
     assert sum(trials_column(tmp_path / "s.csv")) == model.cost_only_calls > 0
+
+
+def test_schur_search_marches_blocks_of_the_step_sizes_it_reads(tmp_path, monkeypatch):
+    # the Schur path is nonlinear: each step size the search reads is priced
+    # from a march of a block of them, and a block is fewer marches than reads
+    marches = []
+    march = spod_batch.solve_spod_candidates
+
+    def counted(ops, u, g, omegas):
+        marches.append(len(omegas))
+        return march(ops, u, g, omegas)
+
+    monkeypatch.setattr(spod_batch, "solve_spod_candidates", counted)
+    problem = small_problem(0.55)
+    model = count_trials(count_cost_only(SpodModel(problem, ModeRule.fixed(4))))
+    u0 = np.zeros((problem.shapes.m, problem.grid.n_t))
+    _, rep = optimize(model, u0, quad_cfg(n_iter=6, beta=0.0, bb_switch_threshold=0.0),
+                      stream=tmp_path / "s.csv")
+    assert rep.iterations == 6
+    assert not model.ops.invariant and model.cost_only_calls == 0
+    assert sum(trials_column(tmp_path / "s.csv")) == model.search_trials
+    assert 0 < len(marches) < model.search_trials
+    assert max(marches) <= MAX_BLOCK
+    # each march is one state solve of its iteration, with the evaluation
+    assert sum(evals_column(tmp_path / "s.csv")) == rep.iterations + len(marches)
+
+
+@pytest.mark.parametrize("kind", ["fom", "pod", "spod"])
+def test_evals_count_the_state_solves_of_each_iteration(kind, tmp_path):
+    # the closed-form searches solve once along the direction, the invariant
+    # sPOD-G once per step size; a Barzilai-Borwein step solves nothing more
+    problem = small_problem(0.55)
+    if kind == "spod":
+        model = SpodModel(problem, ModeRule.fixed(4), eigenfunction_basis=True)
+    else:
+        model = quadratic_model(kind, problem)
+    u0 = np.zeros((problem.shapes.m, problem.grid.n_t))
+    _, rep = optimize(model, u0, quad_cfg(n_iter=12, beta=0.0, bb_switch_threshold=1.0),
+                      stream=tmp_path / "e.csv")
+    trials, evals = trials_column(tmp_path / "e.csv"), evals_column(tmp_path / "e.csv")
+    assert evals == [r.evals for r in rep.records]
+    assert 0 in trials and max(trials) > 0
+    if kind == "spod":
+        assert evals == [1 + t for t in trials]
+    else:
+        assert evals == [1 + (t > 0) for t in trials]
 
 
 class _DivergingDirection(FomModel):

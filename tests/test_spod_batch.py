@@ -1,0 +1,305 @@
+"""The batched Schur march of the sPOD-G step-size search against single
+marches, and the blocked search against the search trial by trial.
+
+spod_batch.solve_spod_candidates marches the controls u - omega_k g side by
+side. It sums the Schur step in another order than solve_spod_state, so a
+column matches its single march to rounding where the mass matrix is well
+conditioned: there the tests ask for 1e-12 relative. Where the Schur
+complement s = c - |b|^2 comes within a few orders of rounding of its scale
+max(1, c, |b|^2), any change of rounding moves the trajectory by O(1), so
+those columns are held only to the same Armijo outcome. The single-control
+march itself is checked bitwise against the plain loop it ran before the
+sweep kernel checked finiteness block by block.
+"""
+import csv
+import dataclasses
+import math
+import types
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from romctl import spod_batch
+from romctl.experiments import ScenarioConfig, build_model
+from romctl.fom import DivergenceError
+from romctl.optimizer import (
+    ARMIJO_C,
+    ControlledModel,
+    OptimizerConfig,
+    blocked_line_cost,
+    optimize,
+    two_way_backtracking,
+)
+from romctl.basis import eigenfunction_stationary_basis
+from romctl.transform import split_shift
+from romctl.rom_spod import (
+    SingularMassError,
+    _pairs,
+    _schur_solve,
+    assemble_spod_rom,
+    solve_spod_state,
+)
+
+from conftest import smooth_signal
+from test_euler_sweep import problem, spod_operators
+
+DESK = dict(l=100.0, n=401, n_t=300, T=136.02357742008616, v=0.55, xi=5)
+
+
+def plain_spod_state(ops, u):
+    """solve_spod_state's Schur march as a plain loop with one finiteness check
+    at the end, as it ran before the sweep kernel checked by blocks."""
+    grid = ops.grid
+    dt, v, r, n_t = grid.dt, grid.v, ops.r, grid.n_t
+    b0, B = ops.B0[: 2 * r, 0], ops.B0[: 2 * r, 1:]
+    u_pairs = _pairs(u)
+    x = np.empty((r + 1, n_t), order="F")
+    x[:, 0] = np.append(ops.alpha0, 0.0)
+    for j in range(n_t - 1):
+        a, z = x[:r, j], float(x[r, j])
+        Bu = b0 * u[0, j] + B @ (np.conj(ops.symbol(z)) * u_pairs[j]).view(float)
+        b = ops.N @ a
+        c = float(a @ (ops.M2 @ a))
+        da, dz = _schur_solve(b, c, v * b + Bu[:r], v * c + float(a @ Bu[r:]), j)
+        nxt_a = np.multiply(da, dt, out=x[:r, j + 1])
+        nxt_a += a
+        x[r, j + 1] = z + dt * dz
+    assert np.all(np.isfinite(x))
+    return np.ascontiguousarray(x[:r]), x[r].copy()
+
+
+def schur_margin(ops, alpha):
+    """min over the steps of s / max(1, c, |b|^2) along a trajectory."""
+    b = ops.N @ alpha[:, :-1]
+    c = np.einsum("rj,rj->j", alpha[:, :-1], ops.M2 @ alpha[:, :-1])
+    bb = np.einsum("rj,rj->j", b, b)
+    return float(np.min((c - bb) / np.maximum(np.maximum(c, bb), 1.0)))
+
+
+def rel(a, b):
+    return float(np.max(np.abs(a - b)) / np.max(np.abs(b)))
+
+
+def desk_model(u_amp=1e-3, seed=3):
+    """The desk sPOD-G with 8 snapshot modes refreshed at a smooth control, its
+    cost and gradient there."""
+    model = build_model(ScenarioConfig(model="spod", modes=8, **DESK))
+    p = model.problem
+    u = smooth_signal(np.random.default_rng(seed), p.shapes.m, p.grid.n_t, u_amp)
+    model.refine_basis(u)
+    assert not model.ops.invariant
+    cost, g = model.evaluate(u)
+    return model, u, g, cost.total
+
+
+def bumps_case(seed):
+    grid, shapes, _, _, u, _, _ = problem(0.55, seed)
+    _, ops = spod_operators(grid, shapes, seed)
+    g = smooth_signal(np.random.default_rng(seed + 50), shapes.m, grid.n_t, 0.3)
+    return ops, u, g
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_single_control_march_is_the_plain_loop_bitwise(seed):
+    ops, u, _ = bumps_case(seed)
+    traj = solve_spod_state(ops, u)
+    alpha, z = plain_spod_state(ops, u)
+    assert np.array_equal(traj.alpha, alpha) and np.array_equal(traj.z, z)
+    model, u, _, _ = desk_model(seed=seed)
+    traj = solve_spod_state(model.ops, u)
+    alpha, z = plain_spod_state(model.ops, u)
+    assert np.array_equal(traj.alpha, alpha) and np.array_equal(traj.z, z)
+
+
+def check_columns(ops, u, g, omegas):
+    """Each column against its single march: within 1e-12 relative where the
+    Schur margin stays above 1e-2, failed where the single march fails; returns
+    how many columns were held to 1e-12."""
+    block = spod_batch.solve_spod_candidates(ops, u, g, omegas)
+    assert block.alpha.shape == (len(omegas), ops.r, ops.grid.n_t)
+    held = 0
+    for k, w in enumerate(omegas):
+        try:
+            traj = solve_spod_state(ops, u - w * g)
+        except DivergenceError:
+            assert block.failed[k], w
+            continue
+        if schur_margin(ops, traj.alpha) >= 1e-2:
+            held += 1
+            assert not block.failed[k], w
+            assert rel(block.alpha[k], traj.alpha) <= 1e-12, w
+            assert rel(block.z[k], traj.z) <= 1e-12, w
+    return held
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_batched_columns_match_single_marches(seed):
+    omegas = [1.0, 0.5, 2.0, 4.0] + [2.0**-k for k in range(2, 14)]
+    ops, u, g = bumps_case(seed)
+    assert check_columns(ops, u, g, omegas[:4]) + check_columns(ops, u, g, omegas) > 0
+    model, u, g, _ = desk_model(seed=seed)
+    assert check_columns(model.ops, u, g, omegas) > 0
+
+
+def test_cell_split_splits_as_split_shift():
+    # on nodes, within the snap band of one, just outside it, and up to 3 l
+    # away on either side: the same cells, the same snapped nodes, and the
+    # symbol the march reads matches ops.symbol
+    model, _, _, _ = desk_model()
+    ops, grid = model.ops, model.ops.grid
+    rng = np.random.default_rng(5)
+    nodes = grid.dx * rng.integers(-3 * grid.n, 3 * grid.n, 40).astype(float)
+    z = np.concatenate([
+        nodes, nodes + grid.dx * rng.uniform(-5e-9, 5e-9, 40), nodes + grid.dx * 1e-7,
+        rng.uniform(-3 * grid.l, 3 * grid.l, 40),
+    ])
+    c, f = spod_batch._cell_split(z / grid.dx, grid.n)
+    assert np.array_equal(c, split_shift(z, grid)[0])
+    assert np.array_equal(f == 0.0, split_shift(z, grid)[1] == 0.0)
+    sig = ops.cells[c] * (1.0 + f[:, None] * (ops.cells[1] - 1.0))
+    assert np.max(np.abs(sig - ops.symbol(z))) <= 1e-12
+
+
+def armijo(f, w, cost, g_sq):
+    val = f(w)
+    return math.isfinite(val) and val <= cost - ARMIJO_C * w * g_sq
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_batched_costs_keep_every_armijo_outcome(seed):
+    model, u, g, cost = desk_model(seed=seed)
+    g_sq = model.signal_weight * float(np.sum(g * g))
+    batched = model.line_cost(u, g, cost)
+    trials = ControlledModel.line_cost(model, u, g, cost)
+    outcomes = set()
+    for w in [2.0**k for k in range(-24, 8)]:
+        ok = armijo(trials, w, cost, g_sq)
+        assert armijo(batched, w, cost, g_sq) == ok, w
+        outcomes.add(ok)
+        traj = solve_spod_state(model.ops, u - w * g)
+        if schur_margin(model.ops, traj.alpha) >= 1e-2:
+            assert batched(w) == pytest.approx(trials(w), rel=1e-12, abs=0.0)
+    assert outcomes == {True, False}
+
+
+def singular_ops(ops, a):
+    """ops with M2 = N^T N + w w^T, w orthogonal to a: every Schur complement is
+    (w . alpha)^2, zero at a state with amplitudes a (w = 0 when a is None)."""
+    w = np.zeros(ops.r) if a is None else np.ones(ops.r) - (np.sum(a) / (a @ a)) * a
+    return dataclasses.replace(ops, M2=ops.N.T @ ops.N + np.outer(w, w))
+
+
+def check_survivors(ops, u, g, omegas, block):
+    """The candidates that did not fail against their single marches; returns
+    how many were held to 1e-12."""
+    held = 0
+    for k, w in enumerate(omegas):
+        if block.failed[k]:
+            continue
+        assert np.all(np.isfinite(block.alpha[k])) and np.all(np.isfinite(block.z[k]))
+        traj = solve_spod_state(ops, u - w * g)
+        if schur_margin(ops, traj.alpha) >= 1e-2:
+            held += 1
+            assert rel(block.alpha[k], traj.alpha) <= 1e-12, w
+            assert rel(block.z[k], traj.z) <= 1e-12, w
+    return held
+
+
+def test_a_singular_candidate_fails_alone():
+    # On the invariant basis the Schur march moves along z = v t, a' = B1(v t) u
+    # whatever M2 is, so M2 = N^T N + w w^T with w orthogonal to alpha_40 of the
+    # control u makes step 40 of omega = 0 singular, and no other candidate's.
+    grid, shapes, _, y0, u, _, _ = problem(0.55, 0)
+    basis = eigenfunction_stationary_basis(grid, shapes, y0)
+    ops = dataclasses.replace(assemble_spod_rom(basis, shapes, y0, grid), invariant=False)
+    sing = singular_ops(ops, solve_spod_state(ops, u).alpha[:, 40])
+    with pytest.raises(SingularMassError) as err:
+        solve_spod_state(sing, u)
+    assert err.value.step == 40
+    g = smooth_signal(np.random.default_rng(7), shapes.m, grid.n_t, 0.3)
+    omegas = [0.25, 0.0, 0.5, 1.0]
+    block = spod_batch.solve_spod_candidates(sing, u, g, omegas)
+    assert list(block.failed) == [False, True, False, False]
+    assert check_survivors(sing, u, g, omegas, block) == 3
+    # a block whose every candidate fails ends with all of them failed
+    every = singular_ops(ops, None)
+    assert spod_batch.solve_spod_candidates(every, u, g, omegas).failed.all()
+
+
+def test_a_diverging_candidate_fails_alone():
+    ops, u, g = bumps_case(0)
+    with pytest.raises(DivergenceError):
+        solve_spod_state(ops, u - 1e200 * g)
+    omegas = [0.25, math.inf, 0.5, 1e200, 1.0]
+    block = spod_batch.solve_spod_candidates(ops, u, g, omegas)
+    assert list(block.failed) == [False, True, False, True, False]
+    assert check_survivors(ops, u, g, omegas, block) > 0
+
+
+def test_batched_march_rejects_zero_initial_amplitudes():
+    ops, u, g = bumps_case(0)
+    zero = dataclasses.replace(ops, alpha0=np.zeros(ops.r))
+    with pytest.raises(SingularMassError):
+        spod_batch.solve_spod_candidates(zero, u, g, [1.0])
+
+
+def trials_and_evals(path):
+    with open(path, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    return [int(r["trials"]) for r in rows], [int(r["evals"]) for r in rows]
+
+
+@pytest.mark.filterwarnings("ignore:requested 8 modes")  # the refresh at u = 0 has rank 1
+def test_batched_search_repeats_the_trial_search_bitwise(tmp_path):
+    cfg = OptimizerConfig(n_iter=40)
+    batched = build_model(ScenarioConfig(model="spod", modes=8, **DESK))
+    trials = build_model(ScenarioConfig(model="spod", modes=8, **DESK))
+    trials.line_cost = types.MethodType(ControlledModel.line_cost, trials)
+    u0 = np.zeros((batched.problem.shapes.m, batched.problem.grid.n_t))
+    u_b, rep_b = optimize(batched, u0, cfg, stream=tmp_path / "b.csv")
+    u_t, rep_t = optimize(trials, u0, cfg, stream=tmp_path / "t.csv")
+    assert rep_b.iterations == rep_t.iterations == 40
+    assert [r.omega for r in rep_b.records] == [r.omega for r in rep_t.records]
+    assert [r.total for r in rep_b.records] == [r.total for r in rep_t.records]
+    assert np.array_equal(u_b, u_t)
+    trials_b, evals_b = trials_and_evals(tmp_path / "b.csv")
+    trials_t, evals_t = trials_and_evals(tmp_path / "t.csv")
+    assert trials_b == trials_t
+    # trial by trial each tested step size is one solve; a block of them is one
+    assert evals_t == [1 + t for t in trials_t]
+    assert all(1 < e <= 1 + t for e, t in zip(evals_b, trials_b))
+    assert sum(evals_b) < sum(evals_t)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    passes=st.dictionaries(st.integers(-1100, 1100), st.booleans()),
+    default=st.booleans(),
+    first=st.one_of(st.floats(min_value=5e-324, max_value=1e300), st.sampled_from([1.0, 5e-324])),
+    failure=st.sampled_from([math.inf, math.nan, 2.0]),
+)
+def test_block_guess_never_changes_the_search(passes, default, first, failure):
+    # a random cost sequence: the cost at w passes or fails the Armijo test as
+    # drawn for the binary exponent of w, and fails with a non-finite cost or
+    # with one above the current cost
+    g, cost = np.array([1.0]), 1.0
+
+    def f(w):
+        if passes.get(math.frexp(w)[1], default):
+            return cost - 2.0 * ARMIJO_C * w
+        return failure
+
+    marches = []
+
+    def march(ws):
+        marches.append(list(ws))
+        return lambda k: f(ws[k])
+
+    direct = two_way_backtracking(f, g, first, cost)
+    blocked = two_way_backtracking(blocked_line_cost(march), g, first, cost)
+    assert blocked == direct
+    trials = direct[2]
+    # the first two step sizes read share the first march
+    assert 1 <= len(marches) <= max(1, trials - 1)
+    assert all(len(ws) <= 16 for ws in marches)
