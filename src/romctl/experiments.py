@@ -327,29 +327,21 @@ def _smallness(model: ProblemModel, u: np.ndarray) -> dict:
 
 def run_scenario(cfg: ScenarioConfig, quiet: bool = False) -> int:
     """Run one optimization scenario and write all artifacts; returns the exit
-    status (0 on converged or max_iter, 3 on divergence)."""
+    status (0 on converged or max_iter, 3 on divergence). A completed iteration
+    i whose refresh ran an SVD writes its spectrum to singular_values_iter{i:05d}.csv."""
     outdir = Path(cfg.out)
     outdir.mkdir(parents=True, exist_ok=True)
     model = build_model(cfg)
     grid = model.problem.grid
     u0 = np.zeros((model.problem.shapes.m, grid.n_t))
 
-    spectra: list[tuple[int, np.ndarray]] = []
-
-    def snoop_spectrum(i: int, u: np.ndarray) -> None:
-        sig = getattr(model, "last_spectrum", None)
-        if sig is not None and (not spectra or spectra[-1][1] is not sig):
-            spectra.append((i, sig))
-
-    u, report = optimize(
-        model, u0, cfg.optimizer_config(),
-        stream=outdir / "iterations.csv",
-        callback=snoop_spectrum,
-    )
+    u, report = optimize(model, u0, cfg.optimizer_config(), stream=outdir / "iterations.csv")
 
     _write_history_csvs(outdir, report)
-    for i, sigma in spectra:
-        save_spectrum_csv(outdir / f"singular_values_iter{i:05d}.csv", sigma)
+    for rec in report.records:
+        if rec.refresh is not None and rec.refresh.spectrum is not None:
+            save_spectrum_csv(outdir / f"singular_values_iter{rec.iteration:05d}.csv",
+                              rec.refresh.spectrum)
     save_control_csv(outdir / "final_control.csv", u)
     (outdir / "plots.gp").write_text(_PLOT_SCRIPT)
 

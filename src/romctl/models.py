@@ -19,7 +19,7 @@ from .basis import (
 from .control import ControlShapes
 from .discretization import SpaceTimeGrid, check_shape
 from .fom import CostBreakdown, DivergenceError
-from .optimizer import ControlledModel, blocked_line_cost
+from .optimizer import ControlledModel, Refresh, blocked_line_cost
 from .transform import shift_columns, transform_snapshots, uncontrolled_shift_path
 
 # columns per block of the target check and energy sum: they form no second target
@@ -119,8 +119,8 @@ class FomModel(LinearQuadraticModel):
         self._adjoint = np.empty(shape, order="F")
         self._work = np.empty(shape)
 
-    def refine_basis(self, u: np.ndarray) -> int:
-        return self.problem.grid.n
+    def refine_basis(self, u: np.ndarray) -> Refresh:
+        return Refresh(self.problem.grid.n, None)
 
     def _solve_state(self, u: np.ndarray, y0: np.ndarray) -> np.ndarray:
         p = self.problem
@@ -167,19 +167,17 @@ class PodModel(LinearQuadraticModel):
         self.ops: rom_pod.PodRomOperators | None = None
         self._yd_reduced: np.ndarray | None = None
         self._yd_residual_energy = 0.0
-        self.last_spectrum: np.ndarray | None = None
 
-    def refine_basis(self, u: np.ndarray) -> int:
+    def refine_basis(self, u: np.ndarray) -> Refresh:
         p = self.problem
         Q = fom.solve_state(p.grid, p.shapes, u, p.y0)
         modes, sigma = weighted_svd(Q, p.grid)
         self.basis = truncate_to_basis(modes, sigma, self.mode_rule.select(sigma))
-        self.last_spectrum = sigma
         self.ops = rom_pod.assemble_pod_rom(self.basis, p.shapes, p.y0, p.grid)
         self._yd_reduced = rom_pod.project_snapshots(self.basis, p.target, p.grid)
         in_span = 0.5 * p.grid.dt * float(np.sum(self._yd_reduced * self._yd_reduced))
         self._yd_residual_energy = p.target_energy - in_span
-        return self.basis.r
+        return Refresh(self.basis.r, sigma)
 
     def _solve_state(self, ops: rom_pod.PodRomOperators, u: np.ndarray) -> np.ndarray:
         self.state_solves += 1
@@ -242,25 +240,23 @@ class SpodModel(ProblemModel):
         self._path = uncontrolled_shift_path(problem.grid)
         self.basis: ModeBasis | None = None
         self.ops: rom_spod.SpodRomOperators | None = None
-        self.last_spectrum: np.ndarray | None = None
         self._table: np.ndarray | None = None  # the target table of the held basis
         self._drift_tracking: rom_spod.SpodTracking | None = None  # an invariant basis's terms
 
-    def refine_basis(self, u: np.ndarray) -> int:
+    def refine_basis(self, u: np.ndarray) -> Refresh:
         p = self.problem
         if self.eigenfunction_basis:
             if self.ops is None:
                 self.basis = eigenfunction_stationary_basis(p.grid, p.shapes, p.y0)
                 self.ops = rom_spod.assemble_spod_rom(self.basis, p.shapes, p.y0, p.grid)
-            return self.basis.r
+            return Refresh(self.basis.r, None)
         Q = fom.solve_state(p.grid, p.shapes, u, p.y0)
         Qs = transform_snapshots(Q, self._path, p.grid)
         modes, sigma = weighted_svd(Qs, p.grid)
         self.basis = truncate_to_basis(modes, sigma, self.mode_rule.select(sigma))
-        self.last_spectrum = sigma
         self.ops = rom_spod.assemble_spod_rom(self.basis, p.shapes, p.y0, p.grid)
         self._table = self._drift_tracking = None
-        return self.basis.r
+        return Refresh(self.basis.r, sigma)
 
     def _tracking(self, z: np.ndarray) -> rom_spod.SpodTracking:
         """Tracking terms of the held basis along the shift path z of one of

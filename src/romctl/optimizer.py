@@ -61,6 +61,15 @@ class OptimizerConfig:
             raise ValueError(f"initial step must be positive, got {self.omega0}")
 
 
+@dataclass(frozen=True)
+class Refresh:
+    """What one basis refresh did: the mode count it leaves and, when it ran an
+    SVD, the snapshot spectrum; never the snapshots or the singular vectors."""
+
+    modes: int
+    spectrum: np.ndarray | None
+
+
 class ControlledModel(ABC):
     """What the descent loop needs from a model.
 
@@ -81,9 +90,9 @@ class ControlledModel(ABC):
         """Cost and gradient at the control u."""
 
     @abstractmethod
-    def refine_basis(self, u: np.ndarray) -> int:
-        """Rebuild the reduced basis from fresh snapshots at u; returns the
-        mode count (a no-op for the full model)."""
+    def refine_basis(self, u: np.ndarray) -> Refresh:
+        """Rebuild the reduced basis from fresh snapshots at u; returns what the
+        refresh did (no spectrum for the full model or a fixed basis)."""
 
     @abstractmethod
     def cost_only(self, u: np.ndarray) -> CostBreakdown:
@@ -112,6 +121,9 @@ class ControlledModel(ABC):
 
 @dataclass
 class IterationRecord:
+    """One descent iteration: `refresh` is what refine_basis returned, None when
+    the iteration kept the basis; `modes` carries over between refreshes."""
+
     iteration: int
     total: float
     tracking: float
@@ -120,7 +132,7 @@ class IterationRecord:
     rel_grad_norm: float
     omega: float
     modes: int
-    refined: bool
+    refresh: Refresh | None
     timings: dict[str, float]
     wall: float
     trials: int  # step sizes the search tested; 0 on a Barzilai-Borwein step
@@ -153,7 +165,7 @@ def record_row(rec: IterationRecord) -> list:
     return (
         [rec.iteration, FMT % rec.total, FMT % rec.tracking, FMT % rec.regularization,
          FMT % rec.grad_norm, FMT % rec.rel_grad_norm, FMT % rec.omega, rec.modes,
-         int(rec.refined)]
+         int(rec.refresh is not None)]
         + [FMT % rec.timings[p] for p in PHASES]
         + [FMT % rec.wall, rec.trials, rec.evals]
     )
@@ -296,12 +308,12 @@ def optimize(
             writer.writerow(STREAM_COLUMNS)
         for i in range(1, config.n_iter + 1):
             t_iter = time.perf_counter()
-            refined = False
+            refresh = None
             try:
                 if i == 1 or refinement_policy(i, last_ok, config):
                     with clock.phase("basis"):
-                        mode_count = model.refine_basis(u)
-                    refined = True
+                        refresh = model.refine_basis(u)
+                    mode_count = refresh.modes
                     prev_u = prev_g = None  # gradient coordinates changed
                 solves = model.state_solves  # the refresh's snapshot solve does not count
                 cost, g = model.evaluate(u)
@@ -338,7 +350,7 @@ def optimize(
                 rel_grad_norm=rel,
                 omega=omega,
                 modes=mode_count,
-                refined=refined,
+                refresh=refresh,
                 timings=timings,
                 wall=time.perf_counter() - t_iter,
                 trials=trials,

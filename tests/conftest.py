@@ -13,7 +13,7 @@ from romctl.experiments import (
     smooth_random_signal as smooth_signal,
 )
 from romctl.fom import CostBreakdown
-from romctl.optimizer import ControlledModel
+from romctl.optimizer import ControlledModel, Refresh
 from romctl.transform import split_shift
 
 
@@ -89,7 +89,7 @@ class QuadraticModel(ControlledModel):
         self.h = np.asarray(hessian_diag, dtype=float)
 
     def refine_basis(self, u):
-        return self.u_star.size
+        return Refresh(self.u_star.size, None)
 
     def evaluate(self, u):
         d = np.asarray(u, dtype=float) - self.u_star

@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import importlib.util
 import json
@@ -11,7 +12,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from romctl import build_fourier_shapes
+from romctl import build_fourier_shapes, experiments
+from romctl.basis import save_spectrum_csv
 from romctl.cli import main as cli_main
 from romctl.experiments import (
     ConfigError,
@@ -29,7 +31,7 @@ from romctl.experiments import (
 )
 from romctl.fom import cost, solve_state
 from romctl.models import ControlProblem
-from romctl.optimizer import STREAM_COLUMNS, OptimizerConfig
+from romctl.optimizer import STREAM_COLUMNS, OptimizerConfig, optimize
 from romctl.rom_spod import certify_smallness
 from romctl.transform import split_shift
 
@@ -343,13 +345,41 @@ def test_smallness_is_null_when_the_bound_is_vacuous(tmp_path):
     assert _smallness(model, u) == {"smallness_zeta": None, "smallness_satisfied": None}
 
 
-def test_run_scenario_spod_writes_spectra(tmp_path):
+@pytest.mark.parametrize("overrides", [
+    {"model": "pod", "mode_tol": "1e-6"},
+    {"model": "spod", "modes": "4"},
+    {"model": "spod", "eigenfunction_basis": "true"},
+    {"model": "fom"},
+], ids=["pod-mode_tol", "spod-modes", "spod-eigenfunction", "fom"])
+def test_run_scenario_spod_writes_spectra(tmp_path, monkeypatch, overrides):
+    # one spectrum file per refresh that ran an SVD, none for fom or the fixed basis
+    reports = []
+
+    def keep_report(*args, **kwargs):
+        u, report = optimize(*args, **kwargs)
+        reports.append(report)
+        return u, report
+
+    monkeypatch.setattr(experiments, "optimize", keep_report)
+    out = tmp_path / "out"
     cfg_path = tmp_path / "s.cfg"
-    cfg_path.write_text(tiny_config_text(out=tmp_path / "out", model="spod",
-                                         modes=4, n_iter=7))
+    cfg_path.write_text(tiny_config_text(out=out, n_iter=7, **overrides))
     assert run_scenario(parse_config(cfg_path), quiet=True) == 0
-    spectra = list((tmp_path / "out").glob("singular_values_iter*.csv"))
-    assert spectra
+    written = sorted(p.name for p in out.glob("singular_values_iter*.csv"))
+    with open(out / "modes_per_iteration.csv", newline="") as fh:
+        refined = [int(row["iteration"]) for row in csv.DictReader(fh) if row["refined"] == "1"]
+    assert refined[0] == 1
+    if overrides["model"] == "fom" or "eigenfunction_basis" in overrides:
+        assert written == []
+        return
+    assert len(refined) > 1
+    assert written == [f"singular_values_iter{i:05d}.csv" for i in refined]
+    (report,) = reports
+    for rec in report.records:
+        if rec.refresh is not None:
+            save_spectrum_csv(tmp_path / "expected.csv", rec.refresh.spectrum)
+            name = f"singular_values_iter{rec.iteration:05d}.csv"
+            assert (out / name).read_bytes() == (tmp_path / "expected.csv").read_bytes()
 
 
 def test_rank_study_emits_ratio_table(tmp_path):

@@ -22,6 +22,7 @@ from romctl.optimizer import (
     MAX_HALVINGS,
     ControlledModel,
     OptimizerConfig,
+    Refresh,
     barzilai_borwein_step,
     optimize,
     refinement_policy,
@@ -143,6 +144,37 @@ def test_determinism():
     assert [r.total for r in ra.records] == [r.total for r in rb.records]
 
 
+class _RefreshLog(QuadraticModel):
+    """Returns a new Refresh, with a new mode count, on each refresh, and
+    keeps it under the iteration that asked for it."""
+
+    def __init__(self, u_star, hessian_diag):
+        super().__init__(u_star, hessian_diag)
+        self.evaluations = 0
+        self.returned = {}
+
+    def refine_basis(self, u):
+        refresh = Refresh(len(self.returned) + 1, np.arange(3.0))
+        self.returned[self.evaluations + 1] = refresh  # the optimizer evaluates once per iteration
+        return refresh
+
+    def evaluate(self, u):
+        self.evaluations += 1
+        return super().evaluate(u)
+
+
+def test_records_hold_the_refresh_of_their_iteration():
+    model = _RefreshLog(np.ones((2, 5)), np.linspace(1.0, 10.0, 10).reshape(2, 5))
+    _, rep = optimize(model, np.zeros((2, 5)), quad_cfg(n_iter=12, beta=0.0, refine_every=4))
+    assert rep.iterations == 12
+    assert sorted(model.returned) == [1, 4, 8, 12]
+    for rec in rep.records:
+        assert rec.refresh is model.returned.get(rec.iteration)
+        # the mode count of the latest refresh carries over to the rows between refreshes
+        latest = max(i for i in model.returned if i <= rec.iteration)
+        assert rec.modes == model.returned[latest].modes
+
+
 class _SleepyModel(ControlledModel):
     """Burns a fixed slice of wall time in each phase for timing tests."""
 
@@ -151,7 +183,7 @@ class _SleepyModel(ControlledModel):
 
     def refine_basis(self, u):
         time.sleep(self.pause)
-        return 1
+        return Refresh(1, None)
 
     def cost_only(self, u):
         time.sleep(self.pause)
@@ -177,9 +209,11 @@ class _ExplodingModel(ControlledModel):
     def __init__(self, error):
         self.error = error
         self.calls = 0
+        self.refreshes = 0
 
     def refine_basis(self, u):
-        return 1
+        self.refreshes += 1
+        return Refresh(1, None)
 
     def cost_only(self, u):
         return CostBreakdown(tracking=float(np.sum(u * u)), regularization=0.0)
@@ -197,6 +231,12 @@ def test_divergence_sets_status_and_keeps_report():
                           quad_cfg(n_iter=50, beta=0.0))
         assert rep.status == "diverged"
         assert rep.iterations == 2
+    # iteration 3 refreshes, then its evaluation diverges: that refresh leaves no record
+    model = _ExplodingModel(DivergenceError(7, "state"))
+    _, rep = optimize(model, np.ones((1, 3)), quad_cfg(n_iter=50, beta=0.0, refine_every=3))
+    assert rep.status == "diverged"
+    assert model.refreshes == 2
+    assert [r.iteration for r in rep.records if r.refresh is not None] == [1]
 
 
 def test_stream_csv(tmp_path):

@@ -140,7 +140,7 @@ def test_reduced_cost_matches_lifted_cost_at_high_rank():
     model = build_model(cfg)
     p = model.problem
     u = np.zeros((p.shapes.m, p.grid.n_t))
-    assert model.refine_basis(u) == 181
+    assert model.refine_basis(u).modes == 181
     full = cost(p.grid, model.lift(u), p.target, u, p.mu)
     assert model.cost_only(u).total == pytest.approx(full.total, rel=1e-12)
 
