@@ -137,6 +137,8 @@ class ScenarioConfig:
             raise ConfigError("eigenfunction_basis fixes the basis; it ignores modes and mode_tol")
         if self.mu <= 0:
             raise ConfigError(f"regularization weight mu must be positive, got {self.mu}")
+        if not self.out:  # Path("") is the working directory
+            raise ConfigError("out must name an output directory, got an empty value")
         try:
             build_fourier_shapes(self.grid(), self.xi)  # checks 0 <= 2 xi < n
             self.target_spec()

@@ -315,7 +315,7 @@ class SpodModel(ProblemModel):
                 return lambda k: math.inf
 
             def price(k: int) -> float:
-                if block.failed[k]:
+                if block.failed_at[k] < p.grid.n_t:
                     return math.inf
                 return rom_spod.reduced_cost(
                     self.ops, self._tracking(block.z[k]), block.alpha[k], u - omegas[k] * g,

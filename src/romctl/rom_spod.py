@@ -4,6 +4,8 @@ The reduced state couples mode amplitudes with a scalar shift; the mass matrix
 [[I, N a], [a^T N^T, a^T M2 a]] is inverted per step through the Schur
 complement on the scalar block, which stays positive whenever the modes and
 their derivatives are independent and the amplitudes stay away from zero.
+The state marches with spod_batch's Schur march, which the step-size search
+runs for a block of controls and solve_spod_state for its one.
 
 The state is never lifted to evaluate the tracking cost: for dx-orthonormal
 modes it is a quadratic form in a whose coefficients tracking_terms builds once
@@ -38,20 +40,11 @@ from .basis import ModeBasis
 from .control import ControlShapes, build_fourier_shapes
 from .discretization import SpaceTimeGrid, central_derivative, check_field, check_shape
 from .fom import CostBreakdown, DivergenceError, euler_sweep
+from .spod_batch import SingularMassError, _pairs, _regular_mass, solve_spod_candidates
 from .transform import shift_columns, split_shift, uncontrolled_shift_path
 
 # relative gap |N^T B1 - B2| / |B2| up to which a basis counts as invariant
 INVARIANT_TOL = 1e-10
-
-
-class SingularMassError(DivergenceError):
-    """Raised when the reduced mass matrix degenerates during a sweep."""
-
-    def __init__(self, step: int, detail: str):
-        self.step = step
-        RuntimeError.__init__(
-            self, f"reduced mass matrix is numerically singular at step {step}: {detail}"
-        )
 
 
 @dataclass(frozen=True)
@@ -78,13 +71,12 @@ class SpodRomOperators:
     def m(self) -> int:
         return self.B0.shape[1]
 
-    def symbol(self, z):
-        """sigma(z) = e^{i theta_k c} ((1 - f) + f e^{i theta_k}), (xi,) at a
-        float shift z, (len(z), xi) along an array of them, with c and f the
-        whole cells and fraction of z as split_shift snaps them."""
+    def symbol(self, z: np.ndarray) -> np.ndarray:
+        """sigma(z) = e^{i theta_k c} ((1 - f) + f e^{i theta_k}), (len(z), xi)
+        along an array of shifts z, with c and f the whole cells and fraction
+        of each as split_shift snaps them."""
         c, f = split_shift(z, self.grid)
-        if not isinstance(f, float):
-            f = f[:, None]
+        f = f[:, None]
         return self.cells[c] * ((1.0 - f) + f * self.cells[1])
 
     @cached_property
@@ -108,14 +100,6 @@ class SpodRomOperators:
         v = np.array(w, dtype=float)
         v[1:] = (np.conj(sig) * _pairs(v)).view(float).T
         return B @ v
-
-
-def _pairs(w: np.ndarray) -> np.ndarray:
-    """The (sin_k, -cos_k) pairs of rows of w, (m,) or (m, n_t), as complex
-    numbers w_s + i w_m, (xi,) or (n_t, xi); .view(float).T turns them back.
-    On them T(z) acts as multiplication by conj sigma(z), and T(z)^T by
-    sigma(z)."""
-    return np.ascontiguousarray(w[1:].T).view(complex)
 
 
 @dataclass(frozen=True)
@@ -236,33 +220,8 @@ def target_table(basis: ModeBasis, profile: np.ndarray, grid: SpaceTimeGrid) -> 
     return grid.dx * np.fft.irfft(spectrum * np.fft.rfft(basis.modes, axis=0), grid.n, axis=0)
 
 
-def _regular_mass(s, c, bb):
-    """Whether the mass matrix counts as regular at a step whose Schur
-    complement is s = c - |b|^2: s finite and above 1e-12 max(1, c, |b|^2).
-    Elementwise on arrays of steps."""
-    return (s < math.inf) & (s > 1e-12) & (s > 1e-12 * c) & (s > 1e-12 * bb)
-
-
 def _singular(step: int, c: float, bb: float) -> SingularMassError:
     return SingularMassError(step, f"Schur complement {c - bb:.3e} vs scale {max(1.0, c, bb):.3e}")
-
-
-def _schur_solve(
-    b: np.ndarray,
-    c: float,
-    rhs_a: np.ndarray,
-    rhs_z: float,
-    step: int,
-) -> tuple[np.ndarray, float]:
-    """Solve [[I, b], [b^T, c]] (x, w) = (rhs_a, rhs_z), b = N alpha and
-    c = alpha^T M2 alpha, via the scalar Schur complement."""
-    bb = float(b @ b)
-    s = c - bb
-    if not _regular_mass(s, c, bb):
-        raise _singular(step, c, bb)
-    w = (rhs_z - float(b @ rhs_a)) / s
-    x = rhs_a - b * w
-    return x, w
 
 
 def _mass_terms(ops: SpodRomOperators, alpha: np.ndarray, steps: np.ndarray):
@@ -282,40 +241,32 @@ def _mass_terms(ops: SpodRomOperators, alpha: np.ndarray, steps: np.ndarray):
 
 
 def solve_spod_state(ops: SpodRomOperators, u: np.ndarray) -> SpodReducedTrajectory:
-    """Explicit Euler for the coupled amplitude/shift dynamics, marched as the
-    stacked vector (alpha, z) from (alpha0, 0); in closed form on an invariant
-    basis."""
-    grid = ops.grid
-    u = check_shape(u, (ops.m, grid.n_t), "control")
+    """Explicit Euler for the coupled amplitude/shift dynamics from (alpha0, 0):
+    spod_batch's Schur march of the one control u, in closed form on an
+    invariant basis. A step whose mass matrix is not regular, or whose column
+    is not finite, raises SingularMassError; a non-finite last column, at
+    which no step solves, raises DivergenceError."""
+    n_t = ops.grid.n_t
+    u = check_shape(u, (ops.m, n_t), "control")
     if float(ops.alpha0 @ ops.alpha0) == 0.0:
         raise SingularMassError(0, "initial amplitudes are zero")
     if ops.invariant:
         return _invariant_state(ops, u)
-    dt, v, r = grid.dt, grid.v, ops.r
-    # B(z) u_j = B(0) T(z) u_j for the B1 and B2 rows, the pairs of u_j turned
-    # as along turns them
-    b0, B = ops.B0[: 2 * r, 0], ops.B0[: 2 * r, 1:]
-    u_pairs = _pairs(u)
-
-    def step(x: np.ndarray, j: int, nxt: np.ndarray) -> None:
-        a, z = x[:r], float(x[r])
-        if not math.isfinite(z):  # the symbol read needs a finite shift
-            raise SingularMassError(j, "non-finite shift")
-        Bu = b0 * u[0, j] + B @ (np.conj(ops.symbol(z)) * u_pairs[j]).view(float)
-        b = ops.N @ a
-        c = float(a @ (ops.M2 @ a))
-        rhs_a = v * b + Bu[:r]
-        rhs_z = v * c + float(a @ Bu[r:])
-        da, dz = _schur_solve(b, c, rhs_a, rhs_z, j)
-        nxt_a = np.multiply(da, dt, out=nxt[:r])
-        nxt_a += a
-        nxt[r] = z + dt * dz
-
-    x = euler_sweep(step, np.append(ops.alpha0, 0.0), grid.n_t, False, "spod state")
+    march = solve_spod_candidates(ops, u, np.broadcast_to(0.0, u.shape), [0.0])
+    j = int(march.failed_at[0])
+    if j < n_t - 1:
+        a = march.alpha[0, :, j]
+        with np.errstate(all="ignore"):  # the amplitudes there may be huge or non-finite
+            b = ops.N @ a
+            err = _singular(j, float(a @ (ops.M2 @ a)), float(b @ b))
+        raise err
+    if j == n_t - 1:
+        raise DivergenceError(j, "spod state")
     # C order: the adjoint and the gradient dot strided columns of alpha, which
     # round differently from contiguous ones in the last bit
-    z = x[r].copy()
-    return SpodReducedTrajectory(alpha=np.ascontiguousarray(x[:r]), z=z, sig=ops.symbol(z))
+    z = march.z[0]
+    return SpodReducedTrajectory(alpha=np.ascontiguousarray(march.alpha[0]), z=z,
+                                 sig=ops.symbol(z))
 
 
 def solve_spod_adjoint(

@@ -12,21 +12,9 @@ from .discretization import SpaceTimeGrid, check_field, check_shape
 _ALIGN_TOL = 1e-8
 
 
-def split_shift(z: float | np.ndarray, grid: SpaceTimeGrid):
-    """Decompose a shift into whole cells and a fractional offset in [0, 1),
-    snapping near-aligned shifts to exact rotations. A scalar shift gives
-    (int, float), its index math in Python scalars for the per-step reads of
-    the sPOD-G state sweep; an array of shifts gives (int array, float array),
-    bitwise the same."""
-    if isinstance(z, float) or np.ndim(z) == 0:  # np.ndim alone costs a conversion
-        s = (float(z) % grid.l) / grid.dx
-        if not math.isfinite(s):
-            raise ValueError("shifts must be finite")
-        k = math.floor(s)
-        frac = s - k
-        if frac > 1.0 - _ALIGN_TOL:  # snap up to the next node
-            return (k + 1) % grid.n, 0.0
-        return k % grid.n, (0.0 if frac < _ALIGN_TOL else frac)
+def split_shift(z: np.ndarray, grid: SpaceTimeGrid) -> tuple[np.ndarray, np.ndarray]:
+    """Decompose an array of shifts into whole cells and fractional offsets in
+    [0, 1), snapping near-aligned shifts to exact rotations."""
     s = np.asarray(z, dtype=float) % grid.l
     s /= grid.dx
     if not math.isfinite(s.sum()):  # each finite shift gives s in [0, n]

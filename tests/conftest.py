@@ -37,6 +37,12 @@ def second_difference(field, grid):
     return (np.roll(field, -1, axis=0) - 2.0 * field + np.roll(field, 1, axis=0)) / grid.dx**2
 
 
+def split_one(z, grid):
+    """split_shift of one shift, as Python scalars."""
+    k, frac = split_shift(np.array([float(z)]), grid)
+    return int(k[0]), float(frac[0])
+
+
 def shift_field(field, z, grid):
     """Translate a field by z with periodic wrap and linear interpolation: the
     definition of the shift S(z) that the package's shifts are tested against.
@@ -45,7 +51,7 @@ def shift_field(field, z, grid):
     evaluated at (x_i - z) mod l.
     """
     field = check_field(field, grid)
-    k, frac = split_shift(z, grid)
+    k, frac = split_one(z, grid)
     if frac == 0.0:
         return np.roll(field, k, axis=0)
     lo = np.roll(field, k, axis=0)

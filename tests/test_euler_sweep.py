@@ -34,7 +34,6 @@ from romctl.rom_spod import (
     SpodAdjointTrajectory,
     SpodReducedTrajectory,
     SpodTracking,
-    _schur_solve,
     assemble_spod_rom,
     gradient_spod,
     solve_spod_adjoint,
@@ -42,9 +41,9 @@ from romctl.rom_spod import (
     target_table,
     tracking_terms,
 )
-from romctl.transform import shift_columns, split_shift
+from romctl.transform import shift_columns
 
-from conftest import second_difference, shift_field, smooth_signal
+from conftest import second_difference, shift_field, smooth_signal, split_one
 
 
 def reference_transport(y, grid, reversed_direction):
@@ -161,6 +160,20 @@ class ReferenceSpodOps:
         return ((4.0 * frac - 2.0) * np.eye(self.r) + (1.0 - 2.0 * frac) * self.gram_cross) / dx
 
 
+def schur_solve(b, c, rhs_a, rhs_z, step):
+    """Solve [[I, b], [b^T, c]] (x, w) = (rhs_a, rhs_z), b = N alpha and
+    c = alpha^T M2 alpha, via the scalar Schur complement s = c - |b|^2, as the
+    per-step sPOD-G solves did; SingularMassError at `step` unless s is finite
+    and above 1e-12 max(1, c, |b|^2)."""
+    bb = float(b @ b)
+    s = c - bb
+    if not (s < math.inf and s > 1e-12 and s > 1e-12 * c and s > 1e-12 * bb):
+        raise SingularMassError(step, f"Schur complement {s:.3e}")
+    w = (rhs_z - float(b @ rhs_a)) / s
+    x = rhs_a - b * w
+    return x, w
+
+
 def reference_spod_state(ops, u, grid):
     u = np.asarray(u, dtype=float)
     if u.shape != (ops.m, grid.n_t):
@@ -178,7 +191,7 @@ def reference_spod_state(ops, u, grid):
     for j in range(grid.n_t - 1):
         rhs_a = v * (ops.N @ a) + ops.B1(z) @ u[:, j]
         rhs_z = v * float(a @ (ops.M2 @ a)) + float(a @ (ops.B2(z) @ u[:, j]))
-        da, dz = _schur_solve(ops.N @ a, float(a @ (ops.M2 @ a)), rhs_a, rhs_z, j)
+        da, dz = schur_solve(ops.N @ a, float(a @ (ops.M2 @ a)), rhs_a, rhs_z, j)
         a = a + dt * da
         z = z + dt * dz
         if not (np.all(np.isfinite(a)) and math.isfinite(z)):
@@ -217,7 +230,7 @@ def reference_spod_adjoint(ops, traj, u, target, basis, grid):
         B3u = ops.B3(z) @ uj
 
         # exact derivative of 1/2 ||S(z) Phi a - y_d||^2 wrt (a, z)
-        k, frac = split_shift(z, grid)
+        k, frac = split_one(z, grid)
         yd = target[:, j]
         ra = np.roll(yd, -k)
         rb = np.roll(yd, -(k + 1))
@@ -245,7 +258,7 @@ def reference_spod_adjoint(ops, traj, u, target, basis, grid):
             + (-2.0 * float(a @ (ops.M2 @ ad_j)) - float(B3u @ a)) * cur_z
             + t_z
         )
-        dl, dz = _schur_solve(ops.N @ a, float(a @ (ops.M2 @ a)), rhs_a, rhs_z, j)
+        dl, dz = schur_solve(ops.N @ a, float(a @ (ops.M2 @ a)), rhs_a, rhs_z, j)
         cur_l = cur_l - dt * dl
         cur_z = cur_z - dt * dz
         if not (np.all(np.isfinite(cur_l)) and math.isfinite(cur_z)):
@@ -264,7 +277,7 @@ def reference_tracking_terms(basis, target, z, grid):
     frac = np.empty(grid.n_t)
     yy, w, wf = np.empty(2 * n), np.empty(n), np.empty(n)
     for j in range(grid.n_t):
-        k, f = split_shift(z[j], grid)
+        k, f = split_one(z[j], grid)
         frac[j] = f
         yy[:n] = yy[n:] = target[:, j]
         lo, hi = yy[k : k + n], yy[k + 1 : k + 1 + n]

@@ -211,6 +211,20 @@ def test_parse_config_rejects_a_hash_inside_a_value(tmp_path):
     assert not out.exists()
 
 
+def test_parse_config_rejects_an_empty_out(tmp_path, monkeypatch):
+    # an empty out would be the working directory: from the file key and the
+    # flag alike, the run stops with exit 2 before it writes anything there
+    monkeypatch.chdir(tmp_path)
+    path = tmp_path / "empty_out.cfg"
+    path.write_text(tiny_config_text(out=""))
+    with pytest.raises(ConfigError, match=r"empty_out\.cfg: out must name"):
+        parse_config(path)
+    assert cli_main(["run", str(path), "--quiet"]) == 2
+    path.write_text(tiny_config_text(out=tmp_path / "out"))
+    assert cli_main(["run", str(path), "--out", "", "--quiet"]) == 2
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["empty_out.cfg"]
+
+
 def test_optimizer_settings_default_to_the_optimizer_defaults():
     assert ScenarioConfig().optimizer_config() == OptimizerConfig()
     settings = dict(beta=2e-5, omega0=0.5, n_iter=7, refine_every=3, bb_switch_threshold=0.1)

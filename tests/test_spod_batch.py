@@ -1,15 +1,15 @@
-"""The batched Schur march of the sPOD-G step-size search against single
-marches, and the blocked search against the search trial by trial.
+"""The Schur march of the sPOD-G state against a plain loop of single
+steps, and the blocked step-size search against the search trial by trial.
 
 spod_batch.solve_spod_candidates marches the controls u - omega_k g side by
-side. It sums the Schur step in another order than solve_spod_state, so a
-column matches its single march to rounding where the mass matrix is well
-conditioned: there the tests ask for 1e-12 relative. Where the Schur
-complement s = c - |b|^2 comes within a few orders of rounding of its scale
-max(1, c, |b|^2), any change of rounding moves the trajectory by O(1), so
-those columns are held only to the same Armijo outcome. The single-control
-march itself is checked bitwise against the plain loop it ran before the
-sweep kernel checked finiteness block by block.
+side, and solve_spod_state marches its one control with it. The plain loop
+below is the per-step Schur solve solve_spod_state ran before, which sums the
+step in another order, so a column of either matches it to rounding where the
+mass matrix is well conditioned: there the tests ask for 1e-12 relative.
+Where the Schur complement s = c - |b|^2 comes within a few orders of
+rounding of its scale max(1, c, |b|^2), any change of rounding moves the
+trajectory by O(1), so those columns are held only to the same Armijo
+outcome. A march fails at the step at which the plain loop raises.
 """
 import csv
 import dataclasses
@@ -33,39 +33,41 @@ from romctl.optimizer import (
 )
 from romctl.basis import eigenfunction_stationary_basis
 from romctl.transform import split_shift
-from romctl.rom_spod import (
-    SingularMassError,
-    _pairs,
-    _schur_solve,
-    assemble_spod_rom,
-    solve_spod_state,
-)
+from romctl.rom_spod import SingularMassError, _pairs, assemble_spod_rom, solve_spod_state
 
-from conftest import smooth_signal
-from test_euler_sweep import problem, spod_operators
+from conftest import coarse_grid, smooth_signal
+from test_euler_sweep import problem, schur_solve, spod_operators
 
 DESK = dict(l=100.0, n=401, n_t=300, T=136.02357742008616, v=0.55, xi=5)
 
 
 def plain_spod_state(ops, u):
-    """solve_spod_state's Schur march as a plain loop with one finiteness check
-    at the end, as it ran before the sweep kernel checked by blocks."""
+    """The Schur march of one control as a plain loop of single steps, as
+    solve_spod_state ran it before it marched its control as a block of one:
+    SingularMassError at the first step whose column is not finite or whose
+    mass matrix is not regular, DivergenceError when only the last column is
+    not finite."""
     grid = ops.grid
     dt, v, r, n_t = grid.dt, grid.v, ops.r, grid.n_t
     b0, B = ops.B0[: 2 * r, 0], ops.B0[: 2 * r, 1:]
     u_pairs = _pairs(u)
     x = np.empty((r + 1, n_t), order="F")
     x[:, 0] = np.append(ops.alpha0, 0.0)
-    for j in range(n_t - 1):
-        a, z = x[:r, j], float(x[r, j])
-        Bu = b0 * u[0, j] + B @ (np.conj(ops.symbol(z)) * u_pairs[j]).view(float)
-        b = ops.N @ a
-        c = float(a @ (ops.M2 @ a))
-        da, dz = _schur_solve(b, c, v * b + Bu[:r], v * c + float(a @ Bu[r:]), j)
-        nxt_a = np.multiply(da, dt, out=x[:r, j + 1])
-        nxt_a += a
-        x[r, j + 1] = z + dt * dz
-    assert np.all(np.isfinite(x))
+    with np.errstate(all="ignore"):
+        for j in range(n_t - 1):
+            a, z = x[:r, j], float(x[r, j])
+            if not math.isfinite(z):
+                raise SingularMassError(j, "non-finite shift")
+            sig = ops.symbol(np.array([z]))[0]
+            Bu = b0 * u[0, j] + B @ (np.conj(sig) * u_pairs[j]).view(float)
+            b = ops.N @ a
+            c = float(a @ (ops.M2 @ a))
+            da, dz = schur_solve(b, c, v * b + Bu[:r], v * c + float(a @ Bu[r:]), j)
+            nxt_a = np.multiply(da, dt, out=x[:r, j + 1])
+            nxt_a += a
+            x[r, j + 1] = z + dt * dz
+    if not np.all(np.isfinite(x[:, -1])):
+        raise DivergenceError(n_t - 1, "spod state")
     return np.ascontiguousarray(x[:r]), x[r].copy()
 
 
@@ -100,36 +102,30 @@ def bumps_case(seed):
     return ops, u, g
 
 
-@pytest.mark.parametrize("seed", [0, 1])
-def test_single_control_march_is_the_plain_loop_bitwise(seed):
-    ops, u, _ = bumps_case(seed)
-    traj = solve_spod_state(ops, u)
-    alpha, z = plain_spod_state(ops, u)
-    assert np.array_equal(traj.alpha, alpha) and np.array_equal(traj.z, z)
-    model, u, _, _ = desk_model(seed=seed)
-    traj = solve_spod_state(model.ops, u)
-    alpha, z = plain_spod_state(model.ops, u)
-    assert np.array_equal(traj.alpha, alpha) and np.array_equal(traj.z, z)
-
-
 def check_columns(ops, u, g, omegas):
-    """Each column against its single march: within 1e-12 relative where the
-    Schur margin stays above 1e-2, failed where the single march fails; returns
-    how many columns were held to 1e-12."""
+    """Each column, and the march of its control alone (K = 1), against the
+    plain loop: within 1e-12 relative where the Schur margin stays above 1e-2,
+    failed where the plain loop fails; returns how many columns were held to
+    1e-12."""
+    n_t = ops.grid.n_t
     block = spod_batch.solve_spod_candidates(ops, u, g, omegas)
-    assert block.alpha.shape == (len(omegas), ops.r, ops.grid.n_t)
+    assert block.alpha.shape == (len(omegas), ops.r, n_t)
     held = 0
     for k, w in enumerate(omegas):
         try:
-            traj = solve_spod_state(ops, u - w * g)
+            alpha, z = plain_spod_state(ops, u - w * g)
         except DivergenceError:
-            assert block.failed[k], w
+            assert block.failed_at[k] < n_t, w
+            with pytest.raises(DivergenceError):
+                solve_spod_state(ops, u - w * g)
             continue
-        if schur_margin(ops, traj.alpha) >= 1e-2:
+        if schur_margin(ops, alpha) >= 1e-2:
             held += 1
-            assert not block.failed[k], w
-            assert rel(block.alpha[k], traj.alpha) <= 1e-12, w
-            assert rel(block.z[k], traj.z) <= 1e-12, w
+            assert block.failed_at[k] == n_t, w
+            traj = solve_spod_state(ops, u - w * g)
+            for got_alpha, got_z in ((block.alpha[k], block.z[k]), (traj.alpha, traj.z)):
+                assert rel(got_alpha, alpha) <= 1e-12, w
+                assert rel(got_z, z) <= 1e-12, w
     return held
 
 
@@ -146,6 +142,20 @@ def test_cell_split_splits_as_split_shift():
     # on nodes, within the snap band of one, just outside it, and up to 3 l
     # away on either side: the same cells, the same snapped nodes, and the
     # symbol the march reads matches ops.symbol
+    for n in (97, 401, 1601, 3201):
+        # at the edges of the snap band, nodes +- dx 1e-8 (1 +- 1e-6) up to 3 l
+        # away: split_shift's own cell coordinate (z mod l) / dx splits the
+        # same, and z / dx, rounding apart from it, into a fraction in [0, 1)
+        grid = coarse_grid(n=n)
+        rng = np.random.default_rng(n)
+        edge = rng.choice([-1.0, 1.0], 4000) * rng.choice([1 - 1e-6, 1 + 1e-6], 4000)
+        z = grid.dx * (rng.integers(-3 * n, 3 * n, 4000) + 1e-8 * edge)
+        c, f = spod_batch._cell_split((z % grid.l) / grid.dx, n)
+        k, frac = split_shift(z, grid)
+        assert np.array_equal(c % n, k) and np.array_equal(f, frac)
+        assert np.all((0.0 <= f) & (f < 1.0))
+        c, f = spod_batch._cell_split(z / grid.dx, n)
+        assert np.all((0 <= c) & (c <= n)) and np.all((0.0 <= f) & (f < 1.0))
     model, _, _, _ = desk_model()
     ops, grid = model.ops, model.ops.grid
     rng = np.random.default_rng(5)
@@ -155,9 +165,10 @@ def test_cell_split_splits_as_split_shift():
         rng.uniform(-3 * grid.l, 3 * grid.l, 40),
     ])
     c, f = spod_batch._cell_split(z / grid.dx, grid.n)
-    assert np.array_equal(c, split_shift(z, grid)[0])
+    assert np.array_equal(c % grid.n, split_shift(z, grid)[0])
     assert np.array_equal(f == 0.0, split_shift(z, grid)[1] == 0.0)
-    sig = ops.cells[c] * (1.0 + f[:, None] * (ops.cells[1] - 1.0))
+    assert np.all(f >= 0.0)
+    sig = ops.cells[c % grid.n] * (1.0 + f[:, None] * (ops.cells[1] - 1.0))
     assert np.max(np.abs(sig - ops.symbol(z))) <= 1e-12
 
 
@@ -191,19 +202,26 @@ def singular_ops(ops, a):
 
 
 def check_survivors(ops, u, g, omegas, block):
-    """The candidates that did not fail against their single marches; returns
-    how many were held to 1e-12."""
+    """The candidates that did not fail against the plain loop; returns how
+    many were held to 1e-12."""
     held = 0
     for k, w in enumerate(omegas):
-        if block.failed[k]:
+        if block.failed_at[k] < ops.grid.n_t:
             continue
         assert np.all(np.isfinite(block.alpha[k])) and np.all(np.isfinite(block.z[k]))
-        traj = solve_spod_state(ops, u - w * g)
-        if schur_margin(ops, traj.alpha) >= 1e-2:
+        alpha, z = plain_spod_state(ops, u - w * g)
+        if schur_margin(ops, alpha) >= 1e-2:
             held += 1
-            assert rel(block.alpha[k], traj.alpha) <= 1e-12, w
-            assert rel(block.z[k], traj.z) <= 1e-12, w
+            assert rel(block.alpha[k], alpha) <= 1e-12, w
+            assert rel(block.z[k], z) <= 1e-12, w
     return held
+
+
+def plain_failure(ops, u):
+    """The DivergenceError the plain loop raises for the control u."""
+    with pytest.raises(DivergenceError) as err:
+        plain_spod_state(ops, u)
+    return err.value
 
 
 def test_a_singular_candidate_fails_alone():
@@ -220,11 +238,14 @@ def test_a_singular_candidate_fails_alone():
     g = smooth_signal(np.random.default_rng(7), shapes.m, grid.n_t, 0.3)
     omegas = [0.25, 0.0, 0.5, 1.0]
     block = spod_batch.solve_spod_candidates(sing, u, g, omegas)
-    assert list(block.failed) == [False, True, False, False]
+    assert list(block.failed_at) == [grid.n_t, 40, grid.n_t, grid.n_t]
+    err = plain_failure(sing, u)
+    assert type(err) is SingularMassError and err.step == 40
     assert check_survivors(sing, u, g, omegas, block) == 3
-    # a block whose every candidate fails ends with all of them failed
+    # a block whose every candidate fails ends with all of them failed at step 0
     every = singular_ops(ops, None)
-    assert spod_batch.solve_spod_candidates(every, u, g, omegas).failed.all()
+    assert list(spod_batch.solve_spod_candidates(every, u, g, omegas).failed_at) == [0] * 4
+    assert plain_failure(every, u).step == 0
 
 
 def test_a_diverging_candidate_fails_alone():
@@ -233,8 +254,27 @@ def test_a_diverging_candidate_fails_alone():
         solve_spod_state(ops, u - 1e200 * g)
     omegas = [0.25, math.inf, 0.5, 1e200, 1.0]
     block = spod_batch.solve_spod_candidates(ops, u, g, omegas)
-    assert list(block.failed) == [False, True, False, True, False]
+    n_t = ops.grid.n_t
+    failed = [plain_failure(ops, u - w * g).step for w in omegas[1::2]]
+    assert list(block.failed_at) == [n_t, failed[0], n_t, failed[1], n_t]
     assert check_survivors(ops, u, g, omegas, block) > 0
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf arithmetic past the bad column
+@pytest.mark.parametrize("bad", [math.inf, math.nan])
+@pytest.mark.parametrize("k", [0, 62, 63, 64, 81])
+def test_state_fails_where_the_plain_loop_raises(k, bad):
+    # a non-finite control column k poisons state column k + 1: k = 0 and 62
+    # a column the first block of 64 steps writes and reads, 63 the last
+    # column it writes, which the next block reads first, 64 the first column
+    # the next block writes, and 81 the last column of the horizon (n_t = 83),
+    # at which no step solves, so the state raises a plain DivergenceError
+    ops, u, _ = bumps_case(1)
+    u[:, k] = bad
+    want = plain_failure(ops, u)
+    with pytest.raises(DivergenceError) as err:
+        solve_spod_state(ops, u)
+    assert type(err.value) is type(want) and err.value.step == want.step == k + 1
 
 
 def test_batched_march_rejects_zero_initial_amplitudes():
