@@ -8,7 +8,7 @@ from typing import Callable
 
 import numpy as np
 
-from . import fom, rom_pod, rom_spod, spod_batch
+from . import fom, rom_pod, rom_spod
 from .basis import (
     ModeBasis,
     ModeRule,
@@ -250,8 +250,8 @@ class SpodModel(ProblemModel):
                 self.basis = eigenfunction_stationary_basis(p.grid, p.shapes, p.y0)
                 self.ops = rom_spod.assemble_spod_rom(self.basis, p.shapes, p.y0, p.grid)
             return Refresh(self.basis.r, None)
-        Q = fom.solve_state(p.grid, p.shapes, u, p.y0)
-        Qs = transform_snapshots(Q, self._path, p.grid)
+        # the snapshots go once they are shifted, before the SVD
+        Qs = transform_snapshots(fom.solve_state(p.grid, p.shapes, u, p.y0), self._path, p.grid)
         modes, sigma = weighted_svd(Qs, p.grid)
         self.basis = truncate_to_basis(modes, sigma, self.mode_rule.select(sigma))
         self.ops = rom_spod.assemble_spod_rom(self.basis, p.shapes, p.y0, p.grid)
@@ -298,10 +298,11 @@ class SpodModel(ProblemModel):
 
     def line_cost(self, u: np.ndarray, g: np.ndarray, cost: float) -> Callable[[float], float]:
         """On an invariant basis each step size is one cost_only trial. On a
-        Schur basis the step sizes are marched in blocks (blocked_line_cost,
-        spod_batch.solve_spod_candidates), and only the candidates the search
-        reads are priced. A candidate that fails in the march costs +inf, as a
-        trial that diverges does."""
+        Schur basis the step sizes are marched in blocks (blocked_line_cost) by
+        rom_spod.solve_spod_candidates, the march solve_spod_state runs for its
+        one control, and only the candidates the search reads are priced. A
+        candidate that fails in the march costs +inf, as a trial that diverges
+        does."""
         self._require_basis()
         if self.ops.invariant:
             return super().line_cost(u, g, cost)
@@ -310,7 +311,7 @@ class SpodModel(ProblemModel):
         def march(omegas: list[float]) -> Callable[[int], float]:
             self.state_solves += 1
             try:
-                block = spod_batch.solve_spod_candidates(self.ops, u, g, omegas)
+                block = rom_spod.solve_spod_candidates(self.ops, u, g, omegas)
             except DivergenceError:  # zero initial amplitudes: every candidate fails
                 return lambda k: math.inf
 

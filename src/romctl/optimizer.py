@@ -285,9 +285,11 @@ def optimize(
     callback: Callable[[int, np.ndarray], None] | None = None,
 ) -> tuple[np.ndarray, OptimizerReport]:
     """Descend from u0 until the relative gradient norm drops below beta or the
-    iteration budget runs out. Returns the final control and the full report;
-    with `stream`, the records also go to that CSV file, flushed every 50
-    iterations."""
+    iteration budget runs out. Returns the final control and the full report:
+    on convergence the control whose gradient passed the test, whose cost is
+    the report's final_cost; at the budget's end the control one step past
+    the last one evaluated. With `stream`, the records also go to that CSV
+    file, flushed every 50 iterations."""
     clock = PhaseClock()
     model.clock = clock
     weight = model.signal_weight
@@ -366,5 +368,6 @@ def optimize(
 
             if rel < config.beta:
                 report.status = "converged"
+                u = prev_u
                 break
     return u, report

@@ -1,11 +1,17 @@
 """Nonlinear Galerkin reduced model built on the periodic shift ansatz.
 
-The reduced state couples mode amplitudes with a scalar shift; the mass matrix
-[[I, N a], [a^T N^T, a^T M2 a]] is inverted per step through the Schur
-complement on the scalar block, which stays positive whenever the modes and
-their derivatives are independent and the amplitudes stay away from zero.
-The state marches with spod_batch's Schur march, which the step-size search
-runs for a block of controls and solve_spod_state for its one.
+The reduced state couples mode amplitudes with a scalar shift z. Each
+explicit-Euler step inverts the mass matrix [[I, N a], [a^T N^T, a^T M2 a]]
+through the Schur complement on the scalar block, which stays positive
+whenever the modes and their derivatives are independent and the amplitudes
+stay away from zero. solve_spod_candidates takes these steps for a block of
+controls u - omega_k g side by side: the step-size search on a Schur
+(non-invariant) basis marches a block of step sizes and reads their costs in
+its own order (optimizer.blocked_line_cost), and solve_spod_state marches its
+one control as the block omega = 0, g = 0. One march costs its per-step call
+overhead, not its arithmetic. Each step splits its shift into whole cells and
+a fraction as split_shift does, so the state reads the cells and fractions
+that the cost, the adjoint, the gradient and the lift read along its path.
 
 The state is never lifted to evaluate the tracking cost: for dx-orthonormal
 modes it is a quadratic form in a whose coefficients tracking_terms builds once
@@ -39,12 +45,37 @@ import numpy as np
 from .basis import ModeBasis
 from .control import ControlShapes, build_fourier_shapes
 from .discretization import SpaceTimeGrid, central_derivative, check_field, check_shape
-from .fom import CostBreakdown, DivergenceError, euler_sweep
-from .spod_batch import SingularMassError, _pairs, _regular_mass, solve_spod_candidates
-from .transform import shift_columns, split_shift, uncontrolled_shift_path
+from .fom import CHECK_EVERY, CostBreakdown, DivergenceError, euler_sweep
+from .transform import shift_columns, snap_cells, split_shift, uncontrolled_shift_path
 
 # relative gap |N^T B1 - B2| / |B2| up to which a basis counts as invariant
 INVARIANT_TOL = 1e-10
+
+
+class SingularMassError(DivergenceError):
+    """Raised when the reduced mass matrix degenerates during a sweep."""
+
+    def __init__(self, step: int, detail: str):
+        self.step = step
+        RuntimeError.__init__(
+            self, f"reduced mass matrix is numerically singular at step {step}: {detail}"
+        )
+
+
+def _pairs(w: np.ndarray) -> np.ndarray:
+    """The (sin_k, -cos_k) pairs of rows of w, (m,) or (m, n_t), as complex
+    numbers w_s + i w_m, (xi,) or (n_t, xi); .view(float).T turns them back.
+    On them T(z) acts as multiplication by conj sigma(z), and T(z)^T by
+    sigma(z)."""
+    return np.ascontiguousarray(w[1:].T).view(complex)
+
+
+def _regular_mass(s, c, bb):
+    """Whether the mass matrix counts as regular at a step whose Schur
+    complement is s = c - |b|^2: s above 1e-12 max(1, c, |b|^2), which also
+    fails a non-finite s (s = inf only where c = inf). Elementwise on arrays
+    of steps."""
+    return s > 1e-12 * np.maximum(np.maximum(c, bb), 1.0)
 
 
 @dataclass(frozen=True)
@@ -107,6 +138,19 @@ class SpodReducedTrajectory:
     alpha: np.ndarray  # (r, n_t)
     z: np.ndarray      # (n_t,)
     sig: np.ndarray    # (n_t, xi) symbol(z), which the adjoint and the gradient read
+
+
+@dataclass(frozen=True)
+class SpodCandidates:
+    """The trajectories of a block of controls u - omega_k g from one march."""
+
+    alpha: np.ndarray      # (K, r, n_t) the amplitudes of candidate k
+    z: np.ndarray          # (K, n_t) its shift path
+    failed_at: np.ndarray  # (K,) the step at which it failed, n_t if it did not
+
+
+class _AllFailed(Exception):
+    """Ends a candidate march once every candidate has failed."""
 
 
 @dataclass(frozen=True)
@@ -240,12 +284,146 @@ def _mass_terms(ops: SpodRomOperators, alpha: np.ndarray, steps: np.ndarray):
     return b, M2a, s
 
 
+def solve_spod_candidates(ops: SpodRomOperators, u: np.ndarray, g: np.ndarray,
+                          omegas: list[float]) -> SpodCandidates:
+    """The Schur march from (alpha0, 0) for the K controls u - omega_k g side
+    by side, in one sweep whose column holds every candidate's (alpha, z). The
+    controls of the candidates are formed from u and g for one block of steps
+    at a time, never for the horizon. Each step reads the symbol of all K
+    shifts at once and makes five small matrix products, so a block costs
+    about the per-step call overhead of one march, not K.
+
+    With b = N a, c = a^T M2 a, s = c - |b|^2 and B1p, B2p the B1 and B2 rows of
+    B(z) u_j, the Schur step solves [[I, b], [b^T, c]] (a_t, w) =
+    (v b + B1p, v c + a . B2p) through the scalar Schur complement s:
+        a' = a + dt (B1p + (v - w) b),  z' = z + dt w,
+        dt (v - w) = dt (b . B1p - a . B2p) / s.
+    A candidate fails at the first step j whose column is not finite or whose
+    mass matrix is not regular (_regular_mass, with s = c - |b|^2 formed from
+    the two dot products, so that a non-finite control column j fails step
+    j + 1, whose column it poisons), or at n_t - 1 if only the last column, at
+    which no step solves, is not finite. euler_sweep's check finds it at the
+    end of the block of steps in which it failed. Its row of every operation is
+    its own, so the others march on, and the sweep ends once all have failed."""
+    grid = ops.grid
+    n, n_t, dt, dx, v = grid.n, grid.n_t, grid.dt, grid.dx, grid.v
+    r, xi = ops.r, (ops.m - 1) // 2
+    u = check_shape(u, (ops.m, n_t), "control")
+    g = check_shape(g, (ops.m, n_t), "control direction")
+    if float(ops.alpha0 @ ops.alpha0) == 0.0:
+        raise SingularMassError(0, "initial amplitudes are zero")
+    K, R1 = len(omegas), r + 1
+
+    # Per candidate one work row: [t | 1 | a, z | M2 a, 0 | b, -1 | B2p, 0 | B1p, v].
+    # t = sigma(z) (conj u_pairs - omega conj g_pairs), with the constant shape as
+    # a pair of symbol 1 and sigma = cells[c] (1 + f (cells[1] - 1)), so B(z) u is
+    # t in real form times B(0) with the imaginary weights negated. One product
+    # makes [B2p | B1p] from [t | 1], one makes [M2 a | b] from [1 | a, z]; the
+    # slots are r + 1 wide, so the update
+    # [a', z'] = [a, z] + dt (v - w) [b, -1] + dt [B1p, v] is one product over
+    # every other slot, and the dot products of [a; b] with the four slots
+    # after [a, z] are another.
+    one, a0 = 2 * xi + 2, 2 * xi + 3
+    width = a0 + 5 * R1
+    work = np.zeros((K, width + width % 2))  # even: the complex view of t stays aligned
+    work[:, one] = 1.0
+    WP = np.zeros((2 * xi + 3, 2 * R1))  # [Re t0, Im t0, Re t1, Im t1, ..., 1] -> [B2p | B1p]
+    for col, B in ((0, ops.B0[r : 2 * r]), (R1, ops.B0[:r])):
+        WP[0, col : col + r] = B[:, 0]
+        WP[2:one:2, col : col + r] = B[:, 1::2].T
+        WP[3:one:2, col : col + r] = -B[:, 2::2].T
+    WP[one, R1 + r] = v
+    WA = np.zeros((R1 + 1, 2 * R1))  # [1, a, z] -> [M2 a | b]
+    WA[1:R1, :r] = ops.M2.T
+    WA[1:R1, R1 : R1 + r] = ops.N.T
+    WA[0, R1 + r] = -1.0
+    # [dt (b . B1p - a . B2p), s] from the dot products of [a; b] with the slots
+    # after [a, z], [M2 a, b, B2p, B1p]; check reads those of the steps of one
+    # block of euler_sweep, which starts at a multiple of CHECK_EVERY
+    dots = np.empty((CHECK_EVERY, K, 2, 4))
+    ring = [(d, d.reshape(K, 8)) for d in dots]
+    q = np.empty((K, 2))
+    rate, s = q[:, 0], q[:, 1]
+    WD = np.zeros((8, 2))
+    WD[7, 0], WD[2, 0], WD[0, 1], WD[5, 1] = dt, -dt, 1.0, -1.0
+    coef = np.empty((K, 1, 3))  # [1, dt (v - w), dt]
+    coef[:, 0, 0], coef[:, 0, 2] = 1.0, dt
+    slip = coef[:, 0, 1]  # dt (v - w)
+
+    t = work[:, :one].view(complex)
+    p_in, p_out = work[:, : one + 1], work[:, a0 + 3 * R1 : a0 + 5 * R1]
+    a_in, a_out = work[:, one : a0 + R1], work[:, a0 + R1 : a0 + 3 * R1]
+    az = work[:, a0 : a0 + R1]
+    z = az[:, r]
+    s_cells = np.empty(K)  # (z mod l) / dx, as split_shift forms it
+    slots = work[:, a0:width].reshape(K, 5, R1)
+    rows, ab = slots[:, 0::2], slots[:, 0:3:2, :r]
+    after = slots[:, 1:, :r].transpose(0, 2, 1)
+
+    # the symbol at the n + 1 nodes 0 .. n that snap_cells gives (node n is
+    # node 0 again), with the constant shape as a pair of symbol 1
+    cells = np.concatenate([np.ones((n + 1, 1)), ops.cells[np.arange(n + 1) % n]], axis=1)
+    dcell = cells[1] - 1.0  # 0 on the constant shape: its symbol is exactly 1
+    om = np.array(omegas, dtype=float)[:, None]
+    window = []  # conj pairs of u - omega g along the block of steps, and times dcell
+
+    def step(x: np.ndarray, j: int, nxt: np.ndarray) -> None:
+        i = j % CHECK_EVERY
+        if i == 0:
+            cu, cg = (np.concatenate([w[:1].T, np.conj(_pairs(w))], axis=1)[:, None]
+                      for w in (u[:, j : j + CHECK_EVERY], g[:, j : j + CHECK_EVERY]))
+            cand = cu - om * cg
+            window[:] = cand, cand * dcell
+        cand, dcand = window
+        np.copyto(az, x.reshape(K, R1))
+        np.remainder(z, grid.l, out=s_cells)
+        np.divide(s_cells, dx, out=s_cells)
+        c, f = snap_cells(s_cells)  # a non-finite z: garbage c, which clip keeps in range
+        tf = f[:, None] * dcand[i]
+        tf += cand[i]
+        np.multiply(np.take(cells, c, axis=0, mode="clip"), tf, out=t)
+        np.matmul(p_in, WP, out=p_out)
+        np.matmul(a_in, WA, out=a_out)
+        d, d8 = ring[i]
+        np.matmul(ab, after, out=d)
+        np.matmul(d8, WD, out=q)
+        np.divide(rate, s, out=slip)
+        np.matmul(coef, rows, out=nxt.reshape(K, 1, R1))
+
+    failed_at = np.full(K, n_t)
+
+    def check(written: slice) -> None:
+        # the block's L steps solved at columns first .. first + L - 1 and wrote
+        # first + 1 .. first + L; ring row i holds the dot products of step first + i
+        first, L = written.start - 1, written.stop - written.start
+        c, bb = dots[:L, :, 0, 0], dots[:L, :, 1, 1]
+        regular = _regular_mass(c - bb, c, bb)
+        if regular.all() and math.isfinite(x[:, written].sum()):
+            return
+        bad = np.zeros((K, L + 1), dtype=bool)  # column i: step and column first + i
+        bad[:, :-1] = ~regular.T
+        bad[:, 1:] |= ~np.isfinite(x[:, written].reshape(K, R1, L).sum(axis=1))
+        at = np.where(bad.any(axis=1), first + bad.argmax(axis=1), n_t)
+        np.minimum(failed_at, at, out=failed_at)
+        if np.all(failed_at < n_t):
+            raise _AllFailed
+
+    x = np.empty((K * R1, n_t), order="F")
+    try:
+        euler_sweep(step, np.tile(np.append(ops.alpha0, 0.0), K), n_t, False,
+                    "spod candidates", out=x, check=check)
+    except _AllFailed:
+        pass
+    states = x.reshape(K, R1, n_t)
+    return SpodCandidates(alpha=states[:, :r], z=states[:, r], failed_at=failed_at)
+
+
 def solve_spod_state(ops: SpodRomOperators, u: np.ndarray) -> SpodReducedTrajectory:
     """Explicit Euler for the coupled amplitude/shift dynamics from (alpha0, 0):
-    spod_batch's Schur march of the one control u, in closed form on an
-    invariant basis. A step whose mass matrix is not regular, or whose column
-    is not finite, raises SingularMassError; a non-finite last column, at
-    which no step solves, raises DivergenceError."""
+    the Schur march of the one control u, in closed form on an invariant
+    basis. A step whose mass matrix is not regular, or whose column is not
+    finite, raises SingularMassError; a non-finite last column, at which no
+    step solves, raises DivergenceError."""
     n_t = ops.grid.n_t
     u = check_shape(u, (ops.m, n_t), "control")
     if float(ops.alpha0 @ ops.alpha0) == 0.0:
@@ -264,7 +442,7 @@ def solve_spod_state(ops: SpodRomOperators, u: np.ndarray) -> SpodReducedTraject
         raise DivergenceError(j, "spod state")
     # C order: the adjoint and the gradient dot strided columns of alpha, which
     # round differently from contiguous ones in the last bit
-    z = march.z[0]
+    z = march.z[0].copy()
     return SpodReducedTrajectory(alpha=np.ascontiguousarray(march.alpha[0]), z=z,
                                  sig=ops.symbol(z))
 

@@ -12,18 +12,28 @@ from .discretization import SpaceTimeGrid, check_field, check_shape
 _ALIGN_TOL = 1e-8
 
 
+def snap_cells(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The whole cells c and fraction f in [0, 1) of cell coordinates s >= 0:
+    c = floor(s) and f = s - c, a fraction within _ALIGN_TOL of the next node
+    snapped up to it and one within _ALIGN_TOL of its own node set to 0, so
+    that a shift near a node reads the exact node. For s in [0, n], c is in
+    [0, n]. A non-finite s gives some integer c (the cast is invalid)."""
+    f, c = np.modf(s)
+    up = f > 1.0 - _ALIGN_TOL
+    f *= (f >= _ALIGN_TOL) != up  # f >= tol and not snapped up, as up implies f >= tol
+    c = c.astype(np.intp)
+    c += up
+    return c, f
+
+
 def split_shift(z: np.ndarray, grid: SpaceTimeGrid) -> tuple[np.ndarray, np.ndarray]:
-    """Decompose an array of shifts into whole cells and fractional offsets in
-    [0, 1), snapping near-aligned shifts to exact rotations."""
+    """Decompose an array of shifts into whole cells in [0, n) and fractional
+    offsets in [0, 1): snap_cells of the cell coordinate (z mod l) / dx."""
     s = np.asarray(z, dtype=float) % grid.l
     s /= grid.dx
     if not math.isfinite(s.sum()):  # each finite shift gives s in [0, n]
         raise ValueError("shifts must be finite")
-    k = np.floor(s)
-    frac = s - k
-    up = frac > 1.0 - _ALIGN_TOL
-    frac[up | (frac < _ALIGN_TOL)] = 0.0
-    k = k.astype(int) + up
+    k, frac = snap_cells(s)
     k %= grid.n
     return k, frac
 

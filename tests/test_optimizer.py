@@ -6,7 +6,7 @@ import types
 import numpy as np
 import pytest
 
-from romctl import SpaceTimeGrid, build_fourier_shapes, spod_batch
+from romctl import SpaceTimeGrid, build_fourier_shapes, rom_spod
 from romctl.basis import ModeRule
 from romctl.experiments import (
     ScenarioConfig,
@@ -107,6 +107,22 @@ def test_quadratic_converges_to_known_optimum():
     assert rep.iterations <= 200
     assert np.max(np.abs(u - u_star)) < 1e-4
     assert rep.records[0].rel_grad_norm == 1.0
+
+
+@pytest.mark.parametrize("kind", ["quadratic", "spod"])
+def test_a_converged_run_returns_the_control_it_evaluated_last(kind):
+    # the control whose gradient passed the test, not one step past it
+    if kind == "quadratic":
+        model = QuadraticModel(np.linspace(-1.0, 1.0, 30).reshape(3, 10),
+                               np.linspace(1.0, 10.0, 30).reshape(3, 10))
+        u0, cfg = np.zeros((3, 10)), quad_cfg()
+    else:
+        problem = small_problem(0.55)
+        model = SpodModel(problem, ModeRule.fixed(4))
+        u0, cfg = np.zeros((problem.shapes.m, problem.grid.n_t)), quad_cfg(beta=0.5)
+    u, rep = optimize(model, u0, cfg)
+    assert rep.status == "converged" and rep.iterations > 1
+    assert model.cost_only(u).total == rep.final_cost
 
 
 def test_infinite_beta_stops_after_one_iteration():
@@ -379,15 +395,17 @@ def test_spod_search_keeps_trial_solves(eigenfunction_basis, tmp_path):
 
 def test_schur_search_marches_blocks_of_the_step_sizes_it_reads(tmp_path, monkeypatch):
     # the Schur path is nonlinear: each step size the search reads is priced
-    # from a march of a block of them, and a block is fewer marches than reads
+    # from a march of a block of them, and a block is fewer marches than reads;
+    # solve_spod_state marches its one control as the block [0.0], not counted
     marches = []
-    march = spod_batch.solve_spod_candidates
+    march = rom_spod.solve_spod_candidates
 
     def counted(ops, u, g, omegas):
-        marches.append(len(omegas))
+        if omegas != [0.0]:
+            marches.append(len(omegas))
         return march(ops, u, g, omegas)
 
-    monkeypatch.setattr(spod_batch, "solve_spod_candidates", counted)
+    monkeypatch.setattr(rom_spod, "solve_spod_candidates", counted)
     problem = small_problem(0.55)
     model = count_trials(count_cost_only(SpodModel(problem, ModeRule.fixed(4))))
     u0 = np.zeros((problem.shapes.m, problem.grid.n_t))

@@ -18,6 +18,11 @@ aliases resolved across the reader files, and `__init__` by its class name. A
 call with *args or **kwargs counts as passing everything. A default that no
 caller outside the tests moves is a constant, and belongs in the module as
 one; a parameter that only tests pass is listed in TEST_HOOKS with its reason.
+
+The third test reads the imports of src/romctl/*.py: no module imports a
+`_`-prefixed name of another, nor reads one from a module it imported. What
+a module keeps private only it reads; a decision two modules share is public
+in the one that makes it.
 """
 import ast
 from pathlib import Path
@@ -140,3 +145,23 @@ def test_every_defaulted_parameter_has_a_caller_that_passes_it():
     assert sorted(set(unpassed) - set(TEST_HOOKS)) == []
     # a hook that gained a caller outside the tests, or went, leaves the list
     assert sorted(set(TEST_HOOKS) - set(unpassed)) == []
+
+
+def test_no_module_reads_another_modules_private_names():
+    modules = {path.stem for path in PACKAGE.glob("*.py")}
+    reads = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        imported = set()  # the package's modules this one imports by name
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (node.level or node.module == "romctl"):
+                for alias in node.names:
+                    if alias.name in modules and node.module in (None, "romctl"):
+                        imported.add(alias.asname or alias.name)
+                    elif alias.name.startswith("_"):
+                        reads.append(f"{path.name}:{node.lineno} {alias.name}")
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute) and node.attr.startswith("_")
+                    and isinstance(node.value, ast.Name) and node.value.id in imported):
+                reads.append(f"{path.name}:{node.lineno} {node.value.id}.{node.attr}")
+    assert reads == []

@@ -1,10 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from romctl import SpaceTimeGrid, build_fourier_shapes, rom_spod
-from romctl.basis import ModeBasis, ModeRule
+from romctl.basis import ModeBasis, ModeRule, weighted_svd
 from romctl.control import ControlShapes
 from romctl.experiments import (
     build_target,
@@ -26,7 +27,7 @@ from romctl.rom_spod import (
     target_table,
     tracking_terms,
 )
-from romctl.transform import shift_columns
+from romctl.transform import shift_columns, transform_snapshots, uncontrolled_shift_path
 
 from conftest import coarse_grid, resting_path, shift_field, smooth_signal, svd_norm_B
 
@@ -332,3 +333,28 @@ def test_assembly_needs_fourier_shapes(grid, y0, rng):
         with pytest.raises(ValueError, match="Fourier"):
             assemble_spod_rom(basis, ControlShapes(shapes=cols), y0, grid)
     assemble_spod_rom(basis, ControlShapes(shapes=fourier), y0, grid)
+
+
+def test_a_refresh_drops_the_snapshots_before_the_svd(grid, shapes, y0, target, target_path):
+    # the refresh holds the co-moving snapshots through the SVD, not the
+    # snapshots they were shifted from as well: its traced peak is the SVD's
+    # own plus one field, not two
+    model = SpodModel(ControlProblem(grid, shapes, y0, target, target_path, 1e-3),
+                      ModeRule.fixed(4))
+    u = smooth_signal(np.random.default_rng(3), shapes.m, grid.n_t, 1e-3)
+    model.refine_basis(u)  # first-call allocations stay out of the trace
+    field = 8 * grid.n * grid.n_t
+    tracemalloc.start()
+    try:
+        model.refine_basis(u)
+        refresh = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        Qs = transform_snapshots(solve_state(grid, shapes, u, y0),
+                                 uncontrolled_shift_path(grid), grid)
+        start = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        weighted_svd(Qs, grid)
+        svd = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert refresh <= svd + 1.5 * field

@@ -1,7 +1,7 @@
 """The Schur march of the sPOD-G state against a plain loop of single
 steps, and the blocked step-size search against the search trial by trial.
 
-spod_batch.solve_spod_candidates marches the controls u - omega_k g side by
+rom_spod.solve_spod_candidates marches the controls u - omega_k g side by
 side, and solve_spod_state marches its one control with it. The plain loop
 below is the per-step Schur solve solve_spod_state ran before, which sums the
 step in another order, so a column of either matches it to rounding where the
@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from romctl import spod_batch
+from romctl import rom_spod
 from romctl.experiments import ScenarioConfig, build_model
 from romctl.fom import DivergenceError
 from romctl.optimizer import (
@@ -32,10 +32,16 @@ from romctl.optimizer import (
     two_way_backtracking,
 )
 from romctl.basis import eigenfunction_stationary_basis
-from romctl.transform import split_shift
-from romctl.rom_spod import SingularMassError, _pairs, assemble_spod_rom, solve_spod_state
+from romctl.transform import snap_cells, split_shift
+from romctl.rom_spod import (
+    SingularMassError,
+    _pairs,
+    assemble_spod_rom,
+    solve_spod_candidates,
+    solve_spod_state,
+)
 
-from conftest import coarse_grid, smooth_signal
+from conftest import smooth_signal
 from test_euler_sweep import problem, schur_solve, spod_operators
 
 DESK = dict(l=100.0, n=401, n_t=300, T=136.02357742008616, v=0.55, xi=5)
@@ -108,7 +114,7 @@ def check_columns(ops, u, g, omegas):
     failed where the plain loop fails; returns how many columns were held to
     1e-12."""
     n_t = ops.grid.n_t
-    block = spod_batch.solve_spod_candidates(ops, u, g, omegas)
+    block = solve_spod_candidates(ops, u, g, omegas)
     assert block.alpha.shape == (len(omegas), ops.r, n_t)
     held = 0
     for k, w in enumerate(omegas):
@@ -138,38 +144,25 @@ def test_batched_columns_match_single_marches(seed):
     assert check_columns(model.ops, u, g, omegas) > 0
 
 
-def test_cell_split_splits_as_split_shift():
-    # on nodes, within the snap band of one, just outside it, and up to 3 l
-    # away on either side: the same cells, the same snapped nodes, and the
-    # symbol the march reads matches ops.symbol
-    for n in (97, 401, 1601, 3201):
-        # at the edges of the snap band, nodes +- dx 1e-8 (1 +- 1e-6) up to 3 l
-        # away: split_shift's own cell coordinate (z mod l) / dx splits the
-        # same, and z / dx, rounding apart from it, into a fraction in [0, 1)
-        grid = coarse_grid(n=n)
-        rng = np.random.default_rng(n)
-        edge = rng.choice([-1.0, 1.0], 4000) * rng.choice([1 - 1e-6, 1 + 1e-6], 4000)
-        z = grid.dx * (rng.integers(-3 * n, 3 * n, 4000) + 1e-8 * edge)
-        c, f = spod_batch._cell_split((z % grid.l) / grid.dx, n)
-        k, frac = split_shift(z, grid)
-        assert np.array_equal(c % n, k) and np.array_equal(f, frac)
-        assert np.all((0.0 <= f) & (f < 1.0))
-        c, f = spod_batch._cell_split(z / grid.dx, n)
-        assert np.all((0 <= c) & (c <= n)) and np.all((0.0 <= f) & (f < 1.0))
-    model, _, _, _ = desk_model()
-    ops, grid = model.ops, model.ops.grid
-    rng = np.random.default_rng(5)
-    nodes = grid.dx * rng.integers(-3 * grid.n, 3 * grid.n, 40).astype(float)
-    z = np.concatenate([
-        nodes, nodes + grid.dx * rng.uniform(-5e-9, 5e-9, 40), nodes + grid.dx * 1e-7,
-        rng.uniform(-3 * grid.l, 3 * grid.l, 40),
-    ])
-    c, f = spod_batch._cell_split(z / grid.dx, grid.n)
-    assert np.array_equal(c % grid.n, split_shift(z, grid)[0])
-    assert np.array_equal(f == 0.0, split_shift(z, grid)[1] == 0.0)
-    assert np.all(f >= 0.0)
-    sig = ops.cells[c % grid.n] * (1.0 + f[:, None] * (ops.cells[1] - 1.0))
-    assert np.max(np.abs(sig - ops.symbol(z))) <= 1e-12
+@pytest.mark.parametrize("u_amp, seed", [(1e-3, 3), (1e-2, 4), (5e-2, 5)])
+def test_the_march_reads_the_split_of_its_path(u_amp, seed, monkeypatch):
+    # each step of solve_spod_state reads the cells and fraction split_shift
+    # gives its shift, which the cost, the adjoint, the gradient and the lift
+    # read along traj.z: bitwise, on desk trajectories
+    model, u, _, _ = desk_model(u_amp, seed)
+    read = []
+
+    def recording(s):
+        c, f = snap_cells(s)
+        read.append((c.copy(), f.copy()))
+        return c, f
+
+    monkeypatch.setattr(rom_spod, "snap_cells", recording)
+    traj = solve_spod_state(model.ops, u)
+    grid = model.ops.grid
+    c, f = (np.concatenate(a) for a in zip(*read))
+    k, frac = split_shift(traj.z[:-1], grid)  # the steps solve at columns 0 .. n_t - 2
+    assert np.array_equal(c % grid.n, k) and np.array_equal(f, frac)
 
 
 def armijo(f, w, cost, g_sq):
@@ -237,14 +230,14 @@ def test_a_singular_candidate_fails_alone():
     assert err.value.step == 40
     g = smooth_signal(np.random.default_rng(7), shapes.m, grid.n_t, 0.3)
     omegas = [0.25, 0.0, 0.5, 1.0]
-    block = spod_batch.solve_spod_candidates(sing, u, g, omegas)
+    block = solve_spod_candidates(sing, u, g, omegas)
     assert list(block.failed_at) == [grid.n_t, 40, grid.n_t, grid.n_t]
     err = plain_failure(sing, u)
     assert type(err) is SingularMassError and err.step == 40
     assert check_survivors(sing, u, g, omegas, block) == 3
     # a block whose every candidate fails ends with all of them failed at step 0
     every = singular_ops(ops, None)
-    assert list(spod_batch.solve_spod_candidates(every, u, g, omegas).failed_at) == [0] * 4
+    assert list(solve_spod_candidates(every, u, g, omegas).failed_at) == [0] * 4
     assert plain_failure(every, u).step == 0
 
 
@@ -253,7 +246,7 @@ def test_a_diverging_candidate_fails_alone():
     with pytest.raises(DivergenceError):
         solve_spod_state(ops, u - 1e200 * g)
     omegas = [0.25, math.inf, 0.5, 1e200, 1.0]
-    block = spod_batch.solve_spod_candidates(ops, u, g, omegas)
+    block = solve_spod_candidates(ops, u, g, omegas)
     n_t = ops.grid.n_t
     failed = [plain_failure(ops, u - w * g).step for w in omegas[1::2]]
     assert list(block.failed_at) == [n_t, failed[0], n_t, failed[1], n_t]
@@ -281,7 +274,7 @@ def test_batched_march_rejects_zero_initial_amplitudes():
     ops, u, g = bumps_case(0)
     zero = dataclasses.replace(ops, alpha0=np.zeros(ops.r))
     with pytest.raises(SingularMassError):
-        spod_batch.solve_spod_candidates(zero, u, g, [1.0])
+        solve_spod_candidates(zero, u, g, [1.0])
 
 
 def trials_and_evals(path):

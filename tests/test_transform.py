@@ -108,6 +108,16 @@ def test_split_shift_snaps_nodes_and_rejects_non_finite_shifts(grid, rng):
     off = (z / grid.dx - k - frac) % grid.n  # the cells left over: 0 up to the snap
     assert np.max(np.minimum(off, grid.n - off)) <= 1e-8
     assert np.sum(frac == 0.0) >= grid.n_t // 2  # the node cases all snap
+    # at the edges of the snap band, nodes +- dx 1e-8 (1 +- 1e-6) up to 3 l
+    # away, on grids whose cell coordinates round differently
+    for n in (97, 401, 1601, 3201):
+        g = coarse_grid(n=n)
+        edge = rng.choice([-1.0, 1.0], 4000) * rng.choice([1 - 1e-6, 1 + 1e-6], 4000)
+        z = g.dx * (rng.integers(-3 * n, 3 * n, 4000) + 1e-8 * edge)
+        k, frac = split_shift(z, g)
+        assert np.all((0 <= k) & (k < n)) and np.all((0.0 <= frac) & (frac < 1.0))
+        off = (z / g.dx - k - frac) % n  # the snap, and z / dx rounding apart from it
+        assert np.max(np.minimum(off, n - off)) <= 1e-8 + 1e-11
     with pytest.raises(ValueError):
         split_shift(np.array([0.0, np.nan]), grid)
     for bad in (np.nan, np.inf, -np.inf):
