@@ -4,14 +4,12 @@ otherwise), the mode-count rule, and the invariant-subspace basis built from
 the initial condition and the control shapes."""
 from __future__ import annotations
 
-import csv
 import warnings
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-from .control import FMT, ControlShapes
+from .control import ControlShapes
 from .discretization import SpaceTimeGrid, check_field
 
 # relative singular-value floor below which directions count as numerically null
@@ -170,11 +168,3 @@ def eigenfunction_stationary_basis(
             stacklevel=2,
         )
     return ModeBasis(modes=modes[:, :keep])
-
-
-def save_spectrum_csv(path: str | Path, sigma: np.ndarray) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["sigma"])
-        for val in np.asarray(sigma, dtype=float):
-            writer.writerow([FMT % val])

@@ -22,6 +22,7 @@ from .experiments import (
     run_scenario,
     smooth_random_signal,
 )
+from .fom import DivergenceError
 
 
 def _load(args) -> ScenarioConfig:
@@ -125,6 +126,9 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    except DivergenceError as exc:  # gradient-check's or rank-study's; run reports its own
+        print(f"diverged: {exc}", file=sys.stderr)
+        return 3
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

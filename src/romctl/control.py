@@ -1,15 +1,11 @@
 """Control shape functions, the control operator B, and its adjoint."""
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from .discretization import SpaceTimeGrid, check_field
-
-FMT = "%.17g"
 
 
 @dataclass(frozen=True)
@@ -52,13 +48,3 @@ def adjoint_control(shapes: ControlShapes, field: np.ndarray, grid: SpaceTimeGri
     """Component k is the L2 pairing of b_k with the field (or with each column)."""
     field = check_field(field, grid)
     return grid.dx * (shapes.shapes.T @ field)
-
-
-def save_control_csv(path: str | Path, u: np.ndarray) -> None:
-    """Write an (m, n_t) control signal as n_t rows with header u_1,...,u_m."""
-    u = np.asarray(u, dtype=float)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"u_{k + 1}" for k in range(u.shape[0])])
-        for j in range(u.shape[1]):
-            writer.writerow([FMT % val for val in u[:, j]])

@@ -1,7 +1,7 @@
-"""Scenario assembly, configuration files, and the artifact-producing runs."""
+"""Scenario assembly, configuration files, the artifact-producing runs, and
+the writers of the artifact files."""
 from __future__ import annotations
 
-import csv
 import json
 import math
 import re
@@ -11,12 +11,13 @@ from pathlib import Path
 import numpy as np
 
 from . import fom
-from .basis import ModeRule, save_spectrum_csv, singular_values
-from .control import FMT, build_fourier_shapes, save_control_csv
+from .basis import ModeRule, singular_values
+from .control import build_fourier_shapes
 from .discretization import SpaceTimeGrid
 from .fom import DivergenceError
 from .models import ControlProblem, FomModel, PodModel, ProblemModel, SpodModel
 from .optimizer import (
+    FMT,
     PHASES,
     STREAM_COLUMNS,
     ControlledModel,
@@ -253,13 +254,30 @@ _HISTORY_CSVS = (
 )
 
 
+def _write_csv(path: Path, columns, table, fmt) -> None:
+    """Every CSV artifact: the header `columns`, then one line per row of
+    `table` with its values in `fmt`, comma-separated, each line ending in
+    CRLF (RFC 4180)."""
+    with open(path, "w", newline="") as fh:
+        np.savetxt(fh, table, fmt=fmt, delimiter=",", header=",".join(columns),
+                   comments="", newline="\r\n")
+
+
+def _write_state_bin(path: Path, Q: np.ndarray) -> None:
+    """final_state.bin: the two dims as a 16-byte little-endian header (<QQ),
+    then Q as little-endian float64 in C order, written from Q itself when it
+    is C-ordered float64 (not by ndarray.tofile, which writes other layouts
+    element by element and raised the peak RSS of a run)."""
+    with open(path, "wb") as fh:
+        fh.write(np.array(Q.shape, dtype="<u8").tobytes())
+        fh.write(np.ascontiguousarray(Q, "<f8").data)
+
+
 def _write_history_csvs(outdir: Path, report: OptimizerReport) -> None:
-    table = [dict(zip(STREAM_COLUMNS, record_row(r))) for r in report.records]
+    rows = [record_row(r) for r in report.records]
     for name, columns in _HISTORY_CSVS:
-        with open(outdir / name, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(columns)
-            w.writerows([row[c] for c in columns] for row in table)
+        idx = [STREAM_COLUMNS.index(c) for c in columns]
+        _write_csv(outdir / name, columns, [[row[k] for k in idx] for row in rows], "%s")
 
 
 _PLOT_SCRIPT = """\
@@ -285,22 +303,30 @@ def _save_final_state(outdir: Path, model: ProblemModel, u: np.ndarray) -> dict:
     """Write the model's state at u to final_state.bin and return the
     full-order cost at u (fom_cost) with the relative gap of the cost of the
     written state from it (rom_gap; the FOM's state is the full-order one).
-    rom_gap is None when fom_cost is 0, where no relative gap exists, and
-    both are None when the full-order solve at a reduced model's u diverges."""
+    rom_gap is None when fom_cost is 0, where no relative gap exists. When
+    the model's solve at u diverges (at the budget's end u is one step past
+    the last evaluated control), no file is written and rom_gap is None;
+    fom_cost is None when the full-order solve at u diverges."""
     p = model.problem
-    lifted = model.lift(u)
-    fom.save_snapshots_bin(outdir / "final_state.bin", lifted)
-    lifted_cost = fom.cost(p.grid, lifted, p.target, u, p.mu).total
-    del lifted  # the full-order state below takes its place
+    try:
+        lifted = model.lift(u)
+    except DivergenceError:
+        lifted_cost = None
+    else:
+        _write_state_bin(outdir / "final_state.bin", lifted)
+        lifted_cost = fom.cost(p.grid, lifted, p.target, u, p.mu).total
+        del lifted  # the full-order state below takes its place
     if isinstance(model, FomModel):
         fom_cost = lifted_cost
     else:
         try:
             state = fom.solve_state(p.grid, p.shapes, u, p.y0)
         except DivergenceError:
-            return {"fom_cost": None, "rom_gap": None}
-        fom_cost = fom.cost(p.grid, state, p.target, u, p.mu).total
-    gap = abs(lifted_cost - fom_cost) / fom_cost if fom_cost else None
+            fom_cost = None
+        else:
+            fom_cost = fom.cost(p.grid, state, p.target, u, p.mu).total
+    gap = (abs(lifted_cost - fom_cost) / fom_cost
+           if fom_cost and lifted_cost is not None else None)
     return {"fom_cost": fom_cost, "rom_gap": gap}
 
 
@@ -342,9 +368,9 @@ def run_scenario(cfg: ScenarioConfig, quiet: bool = False) -> int:
     _write_history_csvs(outdir, report)
     for rec in report.records:
         if rec.refresh is not None and rec.refresh.spectrum is not None:
-            save_spectrum_csv(outdir / f"singular_values_iter{rec.iteration:05d}.csv",
-                              rec.refresh.spectrum)
-    save_control_csv(outdir / "final_control.csv", u)
+            _write_csv(outdir / f"singular_values_iter{rec.iteration:05d}.csv", ["sigma"],
+                       rec.refresh.spectrum, FMT)
+    _write_csv(outdir / "final_control.csv", [f"u_{k + 1}" for k in range(u.shape[0])], u.T, FMT)
     (outdir / "plots.gp").write_text(_PLOT_SCRIPT)
 
     meta = {
@@ -401,11 +427,8 @@ def run_rank_study(cfg: ScenarioConfig, quiet: bool = False) -> int:
             rows.append((i, *ratios(u)))
 
     u, report = optimize(model, u0, cfg.optimizer_config(), callback=spy)
-    with open(outdir / "rank_study.csv", "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["iteration", "sv_ratio_m_plus_1", "sv_ratio_m_plus_2"])
-        for i, r1, r2 in rows:
-            w.writerow([i, FMT % r1, FMT % r2])
+    _write_csv(outdir / "rank_study.csv", ["iteration", "sv_ratio_m_plus_1", "sv_ratio_m_plus_2"],
+               rows, ["%d", FMT, FMT])
     if not quiet:
         worst = max(r2 for _, _, r2 in rows)
         print(

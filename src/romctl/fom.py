@@ -1,9 +1,7 @@
 """Full-order model: forward state solve, backward adjoint solve, cost, gradient."""
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Callable
 
 import numpy as np
@@ -168,11 +166,3 @@ def gradient_fom(
     adjoint = check_shape(adjoint, (grid.n, grid.n_t), "adjoint")
     u = check_shape(u, (shapes.m, grid.n_t), "control signal")
     return mu * u + adjoint_control(shapes, adjoint, grid)
-
-
-def save_snapshots_bin(path: str | Path, Q: np.ndarray) -> None:
-    """Raw little-endian float64 dump with a 16-byte header of the two dims."""
-    Q = np.ascontiguousarray(Q, dtype="<f8")
-    with open(path, "wb") as fh:
-        fh.write(struct.pack("<QQ", Q.shape[0], Q.shape[1]))
-        fh.write(Q.tobytes(order="C"))

@@ -13,7 +13,6 @@ from typing import Callable
 
 import numpy as np
 
-from .control import FMT
 from .fom import CostBreakdown, DivergenceError
 
 PHASES = ("basis", "state", "cost", "adjoint", "gradient", "update")
@@ -152,6 +151,8 @@ class OptimizerReport:
     def final_cost(self) -> float:
         return self.records[-1].total if self.records else math.nan
 
+
+FMT = "%.17g"  # every float of a CSV artifact, round-trip exact
 
 STREAM_COLUMNS = (
     "iteration", "J", "tracking", "regularization", "grad_norm",

@@ -60,7 +60,8 @@ def shift_field(field, z, grid):
 
 
 def load_snapshots_bin(path):
-    """Read a snapshot file written by fom.save_snapshots_bin."""
+    """Read final_state.bin as experiments writes it (a <QQ header of the two
+    dims, then little-endian float64 in C order)."""
     with open(path, "rb") as fh:
         n, n_t = struct.unpack("<QQ", fh.read(16))
         data = np.frombuffer(fh.read(), dtype="<f8")

@@ -13,7 +13,6 @@ from romctl.basis import (
     SKETCH_WIDTH,
     ModeRule,
     eigenfunction_stationary_basis,
-    save_spectrum_csv,
     singular_values,
     weighted_svd,
 )
@@ -147,13 +146,6 @@ def test_weighted_svd_spectrum_sorted(grid, rng):
     _, sigma = weighted_svd(rng.standard_normal((grid.n, 12)), grid)
     assert np.all(np.diff(sigma) <= 0)
     assert np.all(sigma >= 0)
-
-
-def test_spectrum_csv_round_trip(tmp_path):
-    sigma = np.array([3.0, 1.0, 1e-8])
-    save_spectrum_csv(tmp_path / "s.csv", sigma)
-    assert (tmp_path / "s.csv").read_text().splitlines()[0] == "sigma"
-    np.testing.assert_array_equal(np.loadtxt(tmp_path / "s.csv", skiprows=1), sigma)
 
 
 def dense_weighted_svd(Q, grid):

@@ -4,12 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from romctl import SpaceTimeGrid
-from romctl.control import (
-    adjoint_control,
-    apply_control,
-    build_fourier_shapes,
-    save_control_csv,
-)
+from romctl.control import adjoint_control, apply_control, build_fourier_shapes
 from conftest import coarse_grid, inner_product, svd_norm_B
 
 
@@ -85,12 +80,3 @@ def test_fourier_shapes_reject_aliasing_xi(n, xi):
     g = SpaceTimeGrid(l=100.0, n=n, T=1.0, n_t=2, v=0.55)
     with pytest.raises(ValueError, match="2 xi < n"):
         build_fourier_shapes(g, xi)
-
-
-def test_control_csv_round_trip(tmp_path, rng):
-    u = rng.standard_normal((5, 17))
-    path = tmp_path / "u.csv"
-    save_control_csv(path, u)
-    header = path.read_text().splitlines()[0]
-    assert header == "u_1,u_2,u_3,u_4,u_5"
-    np.testing.assert_array_equal(np.loadtxt(path, delimiter=",", skiprows=1).T, u)

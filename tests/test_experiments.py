@@ -1,9 +1,11 @@
 import csv
 import dataclasses
 import importlib.util
+import io
 import json
 import math
 import re
+import struct
 import sys
 import tempfile
 import warnings
@@ -13,13 +15,15 @@ import numpy as np
 import pytest
 
 from romctl import build_fourier_shapes, experiments
-from romctl.basis import save_spectrum_csv
 from romctl.cli import main as cli_main
 from romctl.experiments import (
     ConfigError,
     ScenarioConfig,
     TargetSpec,
     _smallness,
+    _write_csv,
+    _write_history_csvs,
+    _write_state_bin,
     build_model,
     build_target,
     double_tilt_target,
@@ -30,9 +34,9 @@ from romctl.experiments import (
     single_tilt_target,
 )
 from romctl.fom import cost, solve_state
-from romctl.models import ControlProblem
-from romctl.optimizer import STREAM_COLUMNS, OptimizerConfig, optimize
-from romctl.rom_spod import certify_smallness
+from romctl.models import ControlProblem, SpodModel
+from romctl.optimizer import FMT, STREAM_COLUMNS, OptimizerConfig, OptimizerReport, optimize
+from romctl.rom_spod import SingularMassError, certify_smallness
 from romctl.transform import split_shift
 
 from conftest import coarse_grid, load_snapshots_bin
@@ -391,9 +395,9 @@ def test_run_scenario_spod_writes_spectra(tmp_path, monkeypatch, overrides):
     (report,) = reports
     for rec in report.records:
         if rec.refresh is not None:
-            save_spectrum_csv(tmp_path / "expected.csv", rec.refresh.spectrum)
             name = f"singular_values_iter{rec.iteration:05d}.csv"
-            assert (out / name).read_bytes() == (tmp_path / "expected.csv").read_bytes()
+            expected = csv_writer_bytes(["sigma"], [[s] for s in rec.refresh.spectrum])
+            assert (out / name).read_bytes() == expected
 
 
 def test_rank_study_emits_ratio_table(tmp_path):
@@ -645,3 +649,129 @@ def test_diverging_run_prints_no_numpy_warning(tmp_path, model):
         assert cli_main(["run", str(cfg), "--out", str(out), "--quiet"]) == 3
     meta = strict_json(out / "run_meta.json")
     assert (meta["status"], meta["iterations"]) == ("diverged", 0)
+
+
+def csv_writer_bytes(columns, rows):
+    """The bytes of the per-value CSV writer the artifacts keep: csv.writer
+    rows, the header first, each float as "%.17g" % v and each int as it is."""
+    fh = io.StringIO(newline="")
+    w = csv.writer(fh)
+    w.writerow(columns)
+    for row in rows:
+        w.writerow([v if isinstance(v, (int, str)) else "%.17g" % v for v in row])
+    return fh.getvalue().encode()
+
+
+EDGE = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1.7976931348623157e308,
+        -2.2250738585072014e-308, 0.1, 1.0 / 3.0, -123456789.0]
+
+
+def test_control_csv_round_trip(tmp_path, rng):
+    u = rng.standard_normal((5, 17))
+    path = tmp_path / "u.csv"
+    _write_csv(path, [f"u_{k + 1}" for k in range(5)], u.T, FMT)
+    header = path.read_text().splitlines()[0]
+    assert header == "u_1,u_2,u_3,u_4,u_5"
+    np.testing.assert_array_equal(np.loadtxt(path, delimiter=",", skiprows=1).T, u)
+
+
+def test_spectrum_csv_round_trip(tmp_path):
+    sigma = np.array([3.0, 1.0, 1e-8])
+    _write_csv(tmp_path / "s.csv", ["sigma"], sigma, FMT)
+    assert (tmp_path / "s.csv").read_text().splitlines()[0] == "sigma"
+    np.testing.assert_array_equal(np.loadtxt(tmp_path / "s.csv", skiprows=1), sigma)
+
+
+def test_snapshot_binary_round_trip(tmp_path, rng):
+    Q = rng.standard_normal((13, 9))
+    _write_state_bin(tmp_path / "q.bin", Q)
+    data = (tmp_path / "q.bin").read_bytes()
+    assert len(data) == 16 + 13 * 9 * 8
+    np.testing.assert_array_equal(load_snapshots_bin(tmp_path / "q.bin"), Q)
+
+
+def test_csv_writer_keeps_the_per_value_bytes(tmp_path):
+    # a control table of edge values (its transpose, as the run writes it), a
+    # one-column spectrum, the rank study's integer column and a history
+    # table of record_row strings
+    u = np.array(EDGE * 3).reshape(3, -1)
+    _write_csv(tmp_path / "u.csv", ["u_1", "u_2", "u_3"], u.T, FMT)
+    assert (tmp_path / "u.csv").read_bytes() == csv_writer_bytes(["u_1", "u_2", "u_3"], u.T)
+    _write_csv(tmp_path / "s.csv", ["sigma"], np.array(EDGE), FMT)
+    assert (tmp_path / "s.csv").read_bytes() == csv_writer_bytes(["sigma"], [[v] for v in EDGE])
+    columns = ["iteration", "sv_ratio_m_plus_1", "sv_ratio_m_plus_2"]
+    rows = [(10 * i, a, b) for i, (a, b) in enumerate(zip(EDGE, EDGE[::-1]))]
+    _write_csv(tmp_path / "r.csv", columns, rows, ["%d", FMT, FMT])
+    assert (tmp_path / "r.csv").read_bytes() == csv_writer_bytes(columns, rows)
+    rows = [[i, FMT % v, i % 2] for i, v in enumerate(EDGE)]
+    _write_csv(tmp_path / "h.csv", ["iteration", "J", "refined"], rows, "%s")
+    assert (tmp_path / "h.csv").read_bytes() == csv_writer_bytes(["iteration", "J", "refined"],
+                                                                  rows)
+
+
+def test_history_csvs_of_no_records_hold_their_headers(tmp_path):
+    _write_history_csvs(tmp_path, OptimizerReport())
+    for name, columns in experiments._HISTORY_CSVS:
+        assert (tmp_path / name).read_bytes() == csv_writer_bytes(columns, [])
+
+
+@pytest.mark.parametrize("order, dtype", [("C", np.float64), ("F", np.float64),
+                                          ("C", np.float32)])
+def test_state_bin_layout(tmp_path, rng, order, dtype):
+    # the <QQ dims, then little-endian float64 in C order, whatever the
+    # layout and the float type of the state
+    Q = np.asarray(rng.standard_normal((7, 5)), dtype=dtype, order=order)
+    _write_state_bin(tmp_path / "q.bin", Q)
+    expected = struct.pack("<QQ", 7, 5) + np.ascontiguousarray(Q, dtype="<f8").tobytes()
+    assert (tmp_path / "q.bin").read_bytes() == expected
+
+
+def test_final_control_csv_holds_the_returned_control(tmp_path, monkeypatch):
+    controls = []
+
+    def keep_control(*args, **kwargs):
+        u, report = optimize(*args, **kwargs)
+        controls.append(u)
+        return u, report
+
+    monkeypatch.setattr(experiments, "optimize", keep_control)
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(tiny_config_text(out=tmp_path / "out"))
+    assert run_scenario(parse_config(cfg_path), quiet=True) == 0
+    (u,) = controls
+    expected = csv_writer_bytes([f"u_{k + 1}" for k in range(u.shape[0])], u.T)
+    assert (tmp_path / "out" / "final_control.csv").read_bytes() == expected
+
+
+@pytest.mark.parametrize("command, extra", [("gradient-check", {"modes": 4}),
+                                            ("rank-study", {"eigenfunction_basis": "true"})])
+def test_cli_commands_exit_3_when_a_solve_diverges(tmp_path, capsys, command, extra):
+    # the full-order solve blows up at CFL 2.25: in gradient-check's basis
+    # refresh and in the rank study's first spectrum
+    cfg = tmp_path / "unstable.cfg"
+    cfg.write_text("".join(f"{k} = {v}\n" for k, v in {**UNSTABLE, "model": "spod",
+                                                        **extra}.items()))
+    out = [] if command == "gradient-check" else ["--out", str(tmp_path / "out")]
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "CFL number", RuntimeWarning)
+        assert cli_main([command, str(cfg), *out, "--quiet"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("diverged: state solve diverged at step") and "Traceback" not in err
+
+
+def test_final_lift_that_diverges_leaves_the_run_its_artifacts(tmp_path, monkeypatch):
+    # at the budget's end the returned control was never solved; its sPOD-G
+    # solve may fail, and the run still ends as the optimizer did
+    def singular(self, u):
+        raise SingularMassError(3, "in the final lift")
+
+    monkeypatch.setattr(SpodModel, "lift", singular)
+    out = tmp_path / "out"
+    cfg_path = tmp_path / "s.cfg"
+    cfg_path.write_text(tiny_config_text(out=out, model="spod", modes=4, n_iter=4))
+    assert run_scenario(parse_config(cfg_path), quiet=True) == 0
+    meta = strict_json(out / "run_meta.json")
+    assert (meta["status"], meta["iterations"]) == ("max_iter", 4)
+    assert math.isfinite(meta["fom_cost"]) and meta["rom_gap"] is None
+    assert not (out / "final_state.bin").exists()
+    assert (out / "final_control.csv").exists() and (out / "cost_history.csv").exists()

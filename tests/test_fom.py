@@ -15,13 +15,12 @@ from romctl.fom import (
     DivergenceError,
     cost,
     gradient_fom,
-    save_snapshots_bin,
     solve_adjoint,
     solve_state,
 )
 from romctl.models import ControlProblem, FomModel
 
-from conftest import coarse_grid, load_snapshots_bin, resting_path, smooth_signal
+from conftest import coarse_grid, resting_path, smooth_signal
 
 
 def unit_cfl_grid(n=321, n_t=240, l=100.0, v=0.55):
@@ -101,14 +100,6 @@ def test_gradient_matches_finite_differences(grid, shapes, y0, target, target_pa
     u = smooth_signal(rng, shapes.m, grid.n_t, 0.1)
     errs = fd_gradient_check(model, u, n_directions=5, seed=3)
     assert max(errs) < 1e-5
-
-
-def test_snapshot_binary_round_trip(tmp_path, rng):
-    Q = rng.standard_normal((13, 9))
-    save_snapshots_bin(tmp_path / "q.bin", Q)
-    data = (tmp_path / "q.bin").read_bytes()
-    assert len(data) == 16 + 13 * 9 * 8
-    np.testing.assert_array_equal(load_snapshots_bin(tmp_path / "q.bin"), Q)
 
 
 def fom_model(grid, shapes, y0, target, target_path):

@@ -23,6 +23,10 @@ The third test reads the imports of src/romctl/*.py: no module imports a
 `_`-prefixed name of another, nor reads one from a module it imported. What
 a module keeps private only it reads; a decision two modules share is public
 in the one that makes it.
+
+The fourth test reads the numerical modules: none imports a file-format or
+path module or calls a file writer or `open`. Every artifact file is written
+by experiments, which names, places and formats it.
 """
 import ast
 from pathlib import Path
@@ -165,3 +169,31 @@ def test_no_module_reads_another_modules_private_names():
                     and isinstance(node.value, ast.Name) and node.value.id in imported):
                 reads.append(f"{path.name}:{node.lineno} {node.value.id}.{node.attr}")
     assert reads == []
+
+
+NUMERICAL = ("discretization", "control", "transform", "basis", "fom", "rom_pod", "rom_spod",
+             "models")
+FILE_MODULES = {"csv", "struct", "json", "pathlib"}
+FILE_CALLS = {"open", "savetxt", "tofile", "write_text", "write_bytes"}
+
+
+def test_numerical_modules_do_no_file_io():
+    found = []
+    for name in NUMERICAL:
+        path = PACKAGE / f"{name}.py"
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                mods = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                mods = [node.module]
+            else:
+                mods = []
+            found += [f"{path.name}:{node.lineno} import {m}" for m in mods
+                      if m.partition(".")[0] in FILE_MODULES]
+            if isinstance(node, ast.Call):
+                func = node.func
+                called = (func.id if isinstance(func, ast.Name)
+                          else func.attr if isinstance(func, ast.Attribute) else None)
+                if called in FILE_CALLS:
+                    found.append(f"{path.name}:{node.lineno} {called}()")
+    assert found == []
