@@ -19,7 +19,7 @@ from .basis import (
 from .control import ControlShapes
 from .discretization import SpaceTimeGrid, check_shape
 from .fom import CostBreakdown, DivergenceError
-from .optimizer import ControlledModel, Refresh, blocked_line_cost
+from .optimizer import ControlledModel, March, Refresh, pointwise
 from .transform import shift_columns, transform_snapshots, uncontrolled_shift_path
 
 # columns per block of the target check and energy sum: they form no second target
@@ -95,14 +95,14 @@ class LinearQuadraticModel(ProblemModel):
         """c(g): twice the tracking cost, against a zero target, of the state
         solved under the control g from a zero initial condition."""
 
-    def line_cost(self, u: np.ndarray, g: np.ndarray, cost: float) -> Callable[[float], float]:
+    def line_cost(self, u: np.ndarray, g: np.ndarray, cost: float) -> March:
         try:
             tracking = self.tracking_curvature(g)
         except DivergenceError:
-            return lambda w: math.inf  # a failed search, as when every trial diverges
+            return pointwise(lambda w: math.inf)  # a failed search, as when every trial diverges
         g_sq = self.signal_weight * float(np.sum(np.asarray(g) ** 2))
         curvature = tracking + self.problem.mu * g_sq
-        return lambda w: cost - w * g_sq + 0.5 * w * w * curvature
+        return pointwise(lambda w: cost - w * g_sq + 0.5 * w * w * curvature)
 
 
 class FomModel(LinearQuadraticModel):
@@ -296,9 +296,9 @@ class SpodModel(ProblemModel):
         return rom_spod.reduced_cost(self.ops, self._tracking(traj.z), traj.alpha, u, p.mu,
                                      p.grid.dt, p.target_energy)
 
-    def line_cost(self, u: np.ndarray, g: np.ndarray, cost: float) -> Callable[[float], float]:
+    def line_cost(self, u: np.ndarray, g: np.ndarray, cost: float) -> March:
         """On an invariant basis each step size is one cost_only trial. On a
-        Schur basis the step sizes are marched in blocks (blocked_line_cost) by
+        Schur basis each block of step sizes the search marches is one
         rom_spod.solve_spod_candidates, the march solve_spod_state runs for its
         one control, and only the candidates the search reads are priced. A
         candidate that fails in the march costs +inf, as a trial that diverges
@@ -325,7 +325,7 @@ class SpodModel(ProblemModel):
 
             return price
 
-        return blocked_line_cost(march)
+        return march
 
     def lift(self, u: np.ndarray) -> np.ndarray:
         self._require_basis()

@@ -6,8 +6,8 @@ through the Schur complement on the scalar block, which stays positive
 whenever the modes and their derivatives are independent and the amplitudes
 stay away from zero. solve_spod_candidates takes these steps for a block of
 controls u - omega_k g side by side: the step-size search on a Schur
-(non-invariant) basis marches a block of step sizes and reads their costs in
-its own order (optimizer.blocked_line_cost), and solve_spod_state marches its
+(non-invariant) basis marches the blocks of step sizes it can still read
+(optimizer.two_way_backtracking), and solve_spod_state marches its
 one control as the block omega = 0, g = 0. One march costs its per-step call
 overhead, not its arithmetic. Each step splits its shift into whole cells and
 a fraction as split_shift does, so the state reads the cells and fractions

@@ -1,3 +1,4 @@
+import math
 import struct
 
 import numpy as np
@@ -13,7 +14,14 @@ from romctl.experiments import (
     smooth_random_signal as smooth_signal,
 )
 from romctl.fom import CostBreakdown
-from romctl.optimizer import ControlledModel, Refresh
+from romctl.optimizer import (
+    ARMIJO_C,
+    MAX_BLOCK,
+    MAX_DOUBLINGS,
+    MAX_HALVINGS,
+    ControlledModel,
+    Refresh,
+)
 from romctl.transform import split_shift
 
 
@@ -105,6 +113,79 @@ class QuadraticModel(ControlledModel):
     def cost_only(self, u):
         d = np.asarray(u, dtype=float) - self.u_star
         return CostBreakdown(tracking=0.5 * float(np.sum(self.h * d * d)), regularization=0.0)
+
+
+def cost_at(march, w):
+    """The cost a step-size search's march gives the step size w alone."""
+    return march([w])(0)
+
+
+def reference_backtracking(f, g, omega_prev, current_cost, weight=1.0):
+    """The two-way Armijo search read step size by step size, f mapping a step
+    size to its cost: the reference of optimizer.two_way_backtracking, which
+    reads the same step sizes in the same order from blocks it marches."""
+    g_sq = weight * float(np.sum(np.asarray(g) ** 2))
+    if g_sq <= 0.0:
+        return omega_prev, False, 0
+    trials = 0
+
+    def ok(w):
+        nonlocal trials
+        trials += 1
+        val = f(w)
+        return math.isfinite(val) and val <= current_cost - ARMIJO_C * w * g_sq
+
+    omega = omega_prev
+    if not ok(omega):
+        for _ in range(MAX_HALVINGS):
+            omega *= 0.5
+            if ok(omega):
+                return omega, True, trials
+        return omega, False, trials
+    for _ in range(MAX_DOUBLINGS):
+        if not ok(2.0 * omega):
+            break
+        omega *= 2.0
+    return omega, True, trials
+
+
+def reference_blocks(march):
+    """The cost at a step size for reference_backtracking, from blocks of step
+    sizes guessed from the reads so far and priced together by march(ws): the
+    first read w marches [w, w/2, 2w, 4w]; a read outside every block marched
+    so far marches it and the rest of its direction, by halving below the
+    first read and doubling above it, MAX_BLOCK at most and no more than the
+    search can still read there. The reference of the blocks
+    optimizer.two_way_backtracking marches."""
+    blocks = {}
+    first = None
+    below = above = 0  # step sizes read on either side of the first
+
+    def cost(w):
+        nonlocal first, below, above
+        if first is None:
+            first = w
+        elif w < first:
+            below += 1
+        elif w > first:
+            above += 1
+        if w not in blocks:
+            if w == first:
+                block = [w, 0.5 * w, 2.0 * w, 2.0 * (2.0 * w)]
+            else:
+                factor, left = ((0.5, MAX_HALVINGS - below) if w < first
+                                else (2.0, MAX_DOUBLINGS - above))
+                block = [w]
+                while len(block) <= min(MAX_BLOCK - 1, left):
+                    block.append(factor * block[-1])
+            blocks.clear()
+            price = march(block)
+            for k, wk in enumerate(block):
+                blocks.setdefault(wk, (price, k))
+        price, k = blocks[w]
+        return price(k)
+
+    return cost
 
 
 @pytest.fixture

@@ -17,6 +17,8 @@ import pytest
 from romctl import build_fourier_shapes, experiments
 from romctl.cli import main as cli_main
 from romctl.experiments import (
+    FMT,
+    STREAM_COLUMNS,
     ConfigError,
     ScenarioConfig,
     TargetSpec,
@@ -29,13 +31,14 @@ from romctl.experiments import (
     double_tilt_target,
     gaussian_initial_condition,
     parse_config,
+    record_row,
     run_rank_study,
     run_scenario,
     single_tilt_target,
 )
 from romctl.fom import cost, solve_state
 from romctl.models import ControlProblem, SpodModel
-from romctl.optimizer import FMT, STREAM_COLUMNS, OptimizerConfig, OptimizerReport, optimize
+from romctl.optimizer import OptimizerConfig, OptimizerReport, optimize
 from romctl.rom_spod import SingularMassError, certify_smallness
 from romctl.transform import split_shift
 
@@ -49,13 +52,6 @@ def tiny_config_text(**overrides):
     # a key set twice is a config error, so each override replaces its base line
     keys = {**TINY_CONFIG, **overrides}
     return "# tiny smoke scenario\n" + "".join(f"{k} = {v}\n" for k, v in keys.items())
-
-
-def test_target_spec_validation():
-    with pytest.raises(ConfigError):
-        TargetSpec(segments=((1.2, 0.0),))
-    with pytest.raises(ConfigError):
-        TargetSpec(segments=((0.75, 0.0), (0.25, 1.0)))
 
 
 def test_trivial_target_matches_exact_rotation():
@@ -707,6 +703,33 @@ def test_csv_writer_keeps_the_per_value_bytes(tmp_path):
     _write_csv(tmp_path / "h.csv", ["iteration", "J", "refined"], rows, "%s")
     assert (tmp_path / "h.csv").read_bytes() == csv_writer_bytes(["iteration", "J", "refined"],
                                                                   rows)
+
+
+def test_iterations_csv_streams_each_record_as_the_run_goes(tmp_path, monkeypatch):
+    # the csv.writer bytes of record_row's fields, one CRLF line per record,
+    # on disk up to record 50 when its callback returns
+    out = tmp_path / "out"
+    reports, flushed = [], []
+
+    def keep_report(model, u0, config, callback):
+        def stream(rec, u):
+            callback(rec, u)
+            if rec.iteration == 50:
+                flushed.append((out / "iterations.csv").read_bytes())
+
+        u, report = optimize(model, u0, config, callback=stream)
+        reports.append(report)
+        return u, report
+
+    monkeypatch.setattr(experiments, "optimize", keep_report)
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(tiny_config_text(out=out, n_iter=60))
+    assert run_scenario(parse_config(cfg_path), quiet=True) == 0
+    (report,) = reports
+    assert report.iterations == 60
+    rows = [record_row(r) for r in report.records]
+    assert (out / "iterations.csv").read_bytes() == csv_writer_bytes(STREAM_COLUMNS, rows)
+    assert flushed == [csv_writer_bytes(STREAM_COLUMNS, rows[:50])]
 
 
 def test_history_csvs_of_no_records_hold_their_headers(tmp_path):

@@ -1,4 +1,3 @@
-import csv
 import math
 import time
 import types
@@ -25,12 +24,13 @@ from romctl.optimizer import (
     Refresh,
     barzilai_borwein_step,
     optimize,
+    pointwise,
     refinement_policy,
     two_way_backtracking,
 )
 from romctl.rom_spod import SingularMassError
 
-from conftest import QuadraticModel, smooth_signal
+from conftest import QuadraticModel, cost_at, smooth_signal
 
 
 def quad_cfg(**kw):
@@ -49,7 +49,7 @@ def test_config_validation():
 def test_backtracking_accepts_near_exact_minimizer():
     # step cost of a 1d quadratic with unit curvature: the unit step is exact
     f = lambda w: 0.5 * (1.0 - w) ** 2
-    omega, ok, trials = two_way_backtracking(f, np.array([1.0]), 1.0, current_cost=0.5)
+    omega, ok, trials = two_way_backtracking(pointwise(f), np.array([1.0]), 1.0, current_cost=0.5)
     assert ok
     assert omega == pytest.approx(1.0)
     assert trials == 2  # the unit step, then the doubled one that fails
@@ -57,7 +57,7 @@ def test_backtracking_accepts_near_exact_minimizer():
 
 def test_backtracking_halves_on_increasing_cost():
     f = lambda w: 0.5 - w + 400.0 * w**2  # decrease only for small steps
-    omega, ok, trials = two_way_backtracking(f, np.array([1.0]), 1.0, current_cost=0.5)
+    omega, ok, trials = two_way_backtracking(pointwise(f), np.array([1.0]), 1.0, current_cost=0.5)
     assert ok
     assert omega < 0.01
     assert trials == 10  # 1, then halvings down to the accepted 2^-9
@@ -65,7 +65,7 @@ def test_backtracking_halves_on_increasing_cost():
 
 def test_backtracking_doubles_after_undershoot():
     f = lambda w: 0.5 * (1.0 - w) ** 2
-    omega, ok, trials = two_way_backtracking(f, np.array([1.0]), 1e-3, current_cost=0.5)
+    omega, ok, trials = two_way_backtracking(pointwise(f), np.array([1.0]), 1e-3, current_cost=0.5)
     assert ok
     assert omega >= 2e-3
     assert trials == 12  # 1e-3, ten doublings up to 1.024, the failed 2.048
@@ -73,7 +73,7 @@ def test_backtracking_doubles_after_undershoot():
 
 def test_backtracking_reports_failure():
     f = lambda w: math.inf
-    omega, ok, trials = two_way_backtracking(f, np.array([1.0]), 1.0, current_cost=0.5)
+    omega, ok, trials = two_way_backtracking(pointwise(f), np.array([1.0]), 1.0, current_cost=0.5)
     assert not ok
     assert trials == 1 + MAX_HALVINGS
 
@@ -255,13 +255,18 @@ def test_divergence_sets_status_and_keeps_report():
     assert [r.iteration for r in rep.records if r.refresh is not None] == [1]
 
 
-def test_stream_csv(tmp_path):
-    model = QuadraticModel(np.ones((2, 4)), np.ones((2, 4)))
-    path = tmp_path / "iters.csv"
-    optimize(model, np.zeros((2, 4)), quad_cfg(), stream=path)
-    lines = path.read_text().splitlines()
-    assert lines[0].startswith("iteration,J,tracking,regularization")
-    assert len(lines) >= 2
+def test_callback_sees_each_record_and_the_control_after_its_step():
+    model = QuadraticModel(np.ones((2, 4)), np.linspace(1.0, 8.0, 8).reshape(2, 4))
+    seen = []
+    u, rep = optimize(model, np.zeros((2, 4)), quad_cfg(n_iter=6, beta=0.0),
+                      callback=lambda rec, u: seen.append((rec, u)))
+    assert len(seen) == rep.iterations == 6
+    assert all(rec is kept for (rec, _), kept in zip(seen, rep.records))
+    # at the budget's end the returned control is the one after the last step
+    assert seen[-1][1] is u
+    for (rec, after), (_, before) in zip(seen[1:], seen):
+        g = model.evaluate(before)[1]
+        assert np.array_equal(after, before - rec.omega * g)
 
 
 # --- the step-size search of the linear-quadratic models ---------------------
@@ -286,16 +291,21 @@ def count_cost_only(model):
 
 
 def count_trials(model):
-    """Count the step sizes the search tests in model.search_trials."""
+    """Count the step sizes the search reads in model.search_trials."""
     model.search_trials = 0
     inner = model.line_cost
 
     def line_cost(u, g, cost):
-        f = inner(u, g, cost)
+        march = inner(u, g, cost)
 
-        def counted(w):
-            model.search_trials += 1
-            return f(w)
+        def counted(ws):
+            price = march(ws)
+
+            def read(k):
+                model.search_trials += 1
+                return price(k)
+
+            return read
 
         return counted
 
@@ -303,14 +313,12 @@ def count_trials(model):
     return model
 
 
-def trials_column(path):
-    with open(path, newline="") as fh:
-        return [int(row["trials"]) for row in csv.DictReader(fh)]
+def trials_column(report):
+    return [r.trials for r in report.records]
 
 
-def evals_column(path):
-    with open(path, newline="") as fh:
-        return [int(row["evals"]) for row in csv.DictReader(fh)]
+def evals_column(report):
+    return [r.evals for r in report.records]
 
 
 def small_problem(v):
@@ -346,7 +354,7 @@ def test_closed_form_line_cost_matches_trial_solves(kind, v):
         closed = model.line_cost(u, g, cost.total)
         trial = ControlledModel.line_cost(model, u, g, cost.total)
         for w in steps:
-            assert closed(w) == pytest.approx(trial(w), rel=1e-12, abs=0.0)
+            assert cost_at(closed, w) == pytest.approx(cost_at(trial, w), rel=1e-12, abs=0.0)
         # along any direction d the cost is J - w <grad, d> + w^2/2 (c(d) + mu dt |d|^2)
         d = smooth_signal(rng, m, grid.n_t, rng.uniform(0.1, 1.0))
         slope = grid.dt * float(np.sum(g * d))
@@ -364,36 +372,35 @@ def desk_model(kind):
 
 
 @pytest.mark.parametrize("kind", ["fom", "pod"])
-def test_closed_form_search_repeats_the_trial_search_bitwise(kind, tmp_path):
+def test_closed_form_search_repeats_the_trial_search_bitwise(kind):
     cfg = OptimizerConfig(n_iter=32)
     closed = count_trials(count_cost_only(desk_model(kind)))
     trials = count_cost_only(trial_search(desk_model(kind)))
     m, n_t = closed.problem.shapes.m, closed.problem.grid.n_t
-    u_closed, rep_closed = optimize(closed, np.zeros((m, n_t)), cfg, stream=tmp_path / "c.csv")
-    u_trials, rep_trials = optimize(trials, np.zeros((m, n_t)), cfg, stream=tmp_path / "t.csv")
+    u_closed, rep_closed = optimize(closed, np.zeros((m, n_t)), cfg)
+    u_trials, rep_trials = optimize(trials, np.zeros((m, n_t)), cfg)
     assert rep_closed.iterations == rep_trials.iterations == 32
     assert [r.omega for r in rep_closed.records] == [r.omega for r in rep_trials.records]
     assert [r.total for r in rep_closed.records] == [r.total for r in rep_trials.records]
     assert np.array_equal(u_closed, u_trials)
     assert closed.cost_only_calls == 0
-    assert trials_column(tmp_path / "c.csv") == trials_column(tmp_path / "t.csv")
-    assert sum(trials_column(tmp_path / "c.csv")) == closed.search_trials
-    assert sum(trials_column(tmp_path / "t.csv")) == trials.cost_only_calls > 0
+    assert trials_column(rep_closed) == trials_column(rep_trials)
+    assert sum(trials_column(rep_closed)) == closed.search_trials
+    assert sum(trials_column(rep_trials)) == trials.cost_only_calls > 0
 
 
 @pytest.mark.parametrize("eigenfunction_basis", [True])
-def test_spod_search_keeps_trial_solves(eigenfunction_basis, tmp_path):
+def test_spod_search_keeps_trial_solves(eigenfunction_basis):
     # the invariant path checks the Schur margins of every trial trajectory
     problem = small_problem(0.55)
     model = count_cost_only(SpodModel(problem, ModeRule.fixed(4), eigenfunction_basis))
     u0 = np.zeros((problem.shapes.m, problem.grid.n_t))
-    _, rep = optimize(model, u0, quad_cfg(n_iter=6, beta=0.0, bb_switch_threshold=0.0),
-                      stream=tmp_path / "s.csv")
+    _, rep = optimize(model, u0, quad_cfg(n_iter=6, beta=0.0, bb_switch_threshold=0.0))
     assert rep.iterations == 6
-    assert sum(trials_column(tmp_path / "s.csv")) == model.cost_only_calls > 0
+    assert sum(trials_column(rep)) == model.cost_only_calls > 0
 
 
-def test_schur_search_marches_blocks_of_the_step_sizes_it_reads(tmp_path, monkeypatch):
+def test_schur_search_marches_blocks_of_the_step_sizes_it_reads(monkeypatch):
     # the Schur path is nonlinear: each step size the search reads is priced
     # from a march of a block of them, and a block is fewer marches than reads;
     # solve_spod_state marches its one control as the block [0.0], not counted
@@ -409,19 +416,18 @@ def test_schur_search_marches_blocks_of_the_step_sizes_it_reads(tmp_path, monkey
     problem = small_problem(0.55)
     model = count_trials(count_cost_only(SpodModel(problem, ModeRule.fixed(4))))
     u0 = np.zeros((problem.shapes.m, problem.grid.n_t))
-    _, rep = optimize(model, u0, quad_cfg(n_iter=6, beta=0.0, bb_switch_threshold=0.0),
-                      stream=tmp_path / "s.csv")
+    _, rep = optimize(model, u0, quad_cfg(n_iter=6, beta=0.0, bb_switch_threshold=0.0))
     assert rep.iterations == 6
     assert not model.ops.invariant and model.cost_only_calls == 0
-    assert sum(trials_column(tmp_path / "s.csv")) == model.search_trials
+    assert sum(trials_column(rep)) == model.search_trials
     assert 0 < len(marches) < model.search_trials
     assert max(marches) <= MAX_BLOCK
     # each march is one state solve of its iteration, with the evaluation
-    assert sum(evals_column(tmp_path / "s.csv")) == rep.iterations + len(marches)
+    assert sum(evals_column(rep)) == rep.iterations + len(marches)
 
 
 @pytest.mark.parametrize("kind", ["fom", "pod", "spod"])
-def test_evals_count_the_state_solves_of_each_iteration(kind, tmp_path):
+def test_evals_count_the_state_solves_of_each_iteration(kind):
     # the closed-form searches solve once along the direction, the invariant
     # sPOD-G once per step size; a Barzilai-Borwein step solves nothing more
     problem = small_problem(0.55)
@@ -430,10 +436,8 @@ def test_evals_count_the_state_solves_of_each_iteration(kind, tmp_path):
     else:
         model = quadratic_model(kind, problem)
     u0 = np.zeros((problem.shapes.m, problem.grid.n_t))
-    _, rep = optimize(model, u0, quad_cfg(n_iter=12, beta=0.0, bb_switch_threshold=1.0),
-                      stream=tmp_path / "e.csv")
-    trials, evals = trials_column(tmp_path / "e.csv"), evals_column(tmp_path / "e.csv")
-    assert evals == [r.evals for r in rep.records]
+    _, rep = optimize(model, u0, quad_cfg(n_iter=12, beta=0.0, bb_switch_threshold=1.0))
+    trials, evals = trials_column(rep), evals_column(rep)
     assert 0 in trials and max(trials) > 0
     if kind == "spod":
         assert evals == [1 + t for t in trials]
@@ -451,27 +455,24 @@ class _DivergingTrials(FomModel):
         raise DivergenceError(3, "state")
 
 
-def test_diverging_direction_solve_fails_the_search(tmp_path):
+def test_diverging_direction_solve_fails_the_search():
     problem = small_problem(0.55)
     u0 = np.zeros((problem.shapes.m, problem.grid.n_t))
     cfg = quad_cfg(n_iter=4, beta=0.0)
-    _, rep = optimize(_DivergingDirection(problem), u0, cfg, stream=tmp_path / "d.csv")
+    _, rep = optimize(_DivergingDirection(problem), u0, cfg)
     _, ref = optimize(trial_search(_DivergingTrials(problem)), u0, cfg)
     assert rep.status == ref.status == "max_iter"
     assert rep.iterations == 4
     # every search fails after testing each halving, as when every trial diverges
     assert [r.omega for r in rep.records] == [r.omega for r in ref.records]
-    assert [r.trials for r in rep.records] == [r.trials for r in ref.records] == [31] * 4
-    assert trials_column(tmp_path / "d.csv") == [31] * 4
+    assert trials_column(rep) == trials_column(ref) == [31] * 4
 
 
-def test_trials_column_counts_the_search_trials(tmp_path):
+def test_trials_column_counts_the_search_trials():
     h = np.linspace(1.0, 100.0, 50).reshape(5, 10)
     model = count_trials(QuadraticModel(np.ones((5, 10)), h))
-    path = tmp_path / "iters.csv"
-    _, rep = optimize(model, np.zeros((5, 10)), quad_cfg(n_iter=5000), stream=path)
-    column = trials_column(path)
-    assert column == [r.trials for r in rep.records]
+    _, rep = optimize(model, np.zeros((5, 10)), quad_cfg(n_iter=5000))
+    column = trials_column(rep)
     assert sum(column) == model.search_trials
     # Barzilai-Borwein steps test no step size
     assert 0 in column and column[0] > 0

@@ -24,8 +24,8 @@ The third test reads the imports of src/romctl/*.py: no module imports a
 a module keeps private only it reads; a decision two modules share is public
 in the one that makes it.
 
-The fourth test reads the numerical modules: none imports a file-format or
-path module or calls a file writer or `open`. Every artifact file is written
+The fourth test reads the numerical modules and the optimizer: none imports
+a file-format or path module or calls a file writer or `open`. Every artifact file is written
 by experiments, which names, places and formats it.
 """
 import ast
@@ -172,7 +172,7 @@ def test_no_module_reads_another_modules_private_names():
 
 
 NUMERICAL = ("discretization", "control", "transform", "basis", "fom", "rom_pod", "rom_spod",
-             "models")
+             "models", "optimizer")
 FILE_MODULES = {"csv", "struct", "json", "pathlib"}
 FILE_CALLS = {"open", "savetxt", "tofile", "write_text", "write_bytes"}
 

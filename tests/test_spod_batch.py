@@ -11,7 +11,6 @@ rounding of its scale max(1, c, |b|^2), any change of rounding moves the
 trajectory by O(1), so those columns are held only to the same Armijo
 outcome. A march fails at the step at which the plain loop raises.
 """
-import csv
 import dataclasses
 import math
 import types
@@ -27,8 +26,8 @@ from romctl.optimizer import (
     ARMIJO_C,
     ControlledModel,
     OptimizerConfig,
-    blocked_line_cost,
     optimize,
+    pointwise,
     two_way_backtracking,
 )
 from romctl.basis import eigenfunction_stationary_basis
@@ -41,7 +40,7 @@ from romctl.rom_spod import (
     solve_spod_state,
 )
 
-from conftest import smooth_signal
+from conftest import cost_at, reference_backtracking, reference_blocks, smooth_signal
 from test_euler_sweep import problem, schur_solve, spod_operators
 
 DESK = dict(l=100.0, n=401, n_t=300, T=136.02357742008616, v=0.55, xi=5)
@@ -165,8 +164,8 @@ def test_the_march_reads_the_split_of_its_path(u_amp, seed, monkeypatch):
     assert np.array_equal(c % grid.n, k) and np.array_equal(f, frac)
 
 
-def armijo(f, w, cost, g_sq):
-    val = f(w)
+def armijo(march, w, cost, g_sq):
+    val = cost_at(march, w)
     return math.isfinite(val) and val <= cost - ARMIJO_C * w * g_sq
 
 
@@ -183,7 +182,7 @@ def test_batched_costs_keep_every_armijo_outcome(seed):
         outcomes.add(ok)
         traj = solve_spod_state(model.ops, u - w * g)
         if schur_margin(model.ops, traj.alpha) >= 1e-2:
-            assert batched(w) == pytest.approx(trials(w), rel=1e-12, abs=0.0)
+            assert cost_at(batched, w) == pytest.approx(cost_at(trials, w), rel=1e-12, abs=0.0)
     assert outcomes == {True, False}
 
 
@@ -277,27 +276,25 @@ def test_batched_march_rejects_zero_initial_amplitudes():
         solve_spod_candidates(zero, u, g, [1.0])
 
 
-def trials_and_evals(path):
-    with open(path, newline="") as fh:
-        rows = list(csv.DictReader(fh))
-    return [int(r["trials"]) for r in rows], [int(r["evals"]) for r in rows]
+def trials_and_evals(report):
+    return [r.trials for r in report.records], [r.evals for r in report.records]
 
 
 @pytest.mark.filterwarnings("ignore:requested 8 modes")  # the refresh at u = 0 has rank 1
-def test_batched_search_repeats_the_trial_search_bitwise(tmp_path):
+def test_batched_search_repeats_the_trial_search_bitwise():
     cfg = OptimizerConfig(n_iter=40)
     batched = build_model(ScenarioConfig(model="spod", modes=8, **DESK))
     trials = build_model(ScenarioConfig(model="spod", modes=8, **DESK))
     trials.line_cost = types.MethodType(ControlledModel.line_cost, trials)
     u0 = np.zeros((batched.problem.shapes.m, batched.problem.grid.n_t))
-    u_b, rep_b = optimize(batched, u0, cfg, stream=tmp_path / "b.csv")
-    u_t, rep_t = optimize(trials, u0, cfg, stream=tmp_path / "t.csv")
+    u_b, rep_b = optimize(batched, u0, cfg)
+    u_t, rep_t = optimize(trials, u0, cfg)
     assert rep_b.iterations == rep_t.iterations == 40
     assert [r.omega for r in rep_b.records] == [r.omega for r in rep_t.records]
     assert [r.total for r in rep_b.records] == [r.total for r in rep_t.records]
     assert np.array_equal(u_b, u_t)
-    trials_b, evals_b = trials_and_evals(tmp_path / "b.csv")
-    trials_t, evals_t = trials_and_evals(tmp_path / "t.csv")
+    trials_b, evals_b = trials_and_evals(rep_b)
+    trials_t, evals_t = trials_and_evals(rep_t)
     assert trials_b == trials_t
     # trial by trial each tested step size is one solve; a block of them is one
     assert evals_t == [1 + t for t in trials_t]
@@ -323,16 +320,20 @@ def test_block_guess_never_changes_the_search(passes, default, first, failure):
             return cost - 2.0 * ARMIJO_C * w
         return failure
 
-    marches = []
+    def recording(marches):
+        def march(ws):
+            marches.append(list(ws))
+            return lambda k: f(ws[k])
+        return march
 
-    def march(ws):
-        marches.append(list(ws))
-        return lambda k: f(ws[k])
-
-    direct = two_way_backtracking(f, g, first, cost)
-    blocked = two_way_backtracking(blocked_line_cost(march), g, first, cost)
-    assert blocked == direct
-    trials = direct[2]
+    marches, guessed = [], []
+    search = two_way_backtracking(recording(marches), g, first, cost)
+    assert search == reference_backtracking(reference_blocks(recording(guessed)), g, first, cost)
+    # the search marches the blocks the reference guessed, step size for step size
+    assert marches == guessed
+    assert search == reference_backtracking(f, g, first, cost)
+    assert two_way_backtracking(pointwise(f), g, first, cost) == search
+    trials = search[2]
     # the first two step sizes read share the first march
     assert 1 <= len(marches) <= max(1, trials - 1)
     assert all(len(ws) <= 16 for ws in marches)
