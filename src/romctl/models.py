@@ -68,7 +68,12 @@ class ControlProblem:
 
 class ProblemModel(ControlledModel):
     """A model of one ControlProblem. Its time signals pair with weight dt; the
-    reduced subclasses keep the operators refine_basis builds in `ops`."""
+    reduced subclasses keep the operators refine_basis builds in `ops`. The
+    FOM, POD-G and the invariant sPOD-G have an exactly quadratic cost and an
+    exact discrete adjoint, so along the gradient g at u the cost is the
+    parabola J - w dt|g|^2 + w^2/2 (c(g) + mu dt |g|^2), c(g) the tracking
+    curvature (Nocedal & Wright, Numerical Optimization, ch. 3): the step-size
+    search reads it, one direction solve per search."""
 
     def __init__(self, problem: ControlProblem):
         self.problem = problem
@@ -81,15 +86,6 @@ class ProblemModel(ControlledModel):
         if self.ops is None:
             raise RuntimeError("reduced model has no basis yet; call refine_basis first")
 
-
-class LinearQuadraticModel(ProblemModel):
-    """A model whose cost is exactly quadratic in the control and whose
-    gradient is that of the exact discrete adjoint. Along the gradient g at u
-    the cost is then the parabola J - w dt|g|^2 + w^2/2 (c(g) + mu dt |g|^2),
-    with c(g) the tracking curvature along g (Nocedal & Wright, Numerical
-    Optimization, ch. 3). The step-size search reads it: one direction solve
-    per search in place of one trial solve per step size."""
-
     @abstractmethod
     def tracking_curvature(self, g: np.ndarray) -> float:
         """c(g): twice the tracking cost, against a zero target, of the state
@@ -99,13 +95,13 @@ class LinearQuadraticModel(ProblemModel):
         try:
             tracking = self.tracking_curvature(g)
         except DivergenceError:
-            return pointwise(lambda w: math.inf)  # a failed search, as when every trial diverges
+            return pointwise(lambda w: math.inf)  # every step size fails the search
         g_sq = self.signal_weight * float(np.sum(np.asarray(g) ** 2))
         curvature = tracking + self.problem.mu * g_sq
         return pointwise(lambda w: cost - w * g_sq + 0.5 * w * w * curvature)
 
 
-class FomModel(LinearQuadraticModel):
+class FomModel(ProblemModel):
     """Full-order model: no reduction, refine_basis is a no-op. Its solves
     write into buffers it holds for the run: the state and the adjoint, in
     Fortran order, and one C-order work array that holds in turn the control
@@ -154,7 +150,7 @@ class FomModel(LinearQuadraticModel):
         return fom.solve_state(p.grid, p.shapes, u, p.y0)
 
 
-class PodModel(LinearQuadraticModel):
+class PodModel(ProblemModel):
     """Linear reduced model refreshed from full-order snapshots at the current
     control. The modes are dx-orthonormal, so the lifted tracking cost is the
     reduced misfit plus the target's energy outside their span,
@@ -226,7 +222,7 @@ class SpodModel(ProblemModel):
     reduced trajectory's shift path, so no evaluation lifts the state; `lift`
     alone does, for the artifacts. The terms come from the target table of
     the held basis, built on first use after each refresh, in O(n_t r) per
-    path."""
+    path. On an invariant basis it is linear-quadratic along z = v t."""
 
     def __init__(
         self,
@@ -296,13 +292,24 @@ class SpodModel(ProblemModel):
         return rom_spod.reduced_cost(self.ops, self._tracking(traj.z), traj.alpha, u, p.mu,
                                      p.grid.dt, p.target_energy)
 
+    def tracking_curvature(self, g: np.ndarray) -> float:
+        """On an invariant basis, c(g) = dt sum_j alpha_j^T G_j alpha_j of the
+        invariant response alpha to g, G_j the Gram of the drift tracking
+        terms; a non-finite c(g) raises DivergenceError."""
+        self._require_basis()
+        self.state_solves += 1
+        tr, alpha = self._tracking(self._path), rom_spod.invariant_response(self.ops, g)
+        Ga = rom_spod.gram_apply(self.ops, tr.self_weight, tr.cross_weight, alpha)
+        c = self.problem.grid.dt * float(np.einsum("rj,rj->", alpha, Ga))
+        if not math.isfinite(c):
+            raise DivergenceError(self.problem.grid.n_t - 1, "spod direction")
+        return c
+
     def line_cost(self, u: np.ndarray, g: np.ndarray, cost: float) -> March:
-        """On an invariant basis each step size is one cost_only trial. On a
-        Schur basis each block of step sizes the search marches is one
-        rom_spod.solve_spod_candidates, the march solve_spod_state runs for its
-        one control, and only the candidates the search reads are priced. A
-        candidate that fails in the march costs +inf, as a trial that diverges
-        does."""
+        """On an invariant basis the parabola. On a Schur basis each block of
+        step sizes the search marches is one rom_spod.solve_spod_candidates,
+        the march solve_spod_state runs for its one control, and only the
+        candidates the search reads are priced; one that fails costs +inf."""
         self._require_basis()
         if self.ops.invariant:
             return super().line_cost(u, g, cost)

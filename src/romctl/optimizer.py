@@ -96,23 +96,14 @@ class ControlledModel(ABC):
 
     @abstractmethod
     def cost_only(self, u: np.ndarray) -> CostBreakdown:
-        """Cost without the adjoint work: one state solve. It records no
-        phase; the default line_cost calls it once per step size read."""
+        """Cost without the adjoint work: one state solve. It records no phase;
+        the finite-difference gradient check reads it, and no step-size search."""
 
+    @abstractmethod
     def line_cost(self, u: np.ndarray, g: np.ndarray, cost: float) -> March:
-        """The march of the step-size search: the cost at u - w g for blocks
-        of step sizes w, for g the gradient `evaluate` returned at u with total
-        cost `cost`. Here each step size is one cost_only trial, made when the
-        search reads it, and a trial that diverges costs +inf. Its work counts
-        as update time."""
-
-        def trial(w: float) -> float:
-            try:
-                return self.cost_only(u - w * g).total
-            except DivergenceError:
-                return math.inf
-
-        return pointwise(trial)
+        """The step-size search's march: the cost at u - w g for blocks of step
+        sizes w, g the gradient `evaluate` gave at u with total cost `cost`; a
+        failed step size costs +inf. Its work counts as update time."""
 
     @property
     def signal_weight(self) -> float:
@@ -137,7 +128,7 @@ class IterationRecord:
     timings: dict[str, float]
     wall: float
     trials: int  # step sizes the search tested; 0 on a Barzilai-Borwein step
-    evals: int   # state solves of the evaluation and the search, not of the refresh
+    evals: int   # state solves of the evaluation and its search, not of the refresh
 
 
 @dataclass

@@ -32,7 +32,7 @@ When the basis is invariant, N^T B1(z) = B2(z) at every shift (the span of
 y0 and the control shapes is one such basis), and the mass-matrix system has
 the exact solution z' = v, a' = B1(v t) u: the model is linear time-varying in
 u. assemble_spod_rom detects this, and the state, adjoint and gradient then run
-in closed form along z_j = v t_j.
+in closed form along z_j = v t_j, where no control moves the Schur complement.
 """
 from __future__ import annotations
 
@@ -426,9 +426,7 @@ def solve_spod_state(ops: SpodRomOperators, u: np.ndarray) -> SpodReducedTraject
     step solves, raises DivergenceError."""
     n_t = ops.grid.n_t
     u = check_shape(u, (ops.m, n_t), "control")
-    if float(ops.alpha0 @ ops.alpha0) == 0.0:
-        raise SingularMassError(0, "initial amplitudes are zero")
-    if ops.invariant:
+    if ops.invariant:  # zero initial amplitudes fail the margin of step 0
         return _invariant_state(ops, u)
     march = solve_spod_candidates(ops, u, np.broadcast_to(0.0, u.shape), [0.0])
     j = int(march.failed_at[0])
@@ -471,7 +469,7 @@ def solve_spod_adjoint(
     n_t, dt, v = ops.grid.n_t, ops.grid.dt, ops.grid.v
     u = check_shape(u, (ops.m, n_t), "control")
     if ops.invariant:
-        Ga = _gram_apply(ops, tracking.self_weight, tracking.cross_weight, traj.alpha)
+        Ga = gram_apply(ops, tracking.self_weight, tracking.cross_weight, traj.alpha)
         source = dt * (Ga - tracking.P)
         lam = np.zeros_like(source)
         lam[:, :-1] = np.cumsum(source[:, :0:-1], axis=1)[:, ::-1]
@@ -495,8 +493,8 @@ def solve_spod_adjoint(
     # mass-matrix rate; they add, not cancel, because N is skew)
     e12 = -2.0 * (ops.N @ adot) + 2.0 * zrel * M2a - B2u
     e22 = -2.0 * np.einsum("rj,rj->j", alpha, ops.M2 @ adot) - aB3u
-    t_alpha = tracking.P - _gram_apply(ops, tracking.self_weight, tracking.cross_weight, alpha)
-    rate_a = _gram_apply(ops, tracking.self_rate, tracking.cross_rate, alpha)
+    t_alpha = tracking.P - gram_apply(ops, tracking.self_weight, tracking.cross_weight, alpha)
+    rate_a = gram_apply(ops, tracking.self_rate, tracking.cross_rate, alpha)
     t_z = np.einsum("rj,rj->j", alpha, tracking.D - 0.5 * rate_a)
     NT = ops.N.T
 
@@ -575,8 +573,8 @@ def tracking_terms(
     )
 
 
-def _gram_apply(ops: SpodRomOperators, self_w: np.ndarray, cross_w: np.ndarray,
-                alpha: np.ndarray) -> np.ndarray:
+def gram_apply(ops: SpodRomOperators, self_w: np.ndarray, cross_w: np.ndarray,
+               alpha: np.ndarray) -> np.ndarray:
     """Columns (self_w_j I + cross_w_j C) alpha_j, C the one-cell cross Gram:
     G_j alpha_j from the tracking weights, G_j' alpha_j from the rates."""
     return self_w * alpha + cross_w * (ops.gram_cross @ alpha)
@@ -594,27 +592,30 @@ def reduced_cost(
     """fom.cost of the lifted trajectory with amplitudes alpha, from the reduced
     quantities alone: `tracking` holds the terms along its path, target_energy
     the problem's."""
-    Ga = _gram_apply(ops, tracking.self_weight, tracking.cross_weight, alpha)
+    Ga = gram_apply(ops, tracking.self_weight, tracking.cross_weight, alpha)
     per_step = np.einsum("rj,rj->j", alpha, Ga - 2.0 * tracking.P)
     tracking_cost = 0.5 * dt * float(np.sum(per_step)) + target_energy
     regularization = 0.5 * mu * dt * float(np.sum(np.asarray(u) ** 2))
     return CostBreakdown(tracking=tracking_cost, regularization=regularization)
 
 
+def invariant_response(ops: SpodRomOperators, u: np.ndarray) -> np.ndarray:
+    """alpha_j = dt sum_{k<j} B1(v t_k) u_k, (r, n_t): the amplitudes an
+    invariant basis reaches from alpha = 0 under the control u, along z = v t."""
+    alpha, sig = np.zeros((ops.r, ops.grid.n_t)), ops.drift_symbol[:-1]
+    np.cumsum(ops.grid.dt * ops.along(slice(0, ops.r), sig, u[:, :-1]), axis=1, out=alpha[:, 1:])
+    return alpha
+
+
 def _invariant_state(ops: SpodRomOperators, u: np.ndarray) -> SpodReducedTrajectory:
-    """z_j = v t_j and alpha_j = alpha0 + dt sum_{k<j} B1(z_k) u_k. The Schur
-    margins of the trajectory are checked in one batch, so a singular step or a
+    """z_j = v t_j and alpha_j = alpha0 + invariant_response. The Schur margins
+    of the trajectory are checked in one batch, so a singular step or a
     non-finite amplitude raises SingularMassError where the Schur sweep would."""
-    grid, r, sig = ops.grid, ops.r, ops.drift_symbol
-    n_t = grid.n_t
-    alpha = np.empty((r, n_t))
-    alpha[:, 0] = ops.alpha0
-    np.cumsum(grid.dt * ops.along(slice(0, r), sig[:-1], u[:, :-1]), axis=1, out=alpha[:, 1:])
-    alpha[:, 1:] += ops.alpha0[:, None]
-    _mass_terms(ops, alpha[:, :-1], np.arange(n_t - 1))  # the Schur sweep solves at 0 .. n_t-2
+    grid, alpha = ops.grid, invariant_response(ops, u) + ops.alpha0[:, None]
+    _mass_terms(ops, alpha[:, :-1], np.arange(grid.n_t - 1))  # the sweep solves at 0 .. n_t-2
     if not np.all(np.isfinite(alpha[:, -1])):
-        raise DivergenceError(n_t - 1, "spod state")
-    return SpodReducedTrajectory(alpha=alpha, z=uncontrolled_shift_path(grid), sig=sig)
+        raise DivergenceError(grid.n_t - 1, "spod state")
+    return SpodReducedTrajectory(alpha, uncontrolled_shift_path(grid), ops.drift_symbol)
 
 
 def lift_spod(basis: ModeBasis, traj: SpodReducedTrajectory, grid: SpaceTimeGrid) -> np.ndarray:

@@ -13,7 +13,7 @@ from romctl.experiments import (
     single_tilt_target,
     smooth_random_signal as smooth_signal,
 )
-from romctl.fom import CostBreakdown
+from romctl.fom import CostBreakdown, DivergenceError
 from romctl.optimizer import (
     ARMIJO_C,
     MAX_BLOCK,
@@ -21,6 +21,7 @@ from romctl.optimizer import (
     MAX_HALVINGS,
     ControlledModel,
     Refresh,
+    pointwise,
 )
 from romctl.transform import split_shift
 
@@ -96,6 +97,20 @@ def pod_basis(Q, r, grid):
     return truncate_to_basis(modes, sigma, r), sigma
 
 
+def trial_march(model, u, g):
+    """The step-size search's march by trial solves: the cost at u - w g is
+    one cost_only solve, made when the search reads w, and +inf when that
+    solve diverges. The oracle of every closed-form and batched search."""
+
+    def trial(w):
+        try:
+            return model.cost_only(u - w * g).total
+        except DivergenceError:
+            return math.inf
+
+    return pointwise(trial)
+
+
 class QuadraticModel(ControlledModel):
     """Closed-form model J(u) = 1/2 sum_k h_k (u_k - u*_k)^2."""
 
@@ -114,10 +129,20 @@ class QuadraticModel(ControlledModel):
         d = np.asarray(u, dtype=float) - self.u_star
         return CostBreakdown(tracking=0.5 * float(np.sum(self.h * d * d)), regularization=0.0)
 
+    def line_cost(self, u, g, cost):
+        return trial_march(self, u, g)
+
 
 def cost_at(march, w):
     """The cost a step-size search's march gives the step size w alone."""
     return march([w])(0)
+
+
+def armijo(march, w, cost, g_sq):
+    """Whether the step size w passes the search's sufficient-decrease test
+    at the price the march gives it."""
+    val = cost_at(march, w)
+    return math.isfinite(val) and val <= cost - ARMIJO_C * w * g_sq
 
 
 def reference_backtracking(f, g, omega_prev, current_cost, weight=1.0):

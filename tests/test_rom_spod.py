@@ -29,7 +29,7 @@ from romctl.rom_spod import (
 )
 from romctl.transform import shift_columns, transform_snapshots, uncontrolled_shift_path
 
-from conftest import coarse_grid, resting_path, shift_field, smooth_signal, svd_norm_B
+from conftest import cost_at, coarse_grid, resting_path, shift_field, smooth_signal, svd_norm_B
 
 
 def normalized_trig_basis(grid, cols):
@@ -102,7 +102,8 @@ def pairings(ops, rows, z):
 
 def test_invariant_basis_builds_its_drift_terms_once(eig_model, grid, shapes, rng, monkeypatch):
     # an invariant basis moves along v t on every solve: over many evaluations
-    # the model builds the symbol and the tracking terms along it once
+    # and step-size searches the model builds the symbol and the tracking
+    # terms along it once, and the search's curvature reads them
     assert eig_model.ops.invariant
     calls = {"symbol": 0, "tracking_terms": 0}
 
@@ -119,7 +120,8 @@ def test_invariant_basis_builds_its_drift_terms_once(eig_model, grid, shapes, rn
     count(rom_spod, "tracking_terms")
     for amp in (0.0, 0.01, 0.02):
         u = smooth_signal(rng, shapes.m, grid.n_t, amp)
-        eig_model.evaluate(u)
+        J, g = eig_model.evaluate(u)
+        cost_at(eig_model.line_cost(u, g, J.total), 1.0)
         eig_model.cost_only(u)
         eig_model.cost_only(-u)
     assert calls == {"symbol": 1, "tracking_terms": 1}

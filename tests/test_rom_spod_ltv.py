@@ -27,9 +27,16 @@ from romctl.experiments import (
 )
 from romctl.fom import cost
 from romctl.models import ControlProblem, SpodModel
-from romctl.rom_spod import assemble_spod_rom, certify_smallness, lift_spod, solve_spod_state
+from romctl.rom_spod import (
+    SingularMassError,
+    assemble_spod_rom,
+    certify_smallness,
+    invariant_response,
+    lift_spod,
+    solve_spod_state,
+)
 
-from conftest import smooth_signal
+from conftest import armijo, smooth_signal, trial_march
 
 L, V = 100.0, 0.55
 
@@ -93,6 +100,45 @@ def test_closed_form_matches_schur_sweep(setting):
         assert alpha_gap < 1e-12, amp
         assert z_gap < 1e-12, amp
         assert J_gap < 1e-12, amp
+
+
+@pytest.mark.parametrize("amp", [0.0, 1e-3, 1.0, 100.0])
+def test_no_control_moves_the_schur_complement(amp):
+    # s_j = a^T (M2 - N^T N) a = dx |(I - P) Phi' a|^2 with P the projection on
+    # the modes, and B1(z) u adds only Fourier content, which the central
+    # difference maps into their span: on the invariant basis s_j = s_0
+    grid, xi = SETTINGS["spod-eig-desk"]
+    ops = invariant_model(grid, xi).ops
+    u = smooth_signal(np.random.default_rng(9), ops.m, grid.n_t, amp)
+    alpha = invariant_response(ops, u) + ops.alpha0[:, None]
+    b = ops.N @ alpha
+    c = np.einsum("rj,rj->j", alpha, ops.M2 @ alpha)
+    bb = np.einsum("rj,rj->j", b, b)
+    s = c - bb
+    assert np.all(np.abs(s - s[0]) <= 1e-13 * np.maximum(np.maximum(c, bb), 1.0))
+
+
+@pytest.mark.parametrize("amp", [0.0, 1e-3])
+def test_the_parabola_keeps_every_armijo_outcome_of_the_trials(amp):
+    # so a trial fails its Schur margin only where c_j > 1e12 s_0, at amplitudes
+    # so far above the control's that the parabola fails the Armijo test too
+    grid, xi = SETTINGS["spod-eig-desk"]
+    model = invariant_model(grid, xi)
+    u = smooth_signal(np.random.default_rng(10), model.ops.m, grid.n_t, amp)
+    J, g = model.evaluate(u)
+    g_sq = grid.dt * float(np.sum(g * g))
+    parabola, trials = model.line_cost(u, g, J.total), trial_march(model, u, g)
+    outcomes, singular = set(), 0
+    for k in range(-40, 60):
+        w = 2.0**k
+        ok = armijo(trials, w, J.total, g_sq)
+        assert armijo(parabola, w, J.total, g_sq) == ok, w
+        outcomes.add(ok)
+        try:
+            model.cost_only(u - w * g)
+        except SingularMassError:
+            singular += 1
+    assert outcomes == {True, False} and singular > 0
 
 
 @pytest.mark.parametrize("setting", ["criterion-5-xi2", "criterion-6-xi1"])

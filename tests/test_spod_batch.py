@@ -13,7 +13,6 @@ outcome. A march fails at the step at which the plain loop raises.
 """
 import dataclasses
 import math
-import types
 
 import numpy as np
 import pytest
@@ -24,7 +23,6 @@ from romctl.experiments import ScenarioConfig, build_model
 from romctl.fom import DivergenceError
 from romctl.optimizer import (
     ARMIJO_C,
-    ControlledModel,
     OptimizerConfig,
     optimize,
     pointwise,
@@ -40,7 +38,14 @@ from romctl.rom_spod import (
     solve_spod_state,
 )
 
-from conftest import cost_at, reference_backtracking, reference_blocks, smooth_signal
+from conftest import (
+    armijo,
+    cost_at,
+    reference_backtracking,
+    reference_blocks,
+    smooth_signal,
+    trial_march,
+)
 from test_euler_sweep import problem, schur_solve, spod_operators
 
 DESK = dict(l=100.0, n=401, n_t=300, T=136.02357742008616, v=0.55, xi=5)
@@ -164,17 +169,12 @@ def test_the_march_reads_the_split_of_its_path(u_amp, seed, monkeypatch):
     assert np.array_equal(c % grid.n, k) and np.array_equal(f, frac)
 
 
-def armijo(march, w, cost, g_sq):
-    val = cost_at(march, w)
-    return math.isfinite(val) and val <= cost - ARMIJO_C * w * g_sq
-
-
 @pytest.mark.parametrize("seed", [0, 1])
 def test_batched_costs_keep_every_armijo_outcome(seed):
     model, u, g, cost = desk_model(seed=seed)
     g_sq = model.signal_weight * float(np.sum(g * g))
     batched = model.line_cost(u, g, cost)
-    trials = ControlledModel.line_cost(model, u, g, cost)
+    trials = trial_march(model, u, g)
     outcomes = set()
     for w in [2.0**k for k in range(-24, 8)]:
         ok = armijo(trials, w, cost, g_sq)
@@ -285,7 +285,7 @@ def test_batched_search_repeats_the_trial_search_bitwise():
     cfg = OptimizerConfig(n_iter=40)
     batched = build_model(ScenarioConfig(model="spod", modes=8, **DESK))
     trials = build_model(ScenarioConfig(model="spod", modes=8, **DESK))
-    trials.line_cost = types.MethodType(ControlledModel.line_cost, trials)
+    trials.line_cost = lambda u, g, cost: trial_march(trials, u, g)
     u0 = np.zeros((batched.problem.shapes.m, batched.problem.grid.n_t))
     u_b, rep_b = optimize(batched, u0, cfg)
     u_t, rep_t = optimize(trials, u0, cfg)
