@@ -475,8 +475,8 @@ def fd_gradient_check(
     errors = []
     for _ in range(n_directions):
         du = smooth_random_signal(rng, m, n_t)
-        jp = model.cost_only(u + FD_STEP * du).total
-        jm = model.cost_only(u - FD_STEP * du).total
+        jp = model.evaluate(u + FD_STEP * du)[0].total
+        jm = model.evaluate(u - FD_STEP * du)[0].total
         fd = (jp - jm) / (2.0 * FD_STEP)
         ad = weight * float(np.sum(g * du))
         denom = max(abs(fd), 1e-300)

@@ -135,10 +135,6 @@ class FomModel(ProblemModel):
             g = fom.gradient_fom(p.grid, p.shapes, lam, u, p.mu)
         return J, g
 
-    def cost_only(self, u: np.ndarray) -> CostBreakdown:
-        p = self.problem
-        return fom.cost(p.grid, self._solve_state(u, p.y0), p.target, u, p.mu, work=self._work)
-
     def tracking_curvature(self, g: np.ndarray) -> float:
         p = self.problem
         Y = self._solve_state(g, np.zeros(p.grid.n))
@@ -179,29 +175,21 @@ class PodModel(ProblemModel):
         self.state_solves += 1
         return rom_pod.solve_pod_state(ops, u, self.problem.grid)
 
-    def _cost_from_alpha(self, alpha: np.ndarray, u: np.ndarray) -> CostBreakdown:
-        dt = self.problem.grid.dt
-        diff = alpha - self._yd_reduced
-        tracking = 0.5 * dt * float(np.sum(diff * diff)) + self._yd_residual_energy
-        reg = 0.5 * self.problem.mu * dt * float(np.sum(np.asarray(u) ** 2))
-        return CostBreakdown(tracking=tracking, regularization=reg)
-
     def evaluate(self, u: np.ndarray) -> tuple[CostBreakdown, np.ndarray]:
         self._require_basis()
         grid = self.problem.grid
         with self.phase("state"):
             alpha = self._solve_state(self.ops, u)
         with self.phase("cost"):
-            J = self._cost_from_alpha(alpha, u)
+            diff = alpha - self._yd_reduced
+            tracking = 0.5 * grid.dt * float(np.sum(diff * diff)) + self._yd_residual_energy
+            reg = 0.5 * self.problem.mu * grid.dt * float(np.sum(np.asarray(u) ** 2))
+            J = CostBreakdown(tracking=tracking, regularization=reg)
         with self.phase("adjoint"):
             lam = rom_pod.solve_pod_adjoint(self.ops, alpha, self._yd_reduced, grid)
         with self.phase("gradient"):
             g = rom_pod.gradient_pod(self.ops, lam, u, self.problem.mu)
         return J, g
-
-    def cost_only(self, u: np.ndarray) -> CostBreakdown:
-        self._require_basis()
-        return self._cost_from_alpha(self._solve_state(self.ops, u), u)
 
     def tracking_curvature(self, g: np.ndarray) -> float:
         # the modes are dx-orthonormal, so the lifted response has the energy of its amplitudes
@@ -276,21 +264,12 @@ class SpodModel(ProblemModel):
             traj = rom_spod.solve_spod_state(self.ops, u)
         with self.phase("cost"):
             tracking = self._tracking(traj.z)
-            J = rom_spod.reduced_cost(self.ops, tracking, traj.alpha, u, p.mu, p.grid.dt,
-                                      p.target_energy)
+            J = rom_spod.reduced_cost(self.ops, tracking, traj.alpha, u, p.mu, p.target_energy)
         with self.phase("adjoint"):
             adj = rom_spod.solve_spod_adjoint(self.ops, traj, u, tracking)
         with self.phase("gradient"):
             g = rom_spod.gradient_spod(self.ops, traj, adj, u, p.mu)
         return J, g
-
-    def cost_only(self, u: np.ndarray) -> CostBreakdown:
-        self._require_basis()
-        p = self.problem
-        self.state_solves += 1
-        traj = rom_spod.solve_spod_state(self.ops, u)
-        return rom_spod.reduced_cost(self.ops, self._tracking(traj.z), traj.alpha, u, p.mu,
-                                     p.grid.dt, p.target_energy)
 
     def tracking_curvature(self, g: np.ndarray) -> float:
         """On an invariant basis, c(g) = dt sum_j alpha_j^T G_j alpha_j of the
@@ -317,17 +296,14 @@ class SpodModel(ProblemModel):
 
         def march(omegas: list[float]) -> Callable[[int], float]:
             self.state_solves += 1
-            try:
-                block = rom_spod.solve_spod_candidates(self.ops, u, g, omegas)
-            except DivergenceError:  # zero initial amplitudes: every candidate fails
-                return lambda k: math.inf
+            block = rom_spod.solve_spod_candidates(self.ops, u, g, omegas)
 
             def price(k: int) -> float:
                 if block.failed_at[k] < p.grid.n_t:
                     return math.inf
                 return rom_spod.reduced_cost(
                     self.ops, self._tracking(block.z[k]), block.alpha[k], u - omegas[k] * g,
-                    p.mu, p.grid.dt, p.target_energy,
+                    p.mu, p.target_energy,
                 ).total
 
             return price

@@ -74,8 +74,8 @@ class ControlledModel(ABC):
     """What the descent loop needs from a model.
 
     `evaluate` must be deterministic for a fixed control and basis state.
-    A model counts the state solves of `evaluate`, `cost_only` and its step-size
-    search in `state_solves`; a march of a block of step sizes counts once.
+    A model counts the state solves of `evaluate` and its step-size search in
+    `state_solves`; a march of a block of step sizes counts once.
     """
 
     clock: PhaseClock | None = None
@@ -93,11 +93,6 @@ class ControlledModel(ABC):
     def refine_basis(self, u: np.ndarray) -> Refresh:
         """Rebuild the reduced basis from fresh snapshots at u; returns what the
         refresh did (no spectrum for the full model or a fixed basis)."""
-
-    @abstractmethod
-    def cost_only(self, u: np.ndarray) -> CostBreakdown:
-        """Cost without the adjoint work: one state solve. It records no phase;
-        the finite-difference gradient check reads it, and no step-size search."""
 
     @abstractmethod
     def line_cost(self, u: np.ndarray, g: np.ndarray, cost: float) -> March:

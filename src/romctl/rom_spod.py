@@ -310,8 +310,6 @@ def solve_spod_candidates(ops: SpodRomOperators, u: np.ndarray, g: np.ndarray,
     r, xi = ops.r, (ops.m - 1) // 2
     u = check_shape(u, (ops.m, n_t), "control")
     g = check_shape(g, (ops.m, n_t), "control direction")
-    if float(ops.alpha0 @ ops.alpha0) == 0.0:
-        raise SingularMassError(0, "initial amplitudes are zero")
     K, R1 = len(omegas), r + 1
 
     # Per candidate one work row: [t | 1 | a, z | M2 a, 0 | b, -1 | B2p, 0 | B1p, v].
@@ -586,12 +584,12 @@ def reduced_cost(
     alpha: np.ndarray,
     u: np.ndarray,
     mu: float,
-    dt: float,
     target_energy: float,
 ) -> CostBreakdown:
     """fom.cost of the lifted trajectory with amplitudes alpha, from the reduced
     quantities alone: `tracking` holds the terms along its path, target_energy
     the problem's."""
+    dt = ops.grid.dt
     Ga = gram_apply(ops, tracking.self_weight, tracking.cross_weight, alpha)
     per_step = np.einsum("rj,rj->j", alpha, Ga - 2.0 * tracking.P)
     tracking_cost = 0.5 * dt * float(np.sum(per_step)) + target_energy

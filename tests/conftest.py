@@ -97,14 +97,30 @@ def pod_basis(Q, r, grid):
     return truncate_to_basis(modes, sigma, r), sigma
 
 
-def trial_march(model, u, g):
+def evaluated_cost(model):
+    """The total cost of a control as model.evaluate gives it, with the model's
+    phase clock detached for the call: a step-size search counts its work as
+    update time, so the evaluation's phases must not nest inside it."""
+
+    def cost(u):
+        clock, model.clock = model.clock, None
+        try:
+            return model.evaluate(u)[0].total
+        finally:
+            model.clock = clock
+
+    return cost
+
+
+def trial_march(cost, u, g):
     """The step-size search's march by trial solves: the cost at u - w g is
-    one cost_only solve, made when the search reads w, and +inf when that
-    solve diverges. The oracle of every closed-form and batched search."""
+    cost(u - w g), made when the search reads w, and +inf when that solve
+    diverges. With evaluated_cost(model), the oracle of every closed-form and
+    batched search."""
 
     def trial(w):
         try:
-            return model.cost_only(u - w * g).total
+            return cost(u - w * g)
         except DivergenceError:
             return math.inf
 
@@ -121,16 +137,16 @@ class QuadraticModel(ControlledModel):
     def refine_basis(self, u):
         return Refresh(self.u_star.size, None)
 
+    def _cost(self, u):
+        d = np.asarray(u, dtype=float) - self.u_star
+        return 0.5 * float(np.sum(self.h * d * d))
+
     def evaluate(self, u):
         d = np.asarray(u, dtype=float) - self.u_star
-        return self.cost_only(u), self.h * d
-
-    def cost_only(self, u):
-        d = np.asarray(u, dtype=float) - self.u_star
-        return CostBreakdown(tracking=0.5 * float(np.sum(self.h * d * d)), regularization=0.0)
+        return CostBreakdown(tracking=self._cost(u), regularization=0.0), self.h * d
 
     def line_cost(self, u, g, cost):
-        return trial_march(self, u, g)
+        return trial_march(self._cost, u, g)
 
 
 def cost_at(march, w):

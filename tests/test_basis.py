@@ -218,11 +218,11 @@ def test_certified_sketch_matches_dense_svd(cfg, seed, monkeypatch):
         assert kept == min(rule.select(dense), rank), count
     # the reduced cost at the refresh control, on the sketched and the dense basis
     assert model.refine_basis(u).modes == min(cfg.mode_rule().select(dense), rank)
-    J = model.cost_only(u).total
+    J = model.evaluate(u)[0].total
     monkeypatch.setattr(models, "weighted_svd", dense_weighted_svd)
     reference = build_model(cfg)
     assert reference.refine_basis(u).modes == model.basis.r
-    assert J == pytest.approx(reference.cost_only(u).total, rel=1e-10)
+    assert J == pytest.approx(reference.evaluate(u)[0].total, rel=1e-10)
 
 
 def orthogonal_factors(rng, n, n_t):

@@ -140,7 +140,6 @@ def test_fom_model_buffers_leave_results_alone(grid, shapes, y0, target, target_
     model.line_cost(u2, g1, J1.total)
     J3, g3 = model.evaluate(u1)
     assert J3 == J1 and g3.tobytes() == kept.tobytes() and g1.tobytes() == kept.tobytes()
-    assert model.cost_only(u1) == J1
     lifted = model.lift(u1)
     assert lifted.tobytes() == solve_state(grid, shapes, u1, y0).tobytes()
     buffers = [a for a in vars(model).values() if isinstance(a, np.ndarray)]

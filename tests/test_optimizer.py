@@ -29,7 +29,7 @@ from romctl.optimizer import (
 )
 from romctl.rom_spod import SingularMassError
 
-from conftest import QuadraticModel, cost_at, smooth_signal, trial_march
+from conftest import QuadraticModel, cost_at, evaluated_cost, smooth_signal, trial_march
 
 
 def quad_cfg(**kw):
@@ -121,7 +121,7 @@ def test_a_converged_run_returns_the_control_it_evaluated_last(kind):
         u0, cfg = np.zeros((problem.shapes.m, problem.grid.n_t)), quad_cfg(beta=0.5)
     u, rep = optimize(model, u0, cfg)
     assert rep.status == "converged" and rep.iterations > 1
-    assert model.cost_only(u).total == rep.final_cost
+    assert model.evaluate(u)[0].total == rep.final_cost
 
 
 def test_infinite_beta_stops_after_one_iteration():
@@ -200,10 +200,6 @@ class _SleepyModel(ControlledModel):
         time.sleep(self.pause)
         return Refresh(1, None)
 
-    def cost_only(self, u):
-        time.sleep(self.pause)
-        return CostBreakdown(tracking=float(np.sum(u * u)), regularization=0.0)
-
     def evaluate(self, u):
         for phase in ("state", "cost", "adjoint", "gradient"):
             with self.phase(phase):
@@ -211,7 +207,7 @@ class _SleepyModel(ControlledModel):
         return CostBreakdown(tracking=float(np.sum(u * u)), regularization=0.0), 2.0 * u
 
     def line_cost(self, u, g, cost):
-        return trial_march(self, u, g)
+        return trial_march(evaluated_cost(self), u, g)
 
 
 def test_phase_timings_cover_iteration_wall_time():
@@ -233,17 +229,15 @@ class _ExplodingModel(ControlledModel):
         self.refreshes += 1
         return Refresh(1, None)
 
-    def cost_only(self, u):
-        return CostBreakdown(tracking=float(np.sum(u * u)), regularization=0.0)
-
     def evaluate(self, u):
         self.calls += 1
         if self.calls >= 3:
             raise self.error
-        return self.cost_only(u), 2.0 * u
+        return CostBreakdown(tracking=float(np.sum(u * u)), regularization=0.0), 2.0 * u
 
     def line_cost(self, u, g, cost):
-        return trial_march(self, u, g)
+        # the trials leave the count of evaluations alone
+        return trial_march(lambda v: float(np.sum(v * v)), u, g)
 
 
 def test_divergence_sets_status_and_keeps_report():
@@ -277,21 +271,21 @@ def test_callback_sees_each_record_and_the_control_after_its_step():
 # --- the step-size search of the linear-quadratic models ---------------------
 
 def trial_search(model):
-    """Give the model the oracle search: one cost_only trial per step size."""
-    model.line_cost = lambda u, g, cost: trial_march(model, u, g)
+    """Give the model the oracle search: one evaluation per step size."""
+    model.line_cost = lambda u, g, cost: trial_march(evaluated_cost(model), u, g)
     return model
 
 
-def count_cost_only(model):
-    """Count the model's cost_only calls in model.cost_only_calls."""
-    model.cost_only_calls = 0
-    inner = model.cost_only
+def count_evaluate(model):
+    """Count the model's evaluate calls in model.evaluate_calls."""
+    model.evaluate_calls = 0
+    inner = model.evaluate
 
     def counted(u):
-        model.cost_only_calls += 1
+        model.evaluate_calls += 1
         return inner(u)
 
-    model.cost_only = counted
+    model.evaluate = counted
     return model
 
 
@@ -373,14 +367,14 @@ def test_closed_form_line_cost_matches_trial_solves(kind, v):
         u = smooth_signal(rng, m, grid.n_t, rng.uniform(0.1, 1.0))
         cost, g = model.evaluate(u)
         closed = model.line_cost(u, g, cost.total)
-        trial = trial_march(model, u, g)
+        trial = trial_march(evaluated_cost(model), u, g)
         for w in steps:
             assert_prices_alike(cost_at(closed, w), cost_at(trial, w), cost.total, kind)
         # along any direction d the cost is J - w <grad, d> + w^2/2 (c(d) + mu dt |d|^2)
         d = smooth_signal(rng, m, grid.n_t, rng.uniform(0.1, 1.0))
         slope = grid.dt * float(np.sum(g * d))
         curvature = model.tracking_curvature(d) + problem.mu * grid.dt * float(np.sum(d * d))
-        along = trial_march(model, u, d)
+        along = trial_march(evaluated_cost(model), u, d)
         for w in steps:
             expected = cost.total - w * slope + 0.5 * w * w * curvature
             assert_prices_alike(expected, cost_at(along, w), cost.total, kind)
@@ -398,8 +392,8 @@ def desk_model(kind):
 @pytest.mark.parametrize("kind", ["fom", "pod", "spod"])
 def test_closed_form_search_repeats_the_trial_search_bitwise(kind):
     cfg = OptimizerConfig(n_iter=32)
-    closed = count_trials(count_cost_only(desk_model(kind)))
-    trials = count_cost_only(trial_search(desk_model(kind)))
+    closed = count_trials(count_evaluate(desk_model(kind)))
+    trials = count_evaluate(trial_search(desk_model(kind)))
     m, n_t = closed.problem.shapes.m, closed.problem.grid.n_t
     u_closed, rep_closed = optimize(closed, np.zeros((m, n_t)), cfg)
     u_trials, rep_trials = optimize(trials, np.zeros((m, n_t)), cfg)
@@ -407,10 +401,11 @@ def test_closed_form_search_repeats_the_trial_search_bitwise(kind):
     assert [r.omega for r in rep_closed.records] == [r.omega for r in rep_trials.records]
     assert [r.total for r in rep_closed.records] == [r.total for r in rep_trials.records]
     assert np.array_equal(u_closed, u_trials)
-    assert closed.cost_only_calls == 0
+    assert closed.evaluate_calls == rep_closed.iterations
     assert trials_column(rep_closed) == trials_column(rep_trials)
     assert sum(trials_column(rep_closed)) == closed.search_trials
-    assert sum(trials_column(rep_trials)) == trials.cost_only_calls > 0
+    n_iter = rep_trials.iterations
+    assert n_iter + sum(trials_column(rep_trials)) == trials.evaluate_calls > n_iter
 
 
 def test_schur_search_marches_blocks_of_the_step_sizes_it_reads(monkeypatch):
@@ -427,11 +422,11 @@ def test_schur_search_marches_blocks_of_the_step_sizes_it_reads(monkeypatch):
 
     monkeypatch.setattr(rom_spod, "solve_spod_candidates", counted)
     problem = small_problem(0.55)
-    model = count_trials(count_cost_only(SpodModel(problem, ModeRule.fixed(4))))
+    model = count_trials(count_evaluate(SpodModel(problem, ModeRule.fixed(4))))
     u0 = np.zeros((problem.shapes.m, problem.grid.n_t))
     _, rep = optimize(model, u0, quad_cfg(n_iter=6, beta=0.0, bb_switch_threshold=0.0))
     assert rep.iterations == 6
-    assert not model.ops.invariant and model.cost_only_calls == 0
+    assert not model.ops.invariant and model.evaluate_calls == rep.iterations
     assert sum(trials_column(rep)) == model.search_trials
     assert 0 < len(marches) < model.search_trials
     assert max(marches) <= MAX_BLOCK
@@ -463,8 +458,13 @@ class _OverflowingDirection(SpodModel):
 
 
 class _DivergingTrials(FomModel):
-    def cost_only(self, u):
-        raise DivergenceError(3, "state")
+    """The oracle search, each trial of which diverges; the evaluation at u does not."""
+
+    def line_cost(self, u, g, cost):
+        def diverging(v):
+            raise DivergenceError(3, "state")
+
+        return trial_march(diverging, u, g)
 
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
@@ -478,7 +478,7 @@ def test_diverging_direction_solve_fails_the_search(kind):
     else:
         model = _OverflowingDirection(problem, ModeRule.fixed(4), eigenfunction_basis=True)
     _, rep = optimize(model, u0, cfg)
-    _, ref = optimize(trial_search(_DivergingTrials(problem)), u0, cfg)
+    _, ref = optimize(_DivergingTrials(problem), u0, cfg)
     assert rep.status == ref.status == "max_iter"
     assert rep.iterations == 4
     # every search fails after testing each halving, as when every trial diverges

@@ -27,6 +27,10 @@ in the one that makes it.
 The fourth test reads the numerical modules and the optimizer: none imports
 a file-format or path module or calls a file writer or `open`. Every artifact file is written
 by experiments, which names, places and formats it.
+
+The fifth test reads optimizer.py: `optimize` calls every abstract method of
+ControlledModel on its model. A method the descent loop never calls is a
+second way to do a model's job that only tests and side tools read.
 """
 import ast
 from pathlib import Path
@@ -197,3 +201,17 @@ def test_numerical_modules_do_no_file_io():
                 if called in FILE_CALLS:
                     found.append(f"{path.name}:{node.lineno} {called}()")
     assert found == []
+
+
+def test_optimize_calls_every_abstract_model_method():
+    tree = ast.parse((PACKAGE / "optimizer.py").read_text())
+    top = {node.name: node for node in tree.body
+           if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    abstract = {item.name for item in top["ControlledModel"].body
+                if isinstance(item, ast.FunctionDef)
+                and any(isinstance(d, ast.Name) and d.id == "abstractmethod"
+                        for d in item.decorator_list)}
+    called = {node.func.attr for node in ast.walk(top["optimize"])
+              if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+              and isinstance(node.func.value, ast.Name) and node.func.value.id == "model"}
+    assert abstract and sorted(abstract - called) == []

@@ -124,7 +124,7 @@ def test_reduced_cost_matches_lifted_cost(grid, shapes, y0, target, target_path,
                      ModeRule.fixed(10))
     model.refine_basis(np.zeros((shapes.m, grid.n_t)))
     u = smooth_signal(rng, shapes.m, grid.n_t, 0.2)
-    reduced = model.cost_only(u)
+    reduced = model.evaluate(u)[0]
     lifted = model.lift(u)
     full = cost(grid, lifted, target, u, 1e-3)
     assert reduced.total == pytest.approx(full.total, rel=1e-10)
@@ -142,7 +142,7 @@ def test_reduced_cost_matches_lifted_cost_at_high_rank():
     u = np.zeros((p.shapes.m, p.grid.n_t))
     assert model.refine_basis(u).modes == 181
     full = cost(p.grid, model.lift(u), p.target, u, p.mu)
-    assert model.cost_only(u).total == pytest.approx(full.total, rel=1e-12)
+    assert model.evaluate(u)[0].total == pytest.approx(full.total, rel=1e-12)
 
 
 def test_projected_upwind_is_skew_plus_grid_level_dissipation(grid, shapes, y0):

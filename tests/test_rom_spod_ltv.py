@@ -36,7 +36,7 @@ from romctl.rom_spod import (
     solve_spod_state,
 )
 
-from conftest import armijo, smooth_signal, trial_march
+from conftest import armijo, evaluated_cost, smooth_signal, trial_march
 
 L, V = 100.0, 0.55
 
@@ -86,7 +86,7 @@ def test_closed_form_matches_schur_sweep(setting):
             u *= 0.7 * math.sqrt(cert.bound / cert.u_norm_sq)
         traj = solve_spod_state(ops, u)
         ref = solve_spod_state(schur, u)
-        J = model.cost_only(u)
+        J = model.evaluate(u)[0]
         J_ref = cost(grid, lift_spod(model.basis, ref, grid), p.target, u, p.mu)
         gaps[amp] = (rel(traj.alpha, ref.alpha), rel(traj.z, ref.z),
                      abs(J.total - J_ref.total) / J_ref.total)
@@ -127,7 +127,7 @@ def test_the_parabola_keeps_every_armijo_outcome_of_the_trials(amp):
     u = smooth_signal(np.random.default_rng(10), model.ops.m, grid.n_t, amp)
     J, g = model.evaluate(u)
     g_sq = grid.dt * float(np.sum(g * g))
-    parabola, trials = model.line_cost(u, g, J.total), trial_march(model, u, g)
+    parabola, trials = model.line_cost(u, g, J.total), trial_march(evaluated_cost(model), u, g)
     outcomes, singular = set(), 0
     for k in range(-40, 60):
         w = 2.0**k
@@ -135,7 +135,7 @@ def test_the_parabola_keeps_every_armijo_outcome_of_the_trials(amp):
         assert armijo(parabola, w, J.total, g_sq) == ok, w
         outcomes.add(ok)
         try:
-            model.cost_only(u - w * g)
+            model.evaluate(u - w * g)
         except SingularMassError:
             singular += 1
     assert outcomes == {True, False} and singular > 0
@@ -163,7 +163,7 @@ def test_tracking_terms_follow_the_model_grid():
         u = smooth_signal(np.random.default_rng(9), p.shapes.m, fine_grid.n_t, 0.1)
         fine.basis = source.basis
         fine.ops = assemble_spod_rom(source.basis, p.shapes, source.problem.y0, fine_grid)
-        J = fine.cost_only(u)
+        J = fine.evaluate(u)[0]
         lifted = lift_spod(fine.basis, solve_spod_state(fine.ops, u), fine_grid)
         J_ref = cost(fine_grid, lifted, p.target, u, p.mu)
         assert abs(J.total - J_ref.total) < 1e-12 * J_ref.total
@@ -174,7 +174,7 @@ def test_snapshot_basis_cost_matches_lifted_cost():
     # a snapshot basis refined at a nonzero control holds no control shape, so
     # the control moves z off v t, and differently for each control: the
     # tracking terms must follow the path of every trajectory, also when
-    # cost_only and evaluate alternate between two controls
+    # the evaluations alternate between two controls
     grid = unit_cfl_grid(201, 150)
     shapes = build_fourier_shapes(grid, 2)
     y0 = gaussian_initial_condition(grid)
@@ -187,10 +187,8 @@ def test_snapshot_basis_cost_matches_lifted_cost():
     assert model.basis.r == 5 and not model.ops.invariant
     controls = [smooth_signal(rng, shapes.m, grid.n_t, 0.02) for _ in range(2)]
     paths = []
-    for call, u in ((model.cost_only, controls[0]), (model.evaluate, controls[1]),
-                    (model.evaluate, controls[0]), (model.cost_only, controls[1])):
-        J = call(u)
-        J = J[0] if isinstance(J, tuple) else J
+    for u in controls + controls:
+        J = model.evaluate(u)[0]
         traj = solve_spod_state(model.ops, u)
         paths.append(traj.z)
         J_ref = cost(grid, lift_spod(model.basis, traj, grid), target, u, model.problem.mu)

@@ -13,6 +13,7 @@ outcome. A march fails at the step at which the plain loop raises.
 """
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -41,6 +42,7 @@ from romctl.rom_spod import (
 from conftest import (
     armijo,
     cost_at,
+    evaluated_cost,
     reference_backtracking,
     reference_blocks,
     smooth_signal,
@@ -174,7 +176,7 @@ def test_batched_costs_keep_every_armijo_outcome(seed):
     model, u, g, cost = desk_model(seed=seed)
     g_sq = model.signal_weight * float(np.sum(g * g))
     batched = model.line_cost(u, g, cost)
-    trials = trial_march(model, u, g)
+    trials = trial_march(evaluated_cost(model), u, g)
     outcomes = set()
     for w in [2.0**k for k in range(-24, 8)]:
         ok = armijo(trials, w, cost, g_sq)
@@ -270,10 +272,17 @@ def test_state_fails_where_the_plain_loop_raises(k, bad):
 
 
 def test_batched_march_rejects_zero_initial_amplitudes():
+    # every mass matrix of zero amplitudes is singular: the march fails each
+    # candidate at step 0, quietly, and the state raises there
     ops, u, g = bumps_case(0)
     zero = dataclasses.replace(ops, alpha0=np.zeros(ops.r))
-    with pytest.raises(SingularMassError):
-        solve_spod_candidates(zero, u, g, [1.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        block = solve_spod_candidates(zero, u, g, [0.5, 1.0, 2.0])
+    assert list(block.failed_at) == [0, 0, 0]
+    with pytest.raises(SingularMassError) as err:
+        solve_spod_state(zero, u)
+    assert err.value.step == 0
 
 
 def trials_and_evals(report):
@@ -285,7 +294,7 @@ def test_batched_search_repeats_the_trial_search_bitwise():
     cfg = OptimizerConfig(n_iter=40)
     batched = build_model(ScenarioConfig(model="spod", modes=8, **DESK))
     trials = build_model(ScenarioConfig(model="spod", modes=8, **DESK))
-    trials.line_cost = lambda u, g, cost: trial_march(trials, u, g)
+    trials.line_cost = lambda u, g, cost: trial_march(evaluated_cost(trials), u, g)
     u0 = np.zeros((batched.problem.shapes.m, batched.problem.grid.n_t))
     u_b, rep_b = optimize(batched, u0, cfg)
     u_t, rep_t = optimize(trials, u0, cfg)
