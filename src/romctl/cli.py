@@ -34,7 +34,9 @@ def _load(args) -> ScenarioConfig:
 
 def _worker_count(n_jobs: int) -> int:
     cap = os.environ.get("ROMCTL_THREADS")
-    workers = min(n_jobs, os.cpu_count() or 1)
+    # the CPUs this process may run on, where the platform can tell
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    workers = min(n_jobs, cpus or 1)
     if cap:
         try:
             workers = max(1, min(workers, int(cap)))
@@ -62,6 +64,9 @@ def cmd_sweep(args) -> int:
         raise ConfigError(f"--modes takes comma-separated integers: {exc}") from None
     if not mode_counts:
         raise ConfigError("sweep needs at least one mode count")
+    if len(set(mode_counts)) < len(mode_counts):
+        raise ConfigError(f"--modes repeats a mode count ({args.modes}): each job writes "
+                          "the directory modes_<count>")
     # every job's config is checked before the first one starts
     jobs = [
         replace(cfg, modes=r, mode_tol=None, out=str(Path(cfg.out) / f"modes_{r:04d}"))

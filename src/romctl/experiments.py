@@ -12,10 +12,10 @@ import numpy as np
 
 from . import fom
 from .basis import ModeRule, singular_values
-from .control import build_fourier_shapes
+from .control import ControlProblem, build_fourier_shapes
 from .discretization import SpaceTimeGrid
 from .fom import DivergenceError
-from .models import ControlProblem, FomModel, PodModel, ProblemModel, SpodModel
+from .models import FomModel, PodModel, ProblemModel, SpodModel
 from .optimizer import (
     PHASES,
     ControlledModel,

@@ -3,77 +3,33 @@ from __future__ import annotations
 
 import math
 from abc import abstractmethod
-from dataclasses import dataclass, field, replace
+from dataclasses import replace
 from typing import Callable
 
 import numpy as np
 
 from . import fom, rom_pod, rom_spod
 from .basis import (
-    ModeBasis,
     ModeRule,
     eigenfunction_stationary_basis,
     truncate_to_basis,
     weighted_svd,
 )
-from .control import ControlShapes
-from .discretization import SpaceTimeGrid, check_shape
+from .control import ControlProblem
 from .fom import CostBreakdown, DivergenceError
 from .optimizer import ControlledModel, March, Refresh, pointwise
-from .transform import shift_columns, transform_snapshots, uncontrolled_shift_path
-
-# columns per block of the target check and energy sum: they form no second target
-_CHECK_COLUMNS = 64
-
-
-@dataclass(frozen=True)
-class ControlProblem:
-    """The control problem all three models solve: steer the state from y0
-    onto the target snapshots through the control shapes, with regularization
-    weight mu, on one space-time grid. The target is one profile moved along
-    a path: column j is target[:, 0] shifted by target_path[j], and
-    target_path[0] = 0; the check is bitwise. Alongside it, block by block,
-    it sums target_energy = 1/2 dt dx |target|_F^2."""
-
-    grid: SpaceTimeGrid
-    shapes: ControlShapes
-    y0: np.ndarray
-    target: np.ndarray
-    target_path: np.ndarray
-    mu: float
-    target_energy: float = field(init=False)
-
-    def __post_init__(self) -> None:
-        grid = self.grid
-        target = check_shape(self.target, (grid.n, grid.n_t), "target")
-        path = check_shape(self.target_path, (grid.n_t,), "target path")
-        if path[0] != 0.0:
-            raise ValueError(f"target path must start at 0, got {path[0]!r}")
-        energy = 0.0
-        for start in range(0, grid.n_t, _CHECK_COLUMNS):
-            block = target[:, start : start + _CHECK_COLUMNS]
-            moved = shift_columns(target[:, 0], path[start : start + _CHECK_COLUMNS], grid)
-            bad = np.flatnonzero(np.any(moved != block, axis=0))
-            if bad.size:
-                raise ValueError(
-                    f"target column {start + int(bad[0])} is not target[:, 0] "
-                    "shifted along the target path"
-                )
-            energy += float(np.einsum("ij,ij->", block, block))
-        object.__setattr__(self, "target_energy", 0.5 * grid.dt * grid.dx * energy)
-        object.__setattr__(self, "y0", np.asarray(self.y0, dtype=float))
-        object.__setattr__(self, "target", target)
-        object.__setattr__(self, "target_path", path)
+from .transform import transform_snapshots, uncontrolled_shift_path
 
 
 class ProblemModel(ControlledModel):
     """A model of one ControlProblem. Its time signals pair with weight dt; the
-    reduced subclasses keep the operators refine_basis builds in `ops`. The
-    FOM, POD-G and the invariant sPOD-G have an exactly quadratic cost and an
-    exact discrete adjoint, so along the gradient g at u the cost is the
-    parabola J - w dt|g|^2 + w^2/2 (c(g) + mu dt |g|^2), c(g) the tracking
-    curvature (Nocedal & Wright, Numerical Optimization, ch. 3): the step-size
-    search reads it, one direction solve per search."""
+    reduced subclasses hold what their basis determines in one frozen operator
+    set, `ops`, which each refresh replaces. The FOM, POD-G and the invariant
+    sPOD-G have an exactly quadratic cost and an exact discrete adjoint, so
+    along the gradient g at u the cost is the parabola
+    J - w dt|g|^2 + w^2/2 (c(g) + mu dt |g|^2), c(g) the tracking curvature
+    (Nocedal & Wright, Numerical Optimization, ch. 3): the step-size search
+    reads it, one direction solve per search."""
 
     def __init__(self, problem: ControlProblem):
         self.problem = problem
@@ -148,47 +104,41 @@ class FomModel(ProblemModel):
 
 class PodModel(ProblemModel):
     """Linear reduced model refreshed from full-order snapshots at the current
-    control. The modes are dx-orthonormal, so the lifted tracking cost is the
-    reduced misfit plus the target's energy outside their span,
-    target_energy - 1/2 dt |alpha_d|^2, and equals the full model's."""
+    control. Its lifted tracking cost, the reduced misfit plus the target's
+    energy outside the span of the modes, equals the full model's."""
 
     def __init__(self, problem: ControlProblem, mode_rule: ModeRule):
         super().__init__(problem)
         self.mode_rule = mode_rule
-        self.basis: ModeBasis | None = None
         self.ops: rom_pod.PodRomOperators | None = None
-        self._yd_reduced: np.ndarray | None = None
-        self._yd_residual_energy = 0.0
 
     def refine_basis(self, u: np.ndarray) -> Refresh:
         p = self.problem
         Q = fom.solve_state(p.grid, p.shapes, u, p.y0)
         modes, sigma = weighted_svd(Q, p.grid)
-        self.basis = truncate_to_basis(modes, sigma, self.mode_rule.select(sigma))
-        self.ops = rom_pod.assemble_pod_rom(self.basis, p.shapes, p.y0, p.grid)
-        self._yd_reduced = rom_pod.project_snapshots(self.basis, p.target, p.grid)
-        in_span = 0.5 * p.grid.dt * float(np.sum(self._yd_reduced * self._yd_reduced))
-        self._yd_residual_energy = p.target_energy - in_span
-        return Refresh(self.basis.r, sigma)
+        basis = truncate_to_basis(modes, sigma, self.mode_rule.select(sigma))
+        self.ops = None  # the held operators go before the new ones are built
+        self.ops = rom_pod.assemble_pod_rom(basis, p)
+        return Refresh(self.ops.r, sigma)
 
     def _solve_state(self, ops: rom_pod.PodRomOperators, u: np.ndarray) -> np.ndarray:
         self.state_solves += 1
-        return rom_pod.solve_pod_state(ops, u, self.problem.grid)
+        return rom_pod.solve_pod_state(ops, u)
 
     def evaluate(self, u: np.ndarray) -> tuple[CostBreakdown, np.ndarray]:
         self._require_basis()
-        grid = self.problem.grid
+        ops, grid = self.ops, self.problem.grid
         with self.phase("state"):
-            alpha = self._solve_state(self.ops, u)
+            alpha = self._solve_state(ops, u)
         with self.phase("cost"):
-            diff = alpha - self._yd_reduced
-            tracking = 0.5 * grid.dt * float(np.sum(diff * diff)) + self._yd_residual_energy
+            diff = alpha - ops.yd_reduced
+            tracking = 0.5 * grid.dt * float(np.sum(diff * diff)) + ops.yd_residual_energy
             reg = 0.5 * self.problem.mu * grid.dt * float(np.sum(np.asarray(u) ** 2))
             J = CostBreakdown(tracking=tracking, regularization=reg)
         with self.phase("adjoint"):
-            lam = rom_pod.solve_pod_adjoint(self.ops, alpha, self._yd_reduced, grid)
+            lam = rom_pod.solve_pod_adjoint(ops, alpha)
         with self.phase("gradient"):
-            g = rom_pod.gradient_pod(self.ops, lam, u, self.problem.mu)
+            g = rom_pod.gradient_pod(ops, lam, u)
         return J, g
 
     def tracking_curvature(self, g: np.ndarray) -> float:
@@ -199,7 +149,7 @@ class PodModel(ProblemModel):
 
     def lift(self, u: np.ndarray) -> np.ndarray:
         self._require_basis()
-        return rom_pod.lift_pod(self.basis, rom_pod.solve_pod_state(self.ops, u, self.problem.grid))
+        return rom_pod.lift_pod(self.ops, rom_pod.solve_pod_state(self.ops, u))
 
 
 class SpodModel(ProblemModel):
@@ -209,8 +159,9 @@ class SpodModel(ProblemModel):
     The cost and the adjoint read the tracking terms of the target along the
     reduced trajectory's shift path, so no evaluation lifts the state; `lift`
     alone does, for the artifacts. The terms come from the target table of
-    the held basis, built on first use after each refresh, in O(n_t r) per
-    path. On an invariant basis it is linear-quadratic along z = v t."""
+    the held operators in O(n_t r) per path. On an invariant basis the model
+    is linear-quadratic along z = v t, and every solve reads the operators'
+    drift terms."""
 
     def __init__(
         self,
@@ -221,54 +172,38 @@ class SpodModel(ProblemModel):
         super().__init__(problem)
         self.mode_rule = mode_rule
         self.eigenfunction_basis = eigenfunction_basis
-        self._path = uncontrolled_shift_path(problem.grid)
-        self.basis: ModeBasis | None = None
         self.ops: rom_spod.SpodRomOperators | None = None
-        self._table: np.ndarray | None = None  # the target table of the held basis
-        self._drift_tracking: rom_spod.SpodTracking | None = None  # an invariant basis's terms
 
     def refine_basis(self, u: np.ndarray) -> Refresh:
         p = self.problem
         if self.eigenfunction_basis:
             if self.ops is None:
-                self.basis = eigenfunction_stationary_basis(p.grid, p.shapes, p.y0)
-                self.ops = rom_spod.assemble_spod_rom(self.basis, p.shapes, p.y0, p.grid)
-            return Refresh(self.basis.r, None)
+                basis = eigenfunction_stationary_basis(p.grid, p.shapes, p.y0)
+                self.ops = rom_spod.assemble_spod_rom(basis, p)
+            return Refresh(self.ops.r, None)
         # the snapshots go once they are shifted, before the SVD
-        Qs = transform_snapshots(fom.solve_state(p.grid, p.shapes, u, p.y0), self._path, p.grid)
+        Qs = transform_snapshots(fom.solve_state(p.grid, p.shapes, u, p.y0),
+                                 uncontrolled_shift_path(p.grid), p.grid)
         modes, sigma = weighted_svd(Qs, p.grid)
-        self.basis = truncate_to_basis(modes, sigma, self.mode_rule.select(sigma))
-        self.ops = rom_spod.assemble_spod_rom(self.basis, p.shapes, p.y0, p.grid)
-        self._table = self._drift_tracking = None
-        return Refresh(self.basis.r, sigma)
-
-    def _tracking(self, z: np.ndarray) -> rom_spod.SpodTracking:
-        """Tracking terms of the held basis along the shift path z of one of
-        its trajectories. An invariant basis moves along v t on every solve, so
-        its terms are built once; on other bases each path builds its own."""
-        p = self.problem
-        if self._table is None:
-            # column 0 of the target is its profile (target_path[0] = 0)
-            self._table = rom_spod.target_table(self.basis, p.target[:, 0], p.grid)
-        if not self.ops.invariant:
-            return rom_spod.tracking_terms(self._table, p.target_path, z, p.grid)
-        if self._drift_tracking is None:
-            self._drift_tracking = rom_spod.tracking_terms(self._table, p.target_path, z, p.grid)
-        return self._drift_tracking
+        basis = truncate_to_basis(modes, sigma, self.mode_rule.select(sigma))
+        self.ops = None  # the held operators go before the new ones are built
+        self.ops = rom_spod.assemble_spod_rom(basis, p)
+        return Refresh(self.ops.r, sigma)
 
     def evaluate(self, u: np.ndarray) -> tuple[CostBreakdown, np.ndarray]:
         self._require_basis()
-        p = self.problem
+        ops = self.ops
         with self.phase("state"):
             self.state_solves += 1
-            traj = rom_spod.solve_spod_state(self.ops, u)
+            traj = rom_spod.solve_spod_state(ops, u)
         with self.phase("cost"):
-            tracking = self._tracking(traj.z)
-            J = rom_spod.reduced_cost(self.ops, tracking, traj.alpha, u, p.mu, p.target_energy)
+            # an invariant basis moves along v t on every solve
+            tracking = ops.drift_tracking if ops.invariant else rom_spod.tracking_terms(ops, traj.z)
+            J = rom_spod.reduced_cost(ops, tracking, traj.alpha, u)
         with self.phase("adjoint"):
-            adj = rom_spod.solve_spod_adjoint(self.ops, traj, u, tracking)
+            adj = rom_spod.solve_spod_adjoint(ops, traj, u, tracking)
         with self.phase("gradient"):
-            g = rom_spod.gradient_spod(self.ops, traj, adj, u, p.mu)
+            g = rom_spod.gradient_spod(ops, traj, adj, u)
         return J, g
 
     def tracking_curvature(self, g: np.ndarray) -> float:
@@ -277,7 +212,7 @@ class SpodModel(ProblemModel):
         terms; a non-finite c(g) raises DivergenceError."""
         self._require_basis()
         self.state_solves += 1
-        tr, alpha = self._tracking(self._path), rom_spod.invariant_response(self.ops, g)
+        tr, alpha = self.ops.drift_tracking, rom_spod.invariant_response(self.ops, g)
         Ga = rom_spod.gram_apply(self.ops, tr.self_weight, tr.cross_weight, alpha)
         c = self.problem.grid.dt * float(np.einsum("rj,rj->", alpha, Ga))
         if not math.isfinite(c):
@@ -292,18 +227,18 @@ class SpodModel(ProblemModel):
         self._require_basis()
         if self.ops.invariant:
             return super().line_cost(u, g, cost)
-        p = self.problem
+        ops = self.ops
 
         def march(omegas: list[float]) -> Callable[[int], float]:
             self.state_solves += 1
-            block = rom_spod.solve_spod_candidates(self.ops, u, g, omegas)
+            block = rom_spod.solve_spod_candidates(ops, u, g, omegas)
 
             def price(k: int) -> float:
-                if block.failed_at[k] < p.grid.n_t:
+                if block.failed_at[k] < ops.grid.n_t:
                     return math.inf
                 return rom_spod.reduced_cost(
-                    self.ops, self._tracking(block.z[k]), block.alpha[k], u - omegas[k] * g,
-                    p.mu, p.target_energy,
+                    ops, rom_spod.tracking_terms(ops, block.z[k]), block.alpha[k],
+                    u - omegas[k] * g,
                 ).total
 
             return price
@@ -312,5 +247,4 @@ class SpodModel(ProblemModel):
 
     def lift(self, u: np.ndarray) -> np.ndarray:
         self._require_basis()
-        return rom_spod.lift_spod(self.basis, rom_spod.solve_spod_state(self.ops, u),
-                                  self.problem.grid)
+        return rom_spod.lift_spod(self.ops, rom_spod.solve_spod_state(self.ops, u))

@@ -7,16 +7,24 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import ModeBasis
-from .control import ControlShapes
+from .control import ControlProblem
 from .discretization import SpaceTimeGrid, check_field, check_shape, upwind_transport
 from .fom import euler_sweep
 
 
 @dataclass(frozen=True)
 class PodRomOperators:
-    A_l: np.ndarray     # (r, r) projected transport operator
-    B_l: np.ndarray     # (r, m) projected control operator
-    alpha0: np.ndarray  # (r,) projected initial condition
+    """Everything one basis determines for one problem. The modes are
+    dx-orthonormal, so the lifted tracking cost is the reduced misfit to
+    yd_reduced plus yd_residual_energy, the target's energy outside their span."""
+
+    A_l: np.ndarray             # (r, r) projected transport operator
+    B_l: np.ndarray             # (r, m) projected control operator
+    alpha0: np.ndarray          # (r,) projected initial condition
+    yd_reduced: np.ndarray      # (r, n_t) projected target
+    yd_residual_energy: float   # target_energy - 1/2 dt |yd_reduced|^2
+    problem: ControlProblem
+    basis: ModeBasis
 
     @property
     def r(self) -> int:
@@ -27,30 +35,33 @@ class PodRomOperators:
         return self.B_l.shape[1]
 
 
-def assemble_pod_rom(
-    basis: ModeBasis,
-    shapes: ControlShapes,
-    y0: np.ndarray,
-    grid: SpaceTimeGrid,
-) -> PodRomOperators:
+def assemble_pod_rom(basis: ModeBasis, problem: ControlProblem) -> PodRomOperators:
     """Galerkin projection of the discrete transport operator, the control
-    shapes, and the initial condition onto the basis.
+    shapes, the initial condition and the target onto the basis.
 
     The full model's own upwind stencil is projected, which keeps the reduced
     model consistent with the full one when the basis is complete.
     """
-    y0 = check_field(y0, grid, "y0")
+    grid = problem.grid
+    # the target first, so its projection's temporaries do not meet PhiW's
+    yd_reduced = project_snapshots(basis, problem.target, grid)
+    in_span = 0.5 * grid.dt * float(np.sum(yd_reduced * yd_reduced))
     Phi = basis.modes
     PhiW = grid.dx * Phi.T  # weighted analysis operator
     return PodRomOperators(
         A_l=PhiW @ upwind_transport(Phi, grid),
-        B_l=PhiW @ shapes.shapes,
-        alpha0=PhiW @ y0,
+        B_l=PhiW @ problem.shapes.shapes,
+        alpha0=PhiW @ problem.y0,
+        yd_reduced=yd_reduced,
+        yd_residual_energy=problem.target_energy - in_span,
+        problem=problem,
+        basis=basis,
     )
 
 
-def solve_pod_state(ops: PodRomOperators, u: np.ndarray, grid: SpaceTimeGrid) -> np.ndarray:
+def solve_pod_state(ops: PodRomOperators, u: np.ndarray) -> np.ndarray:
     """Explicit Euler for the reduced dynamics; column j is alpha(t_j)."""
+    grid = ops.problem.grid
     u = check_shape(u, (ops.m, grid.n_t), "control")
     dt = grid.dt
     forcing = ops.B_l @ u
@@ -65,16 +76,11 @@ def solve_pod_state(ops: PodRomOperators, u: np.ndarray, grid: SpaceTimeGrid) ->
     return euler_sweep(step, ops.alpha0, grid.n_t, False, "reduced state")
 
 
-def solve_pod_adjoint(
-    ops: PodRomOperators,
-    alpha: np.ndarray,
-    yd_reduced: np.ndarray,
-    grid: SpaceTimeGrid,
-) -> np.ndarray:
+def solve_pod_adjoint(ops: PodRomOperators, alpha: np.ndarray) -> np.ndarray:
     """Backward explicit Euler from a zero terminal condition with right-hand
     side A_l^T lambda + alpha - yd_reduced."""
+    grid, yd_reduced = ops.problem.grid, ops.yd_reduced
     alpha = check_shape(alpha, (ops.r, grid.n_t), "reduced state")
-    yd_reduced = check_shape(yd_reduced, alpha.shape, "reduced target")
     dt = grid.dt
     AT = ops.A_l.T
 
@@ -89,17 +95,17 @@ def solve_pod_adjoint(
     return euler_sweep(step, np.zeros(ops.r), grid.n_t, True, "reduced adjoint")
 
 
-def gradient_pod(ops: PodRomOperators, lam: np.ndarray, u: np.ndarray, mu: float) -> np.ndarray:
+def gradient_pod(ops: PodRomOperators, lam: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Column j is mu u(t_j) + B_l^T lambda(t_j)."""
-    return mu * np.asarray(u, dtype=float) + ops.B_l.T @ np.asarray(lam, dtype=float)
+    return ops.problem.mu * np.asarray(u, dtype=float) + ops.B_l.T @ np.asarray(lam, dtype=float)
 
 
-def lift_pod(basis: ModeBasis, alpha: np.ndarray) -> np.ndarray:
+def lift_pod(ops: PodRomOperators, alpha: np.ndarray) -> np.ndarray:
     """Reconstruct full-order snapshots: column j is sum_i alpha_i(t_j) phi_i."""
     alpha = np.asarray(alpha, dtype=float)
-    if alpha.shape[0] != basis.r:
-        raise ValueError(f"amplitudes have {alpha.shape[0]} rows, basis has r={basis.r}")
-    return basis.modes @ alpha
+    if alpha.shape[0] != ops.r:
+        raise ValueError(f"amplitudes have {alpha.shape[0]} rows, basis has r={ops.r}")
+    return ops.basis.modes @ alpha
 
 
 def project_snapshots(basis: ModeBasis, Q: np.ndarray, grid: SpaceTimeGrid) -> np.ndarray:

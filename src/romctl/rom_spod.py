@@ -43,8 +43,8 @@ from functools import cached_property
 import numpy as np
 
 from .basis import ModeBasis
-from .control import ControlShapes, build_fourier_shapes
-from .discretization import SpaceTimeGrid, central_derivative, check_field, check_shape
+from .control import ControlProblem, build_fourier_shapes
+from .discretization import SpaceTimeGrid, central_derivative, check_shape
 from .fom import CHECK_EVERY, CostBreakdown, DivergenceError, euler_sweep
 from .transform import shift_columns, snap_cells, split_shift, uncontrolled_shift_path
 
@@ -80,10 +80,12 @@ def _regular_mass(s, c, bb):
 
 @dataclass(frozen=True)
 class SpodRomOperators:
-    """The shift-independent operators and the pairings B(z) = B(0) T(z) of
-    the stacked [shifted modes; their shift derivative; their curvature] with
-    the shapes on one grid. cells holds the symbol of T at the n whole-cell
-    shifts, and T(z) is exact at every shift z."""
+    """Everything one basis determines for one problem: the shift-independent
+    operators, the pairings B(z) = B(0) T(z) of the stacked [shifted modes;
+    their shift derivative; their curvature] with the shapes, and the target
+    table. cells holds the symbol of T at the n whole-cell shifts, and T(z)
+    is exact at every shift z. The symbol and the tracking terms along v t,
+    which an invariant basis reads on every solve, are built on first use."""
 
     N: np.ndarray           # (r, r) skew pairing of modes with mode slopes
     M2: np.ndarray          # (r, r) Gram matrix of mode slopes
@@ -91,8 +93,15 @@ class SpodRomOperators:
     cells: np.ndarray       # (n, xi) row c: e^{i theta_k c}, the symbol at shift c dx
     gram_cross: np.ndarray  # (r, r) one-cell cross Gram of the modes
     alpha0: np.ndarray      # (r,)
-    grid: SpaceTimeGrid     # the grid the solves march on
+    table: np.ndarray       # (n, r) target_table of the target's profile
     invariant: bool         # N^T B1 = B2: closed-form solves
+    problem: ControlProblem
+    basis: ModeBasis
+
+    @property
+    def grid(self) -> SpaceTimeGrid:
+        """The grid the solves march on."""
+        return self.problem.grid
 
     @property
     def r(self) -> int:
@@ -115,6 +124,11 @@ class SpodRomOperators:
         """symbol along the uncontrolled path v t, (n_t, xi): an invariant
         basis moves along it on every solve."""
         return self.symbol(uncontrolled_shift_path(self.grid))
+
+    @cached_property
+    def drift_tracking(self) -> SpodTracking:
+        """tracking_terms along the uncontrolled path v t."""
+        return tracking_terms(self, uncontrolled_shift_path(self.grid))
 
     def along(
         self, rows: slice, sig: np.ndarray, w: np.ndarray, transpose: bool = False
@@ -197,15 +211,10 @@ class SmallnessCertificate:
         return self.u_norm_sq < self.bound
 
 
-def assemble_spod_rom(
-    basis: ModeBasis,
-    shapes: ControlShapes,
-    y0: np.ndarray,
-    grid: SpaceTimeGrid,
-) -> SpodRomOperators:
-    """Assemble the shift-independent matrices, the pairings B(0) and the
-    shift symbol at the n whole-cell shifts, and detect from B(0) whether the
-    basis is invariant.
+def assemble_spod_rom(basis: ModeBasis, problem: ControlProblem) -> SpodRomOperators:
+    """Assemble the shift-independent matrices, the pairings B(0), the shift
+    symbol at the n whole-cell shifts and the target table, and detect from
+    B(0) whether the basis is invariant.
 
     The shapes must be build_fourier_shapes(grid, (m - 1) // 2) bit for bit.
     By summation by parts B2(0) = -dx Phi'^T b = dx Phi^T (D b) and
@@ -216,11 +225,11 @@ def assemble_spod_rom(
     xi < n / 2) and N^T B1(z) - B2(z) = (N^T B1(0) - B2(0)) T(z), so the gap
     at z = 0 decides invariance at every shift, the relative gap within a
     factor 1 / cos^2(pi xi / n)."""
+    grid, shapes = problem.grid, problem.shapes
     xi = (shapes.m - 1) // 2
     if not np.array_equal(shapes.shapes, build_fourier_shapes(grid, xi).shapes):
         raise ValueError("sPOD-G pairs the modes with Fourier control shapes only: the shapes "
                          f"differ from build_fourier_shapes(grid, {xi})")
-    y0 = check_field(y0, grid, "y0")
     Phi = basis.modes
     dPhi = central_derivative(Phi, grid)
 
@@ -249,9 +258,12 @@ def assemble_spod_rom(
         B0=np.vstack([B1, B2, B3]),
         cells=cells,
         gram_cross=gram_cross,
-        alpha0=dx * (Phi.T @ y0),
-        grid=grid,
+        alpha0=dx * (Phi.T @ problem.y0),
+        # column 0 of the target is its profile (target_path[0] = 0)
+        table=target_table(basis, problem.target[:, 0], grid),
         invariant=invariant,
+        problem=problem,
+        basis=basis,
     )
 
 
@@ -518,25 +530,19 @@ def gradient_spod(
     traj: SpodReducedTrajectory,
     adjoint: SpodAdjointTrajectory,
     u: np.ndarray,
-    mu: float,
 ) -> np.ndarray:
     """Column j is mu u(t_j) + B1(z_j)^T lambda(t_j) + B2(z_j)^T alpha(t_j) z_a(t_j)
     (z_a = 0 on an invariant basis)."""
     w = adjoint.lambda_a
     if adjoint.z_a.any():  # else the B2 rows add nothing
         w = np.concatenate([w, traj.alpha * adjoint.z_a])
-    return mu * np.asarray(u, dtype=float) + ops.along(slice(0, len(w)), traj.sig, w,
-                                                       transpose=True)
+    along = ops.along(slice(0, len(w)), traj.sig, w, transpose=True)
+    return ops.problem.mu * np.asarray(u, dtype=float) + along
 
 
-def tracking_terms(
-    table: np.ndarray,
-    target_path: np.ndarray,
-    z: np.ndarray,
-    grid: SpaceTimeGrid,
-) -> SpodTracking:
-    """Tracking terms along the shift path z of the target whose column j is
-    the profile of the target table shifted by target_path[j].
+def tracking_terms(ops: SpodRomOperators, z: np.ndarray) -> SpodTracking:
+    """Tracking terms along the shift path z of the problem's target, whose
+    column j is the profile of the target table shifted by target_path[j].
 
     With k_j, f_j the whole cells and fraction of z_j and c_j, b_j those of
     the target shift, y_d^j = (1 - b_j) roll(y, c_j) + b_j roll(y, c_j + 1),
@@ -544,9 +550,10 @@ def tracking_terms(
     q_j = c_j - k_j. S(z_j)^T y_d^j blends the rolls by -k_j and -(k_j + 1);
     the z-slope times dx is their difference, at an aligned shift the central
     difference of the rolls by -(k_j - 1) and -(k_j + 1)."""
+    grid, table = ops.grid, ops.table
     n, n_t = grid.n, grid.n_t
     k, frac = split_shift(check_shape(z, (n_t,), "shift path"), grid)
-    c, b = split_shift(check_shape(target_path, (n_t,), "target path"), grid)
+    c, b = split_shift(ops.problem.target_path, grid)
     q = c - k
 
     def roll_pairing(d, steps=slice(None)):
@@ -583,13 +590,10 @@ def reduced_cost(
     tracking: SpodTracking,
     alpha: np.ndarray,
     u: np.ndarray,
-    mu: float,
-    target_energy: float,
 ) -> CostBreakdown:
     """fom.cost of the lifted trajectory with amplitudes alpha, from the reduced
-    quantities alone: `tracking` holds the terms along its path, target_energy
-    the problem's."""
-    dt = ops.grid.dt
+    quantities alone: `tracking` holds the terms along its path."""
+    dt, mu, target_energy = ops.grid.dt, ops.problem.mu, ops.problem.target_energy
     Ga = gram_apply(ops, tracking.self_weight, tracking.cross_weight, alpha)
     per_step = np.einsum("rj,rj->j", alpha, Ga - 2.0 * tracking.P)
     tracking_cost = 0.5 * dt * float(np.sum(per_step)) + target_energy
@@ -616,12 +620,12 @@ def _invariant_state(ops: SpodRomOperators, u: np.ndarray) -> SpodReducedTraject
     return SpodReducedTrajectory(alpha, uncontrolled_shift_path(grid), ops.drift_symbol)
 
 
-def lift_spod(basis: ModeBasis, traj: SpodReducedTrajectory, grid: SpaceTimeGrid) -> np.ndarray:
+def lift_spod(ops: SpodRomOperators, traj: SpodReducedTrajectory) -> np.ndarray:
     """Reconstruct full-order snapshots: column j is the shifted mode combination."""
     alpha = traj.alpha
-    if alpha.shape[0] != basis.r:
-        raise ValueError(f"amplitudes have {alpha.shape[0]} rows, basis has r={basis.r}")
-    return shift_columns(basis.modes @ alpha, traj.z, grid)
+    if alpha.shape[0] != ops.r:
+        raise ValueError(f"amplitudes have {alpha.shape[0]} rows, basis has r={ops.r}")
+    return shift_columns(ops.basis.modes @ alpha, traj.z, ops.grid)
 
 
 def certify_smallness(ops: SpodRomOperators, u: np.ndarray) -> SmallnessCertificate:

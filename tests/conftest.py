@@ -6,6 +6,7 @@ import pytest
 
 from romctl import SpaceTimeGrid, build_fourier_shapes
 from romctl.basis import truncate_to_basis, weighted_svd
+from romctl.control import ControlProblem
 from romctl.discretization import check_field
 from romctl.experiments import (
     build_target,
@@ -44,6 +45,12 @@ def second_difference(field, grid):
     stack: (y_{i+1} - 2 y_i + y_{i-1}) / dx^2."""
     field = check_field(field, grid)
     return (np.roll(field, -1, axis=0) - 2.0 * field + np.roll(field, 1, axis=0)) / grid.dx**2
+
+
+def bare_problem(grid, shapes, y0, mu=1e-3):
+    """A control problem with a zero target, for the operators and solves
+    that read no target."""
+    return ControlProblem(grid, shapes, y0, np.zeros((grid.n, grid.n_t)), np.zeros(grid.n_t), mu)
 
 
 def split_one(z, grid):

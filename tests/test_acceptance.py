@@ -13,7 +13,7 @@ import pytest
 
 from romctl import SpaceTimeGrid, build_fourier_shapes
 from romctl.basis import ModeRule, eigenfunction_stationary_basis, singular_values
-from romctl.control import adjoint_control, apply_control
+from romctl.control import ControlProblem, adjoint_control, apply_control
 from romctl.experiments import (
     ScenarioConfig,
     build_target,
@@ -23,14 +23,13 @@ from romctl.experiments import (
     single_tilt_target,
 )
 from romctl.fom import solve_adjoint, solve_state
-from romctl.models import ControlProblem, FomModel, SpodModel
+from romctl.models import FomModel, SpodModel
 from romctl.optimizer import OptimizerConfig, optimize
 from romctl.rom_spod import (
     assemble_spod_rom,
     certify_smallness,
     solve_spod_adjoint,
     solve_spod_state,
-    target_table,
     tracking_terms,
 )
 from romctl.transform import transform_snapshots, uncontrolled_shift_path
@@ -144,8 +143,7 @@ def test_criterion_03_spod_gradient_check():
                           ModeRule.fixed(5))
         # the same reduced system, finer steps: n, l and y0 stay, so the
         # operators assembled on this grid differ from base.ops only in it
-        model.basis = base.basis
-        model.ops = assemble_spod_rom(base.basis, shapes, y0g, grid)
+        model.ops = assemble_spod_rom(base.ops.basis, model.problem)
         u = smooth_signal(np.random.default_rng(2), shapes.m, grid.n_t, 0.02)
         errs = fd_gradient_check(model, u, seed=17)
         agg[n_t] = float(np.sqrt(np.mean(np.square(errs))))
@@ -227,8 +225,8 @@ def test_criterion_06_smallness_envelope():
     t0 = time.perf_counter()
     grid = unit_cfl_grid(401, 300)
     shapes, y0, target = fom_setup(grid, 1)  # m = 3, basis size 4
-    basis = eigenfunction_stationary_basis(grid, shapes, y0)
-    ops = assemble_spod_rom(basis, shapes, y0, grid)
+    problem = ControlProblem(grid, shapes, y0, target, resting_path(grid), 1e-3)
+    ops = assemble_spod_rom(eigenfunction_stationary_basis(grid, shapes, y0), problem)
     bn = svd_norm_B(shapes, grid)  # the certificate's closed form is ||B||^2 = l
     a0_sq = float(ops.alpha0 @ ops.alpha0)
     rng = np.random.default_rng(7)
@@ -263,6 +261,7 @@ def test_criterion_07_structural_invariants():
     t0 = time.perf_counter()
     grid = unit_cfl_grid(201, 150)
     shapes, y0, target = fom_setup(grid, 2)
+    problem = ControlProblem(grid, shapes, y0, target, resting_path(grid), 1e-3)
     rng = np.random.default_rng(11)
 
     # skew pairing and positive definite extended Gramian on random smooth modes
@@ -275,7 +274,7 @@ def test_criterion_07_structural_invariants():
         q, _ = np.linalg.qr(np.sqrt(grid.dx) * raw)
         from romctl.basis import ModeBasis
 
-        ops = assemble_spod_rom(ModeBasis(modes=q / np.sqrt(grid.dx)), shapes, y0, grid)
+        ops = assemble_spod_rom(ModeBasis(modes=q / np.sqrt(grid.dx)), problem)
         assert np.max(np.abs(ops.N + ops.N.T)) < 1e-10
         M_c = np.block([[np.eye(ops.r), ops.N], [ops.N.T, ops.M2]])
         assert np.min(np.linalg.eigvalsh(M_c)) > 0.0
@@ -300,11 +299,9 @@ def test_criterion_07_structural_invariants():
     Y = solve_state(grid, shapes, u, y0)
     lam = solve_adjoint(grid, Y, target)
     assert np.all(lam[:, -1] == 0.0)
-    basis = eigenfunction_stationary_basis(grid, shapes, y0)
-    ops = assemble_spod_rom(basis, shapes, y0, grid)
+    ops = assemble_spod_rom(eigenfunction_stationary_basis(grid, shapes, y0), problem)
     traj = solve_spod_state(ops, u)
-    tracking = tracking_terms(target_table(basis, target[:, 0], grid), resting_path(grid),
-                              traj.z, grid)
+    tracking = tracking_terms(ops, traj.z)
     adj = solve_spod_adjoint(ops, traj, u, tracking)
     assert np.all(adj.lambda_a[:, -1] == 0.0) and adj.z_a[-1] == 0.0
 

@@ -221,7 +221,7 @@ def test_certified_sketch_matches_dense_svd(cfg, seed, monkeypatch):
     J = model.evaluate(u)[0].total
     monkeypatch.setattr(models, "weighted_svd", dense_weighted_svd)
     reference = build_model(cfg)
-    assert reference.refine_basis(u).modes == model.basis.r
+    assert reference.refine_basis(u).modes == model.ops.r
     assert J == pytest.approx(reference.evaluate(u)[0].total, rel=1e-10)
 
 

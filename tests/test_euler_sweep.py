@@ -26,6 +26,7 @@ import pytest
 
 from romctl import SpaceTimeGrid, build_fourier_shapes
 from romctl.basis import ModeBasis, eigenfunction_stationary_basis, weighted_svd
+from romctl.control import ControlProblem
 from romctl.discretization import central_derivative
 from romctl.fom import CHECK_EVERY, DivergenceError, euler_sweep, solve_adjoint, solve_state
 from romctl.rom_pod import assemble_pod_rom, solve_pod_adjoint, solve_pod_state
@@ -38,12 +39,11 @@ from romctl.rom_spod import (
     gradient_spod,
     solve_spod_adjoint,
     solve_spod_state,
-    target_table,
     tracking_terms,
 )
 from romctl.transform import shift_columns
 
-from conftest import second_difference, shift_field, smooth_signal, split_one
+from conftest import bare_problem, second_difference, shift_field, smooth_signal, split_one
 
 
 def reference_transport(y, grid, reversed_direction):
@@ -322,22 +322,30 @@ def problem(v, seed, n=97, n_t=83, r=9):
     q, _ = np.linalg.qr(rng.standard_normal((n, r)))
     basis = ModeBasis(modes=q / np.sqrt(grid.dx))
     y0 = rng.standard_normal(n)
-    ops = assemble_pod_rom(basis, shapes, y0, grid)
     u = smooth_signal(rng, shapes.m, n_t, 0.3) + 0.01 * rng.standard_normal((shapes.m, n_t))
     target = rng.standard_normal((n, n_t))
     yd = rng.standard_normal((r, n_t))
+    # the POD-G adjoint reads yd as its reduced target
+    ops = dataclasses.replace(assemble_pod_rom(basis, bare_problem(grid, shapes, y0)),
+                              yd_reduced=yd)
     return grid, shapes, ops, y0, u, target, yd
+
+
+def moving_problem(grid, shapes, y0, seed):
+    """The control problem from y0 onto the target of moving_profile(grid, seed)."""
+    _, path, target = moving_profile(grid, seed)
+    return ControlProblem(grid, shapes, y0, target, path, 1e-3)
 
 
 def spod_operators(grid, shapes, seed, r=5):
     """sPOD-G operators on the span of r random smooth bumps, the first of them
-    the initial condition. Unlike the invariant-subspace basis, the span holds
+    the initial condition, for the target of moving_profile(grid, seed). Unlike the invariant-subspace basis, the span holds
     no control shape, so the control moves the shift off v t."""
     rng = np.random.default_rng(seed + 100)
     centers, widths = rng.uniform(0.0, grid.l, r), rng.uniform(4.0, 8.0, r)
     bumps = np.exp(-(((grid.x[:, None] - centers) / widths) ** 2))
     basis = ModeBasis(modes=weighted_svd(bumps, grid)[0])
-    return basis, assemble_spod_rom(basis, shapes, bumps[:, 0], grid)
+    return basis, assemble_spod_rom(basis, moving_problem(grid, shapes, bumps[:, 0], seed))
 
 
 @pytest.mark.parametrize("v", [0.55, -0.55, 0.0])
@@ -347,9 +355,9 @@ def test_solves_match_parent_loops_bitwise(v, seed):
     Y = solve_state(grid, shapes, u, y0)
     assert np.array_equal(Y, reference_state(grid, shapes, u, y0))
     assert np.array_equal(solve_adjoint(grid, Y, target), reference_adjoint(grid, Y, target))
-    alpha = solve_pod_state(ops, u, grid)
+    alpha = solve_pod_state(ops, u)
     assert np.array_equal(alpha, reference_pod_state(ops, u, grid))
-    lam = solve_pod_adjoint(ops, alpha, yd, grid)
+    lam = solve_pod_adjoint(ops, alpha)
     assert np.array_equal(lam, reference_pod_adjoint(ops, alpha, yd, grid))
 
 
@@ -386,19 +394,19 @@ def test_spod_solves_match_parent_loops_bitwise(v, seed):
     grid, shapes, _, _, u, _, _ = problem(v, seed)
     basis, ops = spod_operators(grid, shapes, seed)
     assert not ops.invariant  # the bumps hold no control shape: the Schur path runs
-    profile, path, target = moving_profile(grid, seed)
+    _, _, target = moving_profile(grid, seed)
     ref = ReferenceSpodOps(ops, basis, shapes, grid)
     traj = solve_spod_state(ops, u)
     ref_traj = reference_spod_state(ref, u, grid)
     # not bitwise: the solve pairs through B(0) T(z), the oracle through the shift loop
     assert rel(traj.alpha, ref_traj.alpha) <= 1e-12
     assert rel(traj.z, ref_traj.z) <= 1e-12
-    tracking = tracking_terms(target_table(basis, profile, grid), path, traj.z, grid)
+    tracking = tracking_terms(ops, traj.z)
     adj = solve_spod_adjoint(ops, traj, u, tracking)
     ref_adj = reference_spod_adjoint(ref, ref_traj, u, target, basis, grid)
     assert rel(adj.lambda_a, ref_adj.lambda_a) <= 1e-12
     assert rel(adj.z_a, ref_adj.z_a) <= 1e-12
-    g = gradient_spod(ops, traj, adj, u, 1e-3)
+    g = gradient_spod(ops, traj, adj, u)
     assert rel(g, reference_gradient_spod(ref, ref_traj, ref_adj, u, 1e-3)) <= 1e-12
 
 
@@ -418,7 +426,7 @@ def test_b_table_matches_shift_loop(seed, n_samples):
     even = (grid.l / n_samples) * np.arange(n_samples)
     shifts = np.concatenate([grid.dx * np.arange(grid.n), even, off])
     for basis in (bumps, eigenfunction_stationary_basis(grid, shapes, y0)):
-        ops = assemble_spod_rom(basis, shapes, y0, grid)
+        ops = assemble_spod_rom(basis, bare_problem(grid, shapes, y0))
         table = reference_b_table(basis, shapes, grid, shifts)
         tol = 1e-12 * np.max(np.abs(table))
         rows, m = slice(0, 3 * ops.r), ops.m
@@ -437,12 +445,12 @@ def test_tracking_terms_match_column_loop(v, seed):
     # snapshots, on a snapshot-like and on the invariant basis, along a shift
     # path near v t with steps on, next to and far off nodes
     grid, shapes, _, y0, _, _, _ = problem(v, seed)
-    profile, path, target = moving_profile(grid, seed)
+    _, _, target = moving_profile(grid, seed)
     rng = np.random.default_rng(seed + 300)
     z = awkward_shifts(grid, rng, v * grid.t + rng.uniform(-3.0, 3.0, grid.n_t))
     bumps, _ = spod_operators(grid, shapes, seed)
     for basis in (bumps, eigenfunction_stationary_basis(grid, shapes, y0)):
-        got = tracking_terms(target_table(basis, profile, grid), path, z, grid)
+        got = tracking_terms(assemble_spod_rom(basis, moving_problem(grid, shapes, y0, seed)), z)
         want = reference_tracking_terms(basis, target, z, grid)
         for field in dataclasses.fields(SpodTracking):
             a, b = getattr(got, field.name), getattr(want, field.name)
@@ -476,7 +484,7 @@ def test_divergence_names_first_bad_column(what):
             grid, shapes, ops, y0, u, target, yd = problem(0.55, 3)
             if invariant:
                 basis = eigenfunction_stationary_basis(grid, shapes, y0)
-                sops = assemble_spod_rom(basis, shapes, y0, grid)
+                sops = assemble_spod_rom(basis, bare_problem(grid, shapes, y0))
             else:
                 basis, sops = spod_operators(grid, shapes, 3)
             assert sops.invariant == bool(invariant)
@@ -484,9 +492,8 @@ def test_divergence_names_first_bad_column(what):
             solves = {
                 "state": lambda: solve_state(grid, shapes, u, y0),
                 "adjoint": lambda: solve_adjoint(grid, solve_state(grid, shapes, u, y0), target),
-                "reduced state": lambda: solve_pod_state(ops, u, grid),
-                "reduced adjoint": lambda: solve_pod_adjoint(
-                    ops, solve_pod_state(ops, u, grid), yd, grid),
+                "reduced state": lambda: solve_pod_state(ops, u),
+                "reduced adjoint": lambda: solve_pod_adjoint(ops, solve_pod_state(ops, u)),
                 "spod state": lambda: solve_spod_state(sops, u),
                 "spod adjoint": lambda: spod_adjoint(sops, basis, u, target, grid),
             }
@@ -526,7 +533,8 @@ def test_singular_mass_matrix_step_matches_schur_sweep(first_singular):
     # closed-form state, which checks the margins of its trajectory in one
     # batch, must stop at the step where the Schur sweep stops.
     grid, shapes, _, y0, u, _, _ = problem(0.55, 0)
-    ops = assemble_spod_rom(eigenfunction_stationary_basis(grid, shapes, y0), shapes, y0, grid)
+    ops = assemble_spod_rom(eigenfunction_stationary_basis(grid, shapes, y0),
+                            bare_problem(grid, shapes, y0))
     assert ops.invariant
     w = np.zeros(ops.r)
     if first_singular:
@@ -548,14 +556,14 @@ def test_singular_mass_matrix_adjoint_step_matches_schur_sweep(singular_step):
     # Column n_t - 1 = 82 is one the state never solves at.
     grid, shapes, _, _, u, _, _ = problem(0.55, 0)
     basis, ops = spod_operators(grid, shapes, 0)
-    profile, path, target = moving_profile(grid, 0)
+    _, _, target = moving_profile(grid, 0)
     traj = solve_spod_state(ops, u)
     w = np.zeros(ops.r)
     if singular_step is not None:
         a = traj.alpha[:, singular_step]
         w = np.ones(ops.r) - (np.sum(a) / (a @ a)) * a
     singular = dataclasses.replace(ops, M2=ops.N.T @ ops.N + np.outer(w, w))
-    tracking = tracking_terms(target_table(basis, profile, grid), path, traj.z, grid)
+    tracking = tracking_terms(ops, traj.z)
     with pytest.raises(SingularMassError) as err:
         solve_spod_adjoint(singular, traj, u, tracking)
     with pytest.raises(SingularMassError) as ref_err:
@@ -568,8 +576,7 @@ def test_spod_adjoint_rejects_control_of_wrong_shape():
     # a (m, 1) control would broadcast against the path in the batched reads
     grid, shapes, _, _, u, _, _ = problem(0.55, 0)
     basis, ops = spod_operators(grid, shapes, 0)
-    profile, path, _ = moving_profile(grid, 0)
     traj = solve_spod_state(ops, u)
-    tracking = tracking_terms(target_table(basis, profile, grid), path, traj.z, grid)
+    tracking = tracking_terms(ops, traj.z)
     with pytest.raises(ValueError, match="control"):
         solve_spod_adjoint(ops, traj, u[:, :1], tracking)

@@ -4,6 +4,7 @@ import importlib.util
 import io
 import json
 import math
+import os
 import re
 import struct
 import sys
@@ -14,8 +15,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from romctl import build_fourier_shapes, experiments
+from romctl import build_fourier_shapes, cli, experiments
 from romctl.cli import main as cli_main
+from romctl.control import ControlProblem
 from romctl.experiments import (
     FMT,
     STREAM_COLUMNS,
@@ -37,7 +39,7 @@ from romctl.experiments import (
     single_tilt_target,
 )
 from romctl.fom import cost, solve_state
-from romctl.models import ControlProblem, SpodModel
+from romctl.models import SpodModel
 from romctl.optimizer import OptimizerConfig, OptimizerReport, optimize
 from romctl.rom_spod import SingularMassError, certify_smallness
 from romctl.transform import split_shift
@@ -455,7 +457,27 @@ def test_cli_sweep(tmp_path, monkeypatch):
     assert (tmp_path / "sweep" / "modes_0005" / "cost_history.csv").exists()
 
 
-@pytest.mark.parametrize("modes, threads", [("0,3", "1"), ("2,x", "1"), ("3,5", "x")])
+def test_cli_sweep_counts_the_cpus_it_may_run_on(tmp_path, monkeypatch):
+    # one CPU in the affinity mask of a many-CPU host: the jobs run in this
+    # process, and no worker pool starts
+    monkeypatch.delenv("ROMCTL_THREADS", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a one-CPU sweep started a worker pool")
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", no_pool)
+    cfg_path = tmp_path / "c.cfg"
+    cfg_path.write_text(tiny_config_text(model="pod", n_iter=2))
+    code = cli_main(["sweep", str(cfg_path), "--modes", "3,5",
+                     "--out", str(tmp_path / "sweep"), "--quiet"])
+    assert code == 0
+    assert sorted(p.name for p in (tmp_path / "sweep").iterdir()) == ["modes_0003", "modes_0005"]
+
+
+@pytest.mark.parametrize("modes, threads",
+                         [("0,3", "1"), ("2,x", "1"), ("3,5", "x"), ("3,3", "1"), ("3,3", "2")])
 def test_cli_sweep_bad_input_exit_code(tmp_path, monkeypatch, modes, threads):
     # checked before any job starts, so no job writes output
     monkeypatch.setenv("ROMCTL_THREADS", threads)
@@ -555,6 +577,32 @@ def test_gradient_checks_script_passes(capsys):
     script = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(script)
     assert script.main() == 0, capsys.readouterr().out
+
+
+def test_artifact_digests_mask_the_timings_alone(tmp_path, capsys):
+    # two runs of one scenario agree outside their wall-clock fields and their
+    # output directory, so the masked digests list the same lines; a changed
+    # value outside the timings changes its file's line
+    path = Path(__file__).resolve().parents[1] / "scripts" / "artifact_digests.py"
+    spec = importlib.util.spec_from_file_location("artifact_digests", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    cfg_path = tmp_path / "c.cfg"
+    cfg_path.write_text(tiny_config_text(model="pod", n_iter=3))
+    listings = []
+    for rerun in ("a", "b"):
+        out = tmp_path / rerun / "run"
+        assert cli_main(["run", str(cfg_path), "--out", str(out), "--quiet"]) == 0
+        assert script.main([str(out)]) == 0
+        listings.append(capsys.readouterr().out)
+    names = [line.split("  ")[1] for line in listings[0].splitlines()]
+    assert names == sorted(f"run/{p.name}" for p in (tmp_path / "a" / "run").iterdir())
+    assert listings[0] == listings[1]
+    timings = tmp_path / "b" / "run" / "timings.csv"
+    timings.write_bytes(timings.read_bytes().replace(b"\r\n1,", b"\r\n7,", 1))
+    assert script.main([str(tmp_path / "b" / "run")]) == 0
+    changed = set(capsys.readouterr().out.splitlines()) ^ set(listings[0].splitlines())
+    assert {line.split("  ")[1] for line in changed} == {"run/timings.csv"}
 
 
 def test_reproduce_studies_runs_the_cli_of_this_interpreter(tmp_path, monkeypatch):

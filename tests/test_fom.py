@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from romctl import SpaceTimeGrid, build_fourier_shapes
+from romctl.control import ControlProblem
 from romctl.experiments import (
     build_target,
     fd_gradient_check,
@@ -18,7 +19,7 @@ from romctl.fom import (
     solve_adjoint,
     solve_state,
 )
-from romctl.models import ControlProblem, FomModel
+from romctl.models import FomModel
 
 from conftest import coarse_grid, resting_path, smooth_signal
 

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from romctl import SpaceTimeGrid, build_fourier_shapes, rom_spod
-from romctl.basis import ModeRule
+from romctl.basis import ModeBasis, ModeRule
+from romctl.control import ControlProblem
 from romctl.experiments import (
     ScenarioConfig,
     build_model,
@@ -14,7 +15,7 @@ from romctl.experiments import (
     single_tilt_target,
 )
 from romctl.fom import CostBreakdown, DivergenceError
-from romctl.models import ControlProblem, FomModel, PodModel, SpodModel
+from romctl.models import FomModel, PodModel, SpodModel
 from romctl.optimizer import (
     MAX_BLOCK,
     MAX_HALVINGS,
@@ -342,6 +343,44 @@ def quadratic_model(kind, problem):
     rng = np.random.default_rng(7)
     model.refine_basis(smooth_signal(rng, problem.shapes.m, problem.grid.n_t, 0.5))
     return model
+
+
+REDUCED_MODELS = {
+    "pod": lambda problem: PodModel(problem, ModeRule.fixed(6)),
+    "spod": lambda problem: SpodModel(problem, ModeRule.fixed(4)),
+    "spod-invariant": lambda problem: SpodModel(problem, ModeRule.fixed(4),
+                                                eigenfunction_basis=True),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(REDUCED_MODELS))
+def test_a_reduced_model_holds_its_basis_only_through_ops(kind):
+    # everything a basis determines lives in the one frozen operator set a
+    # refresh builds: beside `ops` the model holds no array, basis or tracking
+    # terms, also once an evaluation and a search have read them. So a
+    # refresh that keeps its basis keeps `ops`, and an evaluation on the
+    # operators put back is bitwise the one before
+    problem = small_problem(0.55)
+    model = REDUCED_MODELS[kind](problem)
+    rng = np.random.default_rng(5)
+    m, n_t = problem.shapes.m, problem.grid.n_t
+    u = smooth_signal(rng, m, n_t, 0.5)
+
+    def held_beside_ops():
+        derived = (np.ndarray, ModeBasis, rom_spod.SpodTracking)
+        return sorted(name for name, value in vars(model).items() if isinstance(value, derived))
+
+    model.refine_basis(u)
+    assert held_beside_ops() == []
+    J, g = model.evaluate(u)
+    cost_at(model.line_cost(u, g, J.total), 1.0)
+    assert held_beside_ops() == []
+    kept = model.ops
+    model.refine_basis(smooth_signal(rng, m, n_t, 0.5))
+    assert held_beside_ops() == []
+    model.ops = kept
+    J_kept, g_kept = model.evaluate(u)
+    assert J_kept == J and np.array_equal(g_kept, g)
 
 
 def assert_prices_alike(parabola, trial, cost, kind):

@@ -1,8 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from romctl import SpaceTimeGrid, build_fourier_shapes
 from romctl.basis import ModeBasis, ModeRule
+from romctl.control import ControlProblem
 from romctl.experiments import (
     ScenarioConfig,
     build_model,
@@ -10,7 +13,7 @@ from romctl.experiments import (
     gaussian_initial_condition,
 )
 from romctl.fom import cost, solve_state
-from romctl.models import ControlProblem, PodModel
+from romctl.models import PodModel
 from romctl.rom_pod import (
     assemble_pod_rom,
     gradient_pod,
@@ -20,7 +23,7 @@ from romctl.rom_pod import (
     solve_pod_state,
 )
 
-from conftest import coarse_grid, field_norm, smooth_signal
+from conftest import bare_problem, coarse_grid, field_norm, smooth_signal
 
 
 def fourier_basis(grid, xi):
@@ -35,7 +38,7 @@ def fourier_basis(grid, xi):
 def test_alpha0_single_mode(grid, y0):
     phi = y0 / field_norm(y0, grid)
     basis = ModeBasis(modes=phi[:, None])
-    ops = assemble_pod_rom(basis, build_fourier_shapes(grid, 1), y0, grid)
+    ops = assemble_pod_rom(basis, bare_problem(grid, build_fourier_shapes(grid, 1), y0))
     assert ops.alpha0[0] == pytest.approx(field_norm(y0, grid), rel=1e-12)
 
 
@@ -45,11 +48,11 @@ def test_galerkin_exactness_on_invariant_span(grid, rng):
     shapes = build_fourier_shapes(grid, 1)
     basis = fourier_basis(grid, 2)
     y0 = 2.0 + np.sin(2 * np.pi * grid.x / grid.l)
-    ops = assemble_pod_rom(basis, shapes, y0, grid)
+    ops = assemble_pod_rom(basis, bare_problem(grid, shapes, y0))
     u = smooth_signal(rng, shapes.m, grid.n_t, 0.3)
-    alpha = solve_pod_state(ops, u, grid)
+    alpha = solve_pod_state(ops, u)
     Y_fom = solve_state(grid, shapes, u, y0)
-    assert np.max(np.abs(lift_pod(basis, alpha) - Y_fom)) < 1e-10
+    assert np.max(np.abs(lift_pod(ops, alpha) - Y_fom)) < 1e-10
 
 
 def test_complete_basis_reproduces_fom(rng):
@@ -57,41 +60,41 @@ def test_complete_basis_reproduces_fom(rng):
     shapes = build_fourier_shapes(g, 1)
     basis = ModeBasis(modes=np.eye(g.n) / np.sqrt(g.dx))
     y0 = gaussian_initial_condition(g)
-    ops = assemble_pod_rom(basis, shapes, y0, g)
+    ops = assemble_pod_rom(basis, bare_problem(g, shapes, y0))
     u = smooth_signal(rng, shapes.m, g.n_t, 0.5)
-    lifted = lift_pod(basis, solve_pod_state(ops, u, g))
+    lifted = lift_pod(ops, solve_pod_state(ops, u))
     assert np.max(np.abs(lifted - solve_state(g, shapes, u, y0))) < 1e-10
 
 
 def test_solution_linear_in_control(grid, shapes, y0, rng):
     basis = fourier_basis(grid, 3)
-    ops = assemble_pod_rom(basis, shapes, y0, grid)
+    ops = assemble_pod_rom(basis, bare_problem(grid, shapes, y0))
     u1 = smooth_signal(rng, shapes.m, grid.n_t, 0.2)
     u2 = smooth_signal(rng, shapes.m, grid.n_t, 0.2)
-    a1 = solve_pod_state(ops, u1, grid)
-    a2 = solve_pod_state(ops, u2, grid)
-    a12 = solve_pod_state(ops, u1 + u2, grid)
-    a0 = solve_pod_state(ops, 0 * u1, grid)
+    a1 = solve_pod_state(ops, u1)
+    a2 = solve_pod_state(ops, u2)
+    a12 = solve_pod_state(ops, u1 + u2)
+    a0 = solve_pod_state(ops, 0 * u1)
     assert np.max(np.abs(a12 - (a1 + a2 - a0))) < 1e-10
 
 
 def test_adjoint_zero_source_and_terminal(grid, shapes, y0, rng):
     basis = fourier_basis(grid, 2)
-    ops = assemble_pod_rom(basis, shapes, y0, grid)
-    alpha = solve_pod_state(ops, smooth_signal(rng, shapes.m, grid.n_t, 0.1), grid)
-    lam = solve_pod_adjoint(ops, alpha, alpha.copy(), grid)
+    ops = assemble_pod_rom(basis, bare_problem(grid, shapes, y0))
+    alpha = solve_pod_state(ops, smooth_signal(rng, shapes.m, grid.n_t, 0.1))
+    lam = solve_pod_adjoint(replace(ops, yd_reduced=alpha.copy()), alpha)
     assert np.max(np.abs(lam)) == 0.0
-    lam2 = solve_pod_adjoint(ops, alpha, np.zeros_like(alpha), grid)
+    lam2 = solve_pod_adjoint(ops, alpha)  # against the zero target
     assert np.all(lam2[:, -1] == 0.0)
 
 
 def test_gradient_trivial_cases(grid, shapes, y0, rng):
     basis = fourier_basis(grid, 2)
-    ops = assemble_pod_rom(basis, shapes, y0, grid)
+    ops = assemble_pod_rom(basis, bare_problem(grid, shapes, y0))
     u = rng.standard_normal((shapes.m, grid.n_t))
     lam = np.zeros((basis.r, grid.n_t))
-    assert np.max(np.abs(gradient_pod(ops, lam, 0 * u, 1e-3))) == 0.0
-    np.testing.assert_allclose(gradient_pod(ops, lam, u, 1e-3), 1e-3 * u, atol=0)
+    assert np.max(np.abs(gradient_pod(ops, lam, 0 * u))) == 0.0
+    np.testing.assert_allclose(gradient_pod(ops, lam, u), 1e-3 * u, atol=0)
 
 
 def test_reduced_gradient_matches_fd(grid, shapes, y0, target, target_path, rng):
@@ -103,18 +106,19 @@ def test_reduced_gradient_matches_fd(grid, shapes, y0, target, target_path, rng)
     assert max(errs) < 1e-6
 
 
-def test_lift_replicates_single_mode(grid, y0):
+def test_lift_replicates_single_mode(grid, shapes, y0):
     phi = y0 / field_norm(y0, grid)
-    basis = ModeBasis(modes=phi[:, None])
+    ops = assemble_pod_rom(ModeBasis(modes=phi[:, None]), bare_problem(grid, shapes, y0))
     alpha = np.ones((1, grid.n_t))
-    np.testing.assert_allclose(lift_pod(basis, alpha), np.tile(phi[:, None], grid.n_t))
+    np.testing.assert_allclose(lift_pod(ops, alpha), np.tile(phi[:, None], grid.n_t))
 
 
-def test_lift_project_identity_on_span(grid, rng):
+def test_lift_project_identity_on_span(grid, shapes, y0, rng):
     basis = fourier_basis(grid, 3)
+    ops = assemble_pod_rom(basis, bare_problem(grid, shapes, y0))
     coeff = rng.standard_normal((basis.r, grid.n_t))
-    Q = lift_pod(basis, coeff)
-    np.testing.assert_allclose(lift_pod(basis, project_snapshots(basis, Q, grid)), Q, atol=1e-10)
+    Q = lift_pod(ops, coeff)
+    np.testing.assert_allclose(lift_pod(ops, project_snapshots(basis, Q, grid)), Q, atol=1e-10)
 
 
 def test_reduced_cost_matches_lifted_cost(grid, shapes, y0, target, target_path, rng):
@@ -149,7 +153,7 @@ def test_projected_upwind_is_skew_plus_grid_level_dissipation(grid, shapes, y0):
     # the central part of the upwind stencil projects to a skew matrix; the
     # remaining symmetric part is the O(dx) upwind dissipation
     basis = fourier_basis(grid, 2)
-    ops = assemble_pod_rom(basis, shapes, y0, grid)
+    ops = assemble_pod_rom(basis, bare_problem(grid, shapes, y0))
     sym = np.linalg.norm(ops.A_l + ops.A_l.T)
     assert 0.0 < sym < 10.0 * grid.dx
 
@@ -167,6 +171,7 @@ def test_projected_operator_is_galerkin_projection_of_upwind_matrix(v, rng):
         A[i, (i - 1 if v > 0 else i + 1) % g.n] += c
     q, _ = np.linalg.qr(rng.standard_normal((g.n, 9)))
     basis = ModeBasis(modes=q / np.sqrt(g.dx))
-    ops = assemble_pod_rom(basis, build_fourier_shapes(g, 1), gaussian_initial_condition(g), g)
+    ops = assemble_pod_rom(basis, bare_problem(g, build_fourier_shapes(g, 1),
+                                               gaussian_initial_condition(g)))
     expected = g.dx * (basis.modes.T @ (A @ basis.modes))
     assert np.max(np.abs(ops.A_l - expected)) <= 1e-15 * np.max(np.abs(ops.A_l))

@@ -6,7 +6,7 @@ import pytest
 
 from romctl import SpaceTimeGrid, build_fourier_shapes, rom_spod
 from romctl.basis import ModeBasis, ModeRule, weighted_svd
-from romctl.control import ControlShapes
+from romctl.control import ControlProblem, ControlShapes
 from romctl.experiments import (
     build_target,
     fd_gradient_check,
@@ -14,7 +14,7 @@ from romctl.experiments import (
     single_tilt_target,
 )
 from romctl.fom import solve_state
-from romctl.models import ControlProblem, SpodModel
+from romctl.models import SpodModel
 from romctl.rom_spod import (
     SingularMassError,
     assemble_spod_rom,
@@ -24,12 +24,11 @@ from romctl.rom_spod import (
     solve_spod_adjoint,
     solve_spod_state,
     SpodReducedTrajectory,
-    target_table,
     tracking_terms,
 )
 from romctl.transform import shift_columns, transform_snapshots, uncontrolled_shift_path
 
-from conftest import cost_at, coarse_grid, resting_path, shift_field, smooth_signal, svd_norm_B
+from conftest import bare_problem, cost_at, coarse_grid, resting_path, shift_field, smooth_signal, svd_norm_B
 
 
 def normalized_trig_basis(grid, cols):
@@ -54,14 +53,14 @@ def eig_model(grid, shapes, y0, target, target_path):
 
 def test_constant_mode_has_trivial_operators(grid, shapes, y0):
     basis = normalized_trig_basis(grid, [("const", 0)])
-    ops = assemble_spod_rom(basis, shapes, y0, grid)
+    ops = assemble_spod_rom(basis, bare_problem(grid, shapes, y0))
     assert abs(ops.N[0, 0]) < 1e-12
     assert abs(ops.M2[0, 0]) < 1e-12
 
 
 def test_sin_cos_pair_skew_structure(grid, shapes, y0):
     basis = normalized_trig_basis(grid, [("sin", 1), ("cos", 1)])
-    ops = assemble_spod_rom(basis, shapes, y0, grid)
+    ops = assemble_spod_rom(basis, bare_problem(grid, shapes, y0))
     assert np.max(np.abs(ops.N + ops.N.T)) < 1e-10
     assert abs(ops.N[0, 1]) > 1e-3  # coupling between the pair
     np.testing.assert_allclose(ops.M2, ops.M2.T, atol=1e-12)
@@ -73,7 +72,7 @@ def test_structural_invariants_random_modes(grid, shapes, y0, rng):
     )
     modes, _ = np.linalg.qr(np.sqrt(grid.dx) * raw)
     basis = ModeBasis(modes=modes / np.sqrt(grid.dx))
-    ops = assemble_spod_rom(basis, shapes, y0, grid)
+    ops = assemble_spod_rom(basis, bare_problem(grid, shapes, y0))
     assert np.max(np.abs(ops.N + ops.N.T)) < 1e-10
     eigs = np.linalg.eigvalsh(ops.M2)
     assert np.all(eigs > -1e-12)
@@ -83,7 +82,7 @@ def test_structural_invariants_random_modes(grid, shapes, y0, rng):
 
 def test_mass_matrix_factorization_identity(grid, shapes, y0, rng):
     basis = normalized_trig_basis(grid, [("sin", 1), ("cos", 1), ("sin", 2)])
-    ops = assemble_spod_rom(basis, shapes, y0, grid)
+    ops = assemble_spod_rom(basis, bare_problem(grid, shapes, y0))
     a = rng.standard_normal(3)
     M = np.block([
         [np.eye(3), (ops.N @ a)[:, None]],
@@ -128,7 +127,7 @@ def test_invariant_basis_builds_its_drift_terms_once(eig_model, grid, shapes, rn
 
 def test_b1_at_zero_shift_matches_direct_pairing(grid, shapes, y0):
     basis = normalized_trig_basis(grid, [("const", 0), ("sin", 1)])
-    ops = assemble_spod_rom(basis, shapes, y0, grid)
+    ops = assemble_spod_rom(basis, bare_problem(grid, shapes, y0))
     direct = grid.dx * (basis.modes.T @ shapes.shapes)
     np.testing.assert_allclose(pairings(ops, slice(0, ops.r), 0.0), direct, atol=1e-12)
 
@@ -137,7 +136,7 @@ def test_lookup_interpolation(grid, shapes, y0, rng):
     # B1(z) from the exact symbol against the pairing of the shifted modes,
     # at a node and at shifts off the nodes, negative ones and ones past l
     basis = normalized_trig_basis(grid, [("const", 0), ("sin", 1), ("cos", 2)])
-    ops = assemble_spod_rom(basis, shapes, y0, grid)
+    ops = assemble_spod_rom(basis, bare_problem(grid, shapes, y0))
     for z in (3 * grid.dx, 3.5 * grid.dx, *rng.uniform(-2.0 * grid.l, 2.0 * grid.l, 8)):
         direct = grid.dx * (shift_field(basis.modes, z, grid).T @ shapes.shapes)
         np.testing.assert_allclose(pairings(ops, slice(0, ops.r), z), direct, rtol=0, atol=1e-14)
@@ -150,7 +149,7 @@ def test_b_table_slope_consistency():
     sh = build_fourier_shapes(g, 1)
     y0 = gaussian_initial_condition(g)
     basis = normalized_trig_basis(g, [("sin", 1), ("cos", 1)])
-    ops = assemble_spod_rom(basis, sh, y0, g)
+    ops = assemble_spod_rom(basis, bare_problem(g, sh, y0))
     z, h = 13.7, 1e-4
     r = ops.r
     B1, B2, B3 = slice(0, r), slice(r, 2 * r), slice(2 * r, 3 * r)
@@ -177,7 +176,7 @@ def test_state_self_convergence_first_order(grid, shapes, y0, target, target_pat
     for mult in (1, 2, 4):
         g = SpaceTimeGrid(l=grid.l, n=grid.n, T=grid.T, n_t=grid.n_t * mult, v=grid.v)
         u = smooth_signal(np.random.default_rng(5), shapes.m, g.n_t, 0.05)
-        traj = solve_spod_state(assemble_spod_rom(model.basis, shapes, y0, g), u)
+        traj = solve_spod_state(assemble_spod_rom(model.ops.basis, bare_problem(g, shapes, y0)), u)
         diffs.append(traj.alpha[:, ::mult])
     e1 = np.max(np.abs(diffs[0] - diffs[1][:, : diffs[0].shape[1]]))
     e2 = np.max(np.abs(diffs[1][:, : diffs[0].shape[1]] - diffs[2][:, : diffs[0].shape[1]]))
@@ -186,35 +185,36 @@ def test_state_self_convergence_first_order(grid, shapes, y0, target, target_pat
 
 def test_zero_alpha0_raises(grid, shapes):
     basis = normalized_trig_basis(grid, [("sin", 1), ("cos", 1)])
-    ops = assemble_spod_rom(basis, shapes, np.zeros(grid.n), grid)
+    ops = assemble_spod_rom(basis, bare_problem(grid, shapes, np.zeros(grid.n)))
     with pytest.raises(SingularMassError):
         solve_spod_state(ops, np.zeros((shapes.m, grid.n_t)))
 
 
-def self_tracking(basis, traj, grid):
+def self_tracking(ops, traj):
     """Tracking terms of the uncontrolled trajectory's own lift as the target.
     Without control the amplitudes stay at alpha0, so the lift is its first
     column moved along the trajectory's path."""
-    lifted = lift_spod(basis, traj, grid)
-    assert np.array_equal(shift_columns(lifted[:, 0], traj.z, grid), lifted)
-    return tracking_terms(target_table(basis, lifted[:, 0], grid), traj.z, traj.z, grid)
+    lifted = lift_spod(ops, traj)
+    assert np.array_equal(shift_columns(lifted[:, 0], traj.z, ops.grid), lifted)
+    p = ops.problem
+    own = ControlProblem(p.grid, p.shapes, p.y0, lifted, traj.z, p.mu)
+    return tracking_terms(assemble_spod_rom(ops.basis, own), traj.z)
 
 
 def test_adjoint_vanishes_for_self_target(eig_model, grid, shapes, rng):
     u = np.zeros((shapes.m, grid.n_t))
     traj = solve_spod_state(eig_model.ops, u)
-    tracking = self_tracking(eig_model.basis, traj, grid)
+    tracking = self_tracking(eig_model.ops, traj)
     adj = solve_spod_adjoint(eig_model.ops, traj, u, tracking)
     # zero source up to the rounding of two float paths for the same pairing
     assert np.max(np.abs(adj.lambda_a)) < 1e-12
     assert np.max(np.abs(adj.z_a)) < 1e-12
 
 
-def test_adjoint_terminal_columns_zero(eig_model, grid, shapes, target, target_path, rng):
+def test_adjoint_terminal_columns_zero(eig_model, grid, shapes, rng):
     u = smooth_signal(rng, shapes.m, grid.n_t, 0.05)
     traj = solve_spod_state(eig_model.ops, u)
-    table = target_table(eig_model.basis, target[:, 0], grid)
-    tracking = tracking_terms(table, target_path, traj.z, grid)
+    tracking = tracking_terms(eig_model.ops, traj.z)
     adj = solve_spod_adjoint(eig_model.ops, traj, u, tracking)
     assert np.all(adj.lambda_a[:, -1] == 0.0)
     assert adj.z_a[-1] == 0.0
@@ -224,9 +224,9 @@ def test_gradient_trivial_cases(eig_model, grid, shapes, rng):
     u = rng.standard_normal((shapes.m, grid.n_t))
     traj = solve_spod_state(eig_model.ops, 0 * u)
     zero_adj = solve_spod_adjoint(
-        eig_model.ops, traj, 0 * u, self_tracking(eig_model.basis, traj, grid)
+        eig_model.ops, traj, 0 * u, self_tracking(eig_model.ops, traj)
     )
-    g = gradient_spod(eig_model.ops, traj, zero_adj, u, 1e-3)
+    g = gradient_spod(eig_model.ops, traj, zero_adj, u)
     np.testing.assert_allclose(g, 1e-3 * u, atol=0)
 
 
@@ -253,26 +253,28 @@ def lift_trajectory(alpha, z):
     return SpodReducedTrajectory(alpha=alpha, z=z, sig=np.empty((len(z), 0), dtype=complex))
 
 
-def test_lift_rotates_single_mode(grid):
+def test_lift_rotates_single_mode(grid, shapes, y0):
     basis = normalized_trig_basis(grid, [("sin", 1)])
+    ops = assemble_spod_rom(basis, bare_problem(grid, shapes, y0))
     z = 4 * grid.dx * np.ones(grid.n_t)
     z[0] = 0.0
     traj = lift_trajectory(np.ones((1, grid.n_t)), z)
-    lifted = lift_spod(basis, traj, grid)
+    lifted = lift_spod(ops, traj)
     np.testing.assert_array_equal(lifted[:, 3], np.roll(basis.modes[:, 0], 4))
 
 
-def test_lift_matches_column_loop(grid, rng):
+def test_lift_matches_column_loop(grid, shapes, y0, rng):
     # the lift forms Phi alpha in one product and shifts its columns; the
     # column loop it replaced shifted each Phi alpha_j with shift_field
     basis = normalized_trig_basis(grid, [("const", 0), ("sin", 1), ("cos", 2)])
+    ops = assemble_spod_rom(basis, bare_problem(grid, shapes, y0))
     z = rng.uniform(-2.0 * grid.l, 2.0 * grid.l, grid.n_t)
     z[1:4] = (3 * grid.dx, -7 * grid.dx + 1e-12, 11 * grid.dx + 2e-9)  # on or next to nodes
     traj = lift_trajectory(rng.standard_normal((basis.r, grid.n_t)), z)
     loop = np.column_stack([
         shift_field(basis.modes @ traj.alpha[:, j], z[j], grid) for j in range(grid.n_t)
     ])
-    lifted = lift_spod(basis, traj, grid)
+    lifted = lift_spod(ops, traj)
     assert np.max(np.abs(lifted - loop)) <= 1e-12 * np.max(np.abs(loop))
 
 
@@ -332,8 +334,8 @@ def test_assembly_needs_fourier_shapes(grid, y0, rng):
     scaled[:, 3] *= 2.0
     for cols in (rng.standard_normal((grid.n, 5)), scaled, fourier[:, :4]):
         with pytest.raises(ValueError, match="Fourier"):
-            assemble_spod_rom(basis, ControlShapes(shapes=cols), y0, grid)
-    assemble_spod_rom(basis, ControlShapes(shapes=fourier), y0, grid)
+            assemble_spod_rom(basis, bare_problem(grid, ControlShapes(shapes=cols), y0))
+    assemble_spod_rom(basis, bare_problem(grid, ControlShapes(shapes=fourier), y0))
 
 
 def test_a_refresh_drops_the_snapshots_before_the_svd(grid, shapes, y0, target, target_path):

@@ -19,6 +19,7 @@ import pytest
 
 from romctl import SpaceTimeGrid, build_fourier_shapes
 from romctl.basis import ModeRule
+from romctl.control import ControlProblem
 from romctl.experiments import (
     build_target,
     fd_gradient_check,
@@ -26,7 +27,7 @@ from romctl.experiments import (
     single_tilt_target,
 )
 from romctl.fom import cost
-from romctl.models import ControlProblem, SpodModel
+from romctl.models import SpodModel
 from romctl.rom_spod import (
     SingularMassError,
     assemble_spod_rom,
@@ -87,7 +88,7 @@ def test_closed_form_matches_schur_sweep(setting):
         traj = solve_spod_state(ops, u)
         ref = solve_spod_state(schur, u)
         J = model.evaluate(u)[0]
-        J_ref = cost(grid, lift_spod(model.basis, ref, grid), p.target, u, p.mu)
+        J_ref = cost(grid, lift_spod(ops, ref), p.target, u, p.mu)
         gaps[amp] = (rel(traj.alpha, ref.alpha), rel(traj.z, ref.z),
                      abs(J.total - J_ref.total) / J_ref.total)
         assert J.regularization == J_ref.regularization
@@ -161,10 +162,9 @@ def test_tracking_terms_follow_the_model_grid():
         fine = invariant_model(fine_grid, 1)
         p = fine.problem
         u = smooth_signal(np.random.default_rng(9), p.shapes.m, fine_grid.n_t, 0.1)
-        fine.basis = source.basis
-        fine.ops = assemble_spod_rom(source.basis, p.shapes, source.problem.y0, fine_grid)
+        fine.ops = assemble_spod_rom(source.ops.basis, dataclasses.replace(p, y0=source.problem.y0))
         J = fine.evaluate(u)[0]
-        lifted = lift_spod(fine.basis, solve_spod_state(fine.ops, u), fine_grid)
+        lifted = lift_spod(fine.ops, solve_spod_state(fine.ops, u))
         J_ref = cost(fine_grid, lifted, p.target, u, p.mu)
         assert abs(J.total - J_ref.total) < 1e-12 * J_ref.total
 
@@ -184,14 +184,14 @@ def test_snapshot_basis_cost_matches_lifted_cost():
     model = SpodModel(problem, ModeRule.fixed(5))
     rng = np.random.default_rng(6)
     model.refine_basis(smooth_signal(rng, shapes.m, grid.n_t, 0.05))
-    assert model.basis.r == 5 and not model.ops.invariant
+    assert model.ops.r == 5 and not model.ops.invariant
     controls = [smooth_signal(rng, shapes.m, grid.n_t, 0.02) for _ in range(2)]
     paths = []
     for u in controls + controls:
         J = model.evaluate(u)[0]
         traj = solve_spod_state(model.ops, u)
         paths.append(traj.z)
-        J_ref = cost(grid, lift_spod(model.basis, traj, grid), target, u, model.problem.mu)
+        J_ref = cost(grid, lift_spod(model.ops, traj), target, u, model.problem.mu)
         assert abs(J.total - J_ref.total) <= 1e-12 * J_ref.total
     v_t = V * grid.t
     assert min(np.max(np.abs(z - v_t)) for z in paths) > grid.dx
@@ -201,7 +201,8 @@ def test_snapshot_basis_cost_matches_lifted_cost():
 def test_refresh_between_invariant_and_snapshot_bases_rebuilds_the_terms():
     # a snapshot basis of all 2 xi + 2 co-moving modes spans the invariant
     # subspace, a truncated one does not: a refresh that switches between them
-    # must drop the target table and the terms along v t of the basis before
+    # replaces the operators, and with them the target table and the terms
+    # along v t of the basis before
     p = invariant_model(unit_cfl_grid(201, 150), 2).problem
     grid, m = p.grid, p.shapes.m
     model = SpodModel(p, ModeRule.fixed(m + 1))
@@ -212,6 +213,6 @@ def test_refresh_between_invariant_and_snapshot_bases_rebuilds_the_terms():
         model.refine_basis(smooth_signal(rng, m, grid.n_t, 0.05))
         assert model.ops.invariant == invariant
         J = model.evaluate(u)[0]
-        lifted = lift_spod(model.basis, solve_spod_state(model.ops, u), grid)
+        lifted = lift_spod(model.ops, solve_spod_state(model.ops, u))
         J_ref = cost(grid, lifted, p.target, u, p.mu)
         assert abs(J.total - J_ref.total) <= 1e-12 * J_ref.total

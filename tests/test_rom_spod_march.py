@@ -41,6 +41,7 @@ from romctl.rom_spod import (
 
 from conftest import (
     armijo,
+    bare_problem,
     cost_at,
     evaluated_cost,
     reference_backtracking,
@@ -224,7 +225,8 @@ def test_a_singular_candidate_fails_alone():
     # control u makes step 40 of omega = 0 singular, and no other candidate's.
     grid, shapes, _, y0, u, _, _ = problem(0.55, 0)
     basis = eigenfunction_stationary_basis(grid, shapes, y0)
-    ops = dataclasses.replace(assemble_spod_rom(basis, shapes, y0, grid), invariant=False)
+    ops = dataclasses.replace(assemble_spod_rom(basis, bare_problem(grid, shapes, y0)),
+                              invariant=False)
     sing = singular_ops(ops, solve_spod_state(ops, u).alpha[:, 40])
     with pytest.raises(SingularMassError) as err:
         solve_spod_state(sing, u)
