@@ -55,6 +55,9 @@ def cmd_run(args) -> int:
 
 def cmd_sweep(args) -> int:
     cfg = _load(args)
+    if cfg.model == "fom" or cfg.eigenfunction_basis:
+        raise ConfigError("sweep varies the mode count of a snapshot basis; set model = pod "
+                          "or spod without eigenfunction_basis")
     if cfg.modes is not None or cfg.mode_tol is not None:
         raise ConfigError("sweep takes its mode counts from --modes; it ignores modes "
                           "and mode_tol")

@@ -233,7 +233,7 @@ def build_model(cfg: ScenarioConfig) -> ProblemModel:
         return FomModel(problem)
     if cfg.model == "pod":
         return PodModel(problem, cfg.mode_rule())
-    return SpodModel(problem, cfg.mode_rule(), cfg.eigenfunction_basis)
+    return SpodModel(problem, None if cfg.eigenfunction_basis else cfg.mode_rule())
 
 
 FMT = "%.17g"  # every float of a CSV artifact, round-trip exact

@@ -24,7 +24,8 @@ from .transform import transform_snapshots, uncontrolled_shift_path
 class ProblemModel(ControlledModel):
     """A model of one ControlProblem. Its time signals pair with weight dt; the
     reduced subclasses hold what their basis determines in one frozen operator
-    set, `ops`, which each refresh replaces. The FOM, POD-G and the invariant
+    set, `ops`, which each refresh replaces, and a snapshot refresh keeps the
+    modes their `mode_rule` selects. The FOM, POD-G and the invariant
     sPOD-G have an exactly quadratic cost and an exact discrete adjoint, so
     along the gradient g at u the cost is the parabola
     J - w dt|g|^2 + w^2/2 (c(g) + mu dt |g|^2), c(g) the tracking curvature
@@ -41,6 +42,16 @@ class ProblemModel(ControlledModel):
     def _require_basis(self) -> None:
         if self.ops is None:
             raise RuntimeError("reduced model has no basis yet; call refine_basis first")
+
+    def _refresh(self, snapshots: np.ndarray, assemble: Callable) -> Refresh:
+        """Replace the held operators with those `assemble` builds on the modes
+        of the snapshots that the mode rule keeps."""
+        p = self.problem
+        modes, sigma = weighted_svd(snapshots, p.grid)
+        basis = truncate_to_basis(modes, sigma, self.mode_rule.select(sigma))
+        self.ops = None  # the held operators go before the new ones are built
+        self.ops = assemble(basis, p)
+        return Refresh(self.ops.r, sigma)
 
     @abstractmethod
     def tracking_curvature(self, g: np.ndarray) -> float:
@@ -114,12 +125,7 @@ class PodModel(ProblemModel):
 
     def refine_basis(self, u: np.ndarray) -> Refresh:
         p = self.problem
-        Q = fom.solve_state(p.grid, p.shapes, u, p.y0)
-        modes, sigma = weighted_svd(Q, p.grid)
-        basis = truncate_to_basis(modes, sigma, self.mode_rule.select(sigma))
-        self.ops = None  # the held operators go before the new ones are built
-        self.ops = rom_pod.assemble_pod_rom(basis, p)
-        return Refresh(self.ops.r, sigma)
+        return self._refresh(fom.solve_state(p.grid, p.shapes, u, p.y0), rom_pod.assemble_pod_rom)
 
     def _solve_state(self, ops: rom_pod.PodRomOperators, u: np.ndarray) -> np.ndarray:
         self.state_solves += 1
@@ -154,29 +160,20 @@ class PodModel(ProblemModel):
 
 class SpodModel(ProblemModel):
     """Shifted reduced model. The basis is extracted from snapshots shifted
-    back along the frozen uncontrolled wave path; with `eigenfunction_basis`
-    the invariant-subspace basis is built once and kept for the whole run.
-    The cost and the adjoint read the tracking terms of the target along the
-    reduced trajectory's shift path, so no evaluation lifts the state; `lift`
-    alone does, for the artifacts. The terms come from the target table of
-    the held operators in O(n_t r) per path. On an invariant basis the model
-    is linear-quadratic along z = v t, and every solve reads the operators'
-    drift terms."""
+    back along the frozen uncontrolled wave path; with no mode rule the
+    invariant-subspace basis is built once and kept for the whole run. The
+    cost and the adjoint read the tracking terms that the reduced trajectory
+    carries along its shift path, so no evaluation lifts the state; `lift`
+    alone does, for the artifacts."""
 
-    def __init__(
-        self,
-        problem: ControlProblem,
-        mode_rule: ModeRule,
-        eigenfunction_basis: bool = False,
-    ):
+    def __init__(self, problem: ControlProblem, mode_rule: ModeRule | None):
         super().__init__(problem)
         self.mode_rule = mode_rule
-        self.eigenfunction_basis = eigenfunction_basis
         self.ops: rom_spod.SpodRomOperators | None = None
 
     def refine_basis(self, u: np.ndarray) -> Refresh:
         p = self.problem
-        if self.eigenfunction_basis:
+        if self.mode_rule is None:
             if self.ops is None:
                 basis = eigenfunction_stationary_basis(p.grid, p.shapes, p.y0)
                 self.ops = rom_spod.assemble_spod_rom(basis, p)
@@ -184,11 +181,7 @@ class SpodModel(ProblemModel):
         # the snapshots go once they are shifted, before the SVD
         Qs = transform_snapshots(fom.solve_state(p.grid, p.shapes, u, p.y0),
                                  uncontrolled_shift_path(p.grid), p.grid)
-        modes, sigma = weighted_svd(Qs, p.grid)
-        basis = truncate_to_basis(modes, sigma, self.mode_rule.select(sigma))
-        self.ops = None  # the held operators go before the new ones are built
-        self.ops = rom_spod.assemble_spod_rom(basis, p)
-        return Refresh(self.ops.r, sigma)
+        return self._refresh(Qs, rom_spod.assemble_spod_rom)
 
     def evaluate(self, u: np.ndarray) -> tuple[CostBreakdown, np.ndarray]:
         self._require_basis()
@@ -197,33 +190,24 @@ class SpodModel(ProblemModel):
             self.state_solves += 1
             traj = rom_spod.solve_spod_state(ops, u)
         with self.phase("cost"):
-            # an invariant basis moves along v t on every solve
-            tracking = ops.drift_tracking if ops.invariant else rom_spod.tracking_terms(ops, traj.z)
-            J = rom_spod.reduced_cost(ops, tracking, traj.alpha, u)
+            J = rom_spod.reduced_cost(ops, traj.tracking, traj.alpha, u)
         with self.phase("adjoint"):
-            adj = rom_spod.solve_spod_adjoint(ops, traj, u, tracking)
+            adj = rom_spod.solve_spod_adjoint(ops, traj, u)
         with self.phase("gradient"):
             g = rom_spod.gradient_spod(ops, traj, adj, u)
         return J, g
 
     def tracking_curvature(self, g: np.ndarray) -> float:
-        """On an invariant basis, c(g) = dt sum_j alpha_j^T G_j alpha_j of the
-        invariant response alpha to g, G_j the Gram of the drift tracking
-        terms; a non-finite c(g) raises DivergenceError."""
+        """rom_spod.invariant_curvature: c(g) on an invariant basis."""
         self._require_basis()
         self.state_solves += 1
-        tr, alpha = self.ops.drift_tracking, rom_spod.invariant_response(self.ops, g)
-        Ga = rom_spod.gram_apply(self.ops, tr.self_weight, tr.cross_weight, alpha)
-        c = self.problem.grid.dt * float(np.einsum("rj,rj->", alpha, Ga))
-        if not math.isfinite(c):
-            raise DivergenceError(self.problem.grid.n_t - 1, "spod direction")
-        return c
+        return rom_spod.invariant_curvature(self.ops, g)
 
     def line_cost(self, u: np.ndarray, g: np.ndarray, cost: float) -> March:
         """On an invariant basis the parabola. On a Schur basis each block of
-        step sizes the search marches is one rom_spod.solve_spod_candidates,
-        the march solve_spod_state runs for its one control, and only the
-        candidates the search reads are priced; one that fails costs +inf."""
+        step sizes the search marches is one rom_spod.candidate_costs, the
+        march solve_spod_state runs for its one control, and only the
+        candidates the search reads are priced."""
         self._require_basis()
         if self.ops.invariant:
             return super().line_cost(u, g, cost)
@@ -231,17 +215,7 @@ class SpodModel(ProblemModel):
 
         def march(omegas: list[float]) -> Callable[[int], float]:
             self.state_solves += 1
-            block = rom_spod.solve_spod_candidates(ops, u, g, omegas)
-
-            def price(k: int) -> float:
-                if block.failed_at[k] < ops.grid.n_t:
-                    return math.inf
-                return rom_spod.reduced_cost(
-                    ops, rom_spod.tracking_terms(ops, block.z[k]), block.alpha[k],
-                    u - omegas[k] * g,
-                ).total
-
-            return price
+            return rom_spod.candidate_costs(ops, u, g, omegas)
 
         return march
 

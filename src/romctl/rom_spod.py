@@ -15,10 +15,11 @@ that the cost, the adjoint, the gradient and the lift read along its path.
 
 The state is never lifted to evaluate the tracking cost: for dx-orthonormal
 modes it is a quadratic form in a whose coefficients tracking_terms builds once
-per shift path, and the cost and the adjoint read them. Every target is one
-profile moved along a path zeta_j, so those coefficients blend rows of one
-table of the modes against every whole-cell roll of the profile (target_table,
-one FFT correlation per basis), and a shift path costs O(n_t r), not O(n n_t).
+per shift path: each trajectory carries the terms along its own path, and the
+cost and the adjoint read them. Every target is one profile moved along a path
+zeta_j, so those coefficients blend rows of one table of the modes against
+every whole-cell roll of the profile (target_table, one FFT correlation per
+basis), and a shift path costs O(n_t r), not O(n n_t).
 
 The control shapes are discrete Fourier modes and the interpolated shift S(z)
 is circulant, so S(z)^T acts on each (sin_k, -cos_k) pair as the symbol
@@ -39,6 +40,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Callable
 
 import numpy as np
 
@@ -149,9 +151,10 @@ class SpodRomOperators:
 
 @dataclass(frozen=True)
 class SpodReducedTrajectory:
-    alpha: np.ndarray  # (r, n_t)
-    z: np.ndarray      # (n_t,)
-    sig: np.ndarray    # (n_t, xi) symbol(z), which the adjoint and the gradient read
+    alpha: np.ndarray        # (r, n_t)
+    z: np.ndarray            # (n_t,)
+    sig: np.ndarray          # (n_t, xi) symbol(z), which the adjoint and the gradient read
+    tracking: SpodTracking   # tracking_terms along z, which the cost and the adjoint read
 
 
 @dataclass(frozen=True)
@@ -431,9 +434,10 @@ def solve_spod_candidates(ops: SpodRomOperators, u: np.ndarray, g: np.ndarray,
 def solve_spod_state(ops: SpodRomOperators, u: np.ndarray) -> SpodReducedTrajectory:
     """Explicit Euler for the coupled amplitude/shift dynamics from (alpha0, 0):
     the Schur march of the one control u, in closed form on an invariant
-    basis. A step whose mass matrix is not regular, or whose column is not
-    finite, raises SingularMassError; a non-finite last column, at which no
-    step solves, raises DivergenceError."""
+    basis. The trajectory carries the tracking terms along its path. A step
+    whose mass matrix is not regular, or whose column is not finite, raises
+    SingularMassError; a non-finite last column, at which no step solves,
+    raises DivergenceError."""
     n_t = ops.grid.n_t
     u = check_shape(u, (ops.m, n_t), "control")
     if ops.invariant:  # zero initial amplitudes fail the margin of step 0
@@ -452,20 +456,32 @@ def solve_spod_state(ops: SpodRomOperators, u: np.ndarray) -> SpodReducedTraject
     # round differently from contiguous ones in the last bit
     z = march.z[0].copy()
     return SpodReducedTrajectory(alpha=np.ascontiguousarray(march.alpha[0]), z=z,
-                                 sig=ops.symbol(z))
+                                 sig=ops.symbol(z), tracking=tracking_terms(ops, z))
 
 
-def solve_spod_adjoint(
-    ops: SpodRomOperators,
-    traj: SpodReducedTrajectory,
-    u: np.ndarray,
-    tracking: SpodTracking,
-) -> SpodAdjointTrajectory:
+def candidate_costs(ops: SpodRomOperators, u: np.ndarray, g: np.ndarray,
+                    omegas: list[float]) -> Callable[[int], float]:
+    """One march of the controls u - omega_k g (solve_spod_candidates) and
+    the price of candidate k: reduced_cost along its own path, +inf if it
+    failed. Only the candidates priced build their tracking terms."""
+    block = solve_spod_candidates(ops, u, g, omegas)
+
+    def price(k: int) -> float:
+        if block.failed_at[k] < ops.grid.n_t:
+            return math.inf
+        return reduced_cost(ops, tracking_terms(ops, block.z[k]), block.alpha[k],
+                            u - omegas[k] * g).total
+
+    return price
+
+
+def solve_spod_adjoint(ops: SpodRomOperators, traj: SpodReducedTrajectory,
+                       u: np.ndarray) -> SpodAdjointTrajectory:
     """Backward sweep of the linearized coupled system from zero terminal data,
     marched as the stacked vector (lambda_a, z_a).
 
-    `tracking` holds the terms along the trajectory's path. The sources are
-    the exact (a, z)-derivatives of the lifted cost, t_a = P_j - G_j a_j and
+    The sources, from the trajectory's tracking terms, are the exact
+    (a, z)-derivatives of the lifted cost, t_a = P_j - G_j a_j and
     t_z = a_j . D_j - 1/2 a_j^T G_j' a_j.
 
     On an invariant basis the adjoint is the closed form
@@ -478,6 +494,7 @@ def solve_spod_adjoint(
     """
     n_t, dt, v = ops.grid.n_t, ops.grid.dt, ops.grid.v
     u = check_shape(u, (ops.m, n_t), "control")
+    tracking = traj.tracking
     if ops.invariant:
         Ga = gram_apply(ops, tracking.self_weight, tracking.cross_weight, traj.alpha)
         source = dt * (Ga - tracking.P)
@@ -525,12 +542,8 @@ def solve_spod_adjoint(
     return SpodAdjointTrajectory(lambda_a=np.ascontiguousarray(x[:r]), z_a=x[r].copy())
 
 
-def gradient_spod(
-    ops: SpodRomOperators,
-    traj: SpodReducedTrajectory,
-    adjoint: SpodAdjointTrajectory,
-    u: np.ndarray,
-) -> np.ndarray:
+def gradient_spod(ops: SpodRomOperators, traj: SpodReducedTrajectory,
+                  adjoint: SpodAdjointTrajectory, u: np.ndarray) -> np.ndarray:
     """Column j is mu u(t_j) + B1(z_j)^T lambda(t_j) + B2(z_j)^T alpha(t_j) z_a(t_j)
     (z_a = 0 on an invariant basis)."""
     w = adjoint.lambda_a
@@ -585,12 +598,8 @@ def gram_apply(ops: SpodRomOperators, self_w: np.ndarray, cross_w: np.ndarray,
     return self_w * alpha + cross_w * (ops.gram_cross @ alpha)
 
 
-def reduced_cost(
-    ops: SpodRomOperators,
-    tracking: SpodTracking,
-    alpha: np.ndarray,
-    u: np.ndarray,
-) -> CostBreakdown:
+def reduced_cost(ops: SpodRomOperators, tracking: SpodTracking, alpha: np.ndarray,
+                 u: np.ndarray) -> CostBreakdown:
     """fom.cost of the lifted trajectory with amplitudes alpha, from the reduced
     quantities alone: `tracking` holds the terms along its path."""
     dt, mu, target_energy = ops.grid.dt, ops.problem.mu, ops.problem.target_energy
@@ -609,6 +618,19 @@ def invariant_response(ops: SpodRomOperators, u: np.ndarray) -> np.ndarray:
     return alpha
 
 
+def invariant_curvature(ops: SpodRomOperators, g: np.ndarray) -> float:
+    """The tracking curvature of an invariant basis along g:
+    c(g) = dt sum_j alpha_j^T G_j alpha_j of the invariant response alpha to
+    g, G_j the Gram of the drift tracking terms; a non-finite c(g) raises
+    DivergenceError."""
+    tr, alpha = ops.drift_tracking, invariant_response(ops, g)
+    Ga = gram_apply(ops, tr.self_weight, tr.cross_weight, alpha)
+    c = ops.grid.dt * float(np.einsum("rj,rj->", alpha, Ga))
+    if not math.isfinite(c):
+        raise DivergenceError(ops.grid.n_t - 1, "spod direction")
+    return c
+
+
 def _invariant_state(ops: SpodRomOperators, u: np.ndarray) -> SpodReducedTrajectory:
     """z_j = v t_j and alpha_j = alpha0 + invariant_response. The Schur margins
     of the trajectory are checked in one batch, so a singular step or a
@@ -617,7 +639,8 @@ def _invariant_state(ops: SpodRomOperators, u: np.ndarray) -> SpodReducedTraject
     _mass_terms(ops, alpha[:, :-1], np.arange(grid.n_t - 1))  # the sweep solves at 0 .. n_t-2
     if not np.all(np.isfinite(alpha[:, -1])):
         raise DivergenceError(grid.n_t - 1, "spod state")
-    return SpodReducedTrajectory(alpha, uncontrolled_shift_path(grid), ops.drift_symbol)
+    return SpodReducedTrajectory(alpha, uncontrolled_shift_path(grid), ops.drift_symbol,
+                                 ops.drift_tracking)
 
 
 def lift_spod(ops: SpodRomOperators, traj: SpodReducedTrajectory) -> np.ndarray:

@@ -198,7 +198,8 @@ def reference_spod_state(ops, u, grid):
             raise SingularMassError(j + 1, "non-finite reduced state")
         alpha[:, j + 1] = a
         zpath[j + 1] = z
-    return SpodReducedTrajectory(alpha=alpha, z=zpath, sig=ops.symbol(zpath))
+    # the reference adjoint pairs the target snapshots itself, not tracking terms
+    return SpodReducedTrajectory(alpha=alpha, z=zpath, sig=ops.symbol(zpath), tracking=None)
 
 
 def reference_spod_adjoint(ops, traj, u, target, basis, grid):
@@ -401,8 +402,7 @@ def test_spod_solves_match_parent_loops_bitwise(v, seed):
     # not bitwise: the solve pairs through B(0) T(z), the oracle through the shift loop
     assert rel(traj.alpha, ref_traj.alpha) <= 1e-12
     assert rel(traj.z, ref_traj.z) <= 1e-12
-    tracking = tracking_terms(ops, traj.z)
-    adj = solve_spod_adjoint(ops, traj, u, tracking)
+    adj = solve_spod_adjoint(ops, traj, u)
     ref_adj = reference_spod_adjoint(ref, ref_traj, u, target, basis, grid)
     assert rel(adj.lambda_a, ref_adj.lambda_a) <= 1e-12
     assert rel(adj.z_a, ref_adj.z_a) <= 1e-12
@@ -462,7 +462,7 @@ def spod_adjoint(ops, basis, u, target, grid):
     # the target here is any array, so its terms come from the column loop
     traj = solve_spod_state(ops, u)
     tracking = reference_tracking_terms(basis, target, traj.z, grid)
-    return solve_spod_adjoint(ops, traj, u, tracking)
+    return solve_spod_adjoint(ops, dataclasses.replace(traj, tracking=tracking), u)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf arithmetic past the bad column
@@ -563,9 +563,8 @@ def test_singular_mass_matrix_adjoint_step_matches_schur_sweep(singular_step):
         a = traj.alpha[:, singular_step]
         w = np.ones(ops.r) - (np.sum(a) / (a @ a)) * a
     singular = dataclasses.replace(ops, M2=ops.N.T @ ops.N + np.outer(w, w))
-    tracking = tracking_terms(ops, traj.z)
     with pytest.raises(SingularMassError) as err:
-        solve_spod_adjoint(singular, traj, u, tracking)
+        solve_spod_adjoint(singular, traj, u)
     with pytest.raises(SingularMassError) as ref_err:
         reference_spod_adjoint(ReferenceSpodOps(singular, basis, shapes, grid), traj, u, target,
                                basis, grid)
@@ -577,6 +576,5 @@ def test_spod_adjoint_rejects_control_of_wrong_shape():
     grid, shapes, _, _, u, _, _ = problem(0.55, 0)
     basis, ops = spod_operators(grid, shapes, 0)
     traj = solve_spod_state(ops, u)
-    tracking = tracking_terms(ops, traj.z)
     with pytest.raises(ValueError, match="control"):
-        solve_spod_adjoint(ops, traj, u[:, :1], tracking)
+        solve_spod_adjoint(ops, traj, u[:, :1])

@@ -570,6 +570,20 @@ def test_cli_sweep_rejects_mode_keys(tmp_path, monkeypatch, capsys, text):
     assert "sweep" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text", ["", "model = fom", "model = spod\neigenfunction_basis = true"])
+def test_cli_sweep_rejects_a_config_without_a_snapshot_basis(tmp_path, monkeypatch, capsys,
+                                                              text):
+    # the FOM (also by default) and the invariant basis have no mode count to
+    # sweep: the error names sweep, not the modes key --modes sets
+    monkeypatch.setenv("ROMCTL_THREADS", "1")
+    cfg_path = tmp_path / "c.cfg"
+    cfg_path.write_text(tiny_config_text() + text + "\n")
+    out = tmp_path / "sweep"
+    assert cli_main(["sweep", str(cfg_path), "--modes", "3", "--out", str(out), "--quiet"]) == 2
+    assert not out.exists()
+    assert "sweep" in capsys.readouterr().err
+
+
 def test_gradient_checks_script_passes(capsys):
     # the study script README lists drives the CLI's gradient-check for all three models
     path = Path(__file__).resolve().parents[1] / "scripts" / "gradient_checks.py"

@@ -337,7 +337,7 @@ def quadratic_model(kind, problem):
     if kind == "fom":
         return FomModel(problem)
     if kind == "spod":
-        model = SpodModel(problem, ModeRule.fixed(4), eigenfunction_basis=True)
+        model = SpodModel(problem, None)
     else:
         model = PodModel(problem, ModeRule.fixed(6))
     rng = np.random.default_rng(7)
@@ -348,8 +348,7 @@ def quadratic_model(kind, problem):
 REDUCED_MODELS = {
     "pod": lambda problem: PodModel(problem, ModeRule.fixed(6)),
     "spod": lambda problem: SpodModel(problem, ModeRule.fixed(4)),
-    "spod-invariant": lambda problem: SpodModel(problem, ModeRule.fixed(4),
-                                                eigenfunction_basis=True),
+    "spod-invariant": lambda problem: SpodModel(problem, None),
 }
 
 
@@ -515,7 +514,7 @@ def test_diverging_direction_solve_fails_the_search(kind):
     if kind == "fom":
         model = _DivergingDirection(problem)
     else:
-        model = _OverflowingDirection(problem, ModeRule.fixed(4), eigenfunction_basis=True)
+        model = _OverflowingDirection(problem, None)
     _, rep = optimize(model, u0, cfg)
     _, ref = optimize(_DivergingTrials(problem), u0, cfg)
     assert rep.status == ref.status == "max_iter"

@@ -31,6 +31,12 @@ by experiments, which names, places and formats it.
 The fifth test reads optimizer.py: `optimize` calls every abstract method of
 ControlledModel on its model. A method the descent loop never calls is a
 second way to do a model's job that only tests and side tools read.
+
+The sixth test reads models.py: it names no field of rom_spod.SpodTracking and
+none of the functions that build or weigh those terms. The sPOD-G tracking
+terms, which a solve reads and how a cost weighs them, are known in rom_spod
+alone; the model hands trajectories and candidates from one rom_spod call to
+the next.
 """
 import ast
 from pathlib import Path
@@ -215,3 +221,27 @@ def test_optimize_calls_every_abstract_model_method():
               if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
               and isinstance(node.func.value, ast.Name) and node.func.value.id == "model"}
     assert abstract and sorted(abstract - called) == []
+
+
+SPOD_TRACKING_CODE = {"tracking_terms", "gram_apply", "invariant_response", "drift_tracking"}
+
+
+def test_models_leave_the_spod_tracking_terms_to_rom_spod():
+    rom_spod = ast.parse((PACKAGE / "rom_spod.py").read_text())
+    tracking = next(node for node in rom_spod.body
+                    if isinstance(node, ast.ClassDef) and node.name == "SpodTracking")
+    fields = {item.target.id for item in tracking.body if isinstance(item, ast.AnnAssign)}
+    owned = fields | SPOD_TRACKING_CODE
+    found = []
+    for node in ast.walk(ast.parse((PACKAGE / "models.py").read_text())):
+        if isinstance(node, ast.Attribute):
+            name = node.attr
+        elif isinstance(node, ast.Name):
+            name = node.id
+        elif isinstance(node, ast.alias):
+            name = node.name.rpartition(".")[2]
+        else:
+            continue
+        if name in owned:
+            found.append(f"models.py:{getattr(node, 'lineno', '?')} {name}")
+    assert "self_weight" in fields and found == []

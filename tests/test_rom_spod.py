@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -8,6 +9,8 @@ from romctl import SpaceTimeGrid, build_fourier_shapes, rom_spod
 from romctl.basis import ModeBasis, ModeRule, weighted_svd
 from romctl.control import ControlProblem, ControlShapes
 from romctl.experiments import (
+    ScenarioConfig,
+    build_model,
     build_target,
     fd_gradient_check,
     gaussian_initial_condition,
@@ -46,7 +49,7 @@ def normalized_trig_basis(grid, cols):
 @pytest.fixture
 def eig_model(grid, shapes, y0, target, target_path):
     model = SpodModel(ControlProblem(grid, shapes, y0, target, target_path, 1e-3),
-                      ModeRule.fixed(4), eigenfunction_basis=True)
+                      None)
     model.refine_basis(np.zeros((shapes.m, grid.n_t)))
     return model
 
@@ -170,7 +173,7 @@ def test_state_self_convergence_first_order(grid, shapes, y0, target, target_pat
     # differences shrink by about the step ratio. n and l stay, so the
     # operators assembled on each grid differ only in their grid
     model = SpodModel(ControlProblem(grid, shapes, y0, target, target_path, 1e-3),
-                      ModeRule.fixed(4), eigenfunction_basis=True)
+                      None)
     model.refine_basis(np.zeros((shapes.m, grid.n_t)))
     diffs = []
     for mult in (1, 2, 4):
@@ -201,11 +204,33 @@ def self_tracking(ops, traj):
     return tracking_terms(assemble_spod_rom(ops.basis, own), traj.z)
 
 
+@pytest.mark.parametrize("basis", [dict(modes=8), dict(eigenfunction_basis=True)])
+def test_a_trajectory_carries_the_tracking_terms_of_its_path(basis):
+    # the cost and the adjoint read the terms the state solve hands them: on a
+    # Schur basis those along the trajectory's own path, on an invariant basis
+    # the operators' terms along v t themselves, built once per basis
+    model = build_model(ScenarioConfig(n=401, n_t=300, T=136.02357742008616, xi=5,
+                                       model="spod", **basis))
+    m, n_t = model.problem.shapes.m, model.problem.grid.n_t
+    rng = np.random.default_rng(4)
+    model.refine_basis(smooth_signal(rng, m, n_t, 1e-3))
+    ops = model.ops
+    traj = solve_spod_state(ops, smooth_signal(rng, m, n_t, 1e-3))
+    assert ops.invariant == ("eigenfunction_basis" in basis)
+    if ops.invariant:
+        assert traj.tracking is ops.drift_tracking
+    else:
+        want = tracking_terms(ops, traj.z)
+        for field in dataclasses.fields(rom_spod.SpodTracking):
+            name = field.name
+            assert np.array_equal(getattr(traj.tracking, name), getattr(want, name)), name
+
+
 def test_adjoint_vanishes_for_self_target(eig_model, grid, shapes, rng):
     u = np.zeros((shapes.m, grid.n_t))
     traj = solve_spod_state(eig_model.ops, u)
-    tracking = self_tracking(eig_model.ops, traj)
-    adj = solve_spod_adjoint(eig_model.ops, traj, u, tracking)
+    traj = dataclasses.replace(traj, tracking=self_tracking(eig_model.ops, traj))
+    adj = solve_spod_adjoint(eig_model.ops, traj, u)
     # zero source up to the rounding of two float paths for the same pairing
     assert np.max(np.abs(adj.lambda_a)) < 1e-12
     assert np.max(np.abs(adj.z_a)) < 1e-12
@@ -214,8 +239,7 @@ def test_adjoint_vanishes_for_self_target(eig_model, grid, shapes, rng):
 def test_adjoint_terminal_columns_zero(eig_model, grid, shapes, rng):
     u = smooth_signal(rng, shapes.m, grid.n_t, 0.05)
     traj = solve_spod_state(eig_model.ops, u)
-    tracking = tracking_terms(eig_model.ops, traj.z)
-    adj = solve_spod_adjoint(eig_model.ops, traj, u, tracking)
+    adj = solve_spod_adjoint(eig_model.ops, traj, u)
     assert np.all(adj.lambda_a[:, -1] == 0.0)
     assert adj.z_a[-1] == 0.0
 
@@ -223,9 +247,8 @@ def test_adjoint_terminal_columns_zero(eig_model, grid, shapes, rng):
 def test_gradient_trivial_cases(eig_model, grid, shapes, rng):
     u = rng.standard_normal((shapes.m, grid.n_t))
     traj = solve_spod_state(eig_model.ops, 0 * u)
-    zero_adj = solve_spod_adjoint(
-        eig_model.ops, traj, 0 * u, self_tracking(eig_model.ops, traj)
-    )
+    traj = dataclasses.replace(traj, tracking=self_tracking(eig_model.ops, traj))
+    zero_adj = solve_spod_adjoint(eig_model.ops, traj, 0 * u)
     g = gradient_spod(eig_model.ops, traj, zero_adj, u)
     np.testing.assert_allclose(g, 1e-3 * u, atol=0)
 
@@ -248,9 +271,11 @@ def test_gradient_matches_fd_and_decays(grid, shapes, y0, target):
 
 
 def lift_trajectory(alpha, z):
-    """A trajectory for lift_spod, which reads no symbol: it carries the
-    empty one of the constant control shape alone (xi = 0)."""
-    return SpodReducedTrajectory(alpha=alpha, z=z, sig=np.empty((len(z), 0), dtype=complex))
+    """A trajectory for lift_spod, which reads no symbol and no tracking
+    terms: it carries the empty symbol of the constant control shape alone
+    (xi = 0) and no terms."""
+    return SpodReducedTrajectory(alpha=alpha, z=z, sig=np.empty((len(z), 0), dtype=complex),
+                                 tracking=None)
 
 
 def test_lift_rotates_single_mode(grid, shapes, y0):
@@ -284,7 +309,7 @@ def test_uncontrolled_lift_reproduces_fom_at_unit_cfl():
     y0 = gaussian_initial_condition(g)
     target = build_target(g, y0, single_tilt_target(0.0, g.v))
     model = SpodModel(ControlProblem(g, sh, y0, target, resting_path(g), 1e-3),
-                      ModeRule.fixed(4), eigenfunction_basis=True)
+                      None)
     model.refine_basis(np.zeros((sh.m, g.n_t)))
     u = np.zeros((sh.m, g.n_t))
     lifted = model.lift(u)

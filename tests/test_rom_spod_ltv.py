@@ -62,7 +62,7 @@ def invariant_model(grid, xi, y0=None):
     if y0 is None:
         y0 = gaussian_initial_condition(grid)
     problem = ControlProblem(grid, shapes, y0, target, spec.displacement(grid.t, grid), 1e-3)
-    model = SpodModel(problem, ModeRule.fixed(1), eigenfunction_basis=True)
+    model = SpodModel(problem, None)
     model.refine_basis(np.zeros((shapes.m, grid.n_t)))
     return model
 
