@@ -9,7 +9,8 @@ timings print the same lines.
     python scripts/artifact_digests.py OUT_DIR [OUT_DIR ...]
 
 Each line is `<sha256>  <name of OUT_DIR>/<path inside it>`, files in sorted
-order, so the listings of two directories of the same name can be diffed."""
+order, so the listings of two directories of the same name can be diffed.
+A directory that holds no file is an error (exit 2)."""
 import hashlib
 import json
 import sys
@@ -55,7 +56,11 @@ def main(argv: list[str]) -> int:
         if not top.is_dir():
             print(f"not a directory: {top}", file=sys.stderr)
             return 2
-        for path in sorted(p for p in top.rglob("*") if p.is_file()):
+        files = sorted(p for p in top.rglob("*") if p.is_file())
+        if not files:  # a run that wrote nothing agrees with any other
+            print(f"no files under {top}", file=sys.stderr)
+            return 2
+        for path in files:
             digest = hashlib.sha256(masked(path)).hexdigest()
             print(f"{digest}  {top.name}/{path.relative_to(top).as_posix()}")
     return 0

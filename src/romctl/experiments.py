@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import math
 import re
+from contextlib import ExitStack
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -16,14 +17,7 @@ from .control import ControlProblem, build_fourier_shapes
 from .discretization import SpaceTimeGrid
 from .fom import DivergenceError
 from .models import FomModel, PodModel, ProblemModel, SpodModel
-from .optimizer import (
-    PHASES,
-    ControlledModel,
-    IterationRecord,
-    OptimizerConfig,
-    OptimizerReport,
-    optimize,
-)
+from .optimizer import PHASES, ControlledModel, IterationRecord, OptimizerConfig, optimize
 from .rom_spod import certify_smallness
 from .transform import shift_columns, transform_snapshots, uncontrolled_shift_path
 
@@ -243,7 +237,7 @@ STREAM_COLUMNS = (
     "rel_grad_norm", "omega", "modes", "refined",
     *PHASES, "wall", "trials", "evals",
 )
-STREAM_FLUSH_EVERY = 50  # iterations between flushes of iterations.csv
+STREAM_FLUSH_EVERY = 50  # iterations between flushes of the per-iteration CSVs
 
 
 def record_row(rec: IterationRecord) -> list:
@@ -257,8 +251,10 @@ def record_row(rec: IterationRecord) -> list:
     )
 
 
-# each history file is a column subset of the iteration records
-_HISTORY_CSVS = (
+# the per-iteration CSVs, written as the run goes: iterations.csv holds every
+# column of a record, and each history file a column subset of it
+_ITERATION_CSVS = (
+    ("iterations.csv", STREAM_COLUMNS),
     ("cost_history.csv", ("iteration", "J", "tracking", "regularization")),
     ("gradient_history.csv", ("iteration", "grad_norm", "rel_grad_norm", "omega")),
     ("modes_per_iteration.csv", ("iteration", "modes", "refined")),
@@ -266,12 +262,12 @@ _HISTORY_CSVS = (
 )
 
 
-def _write_csv(path: Path, columns, table, fmt) -> None:
-    """Every CSV artifact: the header `columns`, then one line per row of
-    `table` with its values in `fmt`, comma-separated, each line ending in
-    CRLF (RFC 4180)."""
+def _write_csv(path: Path, columns, table) -> None:
+    """Every CSV artifact of an array: the header `columns`, then one line per
+    row of `table` with its values in FMT, comma-separated, each line ending
+    in CRLF (RFC 4180)."""
     with open(path, "w", newline="") as fh:
-        np.savetxt(fh, table, fmt=fmt, delimiter=",", header=",".join(columns),
+        np.savetxt(fh, table, fmt=FMT, delimiter=",", header=",".join(columns),
                    comments="", newline="\r\n")
 
 
@@ -283,13 +279,6 @@ def _write_state_bin(path: Path, Q: np.ndarray) -> None:
     with open(path, "wb") as fh:
         fh.write(np.array(Q.shape, dtype="<u8").tobytes())
         fh.write(np.ascontiguousarray(Q, "<f8").data)
-
-
-def _write_history_csvs(outdir: Path, report: OptimizerReport) -> None:
-    rows = [record_row(r) for r in report.records]
-    for name, columns in _HISTORY_CSVS:
-        idx = [STREAM_COLUMNS.index(c) for c in columns]
-        _write_csv(outdir / name, columns, [[row[k] for k in idx] for row in rows], "%s")
 
 
 _PLOT_SCRIPT = """\
@@ -367,31 +356,36 @@ def _smallness(model: ProblemModel, u: np.ndarray) -> dict:
 
 def run_scenario(cfg: ScenarioConfig, quiet: bool = False) -> int:
     """Run one optimization scenario and write all artifacts; returns the exit
-    status (0 on converged or max_iter, 3 on divergence). A completed iteration
-    i whose refresh ran an SVD writes its spectrum to singular_values_iter{i:05d}.csv."""
+    status (0 on converged or max_iter, 3 on divergence). Each completed
+    iteration i is written as it is recorded: its rows of the per-iteration
+    CSVs and, when its refresh ran an SVD, its spectrum to
+    singular_values_iter{i:05d}.csv."""
     outdir = Path(cfg.out)
     outdir.mkdir(parents=True, exist_ok=True)
     model = build_model(cfg)
     grid = model.problem.grid
     u0 = np.zeros((model.problem.shapes.m, grid.n_t))
 
-    # iterations.csv is written as the run goes, one CRLF line per record
-    with open(outdir / "iterations.csv", "w", newline="") as fh:
-        fh.write(",".join(STREAM_COLUMNS) + "\r\n")
+    with ExitStack() as stack:
+        files = []
+        for name, columns in _ITERATION_CSVS:
+            fh = stack.enter_context(open(outdir / name, "w", newline=""))
+            fh.write(",".join(columns) + "\r\n")
+            files.append((fh, [STREAM_COLUMNS.index(c) for c in columns]))
 
         def stream(rec: IterationRecord, u: np.ndarray) -> None:
-            fh.write(",".join(map(str, record_row(rec))) + "\r\n")
-            if rec.iteration % STREAM_FLUSH_EVERY == 0:
-                fh.flush()
+            row = [str(v) for v in record_row(rec)]
+            for fh, idx in files:
+                fh.write(",".join([row[k] for k in idx]) + "\r\n")
+                if rec.iteration % STREAM_FLUSH_EVERY == 0:
+                    fh.flush()
+            if rec.refresh is not None and rec.refresh.spectrum is not None:
+                _write_csv(outdir / f"singular_values_iter{rec.iteration:05d}.csv", ["sigma"],
+                           rec.refresh.spectrum)
 
         u, report = optimize(model, u0, cfg.optimizer_config(), callback=stream)
 
-    _write_history_csvs(outdir, report)
-    for rec in report.records:
-        if rec.refresh is not None and rec.refresh.spectrum is not None:
-            _write_csv(outdir / f"singular_values_iter{rec.iteration:05d}.csv", ["sigma"],
-                       rec.refresh.spectrum, FMT)
-    _write_csv(outdir / "final_control.csv", [f"u_{k + 1}" for k in range(u.shape[0])], u.T, FMT)
+    _write_csv(outdir / "final_control.csv", [f"u_{k + 1}" for k in range(u.shape[0])], u.T)
     (outdir / "plots.gp").write_text(_PLOT_SCRIPT)
 
     meta = {
@@ -449,7 +443,7 @@ def run_rank_study(cfg: ScenarioConfig, quiet: bool = False) -> int:
 
     u, report = optimize(model, u0, cfg.optimizer_config(), callback=spy)
     _write_csv(outdir / "rank_study.csv", ["iteration", "sv_ratio_m_plus_1", "sv_ratio_m_plus_2"],
-               rows, ["%d", FMT, FMT])
+               rows)
     if not quiet:
         worst = max(r2 for _, _, r2 in rows)
         print(

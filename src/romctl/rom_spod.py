@@ -85,14 +85,14 @@ class SpodRomOperators:
     """Everything one basis determines for one problem: the shift-independent
     operators, the pairings B(z) = B(0) T(z) of the stacked [shifted modes;
     their shift derivative; their curvature] with the shapes, and the target
-    table. cells holds the symbol of T at the n whole-cell shifts, and T(z)
+    table. cells holds the symbol of T at the whole-cell shifts, and T(z)
     is exact at every shift z. The symbol and the tracking terms along v t,
     which an invariant basis reads on every solve, are built on first use."""
 
     N: np.ndarray           # (r, r) skew pairing of modes with mode slopes
     M2: np.ndarray          # (r, r) Gram matrix of mode slopes
     B0: np.ndarray          # (3r, m) the stacked pairings [B1; B2; B3] at z = 0
-    cells: np.ndarray       # (n, xi) row c: e^{i theta_k c}, the symbol at shift c dx
+    cells: np.ndarray       # (n + 1, xi + 1) row c: e^{i theta_k c}, k = 0 .. xi, at c dx
     gram_cross: np.ndarray  # (r, r) one-cell cross Gram of the modes
     alpha0: np.ndarray      # (r,)
     table: np.ndarray       # (n, r) target_table of the target's profile
@@ -119,7 +119,7 @@ class SpodRomOperators:
         of each as split_shift snaps them."""
         c, f = split_shift(z, self.grid)
         f = f[:, None]
-        return self.cells[c] * ((1.0 - f) + f * self.cells[1])
+        return self.cells[c, 1:] * ((1.0 - f) + f * self.cells[1, 1:])
 
     @cached_property
     def drift_symbol(self) -> np.ndarray:
@@ -251,8 +251,10 @@ def assemble_spod_rom(basis: ModeBasis, problem: ControlProblem) -> SpodRomOpera
     gap = N.T @ B1 - B2
     invariant = bool(np.sum(gap * gap) <= INVARIANT_TOL**2 * np.sum(B2 * B2))
 
-    # e^{i theta_k c} from the whole turns k c mod n, so its angle stays below 2 pi
-    cells = np.exp((2j * np.pi / grid.n) * (np.outer(np.arange(grid.n), k) % grid.n))
+    # e^{i theta_k c} for k = 0 .. xi from the whole turns k c mod n, so its angle
+    # stays below 2 pi, at the n + 1 nodes c = 0 .. n that snap_cells gives
+    turns = np.outer(np.arange(grid.n + 1), np.arange(xi + 1)) % grid.n
+    cells = np.exp((2j * np.pi / grid.n) * turns)
 
     gram_cross = dx * (Phi.T @ (np.roll(Phi, 1, axis=0) + np.roll(Phi, -1, axis=0)))
     return SpodRomOperators(
@@ -321,7 +323,7 @@ def solve_spod_candidates(ops: SpodRomOperators, u: np.ndarray, g: np.ndarray,
     end of the block of steps in which it failed. Its row of every operation is
     its own, so the others march on, and the sweep ends once all have failed."""
     grid = ops.grid
-    n, n_t, dt, dx, v = grid.n, grid.n_t, grid.dt, grid.dx, grid.v
+    n_t, dt, dx, v = grid.n_t, grid.dt, grid.dx, grid.v
     r, xi = ops.r, (ops.m - 1) // 2
     u = check_shape(u, (ops.m, n_t), "control")
     g = check_shape(g, (ops.m, n_t), "control direction")
@@ -373,9 +375,7 @@ def solve_spod_candidates(ops: SpodRomOperators, u: np.ndarray, g: np.ndarray,
     rows, ab = slots[:, 0::2], slots[:, 0:3:2, :r]
     after = slots[:, 1:, :r].transpose(0, 2, 1)
 
-    # the symbol at the n + 1 nodes 0 .. n that snap_cells gives (node n is
-    # node 0 again), with the constant shape as a pair of symbol 1
-    cells = np.concatenate([np.ones((n + 1, 1)), ops.cells[np.arange(n + 1) % n]], axis=1)
+    cells = ops.cells  # the constant shape is a pair of symbol 1
     dcell = cells[1] - 1.0  # 0 on the constant shape: its symbol is exactly 1
     om = np.array(omegas, dtype=float)[:, None]
     window = []  # conj pairs of u - omega g along the block of steps, and times dcell

@@ -19,14 +19,12 @@ from romctl import build_fourier_shapes, cli, experiments
 from romctl.cli import main as cli_main
 from romctl.control import ControlProblem
 from romctl.experiments import (
-    FMT,
     STREAM_COLUMNS,
     ConfigError,
     ScenarioConfig,
     TargetSpec,
     _smallness,
     _write_csv,
-    _write_history_csvs,
     _write_state_bin,
     build_model,
     build_target,
@@ -40,7 +38,7 @@ from romctl.experiments import (
 )
 from romctl.fom import cost, solve_state
 from romctl.models import SpodModel
-from romctl.optimizer import OptimizerConfig, OptimizerReport, optimize
+from romctl.optimizer import PHASES, OptimizerConfig, optimize
 from romctl.rom_spod import SingularMassError, certify_smallness
 from romctl.transform import split_shift
 
@@ -619,6 +617,17 @@ def test_artifact_digests_mask_the_timings_alone(tmp_path, capsys):
     assert {line.split("  ")[1] for line in changed} == {"run/timings.csv"}
 
 
+def test_artifact_digests_reject_a_directory_without_files(tmp_path, capsys):
+    # two runs that wrote nothing would print the same empty listing
+    path = Path(__file__).resolve().parents[1] / "scripts" / "artifact_digests.py"
+    spec = importlib.util.spec_from_file_location("artifact_digests", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    (tmp_path / "run" / "empty").mkdir(parents=True)
+    assert script.main([str(tmp_path / "run")]) == 2
+    assert capsys.readouterr() == ("", f"no files under {tmp_path / 'run'}\n")
+
+
 def test_reproduce_studies_runs_the_cli_of_this_interpreter(tmp_path, monkeypatch):
     # the commands need no installed romctl, and the config directory goes away
     path = Path(__file__).resolve().parents[1] / "scripts" / "reproduce_studies.py"
@@ -663,6 +672,8 @@ def test_run_scenario_divergence_exit_code(tmp_path, recwarn):
         assert (meta["status"], meta["iterations"], meta["final_cost"]) == ("diverged", 0, None)
         assert meta["smallness_zeta"] is None
         assert "fom_cost" not in meta and "rom_gap" not in meta
+        # no iteration was recorded, so each per-iteration CSV holds its header
+        assert read_iteration_csvs(out) == iteration_csv_bytes([])
 
 
 def test_full_order_check_that_diverges_leaves_the_run_its_status(tmp_path, recwarn):
@@ -727,7 +738,7 @@ EDGE = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1.7976931348623157e308
 def test_control_csv_round_trip(tmp_path, rng):
     u = rng.standard_normal((5, 17))
     path = tmp_path / "u.csv"
-    _write_csv(path, [f"u_{k + 1}" for k in range(5)], u.T, FMT)
+    _write_csv(path, [f"u_{k + 1}" for k in range(5)], u.T)
     header = path.read_text().splitlines()[0]
     assert header == "u_1,u_2,u_3,u_4,u_5"
     np.testing.assert_array_equal(np.loadtxt(path, delimiter=",", skiprows=1).T, u)
@@ -735,7 +746,7 @@ def test_control_csv_round_trip(tmp_path, rng):
 
 def test_spectrum_csv_round_trip(tmp_path):
     sigma = np.array([3.0, 1.0, 1e-8])
-    _write_csv(tmp_path / "s.csv", ["sigma"], sigma, FMT)
+    _write_csv(tmp_path / "s.csv", ["sigma"], sigma)
     assert (tmp_path / "s.csv").read_text().splitlines()[0] == "sigma"
     np.testing.assert_array_equal(np.loadtxt(tmp_path / "s.csv", skiprows=1), sigma)
 
@@ -750,26 +761,37 @@ def test_snapshot_binary_round_trip(tmp_path, rng):
 
 def test_csv_writer_keeps_the_per_value_bytes(tmp_path):
     # a control table of edge values (its transpose, as the run writes it), a
-    # one-column spectrum, the rank study's integer column and a history
-    # table of record_row strings
+    # one-column spectrum, and the rank study's rows, whose integer-valued
+    # iteration column prints as the integer it is
     u = np.array(EDGE * 3).reshape(3, -1)
-    _write_csv(tmp_path / "u.csv", ["u_1", "u_2", "u_3"], u.T, FMT)
+    _write_csv(tmp_path / "u.csv", ["u_1", "u_2", "u_3"], u.T)
     assert (tmp_path / "u.csv").read_bytes() == csv_writer_bytes(["u_1", "u_2", "u_3"], u.T)
-    _write_csv(tmp_path / "s.csv", ["sigma"], np.array(EDGE), FMT)
+    _write_csv(tmp_path / "s.csv", ["sigma"], np.array(EDGE))
     assert (tmp_path / "s.csv").read_bytes() == csv_writer_bytes(["sigma"], [[v] for v in EDGE])
     columns = ["iteration", "sv_ratio_m_plus_1", "sv_ratio_m_plus_2"]
     rows = [(10 * i, a, b) for i, (a, b) in enumerate(zip(EDGE, EDGE[::-1]))]
-    _write_csv(tmp_path / "r.csv", columns, rows, ["%d", FMT, FMT])
+    _write_csv(tmp_path / "r.csv", columns, rows)
     assert (tmp_path / "r.csv").read_bytes() == csv_writer_bytes(columns, rows)
-    rows = [[i, FMT % v, i % 2] for i, v in enumerate(EDGE)]
-    _write_csv(tmp_path / "h.csv", ["iteration", "J", "refined"], rows, "%s")
-    assert (tmp_path / "h.csv").read_bytes() == csv_writer_bytes(["iteration", "J", "refined"],
-                                                                  rows)
+
+
+def iteration_csv_bytes(rows):
+    """The csv.writer bytes of each per-iteration CSV, for rows of record_row:
+    iterations.csv every field, each history file its column subset."""
+    files = {}
+    for name, columns in experiments._ITERATION_CSVS:
+        idx = [STREAM_COLUMNS.index(c) for c in columns]
+        files[name] = csv_writer_bytes(columns, [[row[k] for k in idx] for row in rows])
+    return files
+
+
+def read_iteration_csvs(out):
+    return {name: (out / name).read_bytes() for name, _ in experiments._ITERATION_CSVS}
 
 
 def test_iterations_csv_streams_each_record_as_the_run_goes(tmp_path, monkeypatch):
-    # the csv.writer bytes of record_row's fields, one CRLF line per record,
-    # on disk up to record 50 when its callback returns
+    # the csv.writer bytes of record_row's fields, one CRLF line per record in
+    # each of the five per-iteration CSVs, on disk up to record 50 when its
+    # callback returns
     out = tmp_path / "out"
     reports, flushed = [], []
 
@@ -777,7 +799,7 @@ def test_iterations_csv_streams_each_record_as_the_run_goes(tmp_path, monkeypatc
         def stream(rec, u):
             callback(rec, u)
             if rec.iteration == 50:
-                flushed.append((out / "iterations.csv").read_bytes())
+                flushed.append(read_iteration_csvs(out))
 
         u, report = optimize(model, u0, config, callback=stream)
         reports.append(report)
@@ -790,14 +812,62 @@ def test_iterations_csv_streams_each_record_as_the_run_goes(tmp_path, monkeypatc
     (report,) = reports
     assert report.iterations == 60
     rows = [record_row(r) for r in report.records]
-    assert (out / "iterations.csv").read_bytes() == csv_writer_bytes(STREAM_COLUMNS, rows)
-    assert flushed == [csv_writer_bytes(STREAM_COLUMNS, rows[:50])]
+    assert read_iteration_csvs(out) == iteration_csv_bytes(rows)
+    assert flushed == [iteration_csv_bytes(rows[:50])]
 
 
-def test_history_csvs_of_no_records_hold_their_headers(tmp_path):
-    _write_history_csvs(tmp_path, OptimizerReport())
-    for name, columns in experiments._HISTORY_CSVS:
-        assert (tmp_path / name).read_bytes() == csv_writer_bytes(columns, [])
+class StopRun(Exception):
+    pass
+
+
+def untimed_rows(path):
+    """The rows of a per-iteration CSV without their wall-clock fields."""
+    with open(path, newline="") as fh:
+        return [{c: v for c, v in row.items() if c not in (*PHASES, "wall")}
+                for row in csv.DictReader(fh)]
+
+
+def test_a_stopped_run_leaves_the_artifacts_of_its_iterations(tmp_path, monkeypatch):
+    # a snapshot basis refreshes at iterations 1, 5 and 10 of 12; a run whose
+    # callback raises after iteration 7 leaves in each per-iteration CSV its
+    # header and the first 7 lines of a full run (the same up to the wall
+    # clock), and the spectra of the refreshes up to 7, none after
+    k = 7
+
+    def config(name):
+        path = tmp_path / f"{name}.cfg"
+        path.write_text(tiny_config_text(out=tmp_path / name, model="spod", modes=4))
+        return parse_config(path)
+
+    assert run_scenario(config("full"), quiet=True) == 0
+    records = []
+
+    def stop_after_k(model, u0, cfg, callback):
+        def stream(rec, u):
+            callback(rec, u)
+            records.append(rec)
+            if rec.iteration == k:
+                raise StopRun
+
+        return optimize(model, u0, cfg, callback=stream)
+
+    monkeypatch.setattr(experiments, "optimize", stop_after_k)
+    with pytest.raises(StopRun):
+        run_scenario(config("stopped"), quiet=True)
+    full, stopped = tmp_path / "full", tmp_path / "stopped"
+    assert [r.iteration for r in records] == list(range(1, k + 1))
+    assert read_iteration_csvs(stopped) == iteration_csv_bytes([record_row(r) for r in records])
+    for name, _ in experiments._ITERATION_CSVS:
+        head = (full / name).read_bytes().split(b"\r\n", 1)[0]
+        assert (stopped / name).read_bytes().split(b"\r\n", 1)[0] == head
+        assert untimed_rows(stopped / name) == untimed_rows(full / name)[:k], name
+    with open(full / "modes_per_iteration.csv", newline="") as fh:
+        refreshed = [int(row["iteration"]) for row in csv.DictReader(fh) if row["refined"] == "1"]
+    assert refreshed[0] == 1 and any(1 < i <= k for i in refreshed) and refreshed[-1] > k
+    spectra = sorted(p.name for p in stopped.glob("singular_values_iter*.csv"))
+    assert spectra == [f"singular_values_iter{i:05d}.csv" for i in refreshed if i <= k]
+    for name in spectra:
+        assert (stopped / name).read_bytes() == (full / name).read_bytes()
 
 
 @pytest.mark.parametrize("order, dtype", [("C", np.float64), ("F", np.float64),
