@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -72,28 +73,40 @@ def check_shape(a: np.ndarray, shape: tuple[int, ...], name: str) -> np.ndarray:
     return a
 
 
-def upwind_transport(y: np.ndarray, grid: SpaceTimeGrid, scale: float = 1.0,
-                     transpose: bool = False, out: np.ndarray | None = None) -> np.ndarray:
-    """scale * A y for the first-order upwind discretization A of -v d/dx with
-    periodic wrap, or scale * A^T y when `transpose`; y is a single field or
-    an (n, k) stack of fields. For v > 0 the stencil is the backward
-    difference, for v < 0 the forward one, and A^T is the mirrored stencil;
-    v = 0 gives zero (pure control dynamics). The result goes to `out`, an
-    array of y's shape that must not overlap y, or to a new one, and no
-    temporary is made."""
-    if out is None:
-        out = np.empty(np.shape(y))
+def upwind_stencil(grid: SpaceTimeGrid, scale: float,
+                   transpose: bool) -> Callable[[np.ndarray, np.ndarray], None]:
+    """The map (y, out) that writes scale * A y into out, for the first-order
+    upwind discretization A of -v d/dx with periodic wrap, or scale * A^T y
+    when `transpose`; y is a single field or an (n, k) stack of fields and
+    out an array of its shape that does not overlap it. For v > 0 the stencil
+    is the backward difference, for v < 0 the forward one, and A^T is the
+    mirrored stencil; v = 0 gives zero (pure control dynamics). The factor
+    scale |v| / dx and the direction are fixed when the map is made, so a
+    sweep makes it once; each call then subtracts one pair of slices, sets
+    the wrap entry and scales, with no temporary for a single field."""
     v = grid.v
     if v == 0.0:
-        out.fill(0.0)
-        return out
-    # roll y into out by copying two slices, then difference in place
-    if (v > 0) != transpose:  # out_i = y_{i-1}
-        out[1:], out[:1] = y[:-1], y[-1:]
-    else:  # out_i = y_{i+1}
-        out[:-1], out[-1:] = y[1:], y[:1]
-    out -= y
-    out *= scale * abs(v) / grid.dx
+        return lambda y, out: out.fill(0.0)
+    factor = scale * abs(v) / grid.dx
+    if (v > 0) != transpose:  # out_i = y_{i-1} - y_i
+
+        def apply(y: np.ndarray, out: np.ndarray) -> None:
+            np.subtract(y[:-1], y[1:], out=out[1:])
+            out[0] = y[-1] - y[0]
+            out *= factor
+    else:  # out_i = y_{i+1} - y_i
+
+        def apply(y: np.ndarray, out: np.ndarray) -> None:
+            np.subtract(y[1:], y[:-1], out=out[:-1])
+            out[-1] = y[0] - y[-1]
+            out *= factor
+    return apply
+
+
+def upwind_transport(y: np.ndarray, grid: SpaceTimeGrid) -> np.ndarray:
+    """A y, the upwind_stencil at scale 1, as a new array."""
+    out = np.empty(np.shape(y))
+    upwind_stencil(grid, 1.0, False)(y, out)
     return out
 
 

@@ -11,7 +11,7 @@ from .discretization import (
     SpaceTimeGrid,
     check_field,
     check_shape,
-    upwind_transport,
+    upwind_stencil,
     warn_if_cfl_violated,
 )
 
@@ -93,9 +93,10 @@ def solve_state(
     dt = grid.dt
     source = apply_control(shapes, u, out=work)  # all control fields in one matrix product
     source *= dt
+    transport = upwind_stencil(grid, dt, False)
 
     def step(y: np.ndarray, j: int, nxt: np.ndarray) -> None:
-        upwind_transport(y, grid, dt, out=nxt)
+        transport(y, nxt)
         nxt += y
         nxt += source[:, j]
 
@@ -123,9 +124,10 @@ def solve_adjoint(
     dt = grid.dt
     source = np.subtract(state, target, out=work)
     source *= dt
+    transport = upwind_stencil(grid, dt, True)
 
     def step(lam: np.ndarray, j: int, nxt: np.ndarray) -> None:
-        upwind_transport(lam, grid, dt, transpose=True, out=nxt)
+        transport(lam, nxt)
         nxt += lam
         nxt += source[:, j]
 

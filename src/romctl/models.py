@@ -30,7 +30,9 @@ class ProblemModel(ControlledModel):
     along the gradient g at u the cost is the parabola
     J - w dt|g|^2 + w^2/2 (c(g) + mu dt |g|^2), c(g) the tracking curvature
     (Nocedal & Wright, Numerical Optimization, ch. 3): the step-size search
-    reads it, one direction solve per search."""
+    reads it, one direction solve per search. The FOM keeps that solve, the
+    state response to g, and `move` steps its held state by it, so a searched
+    FOM iteration sweeps the direction and the adjoint but not the state."""
 
     def __init__(self, problem: ControlProblem):
         self.problem = problem
@@ -70,30 +72,42 @@ class ProblemModel(ControlledModel):
 
 class FomModel(ProblemModel):
     """Full-order model: no reduction, refine_basis is a no-op. Its solves
-    write into buffers it holds for the run: the state and the adjoint, in
-    Fortran order, and one C-order work array that holds in turn the control
-    source, the squared misfit and the adjoint source. Gradients and `lift`
-    are new arrays."""
+    write into four buffers it holds for the run: in Fortran order the state,
+    the adjoint and the direction response Y_g of the step-size search, and
+    one C-order work array that holds in turn the control source, the squared
+    misfit and the adjoint source. The state is affine in the control, so the
+    direction solve doubles as the next state, Y(u - w g) = Y(u) - w Y_g:
+    `move` makes it in place, and `evaluate` at the control `move` returned
+    makes no state sweep. Controls and directions are told apart by identity,
+    never by value. Gradients and `lift` are new arrays."""
 
     def __init__(self, problem: ControlProblem):
         super().__init__(problem)
         shape = (problem.grid.n, problem.grid.n_t)
         self._state = np.empty(shape, order="F")
         self._adjoint = np.empty(shape, order="F")
+        self._direction = np.empty(shape, order="F")
         self._work = np.empty(shape)
+        self._state_of: np.ndarray | None = None  # the control whose state `_state` holds
+        self._moved_to: np.ndarray | None = None  # that control, when `move` returned it
+        self._response_of: np.ndarray | None = None  # the direction `_direction` answers
 
     def refine_basis(self, u: np.ndarray) -> Refresh:
         return Refresh(self.problem.grid.n, None)
 
-    def _solve_state(self, u: np.ndarray, y0: np.ndarray) -> np.ndarray:
+    def _solve_state(self, u: np.ndarray, y0: np.ndarray, out: np.ndarray) -> np.ndarray:
         p = self.problem
         self.state_solves += 1
-        return fom.solve_state(p.grid, p.shapes, u, y0, out=self._state, work=self._work)
+        return fom.solve_state(p.grid, p.shapes, u, y0, out=out, work=self._work)
 
     def evaluate(self, u: np.ndarray) -> tuple[CostBreakdown, np.ndarray]:
         p = self.problem
         with self.phase("state"):
-            Y = self._solve_state(u, p.y0)
+            if u is not self._moved_to:
+                self._state_of = self._moved_to = None  # a diverging solve leaves no state
+                self._solve_state(u, p.y0, self._state)
+                self._state_of = u
+            Y = self._state
         with self.phase("cost"):
             J = fom.cost(p.grid, Y, p.target, u, p.mu, work=self._work)
         with self.phase("adjoint"):
@@ -103,10 +117,32 @@ class FomModel(ProblemModel):
         return J, g
 
     def tracking_curvature(self, g: np.ndarray) -> float:
+        """c(g) from the response Y_g, which the model keeps for `move`; a
+        non-finite c(g) raises DivergenceError and keeps no response."""
         p = self.problem
-        Y = self._solve_state(g, np.zeros(p.grid.n))
-        Y *= Y  # the state buffer is free again once the curvature is read
-        return p.grid.dt * p.grid.dx * float(np.sum(Y))
+        self._response_of = None
+        Y = self._solve_state(g, np.zeros(p.grid.n), self._direction)
+        # the adjoint buffer is free once evaluate has made its gradient
+        sq = np.multiply(Y, Y, out=self._adjoint)
+        c = p.grid.dt * p.grid.dx * float(np.sum(sq))
+        if not math.isfinite(c):
+            raise DivergenceError(p.grid.n_t - 1, "direction")
+        self._response_of = g
+        return c
+
+    def move(self, u: np.ndarray, g: np.ndarray, omega: float) -> np.ndarray:
+        """u - omega g. When the model holds the state at u and the response
+        to g, the state moves to the new control in place; otherwise the
+        held state goes, and the next evaluation solves afresh."""
+        u_next = super().move(u, g, omega)
+        if u is self._state_of and g is self._response_of:
+            self._direction *= omega
+            self._state -= self._direction
+            self._state_of = self._moved_to = u_next
+        else:
+            self._state_of = self._moved_to = None
+        self._response_of = None  # scaled in place, or of an older direction
+        return u_next
 
     def lift(self, u: np.ndarray) -> np.ndarray:
         p = self.problem

@@ -73,7 +73,9 @@ class Refresh:
 class ControlledModel(ABC):
     """What the descent loop needs from a model.
 
-    `evaluate` must be deterministic for a fixed control and basis state.
+    `evaluate` must be deterministic for a fixed control and basis state; at
+    a control that `move` carried the model's state to, it may differ from a
+    fresh evaluation by rounding.
     A model counts the state solves of `evaluate` and its step-size search in
     `state_solves`; a march of a block of step sizes counts once.
     """
@@ -99,6 +101,12 @@ class ControlledModel(ABC):
         """The step-size search's march: the cost at u - w g for blocks of step
         sizes w, g the gradient `evaluate` gave at u with total cost `cost`; a
         failed step size costs +inf. Its work counts as update time."""
+
+    def move(self, u: np.ndarray, g: np.ndarray, omega: float) -> np.ndarray:
+        """The step's control u - omega g, a new array. A model may carry what
+        it holds at u along to it: the FOM's direction solve doubles as its
+        next state. Its work counts as update time."""
+        return u - omega * g
 
     @property
     def signal_weight(self) -> float:
@@ -277,7 +285,7 @@ def optimize(
                     model.line_cost(u, g, cost.total), g, omega, cost.total, weight
                 )
             prev_u, prev_g = u, g
-            u = u - omega * g
+            u = model.move(u, g, omega)
         last_ok = success
 
         timings = clock.drain()

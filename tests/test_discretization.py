@@ -5,7 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from romctl.discretization import SpaceTimeGrid, central_derivative, upwind_transport
+from romctl.discretization import (
+    SpaceTimeGrid,
+    central_derivative,
+    upwind_stencil,
+    upwind_transport,
+)
 from romctl.fom import solve_adjoint
 
 from conftest import coarse_grid, inner_product, second_difference
@@ -63,16 +68,23 @@ def test_quadrature_exactness_any_n(n):
     assert inner_product(ones, ones, g) == pytest.approx(100.0, rel=1e-12)
 
 
+def stencil_of(y, grid, scale=1.0, transpose=False):
+    """upwind_stencil(grid, scale, transpose) applied to y, into a new array."""
+    out = np.empty(np.shape(y))
+    upwind_stencil(grid, scale, transpose)(y, out)
+    return out
+
+
 def upwind_matrix(grid, transpose=False):
     """The upwind operator (its transpose when asked) as the dense matrix the
     stencil applies: column j is the stencil applied to the j-th unit vector."""
-    return upwind_transport(np.eye(grid.n), grid, transpose=transpose)
+    return stencil_of(np.eye(grid.n), grid, transpose=transpose)
 
 
 def test_upwind_constant_field_annihilated(grid):
     # every row of the operator and of its transpose sums to zero
     for transpose in (False, True):
-        assert not np.any(upwind_transport(np.ones(grid.n), grid, transpose=transpose))
+        assert not np.any(stencil_of(np.ones(grid.n), grid, transpose=transpose))
 
 
 def test_upwind_impulse_stencil(grid):
@@ -112,10 +124,12 @@ def test_upwind_into_a_buffer_matches_the_allocating_call_bitwise(v, transpose, 
     if layout == "F stack":
         y = np.asfortranarray(y)
     y[4] = -0.0  # y + 0 keeps the sign of zero only if the zeros are +0
-    made = upwind_transport(y, g, g.dt, transpose=transpose)
+    made = stencil_of(y, g, g.dt, transpose)
     out = np.full_like(y, np.nan)
-    assert upwind_transport(y, g, g.dt, transpose=transpose, out=out) is out
+    upwind_stencil(g, g.dt, transpose)(y, out)
     assert out.tobytes() == made.tobytes()
+    if not transpose:  # the allocating call is the stencil at scale 1
+        assert upwind_transport(y, g).tobytes() == stencil_of(y, g).tobytes()
     if v == 0.0:
         rolled = np.zeros_like(y)
     else:

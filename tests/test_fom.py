@@ -108,10 +108,11 @@ def fom_model(grid, shapes, y0, target, target_path):
 
 
 def test_fom_model_evaluates_in_its_own_buffers(rng):
-    # after a warm-up, an evaluation and a closed-form step-size search make no
-    # (n, n_t) array: the state, the adjoint and the work array are the model's.
-    # The grid holds more than the 8192 elements of numpy's iteration buffer,
-    # which the mixed-order misfit takes.
+    # after a warm-up, an evaluation, a closed-form step-size search, the step
+    # that moves the state and the evaluation at the moved control make no
+    # (n, n_t) array: the state, the adjoint, the direction response and the
+    # work array are the model's. The grid holds more than the 8192 elements
+    # of numpy's iteration buffer, which the mixed-order misfit takes.
     grid = coarse_grid(n=201, n_t=120)
     shapes, y0 = build_fourier_shapes(grid, 1), gaussian_initial_condition(grid)
     target = build_target(grid, y0, single_tilt_target(0.0, grid.v))
@@ -119,10 +120,12 @@ def test_fom_model_evaluates_in_its_own_buffers(rng):
     u = smooth_signal(rng, shapes.m, grid.n_t, 0.1)
     J, g = model.evaluate(u)
     model.line_cost(u, g, J.total)
+    model.evaluate(model.move(u, g, 0.5))
     tracemalloc.start()
     try:
         J, g = model.evaluate(u)
         model.line_cost(u, g, J.total)
+        model.evaluate(model.move(u, g, 0.5))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -130,9 +133,10 @@ def test_fom_model_evaluates_in_its_own_buffers(rng):
 
 
 def test_fom_model_buffers_leave_results_alone(grid, shapes, y0, target, target_path, rng):
-    # the buffers are overwritten by every solve, so nothing a call returns
-    # may live in them: evaluating at u1, u2 and u1 again repeats bit for bit,
-    # and the first gradient is untouched by the later calls
+    # the buffers are overwritten by every solve and step, so nothing a call
+    # returns may live in them: evaluating at u1, u2 and u1 again repeats bit
+    # for bit, the step from u1 is u1 - w g3 of the gradient that evaluation
+    # returned, and the gradients are untouched by the later calls
     model = fom_model(grid, shapes, y0, target, target_path)
     u1, u2 = (smooth_signal(rng, shapes.m, grid.n_t, 0.1) for _ in range(2))
     J1, g1 = model.evaluate(u1)
@@ -141,9 +145,19 @@ def test_fom_model_buffers_leave_results_alone(grid, shapes, y0, target, target_
     model.line_cost(u2, g1, J1.total)
     J3, g3 = model.evaluate(u1)
     assert J3 == J1 and g3.tobytes() == kept.tobytes() and g1.tobytes() == kept.tobytes()
+    model.line_cost(u1, g3, J3.total)
+    u4 = model.move(u1, g3, 0.5)
+    assert u4.tobytes() == (u1 - 0.5 * kept).tobytes()
+    _, g4 = model.evaluate(u4)
+    assert g3.tobytes() == kept.tobytes() and g1.tobytes() == kept.tobytes()
+    # only a control that `move` returned skips the state solve: one that was
+    # evaluated and then changed in place is solved afresh
+    model.evaluate(u2)
+    u2 *= 2.0
+    assert model.evaluate(u2)[0] == fom_model(grid, shapes, y0, target, target_path).evaluate(u2)[0]
     lifted = model.lift(u1)
     assert lifted.tobytes() == solve_state(grid, shapes, u1, y0).tobytes()
-    buffers = [a for a in vars(model).values() if isinstance(a, np.ndarray)]
-    assert len(buffers) == 3
-    assert not any(np.shares_memory(lifted, b) for b in buffers)
-    assert not any(np.shares_memory(g3, b) for b in buffers)
+    buffers = [a for a in vars(model).values()
+               if isinstance(a, np.ndarray) and a.shape == (grid.n, grid.n_t)]
+    assert len(buffers) == 4
+    assert not any(np.shares_memory(a, b) for a in (lifted, g3, g4, u4) for b in buffers)

@@ -4,7 +4,7 @@ import time
 import numpy as np
 import pytest
 
-from romctl import SpaceTimeGrid, build_fourier_shapes, rom_spod
+from romctl import SpaceTimeGrid, build_fourier_shapes, fom, rom_spod
 from romctl.basis import ModeBasis, ModeRule
 from romctl.control import ControlProblem
 from romctl.experiments import (
@@ -271,9 +271,20 @@ def test_callback_sees_each_record_and_the_control_after_its_step():
 
 # --- the step-size search of the linear-quadratic models ---------------------
 
-def trial_search(model):
-    """Give the model the oracle search: one evaluation per step size."""
-    model.line_cost = lambda u, g, cost: trial_march(evaluated_cost(model), u, g)
+def trial_search(model, twin=None):
+    """Give the model the oracle search: one evaluation per step size. With a
+    twin, a FomModel of the same problem, the twin prices the step sizes and
+    the model solves the direction as its closed-form search does, so a step
+    moves the model's held state as it moves under that search."""
+    if twin is None:
+        model.line_cost = lambda u, g, cost: trial_march(evaluated_cost(model), u, g)
+        return model
+
+    def line_cost(u, g, cost):
+        model.tracking_curvature(g)
+        return trial_march(evaluated_cost(twin), u, g)
+
+    model.line_cost = line_cost
     return model
 
 
@@ -322,8 +333,9 @@ def evals_column(report):
 
 
 def small_problem(v):
+    # at v = 0 the horizon is that of |v| = 0.55
     n, n_t = 101, 60
-    grid = SpaceTimeGrid(l=100.0, n=n, T=n_t * 0.9 * (100.0 / n) / abs(v), n_t=n_t, v=v)
+    grid = SpaceTimeGrid(l=100.0, n=n, T=n_t * 0.9 * (100.0 / n) / (abs(v) or 0.55), n_t=n_t, v=v)
     shapes = build_fourier_shapes(grid, 1)
     y0 = gaussian_initial_condition(grid)
     spec = single_tilt_target(0.0, v)
@@ -429,9 +441,13 @@ def desk_model(kind):
 
 @pytest.mark.parametrize("kind", ["fom", "pod", "spod"])
 def test_closed_form_search_repeats_the_trial_search_bitwise(kind):
+    # the FOM's direction solve moves its held state, so its trials price on
+    # a twin and its own direction solve moves the state as the closed form's
     cfg = OptimizerConfig(n_iter=32)
     closed = count_trials(count_evaluate(desk_model(kind)))
-    trials = count_evaluate(trial_search(desk_model(kind)))
+    trials = count_evaluate(desk_model(kind))
+    twin = count_evaluate(desk_model(kind)) if kind == "fom" else None
+    trial_search(trials, twin)
     m, n_t = closed.problem.shapes.m, closed.problem.grid.n_t
     u_closed, rep_closed = optimize(closed, np.zeros((m, n_t)), cfg)
     u_trials, rep_trials = optimize(trials, np.zeros((m, n_t)), cfg)
@@ -443,7 +459,8 @@ def test_closed_form_search_repeats_the_trial_search_bitwise(kind):
     assert trials_column(rep_closed) == trials_column(rep_trials)
     assert sum(trials_column(rep_closed)) == closed.search_trials
     n_iter = rep_trials.iterations
-    assert n_iter + sum(trials_column(rep_trials)) == trials.evaluate_calls > n_iter
+    evaluations = trials.evaluate_calls + (twin.evaluate_calls if twin else 0)
+    assert n_iter + sum(trials_column(rep_trials)) == evaluations > n_iter
 
 
 def test_schur_search_marches_blocks_of_the_step_sizes_it_reads(monkeypatch):
@@ -482,7 +499,45 @@ def test_evals_count_the_state_solves_of_each_iteration(kind):
     _, rep = optimize(model, u0, quad_cfg(n_iter=12, beta=0.0, bb_switch_threshold=1.0))
     trials, evals = trials_column(rep), evals_column(rep)
     assert 0 in trials and max(trials) > 0
-    assert evals == [1 + (t > 0) for t in trials]
+    if kind == "fom":
+        # the direction solve moves the FOM's state, so `evaluate` solves only
+        # at iteration 1 and after an iteration that did not search
+        searched = [t > 0 for t in trials]
+        assert evals == [(i == 0 or not searched[i - 1]) + s for i, s in enumerate(searched)]
+    else:
+        assert evals == [1 + (t > 0) for t in trials]
+
+
+def rel_max(a, b):
+    return float(np.max(np.abs(a - b)) / np.max(np.abs(b)))
+
+
+@pytest.mark.parametrize("v", [0.55, -0.55, 0.0])
+def test_a_moved_fom_state_matches_a_fresh_solve(v):
+    # the direction solve moves the held state, Y(u - w g) = Y(u) - w Y_g,
+    # along runs of searched steps, and a Barzilai-Borwein step sends the
+    # next evaluation back to a fresh solve: each moved state, and the cost
+    # of every record, lies within 1e-12 relative of a fresh solve
+    problem = small_problem(v)
+    grid, shapes = problem.grid, problem.shapes
+    model = FomModel(problem)
+    controls = [smooth_signal(np.random.default_rng(3), shapes.m, grid.n_t, 0.1)]
+    moved = []
+
+    def check(rec, u):
+        controls.append(u)
+        if model._moved_to is u:
+            moved.append(rel_max(model._state, fom.solve_state(grid, shapes, u, problem.y0)))
+
+    cfg = quad_cfg(n_iter=40, beta=0.0, bb_switch_threshold=0.05)
+    _, rep = optimize(model, controls[0], cfg, callback=check)
+    searched = [t > 0 for t in trials_column(rep)]
+    assert not all(searched) and sum(searched) >= 10 and searched[:10] == [True] * 10
+    assert len(moved) == sum(searched) and max(moved) < 1e-12
+    for rec, u in zip(rep.records, controls):
+        fresh = fom.solve_state(grid, shapes, u, problem.y0)
+        J = fom.cost(grid, fresh, problem.target, u, problem.mu)
+        assert rec.total == pytest.approx(J.total, rel=1e-12, abs=0.0)
 
 
 class _DivergingDirection(FomModel):
@@ -493,6 +548,18 @@ class _DivergingDirection(FomModel):
 class _OverflowingDirection(SpodModel):
     def tracking_curvature(self, g):
         return super().tracking_curvature(1e300 * g)  # its curvature overflows
+
+
+class _OverflowingFomDirection(FomModel):
+    """Solves the search's own direction object, scaled in place by 2^1000
+    (undone exactly), so its response overflows."""
+
+    def tracking_curvature(self, g):
+        g *= 2.0**1000
+        try:
+            return super().tracking_curvature(g)
+        finally:
+            g /= 2.0**1000
 
 
 class _DivergingTrials(FomModel):
@@ -506,13 +573,15 @@ class _DivergingTrials(FomModel):
 
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
-@pytest.mark.parametrize("kind", ["fom", "spod"])
+@pytest.mark.parametrize("kind", ["fom", "fom-overflow", "spod"])
 def test_diverging_direction_solve_fails_the_search(kind):
     problem = small_problem(0.55)
     u0 = np.zeros((problem.shapes.m, problem.grid.n_t))
     cfg = quad_cfg(n_iter=4, beta=0.0)
     if kind == "fom":
         model = _DivergingDirection(problem)
+    elif kind == "fom-overflow":
+        model = _OverflowingFomDirection(problem)
     else:
         model = _OverflowingDirection(problem, None)
     _, rep = optimize(model, u0, cfg)
@@ -522,6 +591,10 @@ def test_diverging_direction_solve_fails_the_search(kind):
     # every search fails after testing each halving, as when every trial diverges
     assert [r.omega for r in rep.records] == [r.omega for r in ref.records]
     assert trials_column(rep) == trials_column(ref) == [31] * 4
+    if kind != "spod":  # no step moved the state: each evaluation solved afresh
+        assert [r.total for r in rep.records] == [r.total for r in ref.records]
+        direction_solves = 1 if kind == "fom-overflow" else 0
+        assert evals_column(rep) == [1 + direction_solves] * 4
     with pytest.raises(DivergenceError):  # a non-finite curvature raises, not returns
         model.tracking_curvature(model.evaluate(u0)[1])
 
